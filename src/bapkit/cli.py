@@ -92,16 +92,21 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass but never a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_config(cfg: dict) -> None:
     if cfg["suite"] not in SUITES + ("all",):
         raise ConfigError(f"suite must be one of {SUITES + ('all',)}, got {cfg['suite']!r}")
     if cfg["mode"] not in (RATIONAL, FLOAT):
         raise ConfigError(f"mode must be {RATIONAL!r} or {FLOAT!r}, got {cfg['mode']!r}")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     v = cfg["vogt"]
     for key in ("n_max", "mu_max", "nu_max", "level_count"):
-        if not isinstance(v[key], int) or v[key] < 1:
+        if not _is_int(v[key]) or v[key] < 1:
             raise ConfigError(f"vogt.{key} must be a positive integer, got {v[key]!r}")
     if v["level_count"] < 3:
         raise ConfigError("vogt.level_count must be >= 3 for the witness family")
@@ -111,11 +116,12 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("vogt.nu_max must be >= 2 for the witness family")
     if v["rho"] != "dyadic" and not isinstance(v["rho"], dict):
         raise ConfigError("vogt.rho must be 'dyadic' or an encoded decay table")
+    _decode_rho(v["rho"])
     for name in ("pelczynski", "normability"):
-        if not isinstance(cfg[name]["dimension"], int) or not 2 <= cfg[name]["dimension"] <= 12:
+        if not _is_int(cfg[name]["dimension"]) or not 2 <= cfg[name]["dimension"] <= 12:
             raise ConfigError(f"{name}.dimension must be an integer in 2..12")
     fam = cfg["normability"]["families"]
-    if not isinstance(fam, int) or not 1 <= fam <= 500:
+    if not _is_int(fam) or not 1 <= fam <= 500:
         raise ConfigError("normability.families must be an integer in 1..500")
 
 
@@ -126,7 +132,7 @@ def _decode_rho(spec):
 
     try:
         rho = decode(spec)
-    except BapkitError as exc:
+    except (BapkitError, ZeroDivisionError, TypeError, ValueError) as exc:
         raise ConfigError(f"vogt.rho does not decode: {exc}")
     if not isinstance(rho, RhoTable):
         raise ConfigError("vogt.rho must decode to a decay table")

@@ -1,10 +1,17 @@
-"""Dense Gaussian elimination over Fraction or float.
+"""Gaussian elimination over Fraction or float, dense and sparse.
 
-Matrices are plain lists of row lists.  With tol=None every zero test is
-exact, which is the whole point of rational mode; with a tolerance, pivots
-are chosen by largest absolute value and entries below the threshold count
-as zero.  Dimensions are desk-scale throughout, so no effort is spent on
-asymptotics.
+Dense matrices are plain lists of row lists.  With tol=None every zero test
+is exact, which is the whole point of rational mode; with a tolerance,
+pivots are chosen by largest absolute value and entries below the threshold
+count as zero.
+
+Sparse rows are dicts {column: value} holding only the nonzero entries.
+sparse_rank eliminates them one row at a time against a table of pivot
+rows keyed by their lowest column, so its cost follows the nonzeros and
+the fill, not rows x columns.  Functional rows of the built-in seminorm
+kinds carry one or two nonzeros each, where the dense routines would pay
+for the whole square.  The dense routines stay as the general tools and as
+the test oracle for the sparse path.
 """
 
 from __future__ import annotations
@@ -63,6 +70,33 @@ def row_echelon(rows, tol=None) -> tuple[list[list], list[int]]:
 
 def rank(rows, tol=None) -> int:
     return len(row_echelon(rows, tol)[1])
+
+
+def sparse_rank(rows, tol=None) -> int:
+    """Rank of sparse rows {column: value}; same zero tests as the dense rank.
+
+    Each incoming row is reduced by the stored pivot row of its lowest
+    column until that column is new, then stored divided by its pivot entry
+    (the unit pivot itself is implicit).  Entries that reduce to zero
+    (|x| <= tol with a tolerance) are dropped.
+    """
+    pivots: dict = {}
+    for row in rows:
+        live = {c: v for c, v in row.items() if not _is_null(v, tol)}
+        while live:
+            col = min(live)
+            factor = live.pop(col)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = {c: v / factor for c, v in live.items()}
+                break
+            for c, v in pivot.items():
+                value = live[c] - factor * v if c in live else -factor * v
+                if _is_null(value, tol):
+                    live.pop(c, None)
+                else:
+                    live[c] = value
+    return len(pivots)
 
 
 def nullspace(rows, ncols: int, tol=None) -> list[list]:

@@ -160,7 +160,7 @@ def _sampled_sup(g2, combiner, pieces2, d_eff, tol, rng, samples):
         v = _objective_at(pieces2, c)
         if v > best:
             best = v
-    return best * (1.0 + DEFAULT_TOLERANCES.opnorm_safety)
+    return best * (1.0 + tol.opnorm_safety)
 
 
 def graded_operator_norm(

@@ -133,8 +133,6 @@ class RhoTable:
             mu0 = 1
             while self.value(mu0, nu, mode) > epsilon:
                 mu0 += 1
-                if mu0 > 64 and mode == "float":
-                    break
             return mu0
         worst = 1
         for mu in range(1, self.mu_limit + 1):
@@ -544,12 +542,40 @@ def _null(value, tol) -> bool:
     return abs(value) <= tol
 
 
-def level_matrix(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector]):
-    """Rows f_i(v_j) of level k against a vector list, zero rows pruned."""
-    rows = []
+def level_rows(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector]):
+    """Rows f_i(v_j) of level k as sparse dicts {j: value}, zero rows pruned.
+
+    An index -> [(j, entry)] map over the basis supports means each
+    functional touches only the basis vectors that meet it, so the cost
+    follows the nonzeros.  Every f_i(v_j) is summed in functional order from
+    zero(mode), exactly as apply_functional does, and exact zeros are left
+    out.  A row is kept when one entry is nonzero, beyond the rank tolerance
+    in float mode.
+    """
     ftol = None if system.mode == RATIONAL else DEFAULT_TOLERANCES.rank
+    z = zero(system.mode)
+    meets: dict = {}
+    for j, v in enumerate(basis):
+        for idx, val in v.entries:
+            meets.setdefault(idx, []).append((j, val))
+    rows = []
     for pairs in system.level_terms(k):
-        row = [apply_functional(pairs, v) for v in basis]
-        if any(not _null(c, ftol) for c in row):
-            rows.append(row)
+        row: dict = {}
+        for idx, coeff in pairs:
+            for j, val in meets.get(idx, ()):
+                row[j] = row.get(j, z) + coeff * val
+        if any(not _null(c, ftol) for c in row.values()):
+            rows.append({j: c for j, c in row.items() if c != 0})
     return rows
+
+
+def level_matrix(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector]):
+    """level_rows densified: rows f_i(v_j) of level k, zero rows pruned."""
+    z = zero(system.mode)
+    out = []
+    for row in level_rows(system, k, basis):
+        dense = [z] * len(basis)
+        for j, c in row.items():
+            dense[j] = c
+        out.append(dense)
+    return out

@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDataError,
     LevelError,
 )
-from .linalg import rank
+from .linalg import sparse_rank
 from .normability import CauchyFamily, FloorCertificate, GeometricForm
 from .scalars import (
     DEFAULT_TOLERANCES,
@@ -32,7 +32,7 @@ from .scalars import (
     geometric_sum,
     zero,
 )
-from .seminorms import RhoTable, VogtSeminorms, level_matrix
+from .seminorms import RhoTable, VogtSeminorms, level_rows
 from .spaces import TripleBox, TruncatedVector, unit_vector
 
 
@@ -218,8 +218,7 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     ranks = []
     passed = True
     for k in range(1, instance.level_count + 1):
-        rows = level_matrix(system, k, basis)
-        rk = rank(rows, ftol)
+        rk = sparse_rank(level_rows(system, k, basis), ftol)
         ranks.append((k, rk, d))
         if rk != d:
             passed = False
@@ -227,7 +226,13 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     for mu in range(1, instance.box.mu_max + 1):
         for nu in range(1, instance.box.nu_max + 1):
             rho = instance.rho.value(mu, nu, instance.mode)
+            # 1 / rho can round below an integer in float mode, so step q to
+            # the smallest integer with q * rho > 1 in the mode's own arithmetic
             q = math.floor(1 / rho) + 1
+            while q * rho <= 1:
+                q += 1
+            while (q - 1) * rho > 1:
+                q -= 1
             if not (q * rho > 1 >= (q - 1) * rho):
                 passed = False
             certs.append((mu, nu, q))

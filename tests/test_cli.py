@@ -120,6 +120,39 @@ def test_config_validation_bounds(tmp_path, capsys, override, fragment):
     assert fragment in err
 
 
+def _table(**fields):
+    spec = {"kind": "rho", "table_kind": "table", "values": [[1, 1, 0.5]], "mu_limit": 1,
+            "nu_limit": 1}
+    return {"vogt": {"rho": {**spec, **fields}}}
+
+
+@pytest.mark.parametrize(
+    "override, fragment",
+    [
+        ({"seed": True}, "seed must be a nonnegative integer, got True"),
+        ({"vogt": {"mu_max": True}}, "vogt.mu_max must be a positive integer, got True"),
+        ({"vogt": {"n_max": True}}, "vogt.n_max must be a positive integer, got True"),
+        ({"normability": {"families": True}}, "normability.families"),
+        ({"vogt": {"rho": {"kind": "rho"}}}, "vogt.rho does not decode"),
+        ({"vogt": {"rho": {"kind": "single-box", "d": 3}}}, "must decode to a decay table"),
+        (_table(values=5), "vogt.rho does not decode"),
+        (_table(values=[[1, 1]]), "vogt.rho does not decode"),
+        (_table(values=[[1, 1, {"num": 1, "den": 0}]]), "vogt.rho does not decode"),
+        (_table(values=[[1, 1, 2]]), "vogt.rho does not decode"),
+        (_table(mu_limit="1"), "vogt.rho does not decode"),
+    ],
+)
+def test_config_rejects_booleans_and_undecodable_tables(tmp_path, capsys, override, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override))
+    rc = cli.main(["run", "--config", str(path), "--suite", "vogt"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert fragment in captured.err
+
+
 def test_cli_flags_override_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 5, "suite": "vogt", "mode": "float"}))

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bapkit.linalg import (
@@ -16,8 +16,10 @@ from bapkit.linalg import (
     rank,
     row_echelon,
     solve,
+    sparse_rank,
     transpose,
 )
+from bapkit.scalars import DEFAULT_TOLERANCES
 
 F = Fraction
 
@@ -104,3 +106,59 @@ def test_float_tolerance_treats_noise_as_zero():
     rows = [[1.0, 2.0], [2.0, 4.0 + 1e-13]]
     assert rank(rows, 1e-9) == 1
     assert rank(rows, None) == 2
+
+
+# ---------------------------------------------------------------------------
+# sparse rank against the dense oracle
+
+
+def sparse(rows):
+    return [{j: v for j, v in enumerate(r) if v != 0} for r in rows]
+
+
+@st.composite
+def matrices(draw, values):
+    """Wide, tall and square shapes, with zero rows and repeated rows mixed in."""
+    ncols = draw(st.integers(1, 7))
+    base = draw(
+        st.lists(st.lists(values, min_size=ncols, max_size=ncols), min_size=1, max_size=7)
+    )
+    zero_row = [v - v for v in base[0]]
+    extra = draw(st.lists(st.sampled_from([zero_row] + base), max_size=3))
+    return draw(st.permutations(base + [list(r) for r in extra]))
+
+
+small_fractions = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=3)
+sparse_fractions = st.one_of(st.just(F(0)), small_fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(sparse_fractions))
+def test_sparse_rank_matches_dense_rank_exactly(rows):
+    assert sparse_rank(sparse(rows)) == rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(st.integers(-3, 3).map(float)))
+def test_sparse_rank_matches_dense_rank_on_integer_floats(rows):
+    tol = DEFAULT_TOLERANCES.rank
+    assert sparse_rank(sparse(rows), tol) == rank(rows, tol)
+
+
+def test_sparse_rank_oracles():
+    assert sparse_rank([]) == 0
+    assert sparse_rank([{}, {3: F(0)}]) == 0
+    assert sparse_rank([{0: F(1), 5: F(2)}, {0: F(2), 5: F(4)}]) == 1
+    # a cascade of damped differences closed by a plain term is full rank
+    chain = [{j: F(1, 2), j + 1: F(-1)} for j in range(5)] + [{5: F(3)}]
+    assert sparse_rank(chain) == 6
+    rows = [{0: F(1), 1: F(1)}]
+    sparse_rank(rows)
+    assert rows == [{0: F(1), 1: F(1)}]  # input rows are left alone
+
+
+def test_sparse_rank_float_tolerance_treats_noise_as_zero():
+    rows = [{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0 + 1e-13}]
+    assert sparse_rank(rows, 1e-9) == 1
+    assert sparse_rank(rows, None) == 2
+    assert sparse_rank([{0: 1e-12}], 1e-9) == 0

@@ -9,6 +9,7 @@ from bapkit import (
     FiniteRankOperator,
     KoetheSeminorms,
     SingleBox,
+    Tolerances,
     UnboundedSeminormError,
     graded_operator_norm,
     polyhedral_sup,
@@ -81,6 +82,16 @@ def test_float_fallback_under_cap_stays_near_the_exact_value():
         2, g, "max", [([[1.0, 1.0]], "sum")], "float", cap=3, samples=2000
     )
     assert 0 < sampled <= exact * (1 + 1e-5)
+
+
+def test_float_fallback_inflates_by_the_given_safety_factor():
+    g = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
+    objective = [([[1.0, 1.0]], "sum")]
+    default = polyhedral_sup(2, g, "max", objective, "float", cap=3, samples=200)
+    wide = polyhedral_sup(
+        2, g, "max", objective, "float", tol=Tolerances(opnorm_safety=0.5), cap=3, samples=200
+    )
+    assert wide / default == pytest.approx(1.5 / (1 + 1e-6), rel=1e-12)
 
 
 def test_graded_operator_norm_between_koethe_levels():

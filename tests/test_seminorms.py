@@ -30,7 +30,8 @@ from bapkit import (
     unit_vector,
     vector_from_dense,
 )
-from bapkit.seminorms import level_matrix
+from bapkit.scalars import DEFAULT_TOLERANCES
+from bapkit.seminorms import apply_functional, level_matrix, level_rows
 
 F = Fraction
 
@@ -82,6 +83,14 @@ def test_decay_index_table_is_a_high_water_mark():
     # row 3 still exceeds 1/8, so the witness index must clear it
     assert table.decay_index(F(1, 8), 1) == 4
     assert table.decay_index(F(1, 2), 1) == 1
+
+
+def test_decay_index_in_float_mode_reaches_any_epsilon():
+    rho = RhoTable.dyadic()
+    for eps, expected in ((2.0**-70, 70), (0.75 * 2.0**-70, 71), (5e-324, 1074)):
+        mu0 = rho.decay_index(eps, 1, "float")
+        assert mu0 == expected
+        assert rho.value(mu0, 1, "float") <= eps < rho.value(mu0 - 1, 1, "float")
 
 
 def test_verify_decay():
@@ -328,3 +337,84 @@ def test_level_matrix_prunes_zero_rows():
 def test_empty_subspace_has_empty_kernel():
     system = small_instance()
     assert seminorm_kernel_basis(system, 1, []) == []
+
+
+# ---------------------------------------------------------------------------
+# sparse level rows against the per-cell construction
+
+
+def per_cell_level_matrix(system, k, basis):
+    """level_matrix as built before level_rows: one apply_functional per cell."""
+    ftol = None if system.mode == "rational" else DEFAULT_TOLERANCES.rank
+    rows = []
+    for pairs in system.level_terms(k):
+        row = [apply_functional(pairs, v) for v in basis]
+        if any(c != 0 if ftol is None else abs(c) > ftol for c in row):
+            rows.append(row)
+    return rows
+
+
+def oracle_systems(mode):
+    table = RhoTable.from_grid(
+        {(mu, nu): F(1, mu + nu) for mu in (1, 2) for nu in (1, 2, 3)}
+    )
+    single = SingleBox(4)
+    custom_levels = (
+        CustomLevel(
+            (((1, F(1)), (2, F(-1))), ((3, 2),), ((4, F(1, 3)), (4, F(2, 3)), (1, 0))),
+            "sum",
+        ),
+        CustomLevel((((2, F(1, 2)),), ((1, -1), (3, F(5, 2)), (4, 1))), "max"),
+    )
+    return [
+        VogtSeminorms(RhoTable.dyadic(), TripleBox(3, 2, 3), mode, 3),
+        VogtSeminorms(table, TripleBox(3, 2, 3), mode, 3),
+        KoetheSeminorms(((0, 1, 0, 2), (1, 1, 0, 3), (1, 2, 1, 3)), single, mode),
+        MaxPrefixSeminorms(single, mode, 4),
+        CustomSeminorms(custom_levels, single, mode),
+    ]
+
+
+def random_basis(box, mode, rng):
+    indices = list(box.indices())
+    basis = []
+    for _ in range(rng.randint(0, 6)):
+        picked = rng.sample(indices, rng.randint(0, 3))
+        if mode == "rational":
+            values = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in picked]
+        else:
+            values = [rng.uniform(-4.0, 4.0) for _ in picked]
+        basis.append(TruncatedVector.create(box, mode, zip(picked, values)))
+    return basis
+
+
+def types(rows):
+    return [[type(c) for c in row] for row in rows]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_level_matrix_matches_the_per_cell_construction(mode, seed):
+    rng = random.Random(seed)
+    for system in oracle_systems(mode):
+        basis = random_basis(system.box, mode, rng)
+        for k in range(1, system.level_count + 1):
+            expected = per_cell_level_matrix(system, k, basis)
+            got = level_matrix(system, k, basis)
+            assert got == expected
+            assert types(got) == types(expected)
+            for row in level_rows(system, k, basis):
+                assert row and all(c != 0 for c in row.values())
+
+
+def test_level_rows_drop_cancelled_entries():
+    box = SingleBox(3)
+    level = CustomLevel((((1, F(1)), (2, F(-1))), ((3, F(1)),)), "sum")
+    system = CustomSeminorms((level,), box, "rational")
+    flat = vector_from_dense(box, "rational", [F(2), F(2), F(0)])
+    tilted = vector_from_dense(box, "rational", [F(1), F(0), F(4)])
+    assert level_rows(system, 1, [flat, tilted]) == [{1: F(1)}, {1: F(4)}]
+    assert level_matrix(system, 1, [flat, tilted]) == [[F(0), F(1)], [F(0), F(4)]]
+    # the first functional kills the flat vector, so alone it has no row
+    assert level_rows(system, 1, [flat]) == []

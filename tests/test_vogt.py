@@ -120,6 +120,27 @@ def test_q_certificates_for_the_dyadic_table():
     assert lookup[(3, 1)] == 9
 
 
+def test_q_certificates_agree_across_modes_for_a_third_power_table():
+    # 1 / 3**-5 is 242.99999999999997 in float, so the floor alone gives q = 243
+    grid = {(mu, nu): F(1, 3**mu) for mu in range(1, 6) for nu in range(1, 4)}
+    reports = {
+        mode: norm_positivity_check(
+            VogtInstance(RhoTable.from_grid(grid), TripleBox(4, 5, 3), mode, 3)
+        )
+        for mode in ("rational", "float")
+    }
+    assert reports["float"].passed and reports["rational"].passed
+    assert reports["float"].q_certificates == reports["rational"].q_certificates
+    lookup = {(mu, nu): q for mu, nu, q in reports["float"].q_certificates}
+    assert all(q == 3**mu + 1 for (mu, _), q in lookup.items())
+
+
+def test_every_level_of_the_largest_scaled_box_is_a_norm():
+    report = norm_positivity_check(dyadic_instance(12, 6, 8, 4))
+    assert report.passed
+    assert report.level_ranks == tuple((k, 576, 576) for k in range(1, 5))
+
+
 # ---------------------------------------------------------------------------
 # the witness family
 
