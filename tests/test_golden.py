@@ -1,0 +1,65 @@
+"""Golden documents: `bapkit run` output pinned byte for byte.
+
+Each case builds the document for suite `all` at the default config, drops
+the `generated_at` stamp and compares the SHA-256 of its canonical text
+with a constant recorded from a known-good build.  A change to any
+certificate, to the codec or to the sampled checks' random draws shows up
+here as a hash mismatch.
+"""
+
+import copy
+import hashlib
+import json
+
+import pytest
+
+from bapkit import cli, jsonio
+
+# rho(mu, nu) = 3**-mu on a 5 x 6 grid, in the codec's encoding
+THIRD_TABLE = {
+    "kind": "rho",
+    "table_kind": "table",
+    "values": [[mu, nu, {"num": 1, "den": 3**mu}] for mu in range(1, 6) for nu in range(1, 7)],
+    "mu_limit": 5,
+    "nu_limit": 6,
+}
+
+GOLDEN = {
+    ("dyadic", "rational"): "f3e7914548b0dbeabd16fab880dd6ff493745076b922083075b77a9a5f8ba093",
+    ("dyadic", "float"): "468d3f2ad9627420ddf6a6eedf10ac0e710d3a23654f4998d0d7025f380491f2",
+    ("table", "rational"): "8ed2ae6eff6a9860d44b8f7a67548919f2ad6ec6f720aaab69232bd14793d963",
+    ("table", "float"): "de6ee64b68016958f9f2a844cd1026d1a5002b348d1d70c69e879400371cc7d4",
+}
+
+
+@pytest.fixture(scope="module")
+def documents():
+    docs = {}
+    for rho_name, mode in GOLDEN:
+        cfg = copy.deepcopy(cli._DEFAULTS)
+        cfg["mode"] = mode
+        cfg["vogt"]["rho"] = "dyadic" if rho_name == "dyadic" else THIRD_TABLE
+        cli._validate_config(cfg)
+        doc = cli.build_document(cfg)
+        del doc["generated_at"]
+        docs[rho_name, mode] = doc
+    return docs
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_document_matches_golden_hash(documents, case):
+    text = json.dumps(documents[case], sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_every_report_survives_decode_and_encode(documents, case):
+    reports = [
+        result["report"]
+        for suite in documents[case]["suites"].values()
+        for result in suite["checks"].values()
+        if result.get("report") is not None
+    ]
+    assert len(reports) >= 10
+    for report in reports:
+        assert jsonio.encode(jsonio.decode(report)) == report

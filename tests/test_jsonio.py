@@ -37,6 +37,7 @@ from bapkit import (
     witness_evidence,
 )
 from bapkit import jsonio
+from bapkit.errors import DegenerateInputError, DomainError, ModeError
 
 F = Fraction
 
@@ -213,3 +214,98 @@ def test_save_and_load(tmp_path):
     witness = bap_failure_witness(inst)
     jsonio.save(witness, str(path))
     assert jsonio.load(str(path)) == witness
+
+
+def _vogt_instance_data(**fields):
+    data = {
+        "kind": "vogt-instance",
+        "rho": {"kind": "rho", "table_kind": "dyadic", "values": [], "mu_limit": 0, "nu_limit": 0},
+        "box": {"kind": "triple-box", "n_max": 3, "mu_max": 2, "nu_max": 2},
+        "mode": "rational",
+        "level_count": 3,
+    }
+    data.update(fields)
+    return data
+
+
+def _table(values, mu_limit=1, nu_limit=1):
+    return {
+        "kind": "rho",
+        "table_kind": "table",
+        "values": values,
+        "mu_limit": mu_limit,
+        "nu_limit": nu_limit,
+    }
+
+
+def _vector_data(entries, mode="rational"):
+    return {"kind": "vector", "box": {"kind": "single-box", "d": 2}, "mode": mode, "entries": entries}
+
+
+def _custom_data(levels):
+    return {
+        "kind": "custom-system",
+        "levels": levels,
+        "box": {"kind": "single-box", "d": 2},
+        "mode": "rational",
+    }
+
+
+MALFORMED = [
+    ("null-required-object", _vogt_instance_data(rho=None), InputError),
+    ("null-nested-box", _vogt_instance_data(box=None), InputError),
+    ("junk-optional-object", {"kind": "cauchy-family", "level": 1, "vectors": [],
+                              "modulus": [], "modulus_form": 5}, InputError),
+    ("string-scalar", {"kind": "geometric-form", "scale": "x", "ratio": 1, "shift": 0}, InputError),
+    ("null-scalar", {"kind": "floor-certificate", "level": 1, "bound": None}, InputError),
+    ("boolean-scalar", _table([[1, 1, True]]), InputError),
+    ("missing-nested-field", _vogt_instance_data(rho={"kind": "rho"}), InputError),
+    ("missing-denominator", _table([[1, 1, {"num": 1}]]), InputError),
+    ("missing-record-field", _custom_data([{"combiner": "sum"}]), InputError),
+    ("missing-optional-field", {"kind": "cauchy-family", "level": 1, "vectors": [],
+                                "modulus": []}, InputError),
+    ("nested-unknown-kind", _vogt_instance_data(box={"kind": "wavelet"}), InputError),
+    ("nested-untagged", _vogt_instance_data(box={"n_max": 1}), InputError),
+    ("table-without-values", {"kind": "rho", "table_kind": "table",
+                              "mu_limit": 1, "nu_limit": 1}, InputError),
+    ("short-row", _table([[1, 1]]), ValueError),
+    ("long-row", _table([[1, 1, 1, 1]]), ValueError),
+    ("null-sequence", _table(None), TypeError),
+    ("zero-denominator", _table([[1, 1, {"num": 1, "den": 0}]]), ZeroDivisionError),
+    ("vector-bad-mode", _vector_data([], mode="complex"), ModeError),
+    ("vector-index-outside-box", _vector_data([[3, 1]]), DomainError),
+    ("vector-float-in-rational", _vector_data([[1, 0.5]]), ModeError),
+    ("vector-short-entry", _vector_data([[1]]), ValueError),
+    ("record-not-an-object", _custom_data([5]), TypeError),
+    ("bad-combiner", _custom_data([{"combiner": "prod", "functionals": []}]), InputError),
+    ("short-detail", {"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
+                      "details": [["a"]]}, ValueError),
+    ("string-box-bound", {"kind": "single-box", "d": "x"}, TypeError),
+    ("unhashable-kind", {"kind": []}, TypeError),
+    ("sup-system-without-operators", {
+        "kind": "sup-partial-system",
+        "base": {"kind": "max-prefix-system", "box": {"kind": "single-box", "d": 2},
+                 "mode": "rational", "level_count": 2},
+        "operators": [],
+    }, DegenerateInputError),
+]
+
+
+@pytest.mark.parametrize("data, error", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED])
+def test_malformed_input_raises_pinned_type(data, error):
+    with pytest.raises(error) as info:
+        jsonio.decode(data)
+    assert type(info.value) is error
+
+
+def test_lenient_inputs_that_decode():
+    # a dyadic table needs no grid, duplicate vector indices keep the last value
+    assert jsonio.decode({"kind": "rho", "table_kind": "dyadic"}) == RhoTable.dyadic()
+    vec = jsonio.decode(_vector_data([[1, 1], [1, {"num": 2, "den": 3}]]))
+    assert vec.entries == ((1, F(2, 3)),)
+    family = {"kind": "cauchy-family", "level": 1, "vectors": [], "modulus": [],
+              "modulus_form": None}
+    assert jsonio.decode(family).modulus_form is None
+    verdict = jsonio.decode({"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
+                             "details": [["a", {"num": 1, "den": 2}], ["b", 3]]})
+    assert verdict.details == (("a", F(1, 2)), ("b", 3))
