@@ -1,9 +1,24 @@
 """Deterministic JSON round-trips for the public object kinds.
 
-Every encoder emits a dict tagged with "kind"; decode dispatches on the
-tag.  Rationals travel as {"num", "den"} pairs, floats as plain numbers
-(repr round-trips them exactly), triple indices as three-element lists.
-Serialization always sorts keys, so equal objects produce identical text.
+One table, KINDS, describes every kind: its "kind" tag, its class and an
+ordered map from JSON field to shape.  encode and decode are two walkers,
+_out and _in, over the same shapes, so each field is declared once.  The
+shapes are:
+
+  SCALAR     a Fraction as {"num", "den"}; an int or a finite float as is
+  RAW        ints, strings and booleans, passed through unchanged
+  OBJ        a nested tagged object; OPT_OBJ also allows null
+  PLAIN      plain JSON: tuples as lists (tuples again on decode), Fractions
+             and floats as SCALAR, anything else unchanged
+  Seq(s)     a list of values of shape s
+  Row(s...)  a list of exactly one value per shape, e.g. a (mu, nu, rho) triple
+  Record     an object with named fields; a tagged kind is a Record in KINDS
+
+A Record's attrs rename a JSON field to its attribute, and its build hook,
+when set, constructs the object from a getter of decoded fields instead of
+calling the class.  Floats travel as plain numbers (repr round-trips them
+exactly), triple indices as three-element lists.  Serialization always
+sorts keys, so equal objects produce identical text.
 """
 
 from __future__ import annotations
@@ -50,6 +65,122 @@ from .vogt import (
     VogtInstance,
 )
 
+SCALAR, RAW, OBJ, OPT_OBJ, PLAIN = "scalar", "raw", "obj", "opt-obj", "plain"
+
+
+class Seq:
+    def __init__(self, item) -> None:
+        self.item = item
+
+
+class Row:
+    def __init__(self, *items) -> None:
+        self.items = items
+
+
+class Record:
+    """Fields as JSON name -> shape, in output order.
+
+    attrs maps a JSON name to its attribute where the two differ.  build,
+    when given, constructs the object in place of the class: it receives
+    get, which decodes one field by name.
+    """
+
+    def __init__(self, cls, build=None, attrs=None, **fields) -> None:
+        self.cls, self.build, self.attrs, self.fields = cls, build, attrs or {}, fields
+
+
+INDEX = PLAIN  # an int, or an (n, mu, nu) tuple as a three-element list
+PAIRS = Seq(Row(INDEX, SCALAR))  # sparse (index, value) entries or functionals
+
+KINDS = {
+    "triple-box": Record(TripleBox, n_max=RAW, mu_max=RAW, nu_max=RAW),
+    "single-box": Record(SingleBox, d=RAW),
+    # create() validates indices and mode; dict() keeps the last duplicate index
+    "vector": Record(
+        TruncatedVector,
+        build=lambda get: TruncatedVector.create(get("box"), get("mode"), dict(get("entries"))),
+        box=OBJ, mode=RAW, entries=PAIRS,
+    ),
+    # a dyadic table is closed form, so its grid fields are neither read nor required
+    "rho": Record(
+        RhoTable,
+        attrs={"table_kind": "kind"},
+        build=lambda get: RhoTable.dyadic() if get("table_kind") == "dyadic" else RhoTable(
+            "table", get("values"), get("mu_limit"), get("nu_limit")
+        ),
+        table_kind=RAW, values=Seq(Row(RAW, RAW, SCALAR)), mu_limit=RAW, nu_limit=RAW,
+    ),
+    "vogt-system": Record(VogtSeminorms, rho=OBJ, box=OBJ, mode=RAW, level_count=RAW),
+    "koethe-system": Record(KoetheSeminorms, weights=Seq(Seq(SCALAR)), box=OBJ, mode=RAW),
+    "max-prefix-system": Record(MaxPrefixSeminorms, box=OBJ, mode=RAW, level_count=RAW),
+    "custom-system": Record(
+        CustomSeminorms,
+        levels=Seq(Record(CustomLevel, combiner=RAW, functionals=Seq(PAIRS))), box=OBJ, mode=RAW,
+    ),
+    "sup-partial-system": Record(SupPartialSumSeminorms, base=OBJ, operators=Seq(OBJ)),
+    "operator": Record(
+        FiniteRankOperator,
+        box=OBJ, mode=RAW, matrix=Seq(Seq(SCALAR)), range_basis=Seq(OBJ), label=RAW,
+    ),
+    "complement-decomposition": Record(ComplementDecomposition, blocks=Seq(Row(RAW, Seq(OBJ)))),
+    "rank-one-split": Record(
+        RankOneSplit,
+        source=OBJ, pieces=Seq(OBJ), norm_grading=Seq(RAW), control_constant=SCALAR,
+        level_constants=Seq(SCALAR), decomposition=OBJ,
+    ),
+    "schedule": Record(
+        ScheduledFamily,
+        box=OBJ, mode=RAW, operators=Seq(OBJ), block_structure=Seq(Seq(RAW)),
+        replication_counts=Seq(Seq(RAW)), source_family=Seq(OBJ), splits=Seq(OBJ),
+        working_levels=Seq(RAW), generators=Seq(OBJ),
+    ),
+    "basis-element": Record(BasisSpaceElement, schedule=OBJ, coefficients=Seq(SCALAR)),
+    "equicontinuity-certificate": Record(
+        EquicontinuityCertificate,
+        factor=RAW, entries=Seq(Row(RAW, RAW, RAW, SCALAR)), sample_count=RAW,
+    ),
+    "reconstruction-report": Record(
+        ReconstructionReport,
+        passed=RAW, traces=Seq(Seq(Seq(SCALAR))), final_residuals=Seq(SCALAR),
+    ),
+    "basis-criterion-report": Record(
+        BasisCriterionReport, passed=RAW, constant=RAW, sample_count=RAW
+    ),
+    "geometric-form": Record(GeometricForm, scale=SCALAR, ratio=SCALAR, shift=RAW),
+    "floor-certificate": Record(FloorCertificate, level=RAW, bound=SCALAR),
+    "cauchy-family": Record(
+        CauchyFamily,
+        level=RAW, vectors=Seq(OBJ), modulus=Seq(Row(RAW, SCALAR)), modulus_form=OPT_OBJ,
+    ),
+    "vanishing-evidence": Record(VanishingEvidence, family=OBJ, decay_form=OBJ, floor=OPT_OBJ),
+    "diagnostic-verdict": Record(
+        DiagnosticVerdict, verdict=RAW, reason=RAW, details=Seq(Row(RAW, PLAIN))
+    ),
+    "comparison-report": Record(ComparisonReport, passed=RAW, sample_count=RAW, level_count=RAW),
+    "nuclearity-certificate": Record(
+        NuclearityCertificate,
+        level=RAW, ratio=SCALAR, term_count=RAW, box_sum=SCALAR, complete_through=RAW,
+        complete_sum=SCALAR, limit=SCALAR, shells=Seq(Seq(RAW)), passed=RAW,
+    ),
+    "norm-positivity-report": Record(
+        NormPositivityReport, level_ranks=Seq(Seq(RAW)), q_certificates=Seq(Seq(RAW)), passed=RAW
+    ),
+    "failure-witness": Record(
+        BapFailureWitness,
+        instance=OBJ, vanishing_level=RAW, floor_level=RAW, cauchy_level=RAW, mu=RAW, nu=RAW,
+        vectors=Seq(OBJ), decay_form=OBJ, decay_trace=Seq(SCALAR), floor_trace=Seq(SCALAR),
+        floor=OBJ, cauchy=OBJ,
+    ),
+    "vogt-instance": Record(VogtInstance, rho=OBJ, box=OBJ, mode=RAW, level_count=RAW),
+    "normed-basis-report": Record(
+        NormedBasisReport,
+        system=OBJ, comparisons=Seq(Row(RAW, RAW, SCALAR)), sample_count=RAW, passed=RAW,
+    ),
+}
+
+_TAGS = {rec.cls: tag for tag, rec in KINDS.items()}
+
 
 def _scalar_out(v):
     if isinstance(v, Fraction):
@@ -69,247 +200,68 @@ def _scalar_in(v):
     return v
 
 
-def _index_out(idx):
-    return list(idx) if isinstance(idx, tuple) else idx
+def _row(v, shape: Row) -> tuple:
+    items = tuple(v)
+    if len(items) != len(shape.items):
+        raise ValueError(f"expected a row of {len(shape.items)} values, got {len(items)}")
+    return items
 
 
-def _index_in(idx):
-    return tuple(idx) if isinstance(idx, list) else idx
+def _out(shape, v):
+    if shape is RAW:
+        return v
+    if shape is SCALAR:
+        return _scalar_out(v)
+    if shape is OBJ:
+        return encode(v)
+    if shape is OPT_OBJ:
+        return None if v is None else encode(v)
+    if shape is PLAIN:
+        if isinstance(v, (Fraction, float)):
+            return _scalar_out(v)
+        return [_out(PLAIN, x) for x in v] if isinstance(v, tuple) else v
+    if isinstance(shape, Seq):
+        return [_out(shape.item, x) for x in v]
+    if isinstance(shape, Row):
+        return [_out(s, x) for s, x in zip(shape.items, _row(v, shape))]
+    return {
+        name: _out(s, getattr(v, shape.attrs.get(name, name)))
+        for name, s in shape.fields.items()
+    }
 
 
-def _pairs_out(pairs):
-    return [[_index_out(idx), _scalar_out(c)] for idx, c in pairs]
+def _in(shape, v):
+    if shape is RAW:
+        return v
+    if shape is SCALAR:
+        return _scalar_in(v)
+    if shape is OBJ:
+        return decode(v)
+    if shape is OPT_OBJ:
+        return None if v is None else decode(v)
+    if shape is PLAIN:
+        if isinstance(v, dict):
+            return _scalar_in(v)
+        return tuple(_in(PLAIN, x) for x in v) if isinstance(v, list) else v
+    if isinstance(shape, Seq):
+        return tuple(_in(shape.item, x) for x in v)
+    if isinstance(shape, Row):
+        return tuple(_in(s, x) for s, x in zip(shape.items, _row(v, shape)))
 
+    def get(name):
+        return _in(shape.fields[name], v[name])
 
-def _pairs_in(pairs):
-    return tuple((_index_in(idx), _scalar_in(c)) for idx, c in pairs)
+    if shape.build is not None:
+        return shape.build(get)
+    return shape.cls(**{shape.attrs.get(name, name): get(name) for name in shape.fields})
 
 
 def encode(obj):
     """Object to JSON-ready data; raises InputError on unknown types."""
-    if isinstance(obj, TripleBox):
-        return {
-            "kind": "triple-box",
-            "n_max": obj.n_max,
-            "mu_max": obj.mu_max,
-            "nu_max": obj.nu_max,
-        }
-    if isinstance(obj, SingleBox):
-        return {"kind": "single-box", "d": obj.d}
-    if isinstance(obj, TruncatedVector):
-        return {
-            "kind": "vector",
-            "box": encode(obj.box),
-            "mode": obj.mode,
-            "entries": _pairs_out(obj.entries),
-        }
-    if isinstance(obj, RhoTable):
-        return {
-            "kind": "rho",
-            "table_kind": obj.kind,
-            "values": [[mu, nu, _scalar_out(v)] for mu, nu, v in obj.values],
-            "mu_limit": obj.mu_limit,
-            "nu_limit": obj.nu_limit,
-        }
-    if isinstance(obj, VogtSeminorms):
-        return {
-            "kind": "vogt-system",
-            "rho": encode(obj.rho),
-            "box": encode(obj.box),
-            "mode": obj.mode,
-            "level_count": obj.level_count,
-        }
-    if isinstance(obj, KoetheSeminorms):
-        return {
-            "kind": "koethe-system",
-            "weights": [[_scalar_out(w) for w in row] for row in obj.weights],
-            "box": encode(obj.box),
-            "mode": obj.mode,
-        }
-    if isinstance(obj, MaxPrefixSeminorms):
-        return {
-            "kind": "max-prefix-system",
-            "box": encode(obj.box),
-            "mode": obj.mode,
-            "level_count": obj.level_count,
-        }
-    if isinstance(obj, CustomSeminorms):
-        return {
-            "kind": "custom-system",
-            "levels": [
-                {"combiner": lvl.combiner,
-                 "functionals": [_pairs_out(pairs) for pairs in lvl.functionals]}
-                for lvl in obj.levels
-            ],
-            "box": encode(obj.box),
-            "mode": obj.mode,
-        }
-    if isinstance(obj, SupPartialSumSeminorms):
-        return {
-            "kind": "sup-partial-system",
-            "base": encode(obj.base),
-            "operators": [encode(op) for op in obj.operators],
-        }
-    if isinstance(obj, FiniteRankOperator):
-        return {
-            "kind": "operator",
-            "box": encode(obj.box),
-            "mode": obj.mode,
-            "matrix": [[_scalar_out(v) for v in row] for row in obj.matrix],
-            "range_basis": [encode(v) for v in obj.range_basis],
-            "label": obj.label,
-        }
-    if isinstance(obj, ComplementDecomposition):
-        return {
-            "kind": "complement-decomposition",
-            "blocks": [[tag, [encode(v) for v in basis]] for tag, basis in obj.blocks],
-        }
-    if isinstance(obj, RankOneSplit):
-        return {
-            "kind": "rank-one-split",
-            "source": encode(obj.source),
-            "pieces": [encode(p) for p in obj.pieces],
-            "norm_grading": list(obj.norm_grading),
-            "control_constant": _scalar_out(obj.control_constant),
-            "level_constants": [_scalar_out(c) for c in obj.level_constants],
-            "decomposition": encode(obj.decomposition),
-        }
-    if isinstance(obj, ScheduledFamily):
-        return {
-            "kind": "schedule",
-            "box": encode(obj.box),
-            "mode": obj.mode,
-            "operators": [encode(op) for op in obj.operators],
-            "block_structure": [list(pi) for pi in obj.block_structure],
-            "replication_counts": [list(pn) for pn in obj.replication_counts],
-            "source_family": [encode(op) for op in obj.source_family],
-            "splits": [encode(s) for s in obj.splits],
-            "working_levels": list(obj.working_levels),
-            "generators": [encode(v) for v in obj.generators],
-        }
-    if isinstance(obj, BasisSpaceElement):
-        return {
-            "kind": "basis-element",
-            "schedule": encode(obj.schedule),
-            "coefficients": [_scalar_out(c) for c in obj.coefficients],
-        }
-    if isinstance(obj, EquicontinuityCertificate):
-        return {
-            "kind": "equicontinuity-certificate",
-            "factor": obj.factor,
-            "entries": [[pos, k, l, _scalar_out(m)] for pos, k, l, m in obj.entries],
-            "sample_count": obj.sample_count,
-        }
-    if isinstance(obj, ReconstructionReport):
-        return {
-            "kind": "reconstruction-report",
-            "passed": obj.passed,
-            "traces": [
-                [[_scalar_out(v) for v in trace] for trace in per_position]
-                for per_position in obj.traces
-            ],
-            "final_residuals": [_scalar_out(v) for v in obj.final_residuals],
-        }
-    if isinstance(obj, BasisCriterionReport):
-        return {
-            "kind": "basis-criterion-report",
-            "passed": obj.passed,
-            "constant": obj.constant,
-            "sample_count": obj.sample_count,
-        }
-    if isinstance(obj, GeometricForm):
-        return {
-            "kind": "geometric-form",
-            "scale": _scalar_out(obj.scale),
-            "ratio": _scalar_out(obj.ratio),
-            "shift": obj.shift,
-        }
-    if isinstance(obj, FloorCertificate):
-        return {"kind": "floor-certificate", "level": obj.level, "bound": _scalar_out(obj.bound)}
-    if isinstance(obj, CauchyFamily):
-        return {
-            "kind": "cauchy-family",
-            "level": obj.level,
-            "vectors": [encode(v) for v in obj.vectors],
-            "modulus": [[l, _scalar_out(b)] for l, b in obj.modulus],
-            "modulus_form": None if obj.modulus_form is None else encode(obj.modulus_form),
-        }
-    if isinstance(obj, VanishingEvidence):
-        return {
-            "kind": "vanishing-evidence",
-            "family": encode(obj.family),
-            "decay_form": encode(obj.decay_form),
-            "floor": None if obj.floor is None else encode(obj.floor),
-        }
-    if isinstance(obj, DiagnosticVerdict):
-        return {
-            "kind": "diagnostic-verdict",
-            "verdict": obj.verdict,
-            "reason": obj.reason,
-            "details": [
-                [name, _scalar_out(v) if isinstance(v, (Fraction, float)) else v]
-                for name, v in obj.details
-            ],
-        }
-    if isinstance(obj, ComparisonReport):
-        return {
-            "kind": "comparison-report",
-            "passed": obj.passed,
-            "sample_count": obj.sample_count,
-            "level_count": obj.level_count,
-        }
-    if isinstance(obj, NuclearityCertificate):
-        return {
-            "kind": "nuclearity-certificate",
-            "level": obj.level,
-            "ratio": _scalar_out(obj.ratio),
-            "term_count": obj.term_count,
-            "box_sum": _scalar_out(obj.box_sum),
-            "complete_through": obj.complete_through,
-            "complete_sum": _scalar_out(obj.complete_sum),
-            "limit": _scalar_out(obj.limit),
-            "shells": [list(row) for row in obj.shells],
-            "passed": obj.passed,
-        }
-    if isinstance(obj, NormPositivityReport):
-        return {
-            "kind": "norm-positivity-report",
-            "level_ranks": [list(row) for row in obj.level_ranks],
-            "q_certificates": [list(row) for row in obj.q_certificates],
-            "passed": obj.passed,
-        }
-    if isinstance(obj, BapFailureWitness):
-        return {
-            "kind": "failure-witness",
-            "instance": encode(obj.instance),
-            "vanishing_level": obj.vanishing_level,
-            "floor_level": obj.floor_level,
-            "cauchy_level": obj.cauchy_level,
-            "mu": obj.mu,
-            "nu": obj.nu,
-            "vectors": [encode(v) for v in obj.vectors],
-            "decay_form": encode(obj.decay_form),
-            "decay_trace": [_scalar_out(v) for v in obj.decay_trace],
-            "floor_trace": [_scalar_out(v) for v in obj.floor_trace],
-            "floor": encode(obj.floor),
-            "cauchy": encode(obj.cauchy),
-        }
-    if isinstance(obj, VogtInstance):
-        return {
-            "kind": "vogt-instance",
-            "rho": encode(obj.rho),
-            "box": encode(obj.box),
-            "mode": obj.mode,
-            "level_count": obj.level_count,
-        }
-    if isinstance(obj, NormedBasisReport):
-        return {
-            "kind": "normed-basis-report",
-            "system": encode(obj.system),
-            "comparisons": [[k, l, _scalar_out(c)] for k, l, c in obj.comparisons],
-            "sample_count": obj.sample_count,
-            "passed": obj.passed,
-        }
+    for cls in type(obj).__mro__:
+        if cls in _TAGS:
+            tag = _TAGS[cls]
+            return {"kind": tag, **_out(KINDS[tag], obj)}
     raise InputError(f"no JSON encoding for {type(obj).__name__}")
 
 
@@ -318,191 +270,12 @@ def decode(data):
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("expected a dict with a 'kind' tag")
     kind = data["kind"]
+    if kind not in KINDS:
+        raise InputError(f"unknown kind {kind!r}")
     try:
-        return _DECODERS[kind](data)
+        return _in(KINDS[kind], data)
     except KeyError as exc:
-        if exc.args == (kind,):
-            raise InputError(f"unknown kind {kind!r}")
         raise InputError(f"missing field {exc.args[0]!r} in {kind!r}")
-
-
-def _dec_vector(d):
-    box = decode(d["box"])
-    return TruncatedVector.create(
-        box, d["mode"], {_index_in(idx): _scalar_in(v) for idx, v in d["entries"]}
-    )
-
-
-def _dec_rho(d):
-    if d["table_kind"] == "dyadic":
-        return RhoTable.dyadic()
-    return RhoTable(
-        "table",
-        tuple((mu, nu, _scalar_in(v)) for mu, nu, v in d["values"]),
-        d["mu_limit"],
-        d["nu_limit"],
-    )
-
-
-def _dec_operator(d):
-    return FiniteRankOperator(
-        box=decode(d["box"]),
-        mode=d["mode"],
-        matrix=tuple(tuple(_scalar_in(v) for v in row) for row in d["matrix"]),
-        range_basis=tuple(decode(v) for v in d["range_basis"]),
-        label=d["label"],
-    )
-
-
-def _dec_split(d):
-    return RankOneSplit(
-        source=decode(d["source"]),
-        pieces=tuple(decode(p) for p in d["pieces"]),
-        norm_grading=tuple(d["norm_grading"]),
-        control_constant=_scalar_in(d["control_constant"]),
-        level_constants=tuple(_scalar_in(c) for c in d["level_constants"]),
-        decomposition=decode(d["decomposition"]),
-    )
-
-
-def _dec_schedule(d):
-    return ScheduledFamily(
-        box=decode(d["box"]),
-        mode=d["mode"],
-        operators=tuple(decode(op) for op in d["operators"]),
-        block_structure=tuple(tuple(pi) for pi in d["block_structure"]),
-        replication_counts=tuple(tuple(pn) for pn in d["replication_counts"]),
-        source_family=tuple(decode(op) for op in d["source_family"]),
-        splits=tuple(decode(s) for s in d["splits"]),
-        working_levels=tuple(d["working_levels"]),
-        generators=tuple(decode(v) for v in d["generators"]),
-    )
-
-
-_DECODERS = {
-    "triple-box": lambda d: TripleBox(d["n_max"], d["mu_max"], d["nu_max"]),
-    "single-box": lambda d: SingleBox(d["d"]),
-    "vector": _dec_vector,
-    "rho": _dec_rho,
-    "vogt-system": lambda d: VogtSeminorms(
-        decode(d["rho"]), decode(d["box"]), d["mode"], d["level_count"]
-    ),
-    "koethe-system": lambda d: KoetheSeminorms(
-        tuple(tuple(_scalar_in(w) for w in row) for row in d["weights"]),
-        decode(d["box"]),
-        d["mode"],
-    ),
-    "max-prefix-system": lambda d: MaxPrefixSeminorms(
-        decode(d["box"]), d["mode"], d["level_count"]
-    ),
-    "custom-system": lambda d: CustomSeminorms(
-        tuple(
-            CustomLevel(
-                tuple(_pairs_in(pairs) for pairs in lvl["functionals"]), lvl["combiner"]
-            )
-            for lvl in d["levels"]
-        ),
-        decode(d["box"]),
-        d["mode"],
-    ),
-    "sup-partial-system": lambda d: SupPartialSumSeminorms(
-        decode(d["base"]), [decode(op) for op in d["operators"]]
-    ),
-    "operator": _dec_operator,
-    "complement-decomposition": lambda d: ComplementDecomposition(
-        tuple((tag, tuple(decode(v) for v in basis)) for tag, basis in d["blocks"])
-    ),
-    "rank-one-split": _dec_split,
-    "schedule": _dec_schedule,
-    "basis-element": lambda d: BasisSpaceElement(
-        decode(d["schedule"]), tuple(_scalar_in(c) for c in d["coefficients"])
-    ),
-    "equicontinuity-certificate": lambda d: EquicontinuityCertificate(
-        factor=d["factor"],
-        entries=tuple((pos, k, l, _scalar_in(m)) for pos, k, l, m in d["entries"]),
-        sample_count=d["sample_count"],
-    ),
-    "reconstruction-report": lambda d: ReconstructionReport(
-        passed=d["passed"],
-        traces=tuple(
-            tuple(tuple(_scalar_in(v) for v in trace) for trace in per_position)
-            for per_position in d["traces"]
-        ),
-        final_residuals=tuple(_scalar_in(v) for v in d["final_residuals"]),
-    ),
-    "basis-criterion-report": lambda d: BasisCriterionReport(
-        passed=d["passed"], constant=d["constant"], sample_count=d["sample_count"]
-    ),
-    "geometric-form": lambda d: GeometricForm(
-        scale=_scalar_in(d["scale"]), ratio=_scalar_in(d["ratio"]), shift=d["shift"]
-    ),
-    "floor-certificate": lambda d: FloorCertificate(
-        level=d["level"], bound=_scalar_in(d["bound"])
-    ),
-    "cauchy-family": lambda d: CauchyFamily(
-        level=d["level"],
-        vectors=tuple(decode(v) for v in d["vectors"]),
-        modulus=tuple((l, _scalar_in(b)) for l, b in d["modulus"]),
-        modulus_form=None if d["modulus_form"] is None else decode(d["modulus_form"]),
-    ),
-    "vanishing-evidence": lambda d: VanishingEvidence(
-        family=decode(d["family"]),
-        decay_form=decode(d["decay_form"]),
-        floor=None if d["floor"] is None else decode(d["floor"]),
-    ),
-    "diagnostic-verdict": lambda d: DiagnosticVerdict(
-        verdict=d["verdict"],
-        reason=d["reason"],
-        details=tuple(
-            (name, _scalar_in(v) if isinstance(v, dict) else v) for name, v in d["details"]
-        ),
-    ),
-    "comparison-report": lambda d: ComparisonReport(
-        passed=d["passed"], sample_count=d["sample_count"], level_count=d["level_count"]
-    ),
-    "nuclearity-certificate": lambda d: NuclearityCertificate(
-        level=d["level"],
-        ratio=_scalar_in(d["ratio"]),
-        term_count=d["term_count"],
-        box_sum=_scalar_in(d["box_sum"]),
-        complete_through=d["complete_through"],
-        complete_sum=_scalar_in(d["complete_sum"]),
-        limit=_scalar_in(d["limit"]),
-        shells=tuple(tuple(row) for row in d["shells"]),
-        passed=d["passed"],
-    ),
-    "norm-positivity-report": lambda d: NormPositivityReport(
-        level_ranks=tuple(tuple(row) for row in d["level_ranks"]),
-        q_certificates=tuple(tuple(row) for row in d["q_certificates"]),
-        passed=d["passed"],
-    ),
-    "failure-witness": lambda d: BapFailureWitness(
-        instance=decode(d["instance"]),
-        vanishing_level=d["vanishing_level"],
-        floor_level=d["floor_level"],
-        cauchy_level=d["cauchy_level"],
-        mu=d["mu"],
-        nu=d["nu"],
-        vectors=tuple(decode(v) for v in d["vectors"]),
-        decay_form=decode(d["decay_form"]),
-        decay_trace=tuple(_scalar_in(v) for v in d["decay_trace"]),
-        floor_trace=tuple(_scalar_in(v) for v in d["floor_trace"]),
-        floor=decode(d["floor"]),
-        cauchy=decode(d["cauchy"]),
-    ),
-    "vogt-instance": lambda d: VogtInstance(
-        rho=decode(d["rho"]),
-        box=decode(d["box"]),
-        mode=d["mode"],
-        level_count=d["level_count"],
-    ),
-    "normed-basis-report": lambda d: NormedBasisReport(
-        system=decode(d["system"]),
-        comparisons=tuple((k, l, _scalar_in(c)) for k, l, c in d["comparisons"]),
-        sample_count=d["sample_count"],
-        passed=d["passed"],
-    ),
-}
 
 
 def dumps(obj, indent: int | None = 2) -> str:
