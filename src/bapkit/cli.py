@@ -383,6 +383,12 @@ def cmd_explain(_args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args)
+    if args.out is not None:
+        # fail before the suites run, and without truncating an existing file
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}")
     doc = build_document(cfg)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.out is not None:

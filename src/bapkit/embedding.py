@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     CertificateFailureError,
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import graded_operator_norm
-from .scalars import RATIONAL, as_scalar, zero
+from .scalars import RATIONAL, as_scalar, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
 
@@ -135,14 +134,8 @@ class EquicontinuityCertificate:
         return self.factor * row[3]
 
 
-def _random_scalar(rng: random.Random, mode: str):
-    if mode == RATIONAL:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return rng.gauss(0.0, 1.0)
-
-
 def _random_vector(box, mode, rng: random.Random) -> TruncatedVector:
-    return vector_from_dense(box, mode, [_random_scalar(rng, mode) for _ in range(box.dimension)])
+    return vector_from_dense(box, mode, [random_scalar(rng, mode) for _ in range(box.dimension)])
 
 
 def certify_equicontinuity(
@@ -297,7 +290,7 @@ def basis_criterion_check(
     rng = rng or random.Random(0)
     slack = 1 if schedule.mode == RATIONAL else 1 + 1e-12
     for _ in range(sample_count):
-        coeffs = [_random_scalar(rng, schedule.mode) for _ in schedule.operators]
+        coeffs = [random_scalar(rng, schedule.mode) for _ in schedule.operators]
         y = element_from_components(schedule, coeffs)
         for position in range(1, schedule.grading_depth + 1):
             level = schedule.original_level(position)

@@ -24,6 +24,7 @@ sorts keys, so equal objects produce identical text.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .embedding import (
@@ -90,8 +91,8 @@ class Record:
         self.cls, self.build, self.attrs, self.fields = cls, build, attrs or {}, fields
 
 
-INDEX = PLAIN  # an int, or an (n, mu, nu) tuple as a three-element list
-PAIRS = Seq(Row(INDEX, SCALAR))  # sparse (index, value) entries or functionals
+# (index, value) entries of a vector or functional; a triple index is a three-element list
+PAIRS = Seq(Row(PLAIN, SCALAR))
 
 KINDS = {
     "triple-box": Record(TripleBox, n_max=RAW, mu_max=RAW, nu_max=RAW),
@@ -187,6 +188,8 @@ def _scalar_out(v):
         return {"num": v.numerator, "den": v.denominator}
     if isinstance(v, bool):
         raise InputError("booleans are not scalars")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise InputError(f"{v!r} has no JSON encoding")
     if isinstance(v, (int, float)):
         return v
     raise InputError(f"cannot serialize scalar {v!r}")

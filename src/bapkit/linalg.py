@@ -18,13 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import negligible
+
 Matrix = "list[list]"
-
-
-def _is_null(value, tol) -> bool:
-    if tol is None:
-        return value == 0
-    return abs(value) <= tol
 
 
 def clone(rows) -> list[list]:
@@ -60,7 +56,7 @@ def row_echelon(rows, tol=None) -> tuple[list[list], list[int]]:
         inv = m[lead][col]
         m[lead] = [v / inv for v in m[lead]]
         for r in range(len(m)):
-            if r != lead and not _is_null(m[r][col], tol):
+            if r != lead and not negligible(m[r][col], tol):
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[lead])]
         pivots.append(col)
@@ -82,7 +78,7 @@ def sparse_rank(rows, tol=None) -> int:
     """
     pivots: dict = {}
     for row in rows:
-        live = {c: v for c, v in row.items() if not _is_null(v, tol)}
+        live = {c: v for c, v in row.items() if not negligible(v, tol)}
         while live:
             col = min(live)
             factor = live.pop(col)
@@ -92,7 +88,7 @@ def sparse_rank(rows, tol=None) -> int:
                 break
             for c, v in pivot.items():
                 value = live[c] - factor * v if c in live else -factor * v
-                if _is_null(value, tol):
+                if negligible(value, tol):
                     live.pop(c, None)
                 else:
                     live[c] = value
@@ -135,7 +131,7 @@ def solve(rows, rhs, tol=None):
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     ech, pivots = row_echelon(aug, tol)
     for r in range(len(ech)):
-        if all(_is_null(v, tol) for v in ech[r][:ncols]) and not _is_null(ech[r][ncols], tol):
+        if all(negligible(v, tol) for v in ech[r][:ncols]) and not negligible(ech[r][ncols], tol):
             return None
     sol = [Fraction(0)] * ncols if tol is None else [0.0] * ncols
     live_pivots = [p for p in pivots if p < ncols]
@@ -171,7 +167,7 @@ def transpose(a) -> list[list]:
 
 def in_span(vectors: list[list], target: list, tol=None) -> bool:
     """Whether target lies in the span of the given coordinate vectors."""
-    if all(_is_null(v, tol) for v in target):
+    if all(negligible(v, tol) for v in target):
         return True
     if not vectors:
         return False

@@ -21,7 +21,7 @@ from .errors import (
     UnboundedSeminormError,
 )
 from .polyhedral import graded_operator_norm
-from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, zero
+from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, random_scalar, zero
 from .seminorms import SeminormSystem, SupPartialSumSeminorms
 from .spaces import vector_from_dense
 
@@ -35,12 +35,6 @@ def _leq(a, b, mode: str, slack: float = 1e-9) -> bool:
     if mode == RATIONAL:
         return a <= b
     return a <= b + slack * max(1.0, abs(a), abs(b))
-
-
-def _close(a, b, mode: str, slack: float = 1e-9) -> bool:
-    if mode == RATIONAL:
-        return a == b
-    return abs(a - b) <= slack * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -353,12 +347,7 @@ def basis_sup_norms(
     mode = base.mode
     passed = True
     for _ in range(sample_count):
-        dense = []
-        for _ in range(base.box.dimension):
-            if mode == RATIONAL:
-                dense.append(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-            else:
-                dense.append(rng.gauss(0.0, 1.0))
+        dense = [random_scalar(rng, mode) for _ in range(base.box.dimension)]
         y = vector_from_dense(base.box, mode, dense)
         for k, l, c in comparisons:
             sup_val = sup_system.value(k, y)

@@ -41,6 +41,7 @@ from .scalars import (
     as_scalar,
     ceil_scalar,
     check_mode,
+    random_scalar,
     zero,
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
@@ -470,12 +471,6 @@ def scale_and_replicate(
     return block
 
 
-def _random_coefficient(rng: random.Random, mode: str):
-    if mode == RATIONAL:
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return rng.gauss(0.0, 1.0)
-
-
 def _verify_prefix_bound(
     block: ScheduleBlock, system: SeminormSystem, rng: random.Random, sample_count: int
 ) -> None:
@@ -486,13 +481,11 @@ def _verify_prefix_bound(
     mode = split.source.mode
     two = as_scalar(2, mode)
     for _ in range(sample_count):
-        coeffs = [_random_coefficient(rng, mode) for _ in range(m)]
-        e = zero_vector(split.source.box, mode)
-        for c, v in zip(coeffs, adapted):
-            e = e + v.scale(c)
+        coeffs = [random_scalar(rng, mode) for _ in range(m)]
         partial_piece = [zero_vector(split.source.box, mode)]
         for c, v in zip(coeffs, adapted):
             partial_piece.append(partial_piece[-1] + v.scale(c))
+        e = partial_piece[-1]
         for level in split.norm_grading:
             bound = two * system.value(level, e)
             for r in range(n_rep):

@@ -22,7 +22,7 @@ import random
 
 from .errors import ComputationCapError, UnboundedSeminormError
 from .linalg import mat_vec, nullspace, rank, solve
-from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, zero
+from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, zero
 from .seminorms import MAX, SUM, SeminormSystem, level_matrix
 from .spaces import TruncatedVector, unit_vector
 
@@ -61,11 +61,11 @@ def polyhedral_sup(
     constraint family's kernel (the sup is then infinite on the box).
     """
     ftol = None if mode == RATIONAL else tol.rank
-    rows = [r for r in constraint_rows if any(not _null(x, ftol) for x in r)]
+    rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r)]
     kernel = nullspace(rows, dim, ftol)
     for kv in kernel:
         for orows, _ in objective_pieces:
-            if any(not _null(x, ftol) for x in mat_vec(orows, kv)):
+            if any(not negligible(x, ftol) for x in mat_vec(orows, kv)):
                 raise UnboundedSeminormError(
                     "objective does not vanish on the constraint kernel"
                 )
@@ -74,7 +74,7 @@ def polyhedral_sup(
     if d_eff == 0:
         return zero(mode)
     g2 = _restrict(rows, comp)
-    g2 = [r for r in g2 if any(not _null(x, ftol) for x in r)]
+    g2 = [r for r in g2 if any(not negligible(x, ftol) for x in r)]
     pieces2 = [(_restrict(orows, comp), comb) for orows, comb in objective_pieces]
     m = len(g2)
     if constraint_combiner == SUM:
@@ -93,12 +93,6 @@ def polyhedral_sup(
         if v > best:
             best = v
     return best
-
-
-def _null(value, tol) -> bool:
-    if tol is None:
-        return value == 0
-    return abs(value) <= tol
 
 
 def _complement_basis(kernel, dim, tol):
@@ -129,7 +123,7 @@ def _vertices(g2, combiner, d_eff, tol):
                 continue
             v = lines[0]
             total = sum(abs(x) for x in mat_vec(g2, v))
-            if _null(total, tol):
+            if negligible(total, tol):
                 continue
             yield [x / total for x in v]
     else:

@@ -9,6 +9,7 @@ mixing modes raises ModeError.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,8 @@ def as_scalar(value, mode: str) -> Scalar:
     """Coerce a number into the given mode.
 
     Rational mode accepts int and Fraction only; a float here is almost always
-    an accident, so it is rejected instead of silently converted.
+    an accident, so it is rejected instead of silently converted.  Float mode
+    rejects NaN and infinities, which would make every comparison meaningless.
     """
     check_mode(mode)
     if mode == RATIONAL:
@@ -39,7 +41,10 @@ def as_scalar(value, mode: str) -> Scalar:
         return Fraction(value)
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise ModeError(f"float mode needs a real number, got {type(value).__name__}")
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ModeError(f"float mode needs a finite number, got {out!r}")
+    return out
 
 
 def zero(mode: str) -> Scalar:
@@ -48,6 +53,20 @@ def zero(mode: str) -> Scalar:
 
 def one(mode: str) -> Scalar:
     return Fraction(1) if mode == RATIONAL else 1.0
+
+
+def negligible(value: Scalar, tol: float | None) -> bool:
+    """Zero test of the elimination routines: exact when tol is None, else |value| <= tol."""
+    if tol is None:
+        return value == 0
+    return abs(value) <= tol
+
+
+def random_scalar(rng: random.Random, mode: str) -> Scalar:
+    """Sample coefficient of the sampled checks: p/q with |p| <= 6, 1 <= q <= 4, or N(0, 1)."""
+    if mode == RATIONAL:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return rng.gauss(0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .scalars import (
     Tolerances,
     as_scalar,
     check_mode,
+    negligible,
     zero,
 )
 from .spaces import Box, SingleBox, TripleBox, TruncatedVector
@@ -482,19 +483,7 @@ def eval_seminorm(system: SeminormSystem, k: int, x: TruncatedVector) -> Scalar:
 
 def eval_sup_seminorm(system: SeminormSystem, k: int, ops: Sequence, x: TruncatedVector) -> Scalar:
     """max over n of value(k, sum_{i<=n} ops[i](x)); ops must be nonempty."""
-    if not ops:
-        raise DegenerateInputError("eval_sup_seminorm needs a nonempty operator list")
-    system.check_level(k)
-    system.check_vector(x)
-    running = None
-    best = zero(system.mode)
-    for op in ops:
-        piece = op.apply(x)
-        running = piece if running is None else running + piece
-        v = system.value(k, running)
-        if v > best:
-            best = v
-    return best
+    return SupPartialSumSeminorms(system, ops).value(k, x)
 
 
 def seminorm_kernel_basis(
@@ -523,7 +512,7 @@ def seminorm_kernel_basis(
     rows = []
     for pairs in system.level_terms(k):
         row = [apply_functional(pairs, v) for v in vectors]
-        if any(not _null(c, ftol) for c in row):
+        if any(not negligible(c, ftol) for c in row):
             rows.append(row)
     coeffs = nullspace(rows, len(vectors), ftol)
     out = []
@@ -534,12 +523,6 @@ def seminorm_kernel_basis(
             acc = piece if acc is None else acc + piece
         out.append(acc)
     return out
-
-
-def _null(value, tol) -> bool:
-    if tol is None:
-        return value == 0
-    return abs(value) <= tol
 
 
 def level_rows(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector]):
@@ -564,7 +547,7 @@ def level_rows(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector])
         for idx, coeff in pairs:
             for j, val in meets.get(idx, ()):
                 row[j] = row.get(j, z) + coeff * val
-        if any(not _null(c, ftol) for c in row.values()):
+        if any(not negligible(c, ftol) for c in row.values()):
             rows.append({j: c for j, c in row.items() if c != 0})
     return rows
 

@@ -212,3 +212,32 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "schedule-sandwich" in proc.stdout
+
+
+@pytest.mark.parametrize("where", ["missing-dir/doc.json", "."])
+def test_unwritable_out_path_exits_two_before_any_suite(tmp_path, monkeypatch, capsys, where):
+    def never(cfg):
+        raise AssertionError("build_document ran before the --out path was checked")
+
+    monkeypatch.setattr(cli, "build_document", never)
+    out_path = tmp_path / where
+    assert cli.main(["run", "--suite", "vogt", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --out")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing-dir").exists()
+
+
+def test_out_path_check_keeps_an_existing_file_until_the_run_ends(tmp_path, monkeypatch, capsys):
+    out_path = tmp_path / "doc.json"
+    out_path.write_text("previous run\n")
+    seen = []
+
+    def record(cfg):
+        seen.append(out_path.read_text())
+        return {"suites": {}, "passed": True}
+
+    monkeypatch.setattr(cli, "build_document", record)
+    assert cli.main(["run", "--suite", "vogt", "--out", str(out_path)]) == 0
+    assert seen == ["previous run\n"]
+    assert json.loads(out_path.read_text()) == {"passed": True, "suites": {}}

@@ -309,3 +309,55 @@ def test_lenient_inputs_that_decode():
     verdict = jsonio.decode({"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
                              "details": [["a", {"num": 1, "den": 2}], ["b", 3]]})
     assert verdict.details == (("a", F(1, 2)), ("b", 3))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_encode_rejects_non_finite_floats(value):
+    from bapkit import FloorCertificate, GeometricForm
+
+    with pytest.raises(InputError):
+        jsonio.encode(FloorCertificate(level=1, bound=value))
+    with pytest.raises(InputError):
+        jsonio.dumps(GeometricForm(scale=1.0, ratio=value))
+
+
+# public dataclasses that are configuration or intermediate state, never documents
+NOT_SERIALIZED = {"Tolerances", "ScheduleBlock"}
+
+
+def _record_classes(shape):
+    if isinstance(shape, jsonio.Record):
+        yield shape.cls
+        for inner in shape.fields.values():
+            yield from _record_classes(inner)
+    elif isinstance(shape, jsonio.Seq):
+        yield from _record_classes(shape.item)
+    elif isinstance(shape, jsonio.Row):
+        for inner in shape.items:
+            yield from _record_classes(inner)
+
+
+def test_every_public_dataclass_has_an_encoding():
+    import dataclasses
+
+    import bapkit
+
+    encoded = {cls for rec in jsonio.KINDS.values() for cls in _record_classes(rec)}
+    public = {
+        name: obj
+        for name, obj in vars(bapkit).items()
+        if not name.startswith("_") and isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    }
+    assert NOT_SERIALIZED <= set(public)
+    missing = sorted(
+        name for name, cls in public.items() if cls not in encoded and name not in NOT_SERIALIZED
+    )
+    assert missing == []
+
+
+def test_encode_accepts_subclasses_of_registered_kinds():
+    class Labelled(SingleBox):
+        pass
+
+    assert jsonio.encode(Labelled(3)) == {"kind": "single-box", "d": 3}
+    assert jsonio.decode(jsonio.encode(Labelled(3))) == SingleBox(3)

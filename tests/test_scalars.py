@@ -104,3 +104,16 @@ def test_geometric_tail_bound_needs_ratio_below_one():
         geometric_tail_bound(Fraction(1), Fraction(1), 0)
     with pytest.raises(ValueError):
         geometric_tail_bound(Fraction(1), Fraction(-1, 2), 0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_as_scalar_float_rejects_non_finite(value):
+    with pytest.raises(ModeError):
+        as_scalar(value, "float")
+
+
+def test_float_vectors_reject_nan_coordinates():
+    from bapkit import SingleBox, vector_from_dense
+
+    with pytest.raises(ModeError):
+        vector_from_dense(SingleBox(2), "float", [float("nan"), 1.0])
