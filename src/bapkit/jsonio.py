@@ -14,11 +14,9 @@ shapes are:
   Row(s...)  a list of exactly one value per shape, e.g. a (mu, nu, rho) triple
   Record     an object with named fields; a tagged kind is a Record in KINDS
 
-A Record's attrs rename a JSON field to its attribute, and its build hook,
-when set, constructs the object from a getter of decoded fields instead of
-calling the class.  Floats travel as plain numbers (repr round-trips them
-exactly), triple indices as three-element lists.  Serialization always
-sorts keys, so equal objects produce identical text.
+Floats travel as plain numbers (repr round-trips them exactly), triple
+indices as three-element lists.  Serialization always sorts keys, so equal
+objects produce identical text.
 """
 
 from __future__ import annotations
@@ -184,13 +182,15 @@ _TAGS = {rec.cls: tag for tag, rec in KINDS.items()}
 
 
 def _scalar_out(v):
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise InputError(f"{v!r} has no JSON encoding")
+        return v
     if isinstance(v, Fraction):
         return {"num": v.numerator, "den": v.denominator}
     if isinstance(v, bool):
         raise InputError("booleans are not scalars")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise InputError(f"{v!r} has no JSON encoding")
-    if isinstance(v, (int, float)):
+    if isinstance(v, int):
         return v
     raise InputError(f"cannot serialize scalar {v!r}")
 
