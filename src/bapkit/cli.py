@@ -205,7 +205,7 @@ def run_suite_pelczynski(cfg: dict):
     idempotent = True
     for _ in range(5):
         dense = [rng.randint(-5, 5) for _ in range(d)]
-        x = vector_from_dense(box, mode, [c if mode == RATIONAL else float(c) for c in dense])
+        x = vector_from_dense(box, mode, dense)
         y = embed(system, schedule, x)
         once = project(system, y)
         twice = project(system, once)
@@ -272,7 +272,7 @@ def run_suite_normability(cfg: dict):
     a1 = FiniteRankOperator.from_matrix(box2, mode, [[1, 0], [1, 0]], label="a1")
     a2 = FiniteRankOperator.from_matrix(box2, mode, [[0, 0], [-1, 1]], label="a2")
     report = basis_sup_norms(base, [a1, a2], rng=random.Random(seed + 11), sample_count=20)
-    y = vector_from_dense(box2, mode, [1, 0] if mode == RATIONAL else [1.0, 0.0])
+    y = vector_from_dense(box2, mode, [1, 0])
     sup_val = report.system.value(1, y)
     base_val = base.value(1, y)
     strict = sup_val == 2 and base_val == 1

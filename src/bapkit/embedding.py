@@ -10,19 +10,20 @@ with M_k an exact graded operator norm over the family's partial sums.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     CertificateFailureError,
     ConstructionSoundnessError,
     InputError,
     LevelError,
-    UnboundedSeminormError,
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
-from .polyhedral import graded_operator_norm
-from .scalars import RATIONAL, as_scalar, random_scalar, zero
+from .polyhedral import comparison_level
+from .scalars import as_scalar, is_zero, leq, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
 
@@ -159,28 +160,13 @@ def certify_equicontinuity(
     entries = []
     for position in range(1, schedule.grading_depth + 1):
         base_level = schedule.original_level(position)
-        found = None
-        for l in range(base_level, system.level_count + 1):
-            norms = []
-            try:
-                for op in prefix_sums:
-                    norms.append(
-                        graded_operator_norm(system, base_level, l, op, cap=cap)
-                    )
-            except UnboundedSeminormError:
-                continue
-            found = (l, max(norms))
-            break
-        if found is None:
-            raise UnboundedSeminormError(
-                f"no comparison level controls the partial sums at level {base_level}"
-            )
-        entries.append((position, base_level, found[0], found[1]))
+        entries.append(
+            (position, base_level, *comparison_level(system, base_level, prefix_sums, cap=cap))
+        )
     cert = EquicontinuityCertificate(
         factor=factor, entries=tuple(entries), sample_count=sample_count
     )
     total_op = prefix_sums[-1]
-    slack = 1 if schedule.mode == RATIONAL else 1 + 1e-9
     for trial in range(sample_count):
         x = _random_vector(schedule.box, schedule.mode, rng)
         y = embed(system, schedule, x)
@@ -188,12 +174,12 @@ def certify_equicontinuity(
             e0 = e0_value(system, y, position)
             lower = system.value(base_level, total_op.apply(x))
             upper = factor * m_val * system.value(comp_level, x)
-            if not lower <= e0 * slack:
+            if not leq(lower, e0, schedule.mode):
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "
                     f"{lower} > {e0}"
                 )
-            if not e0 <= upper * slack:
+            if not leq(e0, upper, schedule.mode):
                 raise CertificateFailureError(
                     f"upper bound failed at position {position}, sample {trial}: "
                     f"{e0} > {upper}"
@@ -227,9 +213,7 @@ def verify_reconstruction(
     value(k, x - sum of the first t slots) must reach 0 at the final slot
     for every working level.
     """
-    total = None
-    for op in schedule.source_family:
-        total = op if total is None else total + op
+    total = reduce(operator.add, schedule.source_family)
     if not total.approx_equal(FiniteRankOperator.identity(schedule.box, schedule.mode)):
         raise InputError("reconstruction needs a family summing to the identity")
     rng = rng or random.Random(0)
@@ -256,11 +240,8 @@ def verify_reconstruction(
                 worst = trace[-1]
         all_traces.append(tuple(per_position))
         finals.append(worst)
-        if schedule.mode == RATIONAL:
-            ok = worst == 0
-        else:
-            ok = worst <= 1e-9 * max(1.0, system.value(schedule.working_levels[-1], x))
-        passed = passed and ok
+        top = schedule.working_levels[-1]
+        passed = passed and is_zero(worst / max(1, system.value(top, x)), schedule.mode)
     return ReconstructionReport(
         passed=passed, traces=tuple(all_traces), final_residuals=tuple(finals)
     )
@@ -288,7 +269,6 @@ def basis_criterion_check(
     coefficient sequences.
     """
     rng = rng or random.Random(0)
-    slack = 1 if schedule.mode == RATIONAL else 1 + 1e-12
     for _ in range(sample_count):
         coeffs = [random_scalar(rng, schedule.mode) for _ in schedule.operators]
         y = element_from_components(schedule, coeffs)
@@ -300,6 +280,6 @@ def basis_criterion_check(
                 v = system.value(level, partial)
                 if v > running:
                     running = v
-                if not running <= full * slack:
+                if not leq(running, full, schedule.mode):
                     return BasisCriterionReport(False, 1, sample_count)
     return BasisCriterionReport(True, 1, sample_count)

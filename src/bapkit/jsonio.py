@@ -200,6 +200,8 @@ def _scalar_in(v):
         return Fraction(v["num"], v["den"])
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InputError(f"cannot deserialize scalar {v!r}")
+    if not math.isfinite(v):
+        raise InputError(f"{v!r} is not a finite scalar")
     return v
 
 
@@ -243,7 +245,7 @@ def _in(shape, v):
     if shape is OPT_OBJ:
         return None if v is None else decode(v)
     if shape is PLAIN:
-        if isinstance(v, dict):
+        if isinstance(v, (dict, float)):
             return _scalar_in(v)
         return tuple(_in(PLAIN, x) for x in v) if isinstance(v, list) else v
     if isinstance(shape, Seq):

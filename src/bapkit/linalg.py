@@ -16,11 +16,14 @@ the test oracle for the sparse path.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import negligible
+from .scalars import FLOAT, RATIONAL, negligible, one, zero
 
 Matrix = "list[list]"
+
+
+def _mode(tol) -> str:
+    """The scalar mode that a zero threshold stands for: None means exact."""
+    return RATIONAL if tol is None else FLOAT
 
 
 def clone(rows) -> list[list]:
@@ -101,19 +104,13 @@ def nullspace(rows, ncols: int, tol=None) -> list[list]:
     The basis is canonical: free variable set to 1, pivot variables solved
     from the echelon form.  Works for empty row lists (full space).
     """
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols if tol is None else [0.0] * ncols
-            v[j] = Fraction(1) if tol is None else 1.0
-            basis.append(v)
-        return basis
     ech, pivots = row_echelon(rows, tol)
     free = [j for j in range(ncols) if j not in pivots]
+    mode = _mode(tol)
     basis = []
     for j in free:
-        v = [Fraction(0)] * ncols if tol is None else [0.0] * ncols
-        v[j] = Fraction(1) if tol is None else 1.0
+        v = [zero(mode)] * ncols
+        v[j] = one(mode)
         for r, pc in enumerate(pivots):
             v[pc] = -ech[r][j]
         basis.append(v)
@@ -133,7 +130,7 @@ def solve(rows, rhs, tol=None):
     for r in range(len(ech)):
         if all(negligible(v, tol) for v in ech[r][:ncols]) and not negligible(ech[r][ncols], tol):
             return None
-    sol = [Fraction(0)] * ncols if tol is None else [0.0] * ncols
+    sol = [zero(_mode(tol))] * ncols
     live_pivots = [p for p in pivots if p < ncols]
     for r, pc in enumerate(live_pivots):
         sol[pc] = ech[r][ncols]
@@ -143,8 +140,8 @@ def solve(rows, rhs, tol=None):
 def invert(rows, tol=None):
     """Inverse of a square matrix, or None when singular."""
     n = len(rows)
-    aug = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] if tol is None
-           else list(r) + [1.0 if i == j else 0.0 for j in range(n)]
+    mode = _mode(tol)
+    aug = [list(r) + [one(mode) if i == j else zero(mode) for j in range(n)]
            for i, r in enumerate(rows)]
     ech, pivots = row_echelon(aug, tol)
     if pivots[:n] != list(range(n)):

@@ -18,10 +18,10 @@ from .errors import (
     CertificateFailureError,
     InputError,
     InsufficientDataError,
-    UnboundedSeminormError,
 )
-from .polyhedral import graded_operator_norm
-from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, random_scalar, zero
+from .operators import accumulate
+from .polyhedral import comparison_level
+from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, leq, random_scalar, zero
 from .seminorms import SeminormSystem, SupPartialSumSeminorms
 from .spaces import vector_from_dense
 
@@ -29,12 +29,6 @@ from .spaces import vector_from_dense
 def measure_trace(system: SeminormSystem, level: int, vectors) -> tuple:
     """Level values of a vector sequence, in order."""
     return tuple(system.value(level, x) for x in vectors)
-
-
-def _leq(a, b, mode: str, slack: float = 1e-9) -> bool:
-    if mode == RATIONAL:
-        return a <= b
-    return a <= b + slack * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class GeometricForm:
 
     def dominates_trace(self, trace, indices, mode: str) -> bool:
         """Measured values never exceed the form at their indices."""
-        return all(_leq(t, self.value(m), mode) for m, t in zip(indices, trace))
+        return all(leq(t, self.value(m), mode) for m, t in zip(indices, trace))
 
 
 @dataclass(frozen=True)
@@ -67,8 +61,7 @@ class FloorCertificate:
         if not self.bound > 0:
             return False
         trace = measure_trace(system, self.level, vectors)
-        slack = 0 if system.mode == RATIONAL else 1e-9
-        return all(v >= self.bound * (1 - slack) for v in trace)
+        return all(leq(self.bound, v, system.mode) for v in trace)
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ class CauchyFamily:
             if li not in bounds:
                 return False
             for xm in self.vectors[li + 1 :]:
-                if not _leq(system.value(self.level, xm - xl), bounds[li], system.mode):
+                if not leq(system.value(self.level, xm - xl), bounds[li], system.mode):
                     return False
         return True
 
@@ -125,9 +118,8 @@ class CauchyFamily:
         first, last = bounds[0], bounds[-1]
         if first == 0:
             return all(b == 0 for b in bounds)
-        if system.mode == RATIONAL:
-            return last <= first * Fraction(1, 10**6)
-        return last <= first * tol.decay
+        # repr is the float's shortest decimal, so the default 1e-6 is exactly 1/10**6
+        return last <= first * as_scalar(Fraction(repr(tol.decay)), system.mode)
 
 
 @dataclass(frozen=True)
@@ -322,27 +314,12 @@ def basis_sup_norms(
     if not _biorthogonal(ops, tol):
         raise InputError("family is not biorthogonal")
     sup_system = SupPartialSumSeminorms(base, ops)
-    prefix = []
-    acc = None
-    for op in ops:
-        acc = op if acc is None else acc + op
-        prefix.append(acc)
+    prefix = accumulate(ops)
     total = prefix[-1]
-    comparisons = []
-    for k in range(1, base.level_count + 1):
-        found = None
-        for l in range(k, base.level_count + 1):
-            try:
-                norms = [graded_operator_norm(base, k, l, P, cap=cap) for P in prefix]
-            except UnboundedSeminormError:
-                continue
-            found = (l, max(norms))
-            break
-        if found is None:
-            raise UnboundedSeminormError(
-                f"no comparison level controls the partial sums at level {k}"
-            )
-        comparisons.append((k, found[0], found[1]))
+    comparisons = [
+        (k, *comparison_level(base, k, prefix, cap=cap))
+        for k in range(1, base.level_count + 1)
+    ]
     rng = rng or random.Random(0)
     mode = base.mode
     passed = True
@@ -352,14 +329,14 @@ def basis_sup_norms(
         for k, l, c in comparisons:
             sup_val = sup_system.value(k, y)
             base_total = base.value(k, total.apply(y))
-            if not _leq(base_total, sup_val, mode):
+            if not leq(base_total, sup_val, mode, tol):
                 passed = False
-            if not _leq(sup_val, c * base.value(l, y), mode):
+            if not leq(sup_val, c * base.value(l, y), mode, tol):
                 passed = False
             for op in ops:
-                if not _leq(base.value(k, op.apply(y)), 2 * sup_val, mode):
+                if not leq(base.value(k, op.apply(y)), 2 * sup_val, mode, tol):
                     passed = False
-        if not _leq(base.value(1, ops[0].apply(y)), sup_system.value(1, y), mode):
+        if not leq(base.value(1, ops[0].apply(y)), sup_system.value(1, y), mode, tol):
             passed = False
     return NormedBasisReport(
         system=sup_system,

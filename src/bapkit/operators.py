@@ -18,9 +18,11 @@ graded seminorm system:
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     ConstructionSoundnessError,
@@ -32,7 +34,7 @@ from .errors import (
     ModeError,
     ZeroOperatorError,
 )
-from .linalg import in_span, invert, mat_mul, rank
+from .linalg import column_space_basis, in_span, invert, mat_mul, rank
 from .polyhedral import rank_one_family_constant
 from .scalars import (
     DEFAULT_TOLERANCES,
@@ -41,7 +43,9 @@ from .scalars import (
     as_scalar,
     ceil_scalar,
     check_mode,
+    leq,
     random_scalar,
+    rank_tol,
     zero,
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
@@ -70,10 +74,7 @@ class FiniteRankOperator:
         if len(rows) != d or any(len(r) != d for r in rows):
             raise InputError(f"matrix must be {d}x{d} for this box")
         coerced = tuple(tuple(as_scalar(v, mode) for v in r) for r in rows)
-        ftol = None if mode == RATIONAL else DEFAULT_TOLERANCES.rank
-        from .linalg import column_space_basis
-
-        pivots = column_space_basis([list(r) for r in coerced], ftol)
+        pivots = column_space_basis([list(r) for r in coerced], rank_tol(mode))
         basis = tuple(
             vector_from_dense(box, mode, [coerced[r][c] for r in range(d)]) for c in pivots
         )
@@ -167,7 +168,7 @@ class FiniteRankOperator:
         )
 
     def range_consistent(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        ftol = None if self.mode == RATIONAL else tol.rank
+        ftol = rank_tol(self.mode, tol)
         rows = [list(r) for r in self.matrix]
         if rank(rows, ftol) != len(self.range_basis):
             return False
@@ -233,11 +234,10 @@ def kernel_filtration(op: FiniteRankOperator, system: SeminormSystem, levels=Non
     for j in levels:
         system.check_level(j)
         out.append(tuple(seminorm_kernel_basis(system, j, op.range_basis)))
-    ftol = None if system.mode == RATIONAL else DEFAULT_TOLERANCES.rank
     for finer_level_basis, coarser in zip(out[1:], out):
         span = [v.dense() for v in coarser]
         for v in finer_level_basis:
-            if not in_span(span, v.dense(), ftol):
+            if not in_span(span, v.dense(), rank_tol(system.mode)):
                 raise ConstructionSoundnessError("kernel filtration is not nested")
     return out
 
@@ -265,15 +265,20 @@ class ComplementDecomposition:
         raise InputError(f"position {j} outside the adapted basis")
 
 
+def _project_out(v, orthogonal):
+    """v minus its components along pairwise orthogonal vectors; exact in rational mode."""
+    for u in orthogonal:
+        denom = u.dot(u)
+        if denom != 0:
+            v = v - u.scale(v.dot(u) / denom)
+    return v
+
+
 def _orthogonalize(vectors):
     """Unnormalized Gram-Schmidt; exact in rational mode."""
     out = []
     for v in vectors:
-        w = v
-        for u in out:
-            denom = u.dot(u)
-            if denom != 0:
-                w = w - u.scale(w.dot(u) / denom)
+        w = _project_out(v, out)
         if not w.is_zero():
             out.append(w)
     return out
@@ -290,19 +295,11 @@ def select_complements(range_basis, filtration) -> ComplementDecomposition:
     chain = [tuple(range_basis)] + [tuple(f) for f in filtration]
     if not chain[0]:
         raise ZeroOperatorError("cannot decompose an empty range")
-    mode = chain[0][0].mode
-    ftol = None if mode == RATIONAL else DEFAULT_TOLERANCES.rank
+    ftol = rank_tol(chain[0][0].mode)
     blocks = []
     for l in range(len(chain) - 1):
         inner_orth = _orthogonalize(chain[l + 1])
-        candidates = []
-        for v in chain[l]:
-            w = v
-            for u in inner_orth:
-                denom = u.dot(u)
-                if denom != 0:
-                    w = w - u.scale(w.dot(u) / denom)
-            candidates.append(w)
+        candidates = [_project_out(v, inner_orth) for v in chain[l]]
         kept: list = []
         kept_dense: list = []
         target = len(chain[l]) - len(chain[l + 1])
@@ -387,10 +384,9 @@ def rank_one_split(
     adapted = decomp.adapted_basis
     m = len(adapted)
     d = op.box.dimension
-    ftol = None if op.mode == RATIONAL else DEFAULT_TOLERANCES.rank
     vt = [v.dense() for v in adapted]  # m x d, rows are basis vectors
     gram = [[adapted[a].dot(adapted[b]) for b in range(m)] for a in range(m)]
-    ginv = invert(gram, ftol)
+    ginv = invert(gram, rank_tol(op.mode))
     if ginv is None:
         raise ConstructionSoundnessError("adapted basis Gram matrix is singular")
     phi = mat_mul(ginv, vt)  # m x d, biorthogonal coefficient functionals
@@ -459,10 +455,7 @@ def scale_and_replicate(
     m = split.piece_count
     n_rep = max(1, ceil_scalar(m * split.control_constant))
     scaled = tuple(
-        piece.scale(
-            Fraction(1, n_rep) if split.source.mode == RATIONAL else 1.0 / n_rep,
-            label=f"{piece.label}/N{n_rep}",
-        )
+        piece.scale(Fraction(1, n_rep), label=f"{piece.label}/N{n_rep}")
         for piece in split.pieces
     )
     operators = tuple(scaled[j] for _ in range(n_rep) for j in range(m))
@@ -480,6 +473,7 @@ def _verify_prefix_bound(
     n_rep = block.replication
     mode = split.source.mode
     two = as_scalar(2, mode)
+    share = as_scalar(Fraction(1, n_rep), mode)
     for _ in range(sample_count):
         coeffs = [random_scalar(rng, mode) for _ in range(m)]
         partial_piece = [zero_vector(split.source.box, mode)]
@@ -489,16 +483,12 @@ def _verify_prefix_bound(
         for level in split.norm_grading:
             bound = two * system.value(level, e)
             for r in range(n_rep):
+                done = e.scale(Fraction(r, n_rep))
                 for w in range(m):
                     # prefix q = r*m + w + 1 ends inside copy r after w+1 pieces
-                    q_vec = e.scale(
-                        Fraction(r, n_rep) if mode == RATIONAL else r / n_rep
-                    ) + partial_piece[w + 1].scale(
-                        Fraction(1, n_rep) if mode == RATIONAL else 1.0 / n_rep
-                    )
+                    q_vec = done + partial_piece[w + 1].scale(share)
                     val = system.value(level, q_vec)
-                    ok = val <= bound if mode == RATIONAL else val <= bound * (1 + 1e-9)
-                    if not ok:
+                    if not leq(val, bound, mode):
                         raise ConstructionSoundnessError(
                             f"prefix bound failed at level {level}, copy {r}, piece {w + 1}: "
                             f"{val} > 2 * {system.value(level, e)}"
@@ -571,13 +561,8 @@ def flatten_schedule(blocks) -> ScheduledFamily:
             structure.append((p, i))
             lead = b_vec.entries[0][1]
             generators.append(b_vec.scale(1 / lead))
-    total = None
-    for op in operators:
-        total = op if total is None else total + op
-    family_total = None
-    for block in blocks:
-        src = block.split.source
-        family_total = src if family_total is None else family_total + src
+    total = reduce(operator.add, operators)
+    family_total = reduce(operator.add, (block.split.source for block in blocks))
     if not total.approx_equal(family_total):
         raise ConstructionSoundnessError("schedule total differs from the family total")
     return ScheduledFamily(

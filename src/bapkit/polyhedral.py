@@ -22,9 +22,9 @@ import random
 
 from .errors import ComputationCapError, UnboundedSeminormError
 from .linalg import mat_vec, nullspace, rank, solve
-from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, zero
-from .seminorms import MAX, SUM, SeminormSystem, level_matrix
-from .spaces import TruncatedVector, unit_vector
+from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
+from .seminorms import SUM, SeminormSystem, level_matrix
+from .spaces import unit_vector
 
 DEFAULT_CAP = 200_000
 
@@ -60,7 +60,7 @@ def polyhedral_sup(
     Raises UnboundedSeminormError when the objective does not vanish on the
     constraint family's kernel (the sup is then infinite on the box).
     """
-    ftol = None if mode == RATIONAL else tol.rank
+    ftol = rank_tol(mode, tol)
     rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r)]
     kernel = nullspace(rows, dim, ftol)
     for kv in kernel:
@@ -127,7 +127,7 @@ def _vertices(g2, combiner, d_eff, tol):
                 continue
             yield [x / total for x in v]
     else:
-        slack = 0 if tol is None else 1e-9
+        slack = tol or 0
         for subset in itertools.combinations(range(m), d_eff):
             sub = [g2[i] for i in subset]
             if rank(sub, tol) < d_eff:
@@ -185,6 +185,23 @@ def graded_operator_norm(
         system.mode,
         tol=tol,
         cap=cap,
+    )
+
+
+def comparison_level(system: SeminormSystem, level: int, operators, cap: int = DEFAULT_CAP):
+    """Smallest comparison level for a family of operators, with its constant.
+
+    Returns (l, M): l is the smallest level >= level at which every operator
+    has a finite graded_operator_norm(system, level, l, .), M the largest of
+    those norms.  Raises UnboundedSeminormError when no level controls them all.
+    """
+    for l in range(level, system.level_count + 1):
+        try:
+            return l, max(graded_operator_norm(system, level, l, op, cap=cap) for op in operators)
+        except UnboundedSeminormError:
+            continue
+    raise UnboundedSeminormError(
+        f"no comparison level controls the partial sums at level {level}"
     )
 
 

@@ -4,6 +4,20 @@ Two modes run through the whole toolkit: "rational" keeps every value a
 fractions.Fraction and all comparisons exact; "float" uses binary float-64
 with the documented tolerances.  Mode is fixed per object at construction,
 mixing modes raises ModeError.
+
+This module is the one place that decides what a comparison means in each
+mode; other modules call its helpers instead of branching on the mode.
+The Tolerances fields govern these kinds of decision:
+
+  eq             equalities and inequalities of computed values
+                 (approx_equal, is_zero, leq), relative to max(1, |a|, |b|);
+                 rational mode decides them exactly
+  rank           zero tests inside elimination: rank, span, kernel and
+                 pivot decisions (rank_tol gives None, exact, in rational mode)
+  decay          the last/first ratio at which a tail modulus counts as
+                 reached zero, in both modes
+  opnorm_safety  the inflation of a sampled operator-norm lower bound, used
+                 only by the float fallback above the enumeration cap
 """
 
 from __future__ import annotations
@@ -71,7 +85,7 @@ def random_scalar(rng: random.Random, mode: str) -> Scalar:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy knobs; rational mode ignores eq and rank."""
+    """Numerical policy knobs; rational mode uses decay alone (see the module docstring)."""
 
     eq: float = 1e-12        # relative equality slack, float mode
     rank: float = 1e-9       # pivot threshold for rank decisions, float mode
@@ -93,6 +107,18 @@ def is_zero(a: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     if mode == RATIONAL:
         return a == 0
     return abs(a) <= tol.eq
+
+
+def leq(a: Scalar, b: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """a <= b, exact in rational mode; float mode allows tol.eq * max(1, |a|, |b|)."""
+    if mode == RATIONAL:
+        return a <= b
+    return a <= b + tol.eq * max(1.0, abs(a), abs(b))
+
+
+def rank_tol(mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> float | None:
+    """Zero threshold of the elimination routines: None (exact) in rational mode."""
+    return None if mode == RATIONAL else tol.rank
 
 
 def ceil_scalar(a: Scalar) -> int:

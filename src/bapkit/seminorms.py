@@ -42,6 +42,7 @@ from .scalars import (
     as_scalar,
     check_mode,
     negligible,
+    rank_tol,
     zero,
 )
 from .spaces import Box, SingleBox, TripleBox, TruncatedVector
@@ -505,7 +506,7 @@ def seminorm_kernel_basis(
         return []
     for v in vectors:
         system.check_vector(v)
-    ftol = None if system.mode == RATIONAL else tol.rank
+    ftol = rank_tol(system.mode, tol)
     coords = [v.dense() for v in vectors]
     if not independent(coords, ftol):
         raise InputError("subspace basis is linearly dependent")
@@ -535,7 +536,7 @@ def level_rows(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector])
     out.  A row is kept when one entry is nonzero, beyond the rank tolerance
     in float mode.
     """
-    ftol = None if system.mode == RATIONAL else DEFAULT_TOLERANCES.rank
+    ftol = rank_tol(system.mode)
     z = zero(system.mode)
     meets: dict = {}
     for j, v in enumerate(basis):

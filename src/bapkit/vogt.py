@@ -26,10 +26,12 @@ from .errors import (
 from .linalg import sparse_rank
 from .normability import CauchyFamily, FloorCertificate, GeometricForm
 from .scalars import (
-    DEFAULT_TOLERANCES,
     RATIONAL,
+    approx_equal,
     as_scalar,
     geometric_sum,
+    leq,
+    rank_tol,
     zero,
 )
 from .seminorms import RhoTable, VogtSeminorms, level_rows
@@ -85,20 +87,20 @@ def comparison_inequality_check(
     """
     system = instance.system()
     rng = rng or random.Random(0)
-    slack = 1 if instance.mode == RATIONAL else 1 + 1e-9
+    mode = instance.mode
     passed = True
     for _ in range(sample_count):
         x = _random_sparse(instance, rng)
         for p in range(1, instance.level_count + 1):
             v = system.value(p, x)
             vp = system.primed_value(p, x)
-            if not v <= vp * slack:
+            if not leq(v, vp, mode):
                 passed = False
             if p < instance.level_count:
                 nxt = system.value(p + 1, x)
-                if not vp <= 2 * nxt * slack:
+                if not leq(vp, 2 * nxt, mode):
                     passed = False
-                if not v <= nxt * slack:
+                if not leq(v, nxt, mode):
                     passed = False
     return ComparisonReport(passed, sample_count, instance.level_count)
 
@@ -137,11 +139,10 @@ def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCert
         )
     p = level
     mode = instance.mode
-    r = Fraction(p, p + 1) if mode == RATIONAL else p / (p + 1)
+    r = as_scalar(Fraction(p, p + 1), mode)
     passed = True
     box_sum = zero(mode)
     shell_counts: dict = {}
-    slack = 0 if mode == RATIONAL else 1e-12
     for n, mu, nu in instance.box.indices():
         s = n + mu + nu
         if nu <= p + 1:
@@ -152,12 +153,7 @@ def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCert
             num = rho * as_scalar(p**s, mode)
             den = rho * as_scalar((p + 1) ** s, mode)
         term = num / den
-        expected = r**s
-        if mode == RATIONAL:
-            ok = term == expected
-        else:
-            ok = abs(term - expected) <= slack * expected
-        if not ok:
+        if not approx_equal(term, r**s, mode):
             passed = False
         box_sum += term
         shell_counts[s] = shell_counts.get(s, 0) + 1
@@ -176,12 +172,8 @@ def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCert
         elif in_box > full:
             passed = False
     limit = (r / (1 - r)) ** 3
-    if mode == RATIONAL:
-        if not complete_sum <= box_sum <= limit:
-            passed = False
-    else:
-        if not complete_sum <= box_sum * (1 + 1e-9) or not box_sum <= limit * (1 + 1e-9):
-            passed = False
+    if not (leq(complete_sum, box_sum, mode) and leq(box_sum, limit, mode)):
+        passed = False
     return NuclearityCertificate(
         level=p,
         ratio=r,
@@ -214,11 +206,10 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     system = instance.system()
     basis = [unit_vector(instance.box, instance.mode, idx) for idx in instance.box.indices()]
     d = instance.box.dimension
-    ftol = None if instance.mode == RATIONAL else DEFAULT_TOLERANCES.rank
     ranks = []
     passed = True
     for k in range(1, instance.level_count + 1):
-        rk = sparse_rank(level_rows(system, k, basis), ftol)
+        rk = sparse_rank(level_rows(system, k, basis), rank_tol(instance.mode))
         ranks.append((k, rk, d))
         if rk != d:
             passed = False
@@ -293,7 +284,7 @@ def bap_failure_witness(
     if nu > instance.box.nu_max:
         raise BoxTooSmallError(f"need nu_max >= {nu}, box has {instance.box.nu_max}")
     mode = instance.mode
-    eps = Fraction(1, q + 1) if mode == RATIONAL else 1.0 / (q + 1)
+    eps = as_scalar(Fraction(1, q + 1), mode)
     mu = instance.rho.decay_index(eps, nu, mode)
     if mu > instance.box.mu_max:
         raise BoxTooSmallError(
@@ -316,19 +307,12 @@ def bap_failure_witness(
         entries = {(n, mu, nu): rho**n for n in range(1, m + 1)}
         vectors.append(TruncatedVector.create(instance.box, mode, entries))
     vectors = tuple(vectors)
-    slack = 0 if mode == RATIONAL else 1e-9
-
-    def _same(a, b) -> bool:
-        if mode == RATIONAL:
-            return a == b
-        return abs(a - b) <= slack * max(1.0, abs(a), abs(b))
-
     # vanishing level: only the last difference site survives
     decay_scale = as_scalar(p0 ** (mu + p - 1), mode)
     decay_form = GeometricForm(scale=decay_scale, ratio=rho * p0, shift=1)
     decay_trace = tuple(system.value(p0, x) for x in vectors)
     for m, measured in enumerate(decay_trace, start=1):
-        if not _same(measured, decay_form.value(m)):
+        if not approx_equal(measured, decay_form.value(m), mode):
             raise CertificateFailureError(
                 f"vanishing trace at member {m}: {measured} != {decay_form.value(m)}"
             )
@@ -338,11 +322,11 @@ def bap_failure_witness(
     floor_trace = tuple(system.value(p, x) for x in vectors)
     for m, measured in enumerate(floor_trace, start=1):
         expected = floor_scale * geometric_sum(rho * as_scalar(p, mode), 1, m)
-        if not _same(measured, expected):
+        if not approx_equal(measured, expected, mode):
             raise CertificateFailureError(
                 f"floor trace at member {m}: {measured} != {expected}"
             )
-        if not measured >= floor_bound * (1 - slack):
+        if not leq(floor_bound, measured, mode):
             raise CertificateFailureError(
                 f"floor trace at member {m} dips below {floor_bound}"
             )
@@ -355,11 +339,11 @@ def bap_failure_witness(
         for m in range(li + 2, count + 1):
             measured = system.value(q, vectors[m - 1] - vectors[li])
             expected = q_scale * geometric_sum(rq, li + 2, m)
-            if not _same(measured, expected):
+            if not approx_equal(measured, expected, mode):
                 raise CertificateFailureError(
                     f"pair ({li + 1},{m}) at the cauchy level: {measured} != {expected}"
                 )
-            if not measured <= tail_form.value(li) * (1 + slack):
+            if not leq(measured, tail_form.value(li), mode):
                 raise CertificateFailureError(
                     f"pair ({li + 1},{m}) exceeds the tail bound {tail_form.value(li)}"
                 )

@@ -2,12 +2,15 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bapkit
 from bapkit import RhoTable, SingleBox
 from bapkit import cli
 from bapkit import jsonio
@@ -205,10 +208,15 @@ def test_usage_errors_exit_two():
 
 
 def test_module_entry_point_runs():
+    # the subprocess imports bapkit from wherever this process found it
+    src = str(Path(bapkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "bapkit", "explain"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "schedule-sandwich" in proc.stdout

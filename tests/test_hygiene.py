@@ -1,0 +1,81 @@
+"""Source hygiene of the package, checked with the standard library's ast.
+
+Two rules: no module imports a name it never uses (`__init__` exists to
+re-export and is exempt), and no module outside `scalars` spells a float
+slack literal such as 1e-9, because float-mode comparisons take their
+slack from `scalars.Tolerances` through the helpers there.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bapkit"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SLACK_LITERAL = re.compile(r"[0-9]e-[0-9]", re.IGNORECASE)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _annotation_names(node):
+    """Names inside an annotation, string annotations included."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            yield from (n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            used.update(_annotation_names(ann))
+    return used
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {name}" for line, name in _imported_names(tree) if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name)
+def test_no_float_slack_literals_outside_scalars(path):
+    source = path.read_text(encoding="utf-8")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            text = ast.get_source_segment(source, node)
+            if SLACK_LITERAL.search(text):
+                found.append(f"{path.name}:{node.lineno} {text}")
+    assert not found, f"slack literals belong in scalars.Tolerances: {found}"
+
+
+def test_the_rules_see_the_package():
+    assert {"scalars.py", "vogt.py", "normability.py"} <= {m.name for m in MODULES}

@@ -258,6 +258,13 @@ MALFORMED = [
                               "modulus": [], "modulus_form": 5}, InputError),
     ("string-scalar", {"kind": "geometric-form", "scale": "x", "ratio": 1, "shift": 0}, InputError),
     ("null-scalar", {"kind": "floor-certificate", "level": 1, "bound": None}, InputError),
+    ("nan-scalar", {"kind": "floor-certificate", "level": 1, "bound": float("nan")}, InputError),
+    ("infinity-scalar", {"kind": "floor-certificate", "level": 1, "bound": float("inf")},
+     InputError),
+    ("minus-infinity-scalar", {"kind": "geometric-form", "scale": float("-inf"), "ratio": 1,
+                               "shift": 0}, InputError),
+    ("nan-detail", {"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
+                    "details": [["a", float("nan")]]}, InputError),
     ("boolean-scalar", _table([[1, 1, True]]), InputError),
     ("missing-nested-field", _vogt_instance_data(rho={"kind": "rho"}), InputError),
     ("missing-denominator", _table([[1, 1, {"num": 1}]]), InputError),

@@ -17,6 +17,7 @@ from bapkit import (
     KoetheSeminorms,
     MaxPrefixSeminorms,
     SingleBox,
+    Tolerances,
     VanishingEvidence,
     bap_failure_witness,
     basis_sup_norms,
@@ -112,6 +113,16 @@ def test_modulus_decay_raw_threshold():
     fam = CauchyFamily.from_vectors(system, 2, vectors)
     # nine members of decimal decay push the tail below the 1e-6 threshold
     assert fam.modulus_decays(system)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_modulus_decay_threshold_follows_tolerances(mode):
+    system = MaxPrefixSeminorms(SingleBox(2), mode, 2)
+    vectors = [vector_from_dense(system.box, mode, [F(1, 10) ** i, 0]) for i in range(1, 5)]
+    fam = CauchyFamily.from_vectors(system, 2, vectors)
+    # four members of decimal decay: last/first bound is 9/999, inside 1/100 but not 1e-6
+    assert fam.modulus_decays(system, Tolerances(decay=1e-2))
+    assert not fam.modulus_decays(system)
 
 
 def test_verdict_flag():

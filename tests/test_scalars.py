@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 from bapkit import ModeError
 from bapkit.scalars import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
     approx_equal,
     as_scalar,
     ceil_scalar,
     check_mode,
     geometric_sum,
     geometric_tail_bound,
+    leq,
     one,
+    rank_tol,
     zero,
 )
 
@@ -60,6 +64,49 @@ def test_approx_equal_exact_in_rational_mode():
 def test_approx_equal_relative_in_float_mode():
     assert approx_equal(1e6, 1e6 * (1 + 1e-13), "float")
     assert not approx_equal(1.0, 1.001, "float")
+
+
+def test_leq_exact_in_rational_mode():
+    assert leq(Fraction(1, 3), Fraction(1, 3), "rational")
+    assert not leq(Fraction(1, 3) + Fraction(1, 10**30), Fraction(1, 3), "rational")
+
+
+@pytest.mark.parametrize(
+    "b, tol",
+    [
+        (0.25, Tolerances(eq=1e-3)),  # |a|, |b| < 1: absolute slack tol.eq
+        (-0.25, Tolerances(eq=1e-3)),
+        (4096.0, Tolerances(eq=1e-3)),  # relative slack tol.eq * max(|a|, |b|)
+        (-4096.0, Tolerances(eq=1e-3)),
+        (0.5, DEFAULT_TOLERANCES),
+        (1e6, DEFAULT_TOLERANCES),
+    ],
+)
+def test_leq_slack_boundary_in_float_mode(b, tol):
+    slack = tol.eq * max(1.0, abs(b))
+    assert leq(b + 0.9 * slack, b, "float", tol)
+    assert not leq(b + 1.1 * slack, b, "float", tol)
+    assert leq(b - slack, b, "float", tol)
+
+
+def test_rank_tol_per_mode():
+    assert rank_tol("rational") is None
+    assert rank_tol("rational", Tolerances(rank=1e-3)) is None
+    assert rank_tol("float") == DEFAULT_TOLERANCES.rank
+    assert rank_tol("float", Tolerances(rank=1e-3)) == 1e-3
+
+
+wide_fractions = st.fractions(
+    min_value=Fraction(-(10**9)), max_value=Fraction(10**9), max_denominator=10**6
+)
+
+
+@given(wide_fractions, wide_fractions)
+def test_leq_rational_is_exact_and_float_never_rejects_ordered_pairs(a, b):
+    assert leq(a, b, "rational") == (a <= b)
+    fa, fb = float(a), float(b)
+    if fa <= fb:
+        assert leq(fa, fb, "float")
 
 
 def test_ceil_scalar():
