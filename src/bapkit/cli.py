@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 
 from . import __version__
 from .errors import BapkitError, ConfigError
@@ -23,7 +24,7 @@ from .embedding import (
     project,
     verify_reconstruction,
 )
-from .jsonio import encode
+from .jsonio import decode, encode
 from .normability import basis_sup_norms, dv_condition_check, injective_extension_test
 from .normability import CauchyFamily, GeometricForm, VanishingEvidence
 from .operators import FiniteRankOperator, build_schedule
@@ -128,8 +129,6 @@ def _validate_config(cfg: dict) -> None:
 def _decode_rho(spec):
     if spec == "dyadic":
         return RhoTable.dyadic()
-    from .jsonio import decode
-
     try:
         rho = decode(spec)
     except (BapkitError, ZeroDivisionError, TypeError, ValueError) as exc:
@@ -220,11 +219,10 @@ def run_suite_normability(cfg: dict):
     seed = cfg["seed"]
     checks = {}
     # leg 1: the witness family must trip both diagnostics
-    witness_cfg = dict(cfg)
-    witness = bap_failure_witness(_vogt_instance(witness_cfg))
-    system = _vogt_instance(witness_cfg).system()
+    instance = _vogt_instance(cfg)
+    witness = bap_failure_witness(instance)
     verdict = dv_condition_check(
-        system,
+        instance.system(),
         {witness.floor_level: witness.cauchy_level},
         witness.vanishing_level,
         [witness_evidence(witness)],
@@ -238,8 +236,6 @@ def run_suite_normability(cfg: dict):
     evidence = []
     for _ in range(cfg["normability"]["families"]):
         if mode == RATIONAL:
-            from fractions import Fraction
-
             base_vec = [Fraction(rng.randint(-5, 5)) for _ in range(d)]
             ratio = Fraction(1, rng.randint(2, 4))
         else:

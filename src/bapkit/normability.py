@@ -317,7 +317,7 @@ def basis_sup_norms(
     prefix = accumulate(ops)
     total = prefix[-1]
     comparisons = [
-        (k, *comparison_level(base, k, prefix, cap=cap))
+        (k, *comparison_level(base, k, prefix, tol=tol, cap=cap))
         for k in range(1, base.level_count + 1)
     ]
     rng = rng or random.Random(0)

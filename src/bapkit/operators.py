@@ -38,8 +38,8 @@ from .linalg import column_space_basis, in_span, invert, mat_mul, rank
 from .polyhedral import rank_one_family_constant
 from .scalars import (
     DEFAULT_TOLERANCES,
-    RATIONAL,
     Tolerances,
+    all_approx_equal,
     as_scalar,
     ceil_scalar,
     check_mode,
@@ -154,18 +154,8 @@ class FiniteRankOperator:
         self, other: "FiniteRankOperator", tol: Tolerances = DEFAULT_TOLERANCES
     ) -> bool:
         self._check_peer(other)
-        if self.mode == RATIONAL:
-            return self.matrix == other.matrix
-        scale = max(
-            [1.0]
-            + [abs(v) for r in self.matrix for v in r]
-            + [abs(v) for r in other.matrix for v in r]
-        )
-        return all(
-            abs(a - b) <= tol.eq * scale
-            for ra, rb in zip(self.matrix, other.matrix)
-            for a, b in zip(ra, rb)
-        )
+        pairs = [(a, b) for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)]
+        return all_approx_equal(pairs, self.mode, tol)
 
     def range_consistent(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         ftol = rank_tol(self.mode, tol)
@@ -210,13 +200,13 @@ def accumulate(family) -> list:
 # kernel filtration and complements
 
 
-def smallest_norm_level(op: FiniteRankOperator, system: SeminormSystem) -> int:
-    """First level whose restriction to range(op) has trivial kernel."""
-    for k in range(1, system.level_count + 1):
+def smallest_norm_level(op: FiniteRankOperator, system: SeminormSystem, above: int = 0) -> int:
+    """First level above `above` whose restriction to range(op) has trivial kernel."""
+    for k in range(above + 1, system.level_count + 1):
         if not seminorm_kernel_basis(system, k, op.range_basis):
             return k
     raise ContinuousNormError(
-        f"no level of the system is a norm on range({op.label or 'operator'})"
+        f"no level above {above} is a norm on range({op.label or 'operator'})"
     )
 
 
@@ -592,21 +582,10 @@ def build_schedule(
     if not ops:
         raise DegenerateInputError("build_schedule needs a nonempty family")
     working = []
-    prev = 0
     for p, op in enumerate(ops, start=1):
         if op.rank == 0 or op.is_zero():
             raise ZeroOperatorError(f"family member {p} is the zero operator")
-        found = None
-        for k in range(prev + 1, system.level_count + 1):
-            if not seminorm_kernel_basis(system, k, op.range_basis):
-                found = k
-                break
-        if found is None:
-            raise ContinuousNormError(
-                f"no level above {prev} is a norm on range of family member {p}"
-            )
-        working.append(found)
-        prev = found
+        working.append(smallest_norm_level(op, system, working[-1] if working else 0))
     rng = rng or random.Random(0)
     blocks = []
     for p, op in enumerate(ops, start=1):

@@ -157,6 +157,25 @@ def _sampled_sup(g2, combiner, pieces2, d_eff, tol, rng, samples):
     return best * (1.0 + tol.opnorm_safety)
 
 
+def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, cap):
+    """One ball, one sup: the max over image lists of the sup of
+    value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
+    """
+    pieces = [
+        (level_matrix(system, to_level, images, tol), system.combiner(to_level))
+        for images in image_lists
+    ]
+    return polyhedral_sup(
+        len(domain_basis),
+        level_matrix(system, from_level, domain_basis, tol),
+        system.combiner(from_level),
+        pieces,
+        system.mode,
+        tol=tol,
+        cap=cap,
+    )
+
+
 def graded_operator_norm(
     system: SeminormSystem,
     to_level: int,
@@ -175,29 +194,29 @@ def graded_operator_norm(
     if domain_basis is None:
         domain_basis = [unit_vector(system.box, system.mode, idx) for idx in system.box.indices()]
     images = [operator.apply(v) for v in domain_basis]
-    g = level_matrix(system, from_level, domain_basis)
-    r = level_matrix(system, to_level, images)
-    return polyhedral_sup(
-        len(domain_basis),
-        g,
-        system.combiner(from_level),
-        [(r, system.combiner(to_level))],
-        system.mode,
-        tol=tol,
-        cap=cap,
-    )
+    return _graded_sup(system, to_level, from_level, domain_basis, [images], tol, cap)
 
 
-def comparison_level(system: SeminormSystem, level: int, operators, cap: int = DEFAULT_CAP):
+def comparison_level(
+    system: SeminormSystem,
+    level: int,
+    operators,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    cap: int = DEFAULT_CAP,
+):
     """Smallest comparison level for a family of operators, with its constant.
 
     Returns (l, M): l is the smallest level >= level at which every operator
     has a finite graded_operator_norm(system, level, l, .), M the largest of
-    those norms.  Raises UnboundedSeminormError when no level controls them all.
+    those norms.  Each level tried is one sup over its ball, scoring every
+    operator's images as one objective piece.  Raises UnboundedSeminormError
+    when no level controls them all.
     """
+    basis = [unit_vector(system.box, system.mode, idx) for idx in system.box.indices()]
+    image_lists = [[op.apply(v) for v in basis] for op in operators]
     for l in range(level, system.level_count + 1):
         try:
-            return l, max(graded_operator_norm(system, level, l, op, cap=cap) for op in operators)
+            return l, _graded_sup(system, level, l, basis, image_lists, tol, cap)
         except UnboundedSeminormError:
             continue
     raise UnboundedSeminormError(
@@ -219,17 +238,4 @@ def rank_one_family_constant(
     to each adapted basis vector (for coordinate projections that is zero
     except at position j).
     """
-    g = level_matrix(system, level, adapted_basis)
-    pieces = []
-    for images in piece_images:
-        rows = level_matrix(system, level, images)
-        pieces.append((rows, system.combiner(level)))
-    return polyhedral_sup(
-        len(adapted_basis),
-        g,
-        system.combiner(level),
-        pieces,
-        system.mode,
-        tol=tol,
-        cap=cap,
-    )
+    return _graded_sup(system, level, level, adapted_basis, piece_images, tol, cap)

@@ -10,7 +10,8 @@ mode; other modules call its helpers instead of branching on the mode.
 The Tolerances fields govern these kinds of decision:
 
   eq             equalities and inequalities of computed values
-                 (approx_equal, is_zero, leq), relative to max(1, |a|, |b|);
+                 (approx_equal, is_zero, leq), relative to max(1, |a|, |b|),
+                 or to the largest value of a whole object (all_approx_equal);
                  rational mode decides them exactly
   rank           zero tests inside elimination: rank, span, kernel and
                  pivot decisions (rank_tol gives None, exact, in rational mode)
@@ -101,6 +102,16 @@ def approx_equal(a: Scalar, b: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLE
         return a == b
     scale = max(1.0, abs(a), abs(b))
     return abs(a - b) <= tol.eq * scale
+
+
+def all_approx_equal(pairs, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """a == b for every pair (a, b) of one object's values, exact in rational mode;
+    float mode allows tol.eq * max(1, largest |value| of the object)."""
+    pairs = list(pairs)
+    if mode == RATIONAL:
+        return all(a == b for a, b in pairs)
+    scale = max([1.0] + [abs(x) for pair in pairs for x in pair])
+    return all(abs(a - b) <= tol.eq * scale for a, b in pairs)
 
 
 def is_zero(a: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

@@ -22,8 +22,10 @@ Kinds:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .errors import (
@@ -507,36 +509,28 @@ def seminorm_kernel_basis(
     for v in vectors:
         system.check_vector(v)
     ftol = rank_tol(system.mode, tol)
-    coords = [v.dense() for v in vectors]
-    if not independent(coords, ftol):
+    if not independent([v.dense() for v in vectors], ftol):
         raise InputError("subspace basis is linearly dependent")
-    rows = []
-    for pairs in system.level_terms(k):
-        row = [apply_functional(pairs, v) for v in vectors]
-        if any(not negligible(c, ftol) for c in row):
-            rows.append(row)
-    coeffs = nullspace(rows, len(vectors), ftol)
-    out = []
-    for cs in coeffs:
-        acc = None
-        for c, v in zip(cs, vectors):
-            piece = v.scale(c)
-            acc = piece if acc is None else acc + piece
-        out.append(acc)
-    return out
+    coeffs = nullspace(level_matrix(system, k, vectors, tol), len(vectors), ftol)
+    return [reduce(operator.add, (v.scale(c) for c, v in zip(cs, vectors))) for cs in coeffs]
 
 
-def level_rows(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector]):
+def level_rows(
+    system: SeminormSystem,
+    k: int,
+    basis: Sequence[TruncatedVector],
+    tol: Tolerances = DEFAULT_TOLERANCES,
+):
     """Rows f_i(v_j) of level k as sparse dicts {j: value}, zero rows pruned.
 
     An index -> [(j, entry)] map over the basis supports means each
     functional touches only the basis vectors that meet it, so the cost
     follows the nonzeros.  Every f_i(v_j) is summed in functional order from
     zero(mode), exactly as apply_functional does, and exact zeros are left
-    out.  A row is kept when one entry is nonzero, beyond the rank tolerance
-    in float mode.
+    out.  A row is kept when one entry is nonzero, beyond tol.rank in float
+    mode.
     """
-    ftol = rank_tol(system.mode)
+    ftol = rank_tol(system.mode, tol)
     z = zero(system.mode)
     meets: dict = {}
     for j, v in enumerate(basis):
@@ -553,11 +547,16 @@ def level_rows(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector])
     return rows
 
 
-def level_matrix(system: SeminormSystem, k: int, basis: Sequence[TruncatedVector]):
+def level_matrix(
+    system: SeminormSystem,
+    k: int,
+    basis: Sequence[TruncatedVector],
+    tol: Tolerances = DEFAULT_TOLERANCES,
+):
     """level_rows densified: rows f_i(v_j) of level k, zero rows pruned."""
     z = zero(system.mode)
     out = []
-    for row in level_rows(system, k, basis):
+    for row in level_rows(system, k, basis, tol):
         dense = [z] * len(basis)
         for j, c in row.items():
             dense[j] = c

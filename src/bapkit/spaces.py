@@ -15,12 +15,11 @@ from typing import Iterable, Iterator, Mapping
 from .errors import DomainError, ModeError
 from .scalars import (
     DEFAULT_TOLERANCES,
-    RATIONAL,
     Scalar,
     Tolerances,
+    all_approx_equal,
     as_scalar,
     check_mode,
-    is_zero,
 )
 
 Index = "tuple[int, int, int] | int"
@@ -186,10 +185,8 @@ class TruncatedVector:
         self, other: "TruncatedVector", tol: Tolerances = DEFAULT_TOLERANCES
     ) -> bool:
         self._check_peer(other)
-        if self.mode == RATIONAL:
-            return self.entries == other.entries
         keys = set(self.support) | set(other.support)
-        return all(is_zero(self.get(k) - other.get(k), self.mode, tol) for k in keys)
+        return all_approx_equal([(self.get(k), other.get(k)) for k in keys], self.mode, tol)
 
 
 def zero_vector(box: Box, mode: str) -> TruncatedVector:

@@ -24,7 +24,7 @@ from .errors import (
     LevelError,
 )
 from .linalg import sparse_rank
-from .normability import CauchyFamily, FloorCertificate, GeometricForm
+from .normability import CauchyFamily, FloorCertificate, GeometricForm, VanishingEvidence
 from .scalars import (
     RATIONAL,
     approx_equal,
@@ -368,8 +368,6 @@ def bap_failure_witness(
 
 def witness_evidence(witness: BapFailureWitness):
     """Repackage a witness for the diagnostics in `normability`."""
-    from .normability import VanishingEvidence
-
     return VanishingEvidence(
         family=witness.cauchy,
         decay_form=witness.decay_form,

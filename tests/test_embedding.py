@@ -223,3 +223,24 @@ def test_basis_criterion_constant_one():
     assert report.passed
     assert report.constant == 1
     assert report.sample_count == 15
+
+
+def test_embed_accepts_large_float_inputs():
+    # float approx_equal is relative to the largest coordinate, so the
+    # generator-line check holds at any input scale
+    box = SingleBox(3)
+    system = KoetheSeminorms(((1, 1, 1), (2, 2, 2), (3, 3, 3)), box, "float")
+    outputs = [(1, 0, 0), (1 / 3, 1, 0), (1 / 7, 2 / 3, 1)]
+    family = [
+        FiniteRankOperator.rank_one(
+            vector_from_dense(box, "float", v), [1.0 if j == p else 0.0 for j in range(3)],
+            label=f"a{p + 1}",
+        )
+        for p, v in enumerate(outputs)
+    ]
+    schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=10)
+    rng = random.Random(1)
+    for sigma in (1e6, 1e9):
+        for _ in range(50):
+            x = vector_from_dense(box, "float", [rng.gauss(0.0, sigma) for _ in range(3)])
+            embed(system, schedule, x)

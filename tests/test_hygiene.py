@@ -1,9 +1,10 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Two rules: no module imports a name it never uses (`__init__` exists to
-re-export and is exempt), and no module outside `scalars` spells a float
-slack literal such as 1e-9, because float-mode comparisons take their
-slack from `scalars.Tolerances` through the helpers there.
+Three rules: no module imports a name it never uses (`__init__` exists to
+re-export and is exempt), every import sits at module level, where a reader
+sees a module's dependencies at once, and no module outside `scalars`
+spells a float slack literal such as 1e-9, because float-mode comparisons
+take their slack from `scalars.Tolerances` through the helpers there.
 """
 
 import ast
@@ -63,6 +64,19 @@ def test_no_unused_imports(path):
     used = _used_names(tree)
     unused = [f"{path.name}:{line} {name}" for line, name in _imported_names(tree) if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = {
+        f"{path.name}:{sub.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+    }
+    assert not nested, f"function-local imports: {sorted(nested)}"
 
 
 @pytest.mark.parametrize("path", [m for m in MODULES if m.name != "scalars.py"], ids=lambda p: p.name)

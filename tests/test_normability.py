@@ -326,3 +326,13 @@ def test_basis_sup_norms_requires_biorthogonality():
     shift = FiniteRankOperator.from_matrix(box, "rational", [[0, 1], [0, 1]], "s")
     with pytest.raises(InputError):
         basis_sup_norms(base, [p1, shift])
+
+
+def test_basis_sup_norms_comparisons_use_the_given_tolerances():
+    box = SingleBox(2)
+    base = KoetheSeminorms(((1, 1e-10), (1, 1)), box, "float")
+    a1 = FiniteRankOperator.from_matrix(box, "float", [[1, 1], [0, 0]], label="a1")
+    assert basis_sup_norms(base, [a1]).comparisons[0] == (1, 2, 1.0)
+    k, l, c = basis_sup_norms(base, [a1], tol=Tolerances(rank=1e-12)).comparisons[0]
+    assert (k, l) == (1, 1)
+    assert c == pytest.approx(1e10)

@@ -1,13 +1,19 @@
 """Exact polytope suprema and the graded operator norms built on them."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bapkit import (
     ComputationCapError,
+    CustomLevel,
+    CustomSeminorms,
     FiniteRankOperator,
     KoetheSeminorms,
+    MaxPrefixSeminorms,
     SingleBox,
     Tolerances,
     UnboundedSeminormError,
@@ -16,6 +22,7 @@ from bapkit import (
     rank_one_family_constant,
     vector_from_dense,
 )
+from bapkit.polyhedral import DEFAULT_CAP, comparison_level
 
 F = Fraction
 
@@ -155,3 +162,90 @@ def test_rank_one_family_constant_degenerate_level_is_zero():
     e1 = vector_from_dense(box, "rational", [F(1), F(0)])
     constant = rank_one_family_constant(system, 1, [e1], [[e1]])
     assert constant == 0
+
+
+def test_graded_operator_norm_prunes_at_the_given_rank_tolerance():
+    # level 1 weighs e2 by 1e-10, under the default rank tolerance of 1e-9
+    box = SingleBox(2)
+    base = KoetheSeminorms(((1, 1e-10), (1, 1)), box, "float")
+    a1 = FiniteRankOperator.from_matrix(box, "float", [[1, 1], [0, 0]])
+    with pytest.raises(UnboundedSeminormError):
+        graded_operator_norm(base, 1, 1, a1)
+    norm = graded_operator_norm(base, 1, 1, a1, tol=Tolerances(rank=1e-12))
+    assert norm == pytest.approx(1e10)
+
+
+# ---------------------------------------------------------------------------
+# comparison_level against one graded_operator_norm per operator
+
+
+def random_system(kind, mode, rng):
+    box = SingleBox(3)
+    if kind == "koethe":
+        rows, row = [], [0, 0, 0]
+        for _ in range(rng.randint(1, 3)):
+            row = [w + rng.choice((0, 0, 1, 2)) for w in row]
+            rows.append(tuple(row))
+        # most draws end on a norm, so most families find a comparison level
+        if rng.random() < 0.8:
+            rows.append(tuple(w + 1 for w in row))
+        return KoetheSeminorms(tuple(rows), box, mode)
+    if kind == "max-prefix":
+        return MaxPrefixSeminorms(box, mode, rng.randint(1, 4))
+    levels = []
+    for _ in range(rng.randint(1, 3)):
+        functionals = [
+            tuple((j, rng.randint(-2, 2)) for j in rng.sample((1, 2, 3), rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            functionals += [((j, 1),) for j in (1, 2, 3)]
+        levels.append(CustomLevel(tuple(functionals), rng.choice(("sum", "max"))))
+    return CustomSeminorms(tuple(levels), box, mode)
+
+
+def random_family(mode, rng):
+    return [
+        FiniteRankOperator.from_matrix(
+            SingleBox(3), mode, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def per_operator_comparison_level(system, level, ops, cap):
+    for l in range(level, system.level_count + 1):
+        try:
+            return l, max(graded_operator_norm(system, level, l, op, cap=cap) for op in ops)
+        except UnboundedSeminormError:
+            continue
+    return None
+
+
+def check_comparison_level(kind, mode, seed, cap):
+    rng = random.Random(seed)
+    system = random_system(kind, mode, rng)
+    ops = random_family(mode, rng)
+    level = rng.randint(1, system.level_count)
+    expected = per_operator_comparison_level(system, level, ops, cap)
+    if expected is None:
+        with pytest.raises(UnboundedSeminormError):
+            comparison_level(system, level, ops, cap=cap)
+    else:
+        assert comparison_level(system, level, ops, cap=cap) == expected
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["koethe", "max-prefix", "custom"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_comparison_level_matches_one_norm_per_operator(kind, mode, seed):
+    check_comparison_level(kind, mode, seed, DEFAULT_CAP)
+
+
+@pytest.mark.parametrize("kind", ["koethe", "max-prefix", "custom"])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_comparison_level_matches_one_norm_per_operator_when_sampled(kind, seed):
+    # a cap of 1 sends float mode to the sampled fallback
+    check_comparison_level(kind, "float", seed, 1)

@@ -10,6 +10,7 @@ from bapkit import ModeError
 from bapkit.scalars import (
     DEFAULT_TOLERANCES,
     Tolerances,
+    all_approx_equal,
     approx_equal,
     as_scalar,
     ceil_scalar,
@@ -88,6 +89,17 @@ def test_leq_slack_boundary_in_float_mode(b, tol):
     assert not leq(b + 1.1 * slack, b, "float", tol)
     assert leq(b - slack, b, "float", tol)
 
+
+
+def test_all_approx_equal_scales_with_the_largest_value_of_the_object():
+    assert all_approx_equal([(Fraction(1, 3), Fraction(1, 3)), (Fraction(2), Fraction(2))], "rational")
+    assert not all_approx_equal([(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))], "rational")
+    tol = Tolerances(eq=1e-3)
+    # a small coordinate may be off by tol.eq times the object's largest value
+    assert all_approx_equal([(0.0, 0.9), (1000.0, 1000.0)], "float", tol)
+    assert not all_approx_equal([(0.0, 1.1), (1000.0, 1000.0)], "float", tol)
+    assert not all_approx_equal([(0.0, 1.1e-3)], "float", tol)
+    assert all_approx_equal([], "float")
 
 def test_rank_tol_per_mode():
     assert rank_tol("rational") is None

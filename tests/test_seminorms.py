@@ -30,6 +30,7 @@ from bapkit import (
     unit_vector,
     vector_from_dense,
 )
+from bapkit.linalg import independent, nullspace
 from bapkit.scalars import DEFAULT_TOLERANCES
 from bapkit.seminorms import apply_functional, level_matrix, level_rows
 
@@ -406,6 +407,35 @@ def test_level_matrix_matches_the_per_cell_construction(mode, seed):
             assert types(got) == types(expected)
             for row in level_rows(system, k, basis):
                 assert row and all(c != 0 for c in row.values())
+
+
+
+def per_cell_kernel_basis(system, k, basis):
+    """seminorm_kernel_basis as built before it used level_matrix."""
+    ftol = None if system.mode == "rational" else DEFAULT_TOLERANCES.rank
+    out = []
+    for cs in nullspace(per_cell_level_matrix(system, k, basis), len(basis), ftol):
+        acc = None
+        for c, v in zip(cs, basis):
+            piece = v.scale(c)
+            acc = piece if acc is None else acc + piece
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_seminorm_kernel_basis_matches_the_per_cell_construction(mode, seed):
+    rng = random.Random(seed)
+    ftol = None if mode == "rational" else DEFAULT_TOLERANCES.rank
+    for system in oracle_systems(mode):
+        basis = []
+        for v in random_basis(system.box, mode, rng):
+            if independent([w.dense() for w in basis + [v]], ftol):
+                basis.append(v)
+        for k in range(1, system.level_count + 1):
+            assert seminorm_kernel_basis(system, k, basis) == per_cell_kernel_basis(system, k, basis)
 
 
 def test_level_rows_drop_cancelled_entries():
