@@ -43,8 +43,6 @@ from .seminorms import (
     SeminormSystem,
     SupPartialSumSeminorms,
     VogtSeminorms,
-    eval_seminorm,
-    eval_sup_seminorm,
     seminorm_kernel_basis,
 )
 from .polyhedral import graded_operator_norm, polyhedral_sup, rank_one_family_constant

@@ -289,13 +289,3 @@ def dumps(obj, indent: int | None = 2) -> str:
 
 def loads(text: str):
     return decode(json.loads(text))
-
-
-def save(obj, path: str, indent: int | None = 2) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent) + "\n")
-
-
-def load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())

@@ -101,10 +101,19 @@ def sparse_rank(rows, tol=None) -> int:
 def nullspace(rows, ncols: int, tol=None) -> list[list]:
     """Basis of {c : rows @ c = 0}, one vector per free column.
 
-    The basis is canonical: free variable set to 1, pivot variables solved
-    from the echelon form.  Works for empty row lists (full space).
+    Works for empty row lists (full space).
     """
     ech, pivots = row_echelon(rows, tol)
+    return echelon_nullspace(ech, pivots, ncols, tol)
+
+
+def echelon_nullspace(ech, pivots, ncols: int, tol=None) -> list[list]:
+    """nullspace read off a reduced echelon form (ech, pivots) of row_echelon.
+
+    The basis is canonical: free variable set to 1, pivot variables solved
+    from the echelon form.  A free column's vector is 0 at every other free
+    column, so the unit vectors at the pivot columns complement the kernel.
+    """
     free = [j for j in range(ncols) if j not in pivots]
     mode = _mode(tol)
     basis = []

@@ -18,6 +18,7 @@ graded seminorm system:
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ from .scalars import (
     Tolerances,
     all_approx_equal,
     as_scalar,
-    ceil_scalar,
     check_mode,
     leq,
     random_scalar,
@@ -443,7 +443,7 @@ def scale_and_replicate(
     control level.
     """
     m = split.piece_count
-    n_rep = max(1, ceil_scalar(m * split.control_constant))
+    n_rep = max(1, math.ceil(m * split.control_constant))
     scaled = tuple(
         piece.scale(Fraction(1, n_rep), label=f"{piece.label}/N{n_rep}")
         for piece in split.pieces

@@ -2,7 +2,11 @@
 
 The unit ball of a sum- or max-combined functional family is a polytope
 (after quotienting out the family's kernel), and a convex objective attains
-its sup at a vertex.  Vertices are enumerated exactly:
+its sup at a vertex.  The quotient is parameterized by the pivot columns of
+one reduced echelon form of the constraint rows, which complement the
+kernel because each kernel vector read off that form is 1 at its own free
+column and 0 at every other free column; restricting a row to the quotient
+is picking its pivot-column entries.  Vertices are enumerated exactly:
 
   * sum combiner: each vertex spans the kernel line of some (d-1)-subset of
     the constraint rows, scaled to total absolute value 1;
@@ -21,7 +25,7 @@ import math
 import random
 
 from .errors import ComputationCapError, UnboundedSeminormError
-from .linalg import mat_vec, nullspace, rank, solve
+from .linalg import echelon_nullspace, mat_vec, nullspace, rank, row_echelon, solve
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
 from .seminorms import SUM, SeminormSystem, level_matrix
 from .spaces import unit_vector
@@ -62,20 +66,19 @@ def polyhedral_sup(
     """
     ftol = rank_tol(mode, tol)
     rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r)]
-    kernel = nullspace(rows, dim, ftol)
-    for kv in kernel:
+    ech, pivots = row_echelon(rows, ftol)
+    for kv in echelon_nullspace(ech, pivots, dim, ftol):
         for orows, _ in objective_pieces:
             if any(not negligible(x, ftol) for x in mat_vec(orows, kv)):
                 raise UnboundedSeminormError(
                     "objective does not vanish on the constraint kernel"
                 )
-    comp = _complement_basis(kernel, dim, ftol)
-    d_eff = len(comp)
+    d_eff = len(pivots)
     if d_eff == 0:
         return zero(mode)
-    g2 = _restrict(rows, comp)
+    g2 = [[r[j] for j in pivots] for r in rows]
     g2 = [r for r in g2 if any(not negligible(x, ftol) for x in r)]
-    pieces2 = [(_restrict(orows, comp), comb) for orows, comb in objective_pieces]
+    pieces2 = [([[r[j] for j in pivots] for r in orows], comb) for orows, comb in objective_pieces]
     m = len(g2)
     if constraint_combiner == SUM:
         count = math.comb(m, d_eff - 1) if m >= d_eff - 1 else 0
@@ -93,24 +96,6 @@ def polyhedral_sup(
         if v > best:
             best = v
     return best
-
-
-def _complement_basis(kernel, dim, tol):
-    """Unit vectors completing the kernel to the full space, greedily."""
-    chosen = []
-    stack = [list(k) for k in kernel]
-    for j in range(dim):
-        e = [0] * dim
-        e[j] = 1
-        if rank(stack + [e], tol) > len(stack):
-            stack.append(e)
-            chosen.append(e)
-    return chosen
-
-
-def _restrict(rows, comp):
-    """Rows composed with the complement parameterization c = sum b_l comp_l."""
-    return [[sum(r[j] * w[j] for j in range(len(w))) for w in comp] for r in rows]
 
 
 def _vertices(g2, combiner, d_eff, tol):

@@ -132,11 +132,6 @@ def rank_tol(mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> float | None:
     return None if mode == RATIONAL else tol.rank
 
 
-def ceil_scalar(a: Scalar) -> int:
-    """Exact ceiling; Fraction and float both supported."""
-    return math.ceil(a)
-
-
 def geometric_sum(ratio: Scalar, first: int, last: int) -> Scalar:
     """sum_{n=first}^{last} ratio**n, exact for Fraction ratios.
 
@@ -147,10 +142,3 @@ def geometric_sum(ratio: Scalar, first: int, last: int) -> Scalar:
     if ratio == 1:
         return (last - first + 1) * (ratio / ratio)
     return (ratio**first - ratio ** (last + 1)) / (1 - ratio)
-
-
-def geometric_tail_bound(scale: Scalar, ratio: Scalar, start: int) -> Scalar:
-    """Upper bound for scale * sum_{n >= start} ratio**n when 0 <= ratio < 1."""
-    if not 0 <= ratio < 1:
-        raise ValueError(f"tail bound needs 0 <= ratio < 1, got {ratio}")
-    return scale * ratio**start / (1 - ratio)

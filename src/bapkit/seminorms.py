@@ -477,18 +477,6 @@ class SupPartialSumSeminorms(SeminormSystem):
 # operations
 
 
-def eval_seminorm(system: SeminormSystem, k: int, x: TruncatedVector) -> Scalar:
-    """value(k, x); errors on bad level, foreign box, or mixed mode."""
-    system.check_level(k)
-    system.check_vector(x)
-    return system.value(k, x)
-
-
-def eval_sup_seminorm(system: SeminormSystem, k: int, ops: Sequence, x: TruncatedVector) -> Scalar:
-    """max over n of value(k, sum_{i<=n} ops[i](x)); ops must be nonempty."""
-    return SupPartialSumSeminorms(system, ops).value(k, x)
-
-
 def seminorm_kernel_basis(
     system: SeminormSystem,
     k: int,

@@ -20,6 +20,7 @@ from .scalars import (
     all_approx_equal,
     as_scalar,
     check_mode,
+    zero,
 )
 
 Index = "tuple[int, int, int] | int"
@@ -90,6 +91,19 @@ def _require_index(box: Box, idx) -> None:
         raise DomainError(f"index {idx!r} outside box {box}")
 
 
+def _canonical(box: Box, mode: str, pairs: Iterable) -> "TruncatedVector":
+    """The vector summing the (index, value) pairs: entries in box order, zeros dropped."""
+    merged: dict = {}
+    for idx, val in pairs:
+        merged[idx] = merged[idx] + val if idx in merged else val
+    cleaned = tuple(
+        (idx, val)
+        for idx, val in sorted(merged.items(), key=lambda kv: box.position(kv[0]))
+        if val != 0
+    )
+    return TruncatedVector(box, mode, cleaned)
+
+
 @dataclass(frozen=True)
 class TruncatedVector:
     """Immutable sparse vector on a box; zero entries are never stored.
@@ -106,17 +120,11 @@ class TruncatedVector:
     def create(box: Box, mode: str, values: Mapping | Iterable = ()) -> "TruncatedVector":
         check_mode(mode)
         items = values.items() if isinstance(values, Mapping) else values
-        merged: dict = {}
+        pairs = []
         for idx, raw in items:
             _require_index(box, idx)
-            val = as_scalar(raw, mode)
-            merged[idx] = merged.get(idx, as_scalar(0, mode)) + val
-        cleaned = tuple(
-            (idx, val)
-            for idx, val in sorted(merged.items(), key=lambda kv: box.position(kv[0]))
-            if val != 0
-        )
-        return TruncatedVector(box, mode, cleaned)
+            pairs.append((idx, as_scalar(raw, mode)))
+        return _canonical(box, mode, pairs)
 
     @cached_property
     def _lookup(self) -> dict:
@@ -124,7 +132,7 @@ class TruncatedVector:
 
     def get(self, idx) -> Scalar:
         _require_index(self.box, idx)
-        return self._lookup.get(idx, as_scalar(0, self.mode))
+        return self._lookup.get(idx, zero(self.mode))
 
     @property
     def support(self) -> tuple:
@@ -141,15 +149,7 @@ class TruncatedVector:
 
     def __add__(self, other: "TruncatedVector") -> "TruncatedVector":
         self._check_peer(other)
-        merged = dict(self.entries)
-        for idx, val in other.entries:
-            merged[idx] = merged.get(idx, as_scalar(0, self.mode)) + val
-        cleaned = tuple(
-            (idx, val)
-            for idx, val in sorted(merged.items(), key=lambda kv: self.box.position(kv[0]))
-            if val != 0
-        )
-        return TruncatedVector(self.box, self.mode, cleaned)
+        return _canonical(self.box, self.mode, self.entries + other.entries)
 
     def __sub__(self, other: "TruncatedVector") -> "TruncatedVector":
         return self + other.scale(-1)
@@ -169,14 +169,14 @@ class TruncatedVector:
         """Standard coordinate inner product; drives orthogonal complements."""
         self._check_peer(other)
         small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
-        total = as_scalar(0, self.mode)
+        total = zero(self.mode)
         for idx, val in small.entries:
-            total += val * big._lookup.get(idx, as_scalar(0, self.mode))
+            total += val * big._lookup.get(idx, zero(self.mode))
         return total
 
     def dense(self) -> list:
         """Coordinates in box enumeration order; for matrix work only."""
-        out = [as_scalar(0, self.mode)] * self.box.dimension
+        out = [zero(self.mode)] * self.box.dimension
         for idx, val in self.entries:
             out[self.box.position(idx)] = val
         return out

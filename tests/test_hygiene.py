@@ -1,10 +1,12 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Three rules: no module imports a name it never uses (`__init__` exists to
+Four rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt), every import sits at module level, where a reader
-sees a module's dependencies at once, and no module outside `scalars`
-spells a float slack literal such as 1e-9, because float-mode comparisons
-take their slack from `scalars.Tolerances` through the helpers there.
+sees a module's dependencies at once, no module outside `scalars` spells a
+float slack literal such as 1e-9, because float-mode comparisons take their
+slack from `scalars.Tolerances` through the helpers there, and every private
+module-level function or class is used in its own module outside its own
+body, because no other module may call it and an unused one is dead code.
 """
 
 import ast
@@ -89,6 +91,28 @@ def test_no_float_slack_literals_outside_scalars(path):
             if SLACK_LITERAL.search(text):
                 found.append(f"{path.name}:{node.lineno} {text}")
     assert not found, f"slack literals belong in scalars.Tolerances: {found}"
+
+
+def _name_counts(node):
+    counts = {}
+    for name in (sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)):
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_helpers_are_used_in_their_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    everywhere = _name_counts(tree)
+    orphans = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere.get(node.name, 0) == _name_counts(node).get(node.name, 0)
+    ]
+    assert not orphans, f"private helpers unused in their module: {orphans}"
 
 
 def test_the_rules_see_the_package():

@@ -208,14 +208,6 @@ def test_encode_rejects_unknown_objects():
         jsonio.encode(object())
 
 
-def test_save_and_load(tmp_path):
-    path = tmp_path / "witness.json"
-    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), "rational", 4)
-    witness = bap_failure_witness(inst)
-    jsonio.save(witness, str(path))
-    assert jsonio.load(str(path)) == witness
-
-
 def _vogt_instance_data(**fields):
     data = {
         "kind": "vogt-instance",

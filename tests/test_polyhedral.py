@@ -22,7 +22,9 @@ from bapkit import (
     rank_one_family_constant,
     vector_from_dense,
 )
+from bapkit.linalg import mat_mul, mat_vec, nullspace, rank, transpose
 from bapkit.polyhedral import DEFAULT_CAP, comparison_level
+from bapkit.scalars import approx_equal, as_scalar, negligible, rank_tol
 
 F = Fraction
 
@@ -249,3 +251,76 @@ def test_comparison_level_matches_one_norm_per_operator(kind, mode, seed):
 def test_comparison_level_matches_one_norm_per_operator_when_sampled(kind, seed):
     # a cap of 1 sends float mode to the sampled fallback
     check_comparison_level(kind, "float", seed, 1)
+
+
+# ---------------------------------------------------------------------------
+# polyhedral_sup against a reference through an arbitrary kernel complement
+
+
+def typed_rows(rs, mode):
+    return [[as_scalar(x, mode) for x in r] for r in rs]
+
+
+def random_ball(mode, rng):
+    """Constraint rows combining 1..dim random base rows (so kernels are often
+    nonempty), maybe a zero row, and 1-3 objective pieces whose rows combine
+    the same base rows (so they vanish on the kernel) unless the draw adds
+    one free row to the last piece."""
+    dim = rng.randint(1, 4)
+    base = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+
+    def combination():
+        return [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(dim)]
+
+    g = [combination() for _ in range(rng.randint(1, 4))] + [[0] * dim] * rng.randint(0, 1)
+    pieces = [
+        ([combination() for _ in range(rng.randint(1, 3))], rng.choice(("sum", "max")))
+        for _ in range(rng.randint(1, 3))
+    ]
+    if rng.random() < 0.3:
+        pieces[-1][0].append([rng.randint(-2, 2) for _ in range(dim)])
+    combiner = rng.choice(("sum", "max"))
+    return dim, typed_rows(g, mode), combiner, [(typed_rows(rs, mode), c) for rs, c in pieces]
+
+
+def sup_through_complement(dim, g, combiner, pieces, mode, rng):
+    """The sup parameterized by random integer vectors C completing the kernel:
+    polyhedral_sup(len(C), G C, combiner, [(R C, c), ...])."""
+    tol = rank_tol(mode)
+    kernel = nullspace(g, dim, tol)
+    for kv in kernel:
+        for orows, _ in pieces:
+            if any(not negligible(x, tol) for x in mat_vec(orows, kv)):
+                raise UnboundedSeminormError("objective does not vanish on the kernel")
+    for _ in range(100):
+        comp = [
+            [as_scalar(rng.randint(-3, 3), mode) for _ in range(dim)]
+            for _ in range(dim - len(kernel))
+        ]
+        if rank(kernel + comp, tol) == dim:
+            break
+    else:
+        pytest.fail("no random complement of the kernel found")
+    cols = transpose(comp)
+    return polyhedral_sup(
+        len(comp), mat_mul(g, cols), combiner, [(mat_mul(r, cols), c) for r, c in pieces], mode
+    )
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_polyhedral_sup_does_not_depend_on_the_kernel_complement(mode, seed):
+    rng = random.Random(seed)
+    dim, g, combiner, pieces = random_ball(mode, rng)
+    try:
+        expected = sup_through_complement(dim, g, combiner, pieces, mode, rng)
+    except UnboundedSeminormError:
+        with pytest.raises(UnboundedSeminormError):
+            polyhedral_sup(dim, g, combiner, pieces, mode)
+        return
+    actual = polyhedral_sup(dim, g, combiner, pieces, mode)
+    if mode == "rational":
+        assert actual == expected
+    else:
+        assert approx_equal(actual, expected, "float")

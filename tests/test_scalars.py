@@ -1,4 +1,4 @@
-"""Scalar modes, exact ceilings, geometric sums."""
+"""Scalar modes, comparison policy, geometric sums."""
 
 from fractions import Fraction
 
@@ -13,10 +13,8 @@ from bapkit.scalars import (
     all_approx_equal,
     approx_equal,
     as_scalar,
-    ceil_scalar,
     check_mode,
     geometric_sum,
-    geometric_tail_bound,
     leq,
     one,
     rank_tol,
@@ -121,13 +119,6 @@ def test_leq_rational_is_exact_and_float_never_rejects_ordered_pairs(a, b):
         assert leq(fa, fb, "float")
 
 
-def test_ceil_scalar():
-    assert ceil_scalar(Fraction(7, 2)) == 4
-    assert ceil_scalar(Fraction(-7, 2)) == -3
-    assert ceil_scalar(Fraction(4)) == 4
-    assert ceil_scalar(2.5) == 3
-
-
 def test_geometric_sum_small_oracles():
     assert geometric_sum(Fraction(1, 2), 1, 3) == Fraction(7, 8)
     assert geometric_sum(Fraction(3, 4), 4, 5) == Fraction(81, 256) + Fraction(243, 1024)
@@ -145,24 +136,6 @@ def test_geometric_sum_matches_term_by_term(ratio, first, length):
     last = first + length
     expected = sum((ratio**n for n in range(first, last + 1)), Fraction(0))
     assert geometric_sum(ratio, first, last) == expected
-
-
-@given(
-    st.fractions(min_value=Fraction(0), max_value=Fraction(7, 8), max_denominator=8),
-    st.fractions(min_value=Fraction(0), max_value=Fraction(5), max_denominator=4),
-    st.integers(0, 8),
-    st.integers(0, 12),
-)
-def test_geometric_tail_bound_dominates_partial_sums(ratio, scale, start, length):
-    bound = geometric_tail_bound(scale, ratio, start)
-    assert scale * geometric_sum(ratio, start, start + length) <= bound
-
-
-def test_geometric_tail_bound_needs_ratio_below_one():
-    with pytest.raises(ValueError):
-        geometric_tail_bound(Fraction(1), Fraction(1), 0)
-    with pytest.raises(ValueError):
-        geometric_tail_bound(Fraction(1), Fraction(-1, 2), 0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

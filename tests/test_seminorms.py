@@ -24,8 +24,6 @@ from bapkit import (
     TripleBox,
     TruncatedVector,
     VogtSeminorms,
-    eval_seminorm,
-    eval_sup_seminorm,
     seminorm_kernel_basis,
     unit_vector,
     vector_from_dense,
@@ -260,7 +258,6 @@ def test_sup_partial_value_is_max_over_prefixes():
     x = vector_from_dense(box, "rational", [F(3), F(-1)])
     # prefixes are (3, 0) and (3, -1); base values 3 and 4
     assert sup.value(1, x) == 4
-    assert eval_sup_seminorm(base, 1, ops, x) == 4
     y = vector_from_dense(box, "rational", [F(3), F(-3)])
     # the intermediate prefix (3, 0) loses to the full sum (3, -3)
     assert sup.value(1, y) == 6
@@ -270,8 +267,6 @@ def test_sup_partial_needs_operators():
     base = KoetheSeminorms(((1, 1),), SingleBox(2), "rational")
     with pytest.raises(DegenerateInputError):
         SupPartialSumSeminorms(base, [])
-    with pytest.raises(DegenerateInputError):
-        eval_sup_seminorm(base, 1, [], vector_from_dense(SingleBox(2), "rational", [F(1), F(0)]))
 
 
 def test_sup_partial_kernel_is_exact():
@@ -290,17 +285,33 @@ def test_sup_partial_kernel_is_exact():
 # shared operations
 
 
-def test_eval_seminorm_input_checks():
-    system = small_instance()
-    x = unit_vector(system.box, "rational", (1, 1, 1))
+BUILTIN_SYSTEMS = {
+    "vogt": small_instance,
+    "koethe": lambda: KoetheSeminorms(((1, 2), (3, 4)), SingleBox(2), "rational"),
+    "max-prefix": lambda: MaxPrefixSeminorms(SingleBox(2), "rational", 2),
+    "custom": lambda: CustomSeminorms(
+        (CustomLevel((((1, F(1)),), ((2, F(1)),)), "max"),), SingleBox(2), "rational"
+    ),
+    "sup-partial": lambda: SupPartialSumSeminorms(
+        KoetheSeminorms(((1, 1),), SingleBox(2), "rational"), prefix_projections(SingleBox(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_SYSTEMS))
+def test_value_input_checks(kind):
+    system = BUILTIN_SYSTEMS[kind]()
+    first = next(iter(system.box.indices()))
+    x = unit_vector(system.box, "rational", first)
+    foreign = TripleBox(2, 2, 3) if isinstance(system.box, TripleBox) else SingleBox(3)
     with pytest.raises(LevelError):
-        eval_seminorm(system, 0, x)
+        system.value(0, x)
     with pytest.raises(LevelError):
-        eval_seminorm(system, 4, x)
+        system.value(system.level_count + 1, x)
     with pytest.raises(DomainError):
-        eval_seminorm(system, 1, unit_vector(TripleBox(2, 2, 3), "rational", (1, 1, 1)))
+        system.value(1, unit_vector(foreign, "rational", first))
     with pytest.raises(ModeError):
-        eval_seminorm(system, 1, unit_vector(system.box, "float", (1, 1, 1)))
+        system.value(1, unit_vector(system.box, "float", first))
 
 
 def test_kernel_basis_koethe_oracle():
