@@ -23,7 +23,7 @@ from .errors import (
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
-from .scalars import as_scalar, is_zero, leq, random_scalar, zero
+from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, is_zero, leq, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
 
@@ -146,6 +146,7 @@ def certify_equicontinuity(
     sample_count: int = 25,
     factor: int = 5,
     cap: int = 200_000,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquicontinuityCertificate:
     """Exact M_k per position, then a sampled check of the two-sided bound.
 
@@ -154,6 +155,7 @@ def certify_equicontinuity(
     family has a finite graded norm; M_k is the max of those norms.  The
     sampled check enforces value(k, total x) <= |||I(x)|||_k and
     |||I(x)|||_k <= factor * M_k * value(l, x), failing loudly otherwise.
+    tol governs the comparison levels, M_k and the sampled comparisons.
     """
     rng = rng or random.Random(0)
     prefix_sums = accumulate(schedule.source_family)
@@ -161,7 +163,7 @@ def certify_equicontinuity(
     for position in range(1, schedule.grading_depth + 1):
         base_level = schedule.original_level(position)
         entries.append(
-            (position, base_level, *comparison_level(system, base_level, prefix_sums, cap=cap))
+            (position, base_level, *comparison_level(system, base_level, prefix_sums, tol, cap))
         )
     cert = EquicontinuityCertificate(
         factor=factor, entries=tuple(entries), sample_count=sample_count
@@ -174,12 +176,12 @@ def certify_equicontinuity(
             e0 = e0_value(system, y, position)
             lower = system.value(base_level, total_op.apply(x))
             upper = factor * m_val * system.value(comp_level, x)
-            if not leq(lower, e0, schedule.mode):
+            if not leq(lower, e0, schedule.mode, tol):
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "
                     f"{lower} > {e0}"
                 )
-            if not leq(e0, upper, schedule.mode):
+            if not leq(e0, upper, schedule.mode, tol):
                 raise CertificateFailureError(
                     f"upper bound failed at position {position}, sample {trial}: "
                     f"{e0} > {upper}"

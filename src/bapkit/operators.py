@@ -200,17 +200,27 @@ def accumulate(family) -> list:
 # kernel filtration and complements
 
 
-def smallest_norm_level(op: FiniteRankOperator, system: SeminormSystem, above: int = 0) -> int:
+def smallest_norm_level(
+    op: FiniteRankOperator,
+    system: SeminormSystem,
+    above: int = 0,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> int:
     """First level above `above` whose restriction to range(op) has trivial kernel."""
     for k in range(above + 1, system.level_count + 1):
-        if not seminorm_kernel_basis(system, k, op.range_basis):
+        if not seminorm_kernel_basis(system, k, op.range_basis, tol):
             return k
     raise ContinuousNormError(
         f"no level above {above} is a norm on range({op.label or 'operator'})"
     )
 
 
-def kernel_filtration(op: FiniteRankOperator, system: SeminormSystem, levels=None):
+def kernel_filtration(
+    op: FiniteRankOperator,
+    system: SeminormSystem,
+    levels=None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+):
     """Bases of Ker(value(j, .)) intersected with range(op), nested decreasing.
 
     levels defaults to every level strictly below the first norm level on
@@ -219,15 +229,15 @@ def kernel_filtration(op: FiniteRankOperator, system: SeminormSystem, levels=Non
     if op.rank == 0:
         raise ZeroOperatorError("kernel filtration of a zero operator is undefined")
     if levels is None:
-        levels = list(range(1, smallest_norm_level(op, system)))
+        levels = list(range(1, smallest_norm_level(op, system, tol=tol)))
     out = []
     for j in levels:
         system.check_level(j)
-        out.append(tuple(seminorm_kernel_basis(system, j, op.range_basis)))
+        out.append(tuple(seminorm_kernel_basis(system, j, op.range_basis, tol)))
     for finer_level_basis, coarser in zip(out[1:], out):
         span = [v.dense() for v in coarser]
         for v in finer_level_basis:
-            if not in_span(span, v.dense(), rank_tol(system.mode)):
+            if not in_span(span, v.dense(), rank_tol(system.mode, tol)):
                 raise ConstructionSoundnessError("kernel filtration is not nested")
     return out
 
@@ -274,7 +284,9 @@ def _orthogonalize(vectors):
     return out
 
 
-def select_complements(range_basis, filtration) -> ComplementDecomposition:
+def select_complements(
+    range_basis, filtration, tol: Tolerances = DEFAULT_TOLERANCES
+) -> ComplementDecomposition:
     """Split span(range_basis) along the filtration into orthogonal blocks.
 
     Block l is the orthogonal complement (standard coordinate inner
@@ -285,7 +297,7 @@ def select_complements(range_basis, filtration) -> ComplementDecomposition:
     chain = [tuple(range_basis)] + [tuple(f) for f in filtration]
     if not chain[0]:
         raise ZeroOperatorError("cannot decompose an empty range")
-    ftol = rank_tol(chain[0][0].mode)
+    ftol = rank_tol(chain[0][0].mode, tol)
     blocks = []
     for l in range(len(chain) - 1):
         inner_orth = _orthogonalize(chain[l + 1])
@@ -350,13 +362,14 @@ def rank_one_split(
     system: SeminormSystem,
     control_levels=None,
     cap: int = 200_000,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RankOneSplit:
     if op.rank == 0 or op.is_zero():
         raise ZeroOperatorError("cannot split a zero operator")
     if op.box != system.box or op.mode != system.mode:
         raise DomainError("operator and system live on different boxes or modes")
     if control_levels is None:
-        control_levels = list(range(1, smallest_norm_level(op, system) + 1))
+        control_levels = list(range(1, smallest_norm_level(op, system, tol=tol) + 1))
     control_levels = list(control_levels)
     if not control_levels:
         raise LevelError("need at least one control level")
@@ -365,18 +378,18 @@ def rank_one_split(
             raise LevelError("control levels must be strictly increasing")
     for k in control_levels:
         system.check_level(k)
-    if seminorm_kernel_basis(system, control_levels[-1], op.range_basis):
+    if seminorm_kernel_basis(system, control_levels[-1], op.range_basis, tol):
         raise ContinuousNormError(
             f"level {control_levels[-1]} is not a norm on the operator range"
         )
-    filtration = kernel_filtration(op, system, control_levels[:-1])
-    decomp = select_complements(op.range_basis, filtration)
+    filtration = kernel_filtration(op, system, control_levels[:-1], tol)
+    decomp = select_complements(op.range_basis, filtration, tol)
     adapted = decomp.adapted_basis
     m = len(adapted)
     d = op.box.dimension
     vt = [v.dense() for v in adapted]  # m x d, rows are basis vectors
     gram = [[adapted[a].dot(adapted[b]) for b in range(m)] for a in range(m)]
-    ginv = invert(gram, rank_tol(op.mode))
+    ginv = invert(gram, rank_tol(op.mode, tol))
     if ginv is None:
         raise ConstructionSoundnessError("adapted basis Gram matrix is singular")
     phi = mat_mul(ginv, vt)  # m x d, biorthogonal coefficient functionals
@@ -394,14 +407,14 @@ def rank_one_split(
         for j in range(m):
             piece_images.append([adapted[j] if i == j else zero_vec for i in range(m)])
         constants.append(
-            rank_one_family_constant(system, level, adapted, piece_images, cap=cap)
+            rank_one_family_constant(system, level, adapted, piece_images, tol, cap)
         )
     control = max(constants)
     for v in adapted:
         total = zero_vec
         for piece in pieces:
             total = total + piece.apply(v)
-        if not total.approx_equal(v):
+        if not total.approx_equal(v, tol):
             raise ConstructionSoundnessError("pieces do not sum to the identity on the range")
     return RankOneSplit(
         source=op,
@@ -576,8 +589,13 @@ def build_schedule(
     rng: random.Random | None = None,
     prefix_samples: int = 50,
     cap: int = 200_000,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScheduledFamily:
-    """Full pipeline: renumber, split, damp, replicate, flatten."""
+    """Full pipeline: renumber, split, damp, replicate, flatten.
+
+    tol governs the kernel, rank and control-constant decisions of the
+    renumbering and the splits.
+    """
     ops = list(family)
     if not ops:
         raise DegenerateInputError("build_schedule needs a nonempty family")
@@ -585,10 +603,10 @@ def build_schedule(
     for p, op in enumerate(ops, start=1):
         if op.rank == 0 or op.is_zero():
             raise ZeroOperatorError(f"family member {p} is the zero operator")
-        working.append(smallest_norm_level(op, system, working[-1] if working else 0))
+        working.append(smallest_norm_level(op, system, working[-1] if working else 0, tol))
     rng = rng or random.Random(0)
     blocks = []
     for p, op in enumerate(ops, start=1):
-        split = rank_one_split(op, system, control_levels=working[:p], cap=cap)
+        split = rank_one_split(op, system, control_levels=working[:p], cap=cap, tol=tol)
         blocks.append(scale_and_replicate(split, system, rng, prefix_samples))
     return flatten_schedule(blocks)

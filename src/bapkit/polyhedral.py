@@ -6,13 +6,22 @@ its sup at a vertex.  The quotient is parameterized by the pivot columns of
 one reduced echelon form of the constraint rows, which complement the
 kernel because each kernel vector read off that form is 1 at its own free
 column and 0 at every other free column; restricting a row to the quotient
-is picking its pivot-column entries.  Vertices are enumerated exactly:
+is picking its pivot-column entries.  The vertices are exact:
 
-  * sum combiner: each vertex spans the kernel line of some (d-1)-subset of
-    the constraint rows, scaled to total absolute value 1;
+  * sum combiner with a square restricted constraint matrix G (one row per
+    quotient coordinate): the columns of G^-1, from one inversion.  Each
+    column c has |G c|_1 = 1, so the sup is the classical l1 -> l1 operator
+    norm, the largest objective value at a column of G^-1;
+  * any other sum combiner: each vertex spans the kernel line of some
+    (d-1)-subset of the constraint rows, scaled to total absolute value 1
+    (for a square G, leaving out row i gives plus or minus column i of
+    G^-1, which is why the two agree);
   * max combiner: each vertex solves a d-subset of rows against a sign
     pattern, kept when it satisfies every remaining row.
 
+Objective rows are kept as their nonzero (column, value) pairs in column
+order and evaluated over the pairs where the vertex is nonzero too; leaving
+out exact zeros keeps float sums bit-equal to the dense products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
 enumeration, and in float mode the documented fallback is a sampled lower
 bound inflated by (1 + opnorm_safety).
@@ -25,7 +34,7 @@ import math
 import random
 
 from .errors import ComputationCapError, UnboundedSeminormError
-from .linalg import echelon_nullspace, mat_vec, nullspace, rank, row_echelon, solve
+from .linalg import echelon_nullspace, invert, mat_vec, nullspace, rank, row_echelon, solve
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
 from .seminorms import SUM, SeminormSystem, level_matrix
 from .spaces import unit_vector
@@ -40,10 +49,31 @@ def _combine(values, combiner):
     return sum(vals) if combiner == SUM else max(vals)
 
 
+def _sparse_rows(rows):
+    """Each row as the (column, value) pairs of its nonzeros, in column order."""
+    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+
+
+def _nonzeros(c):
+    """The vector c as {column: value} over its nonzero entries."""
+    return {j: x for j, x in enumerate(c) if x}
+
+
+def _row_values(rows, live):
+    """Sparse rows applied to the vector with nonzeros live.
+
+    Each sum runs in column order over the pairs whose column is live; every
+    term left out is an exact zero, so float sums are bit-equal to the dense
+    products.
+    """
+    return (sum(x * live[j] for j, x in row if j in live) for row in rows)
+
+
 def _objective_at(pieces, c):
+    live = _nonzeros(c)
     best = None
     for rows, combiner in pieces:
-        v = _combine((abs(x) for x in mat_vec(rows, c)), combiner)
+        v = _combine((abs(x) for x in _row_values(rows, live)), combiner)
         best = v if best is None else max(best, v)
     return 0 if best is None else best
 
@@ -67,9 +97,11 @@ def polyhedral_sup(
     ftol = rank_tol(mode, tol)
     rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r)]
     ech, pivots = row_echelon(rows, ftol)
+    sparse = [(_sparse_rows(orows), comb) for orows, comb in objective_pieces]
     for kv in echelon_nullspace(ech, pivots, dim, ftol):
-        for orows, _ in objective_pieces:
-            if any(not negligible(x, ftol) for x in mat_vec(orows, kv)):
+        live = _nonzeros(kv)
+        for orows, _ in sparse:
+            if any(not negligible(x, ftol) for x in _row_values(orows, live)):
                 raise UnboundedSeminormError(
                     "objective does not vanish on the constraint kernel"
                 )
@@ -78,7 +110,11 @@ def polyhedral_sup(
         return zero(mode)
     g2 = [[r[j] for j in pivots] for r in rows]
     g2 = [r for r in g2 if any(not negligible(x, ftol) for x in r)]
-    pieces2 = [([[r[j] for j in pivots] for r in orows], comb) for orows, comb in objective_pieces]
+    position = {j: k for k, j in enumerate(pivots)}
+    pieces2 = [
+        ([[(position[j], x) for j, x in r if j in position] for r in orows], comb)
+        for orows, comb in sparse
+    ]
     m = len(g2)
     if constraint_combiner == SUM:
         count = math.comb(m, d_eff - 1) if m >= d_eff - 1 else 0
@@ -90,8 +126,15 @@ def polyhedral_sup(
                 f"{count} vertex candidates exceed cap {cap} in rational mode"
             )
         return _sampled_sup(g2, constraint_combiner, pieces2, d_eff, tol, rng, samples)
+    # a square sum ball's vertices are the columns of G^-1; every other ball,
+    # and a float G that its inversion finds singular, enumerates them
+    inverse = invert(g2, ftol) if constraint_combiner == SUM and m == d_eff else None
+    if inverse is None:
+        vertices = _vertices(g2, constraint_combiner, d_eff, ftol)
+    else:
+        vertices = zip(*inverse)
     best = zero(mode)
-    for c in _vertices(g2, constraint_combiner, d_eff, ftol):
+    for c in vertices:
         v = _objective_at(pieces2, c)
         if v > best:
             best = v

@@ -14,6 +14,7 @@ from bapkit import (
     KoetheSeminorms,
     LevelError,
     SingleBox,
+    Tolerances,
     basis_criterion_check,
     build_schedule,
     certify_equicontinuity,
@@ -244,3 +245,17 @@ def test_embed_accepts_large_float_inputs():
         for _ in range(50):
             x = vector_from_dense(box, "float", [rng.gauss(0.0, sigma) for _ in range(3)])
             embed(system, schedule, x)
+
+
+def test_certificate_prunes_at_the_given_rank_tolerance():
+    # level 1 weighs e2 by 1e-10: at the default rank tolerance of 1e-9 it
+    # sees only x1, where the image (x1 + x2, 0) is uncontrolled
+    system = KoetheSeminorms(((1, 1e-10), (1, 1)), BOX2, "float")
+    a = FiniteRankOperator.from_matrix(BOX2, "float", [[1, 1], [0, 0]])
+    schedule = build_schedule([a], system, rng=random.Random(0), prefix_samples=10)
+    cert = certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=10)
+    assert cert.entries[0][2:] == (2, pytest.approx(1.0))
+    fine = certify_equicontinuity(
+        system, schedule, rng=random.Random(1), sample_count=10, tol=Tolerances(rank=1e-12)
+    )
+    assert fine.entries[0][2:] == (1, pytest.approx(1e10))

@@ -1,12 +1,13 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
 Four rules: no module imports a name it never uses (`__init__` exists to
-re-export and is exempt), every import sits at module level, where a reader
-sees a module's dependencies at once, no module outside `scalars` spells a
-float slack literal such as 1e-9, because float-mode comparisons take their
-slack from `scalars.Tolerances` through the helpers there, and every private
-module-level function or class is used in its own module outside its own
-body, because no other module may call it and an unused one is dead code.
+re-export and is exempt; the test modules follow this rule too), every
+import sits at module level, where a reader sees a module's dependencies at
+once, no module outside `scalars` spells a float slack literal such as 1e-9,
+because float-mode comparisons take their slack from `scalars.Tolerances`
+through the helpers there, and every private module-level function or class
+is used in its own module outside its own body, because no other module may
+call it and an unused one is dead code.
 """
 
 import ast
@@ -15,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bapkit"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "bapkit"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 SLACK_LITERAL = re.compile(r"[0-9]e-[0-9]", re.IGNORECASE)
 
 
@@ -60,7 +63,11 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [m for m in MODULES if m.name != "__init__.py"] + TEST_MODULES,
+    ids=lambda p: p.name,
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used_names(tree)
@@ -117,3 +124,4 @@ def test_private_helpers_are_used_in_their_module(path):
 
 def test_the_rules_see_the_package():
     assert {"scalars.py", "vogt.py", "normability.py"} <= {m.name for m in MODULES}
+    assert {"test_hygiene.py", "test_jsonio.py"} <= {m.name for m in TEST_MODULES}

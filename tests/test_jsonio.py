@@ -9,7 +9,6 @@ import pytest
 from bapkit import (
     CustomLevel,
     CustomSeminorms,
-    DiagnosticVerdict,
     FiniteRankOperator,
     InputError,
     KoetheSeminorms,
@@ -31,7 +30,6 @@ from bapkit import (
     injective_extension_test,
     norm_positivity_check,
     nuclearity_certificate,
-    unit_vector,
     vector_from_dense,
     verify_reconstruction,
     witness_evidence,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bapkit import (
-    ConstructionSoundnessError,
     ContinuousNormError,
     DegenerateInputError,
     DomainError,
@@ -18,6 +17,7 @@ from bapkit import (
     LevelError,
     MaxPrefixSeminorms,
     SingleBox,
+    Tolerances,
     ZeroOperatorError,
     accumulate,
     build_schedule,
@@ -343,3 +343,40 @@ def test_tag_bookkeeping_of_decompositions():
     decomp = ComplementDecomposition(((0, (e1,)),))
     assert decomp.adapted_basis == (e1,)
     assert decomp.tag_of_position(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# a custom Tolerances reaches every kernel and constant decision of the pipeline
+
+FINE = Tolerances(rank=1e-12)
+
+
+def faint_system():
+    # level 1 weighs e2 by 1e-10, under the default rank tolerance of 1e-9
+    return KoetheSeminorms(((1, 1e-10), (1, 1)), BOX2, "float")
+
+
+def test_smallest_norm_level_prunes_at_the_given_rank_tolerance():
+    eye = FiniteRankOperator.identity(BOX2, "float")
+    assert smallest_norm_level(eye, faint_system()) == 2
+    assert smallest_norm_level(eye, faint_system(), tol=FINE) == 1
+
+
+def test_kernel_filtration_prunes_at_the_given_rank_tolerance():
+    eye = FiniteRankOperator.identity(BOX2, "float")
+    assert [len(b) for b in kernel_filtration(eye, faint_system(), [1])] == [1]
+    assert [len(b) for b in kernel_filtration(eye, faint_system(), [1], tol=FINE)] == [0]
+
+
+def test_rank_one_split_prunes_at_the_given_rank_tolerance():
+    eye = FiniteRankOperator.identity(BOX2, "float")
+    assert rank_one_split(eye, faint_system()).norm_grading == (1, 2)
+    split = rank_one_split(eye, faint_system(), tol=FINE)
+    assert split.norm_grading == (1,)
+    assert split.control_constant == pytest.approx(1.0)
+
+
+def test_build_schedule_prunes_at_the_given_rank_tolerance():
+    eye = FiniteRankOperator.identity(BOX2, "float")
+    assert build_schedule([eye], faint_system()).working_levels == (2,)
+    assert build_schedule([eye], faint_system(), tol=FINE).working_levels == (1,)

@@ -1,5 +1,6 @@
 """Exact polytope suprema and the graded operator norms built on them."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,9 +23,11 @@ from bapkit import (
     rank_one_family_constant,
     vector_from_dense,
 )
-from bapkit.linalg import mat_mul, mat_vec, nullspace, rank, transpose
-from bapkit.polyhedral import DEFAULT_CAP, comparison_level
-from bapkit.scalars import approx_equal, as_scalar, negligible, rank_tol
+from bapkit.linalg import mat_mul, mat_vec, nullspace, rank, solve, transpose
+from bapkit.polyhedral import DEFAULT_CAP, _objective_at, _sparse_rows, comparison_level
+from bapkit.scalars import approx_equal, as_scalar, negligible, random_scalar, rank_tol
+from bapkit.seminorms import level_matrix
+from bapkit.spaces import unit_vector
 
 F = Fraction
 
@@ -270,7 +273,8 @@ def random_ball(mode, rng):
     base = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
 
     def combination():
-        return [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(dim)]
+        weights = [rng.randint(-2, 2) for _ in base]
+        return [sum(w * b[j] for w, b in zip(weights, base)) for j in range(dim)]
 
     g = [combination() for _ in range(rng.randint(1, 4))] + [[0] * dim] * rng.randint(0, 1)
     pieces = [
@@ -324,3 +328,141 @@ def test_polyhedral_sup_does_not_depend_on_the_kernel_complement(mode, seed):
         assert actual == expected
     else:
         assert approx_equal(actual, expected, "float")
+
+
+# ---------------------------------------------------------------------------
+# the closed form for square sum balls and the sparse objective pieces
+# against a test-local vertex enumeration over dense rows
+
+
+def dense_objective(pieces, c):
+    best = []
+    for rows, combiner in pieces:
+        values = [abs(x) for x in mat_vec(rows, c)]
+        best.append(sum(values) if combiner == "sum" else max(values, default=0))
+    return max(best)
+
+
+def enumerated_sup(dim, g, combiner, pieces, mode):
+    """The sup by vertex enumeration in the original coordinates, r = rank G.
+
+    sum: one vertex per (r-1)-subset of rows whose common kernel is one line
+    beyond ker G, scaled to |G c|_1 = 1; max: one candidate per r-subset of
+    rank r and sign pattern, kept when every row stays within 1.  The
+    objective vanishes on ker G, so any representative of a vertex will do.
+    """
+    tol = rank_tol(mode)
+    kernel = nullspace(g, dim, tol)
+    for kv in kernel:
+        for orows, _ in pieces:
+            if any(not negligible(x, tol) for x in mat_vec(orows, kv)):
+                raise UnboundedSeminormError("objective does not vanish on the kernel")
+    r = dim - len(kernel)
+    candidates = []
+    if combiner == "sum":
+        for subset in itertools.combinations(range(len(g)), r - 1) if r else ():
+            line = nullspace([g[i] for i in subset], dim, tol)
+            if len(line) != len(kernel) + 1:
+                continue
+            for v in line:
+                total = sum(abs(x) for x in mat_vec(g, v))
+                if not negligible(total, tol):
+                    candidates.append([x / total for x in v])
+                    break
+    else:
+        for subset in itertools.combinations(range(len(g)), r):
+            sub = [g[i] for i in subset]
+            if rank(sub, tol) < r:
+                continue
+            for signs in itertools.product((1, -1), repeat=r):
+                c = solve(sub, [as_scalar(s, mode) for s in signs], tol)
+                if c is not None and all(abs(x) <= 1 + (tol or 0) for x in mat_vec(g, c)):
+                    candidates.append(c)
+    return max((dense_objective(pieces, c) for c in candidates), default=as_scalar(0, mode))
+
+
+def assert_agrees(actual, expected, mode):
+    if mode == "rational":
+        assert actual == expected
+    else:
+        assert approx_equal(actual, expected, "float")
+
+
+def random_sum_ball(mode, rng, square):
+    """A sum ball of rank r on 1..5 coordinates with 1..3 objective pieces that
+    vanish on its kernel.  square: exactly r rows, independent, so the ball is
+    square once restricted to its pivot columns; otherwise 1..3 extra rows
+    that combine the base rows, so the enumeration path runs."""
+    dim = rng.randint(1, 5)
+    while True:
+        r = rng.randint(1, dim)
+        base = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(dim)] for _ in range(r)]
+        if rank(typed_rows(base, "rational")) == r:
+            break
+
+    def combination():
+        weights = [rng.randint(-2, 2) for _ in base]
+        return [sum(w * b[j] for w, b in zip(weights, base)) for j in range(dim)]
+
+    g = base if square else base + [combination() for _ in range(rng.randint(1, 3))]
+    rng.shuffle(g)
+    pieces = [
+        ([combination() for _ in range(rng.randint(1, 3))], rng.choice(("sum", "max")))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return dim, typed_rows(g, mode), [(typed_rows(rs, mode), c) for rs, c in pieces]
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "non-square"])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_sum_ball_sup_matches_vertex_enumeration(square, mode, seed):
+    dim, g, pieces = random_sum_ball(mode, random.Random(seed), square)
+    actual = polyhedral_sup(dim, g, "sum", pieces, mode)
+    assert_agrees(actual, enumerated_sup(dim, g, "sum", pieces, mode), mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["koethe", "max-prefix", "custom"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_graded_operator_norm_matches_vertex_enumeration(kind, mode, seed):
+    rng = random.Random(seed)
+    system = random_system(kind, mode, rng)
+    op = random_family(mode, rng)[0]
+    to_level = rng.randint(1, system.level_count)
+    from_level = rng.randint(1, system.level_count)
+    basis = [unit_vector(system.box, mode, idx) for idx in system.box.indices()]
+    images = [op.apply(v) for v in basis]
+    g = level_matrix(system, from_level, basis)
+    pieces = [(level_matrix(system, to_level, images), system.combiner(to_level))]
+    try:
+        expected = enumerated_sup(3, g, system.combiner(from_level), pieces, mode)
+    except UnboundedSeminormError:
+        with pytest.raises(UnboundedSeminormError):
+            graded_operator_norm(system, to_level, from_level, op)
+        return
+    assert_agrees(graded_operator_norm(system, to_level, from_level, op), expected, mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_sparse_objective_matches_dense_rows(mode, seed):
+    # bit-equal in float mode too: only exact zero terms are left out, and
+    # the rest are summed in column order
+    rng = random.Random(seed)
+    dim = rng.randint(1, 6)
+
+    def entry():
+        return as_scalar(rng.choice((0, 0, 0, 1, -2, 3)), mode) / as_scalar(rng.randint(1, 7), mode)
+
+    pieces = [
+        ([[entry() for _ in range(dim)] for _ in range(rng.randint(1, 4))], rng.choice(("sum", "max")))
+        for _ in range(rng.randint(1, 3))
+    ]
+    # zeros in c as well: vertices of square balls are often sparse
+    c = [random_scalar(rng, mode) if rng.random() < 0.7 else as_scalar(0, mode) for _ in range(dim)]
+    sparse = [(_sparse_rows(rows), combiner) for rows, combiner in pieces]
+    assert _objective_at(sparse, c) == dense_objective(pieces, c)
