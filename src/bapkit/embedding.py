@@ -22,7 +22,7 @@ from .errors import (
     LevelError,
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
-from .polyhedral import comparison_level
+from .polyhedral import DEFAULT_CAP, comparison_level
 from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, is_zero, leq, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
@@ -145,7 +145,7 @@ def certify_equicontinuity(
     rng: random.Random | None = None,
     sample_count: int = 25,
     factor: int = 5,
-    cap: int = 200_000,
+    cap: int = DEFAULT_CAP,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquicontinuityCertificate:
     """Exact M_k per position, then a sampled check of the two-sided bound.

@@ -5,13 +5,14 @@ is exact, which is the whole point of rational mode; with a tolerance,
 pivots are chosen by largest absolute value and entries below the threshold
 count as zero.
 
-Sparse rows are dicts {column: value} holding only the nonzero entries.
+Sparse rows are dicts {column: value} of the nonzero entries in increasing
+column order, the one format of functional rows (seminorms.level_rows).
 sparse_rank eliminates them one row at a time against a table of pivot
 rows keyed by their lowest column, so its cost follows the nonzeros and
 the fill, not rows x columns.  Functional rows of the built-in seminorm
 kinds carry one or two nonzeros each, where the dense routines would pay
-for the whole square.  The dense routines stay as the general tools and as
-the test oracle for the sparse path.
+for the whole square.  The dense routines, fed through dense_rows, stay as
+the general tools and as the test oracle for the sparse path.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ def _mode(tol) -> str:
 
 def clone(rows) -> list[list]:
     return [list(r) for r in rows]
+
+
+def dense_rows(rows, ncols: int, mode: str) -> list[list]:
+    """Sparse rows {column: value} as dense rows of ncols entries."""
+    z = zero(mode)
+    return [[row.get(j, z) for j in range(ncols)] for row in rows]
 
 
 def row_echelon(rows, tol=None) -> tuple[list[list], list[int]]:

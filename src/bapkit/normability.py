@@ -20,7 +20,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .operators import accumulate
-from .polyhedral import comparison_level
+from .polyhedral import DEFAULT_CAP, comparison_level
 from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, leq, random_scalar, zero
 from .seminorms import SeminormSystem, SupPartialSumSeminorms
 from .spaces import vector_from_dense
@@ -294,7 +294,7 @@ def basis_sup_norms(
     rng: random.Random | None = None,
     sample_count: int = 20,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    cap: int = 200_000,
+    cap: int = DEFAULT_CAP,
 ) -> NormedBasisReport:
     """Upgrade a graded system along a basis-like family of projections.
 

@@ -36,7 +36,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .linalg import column_space_basis, in_span, invert, mat_mul, rank
-from .polyhedral import rank_one_family_constant
+from .polyhedral import DEFAULT_CAP, rank_one_family_constant
 from .scalars import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -361,7 +361,7 @@ def rank_one_split(
     op: FiniteRankOperator,
     system: SeminormSystem,
     control_levels=None,
-    cap: int = 200_000,
+    cap: int = DEFAULT_CAP,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RankOneSplit:
     if op.rank == 0 or op.is_zero():
@@ -588,7 +588,7 @@ def build_schedule(
     system: SeminormSystem,
     rng: random.Random | None = None,
     prefix_samples: int = 50,
-    cap: int = 200_000,
+    cap: int = DEFAULT_CAP,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScheduledFamily:
     """Full pipeline: renumber, split, damp, replicate, flatten.

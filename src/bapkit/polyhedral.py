@@ -19,9 +19,9 @@ is picking its pivot-column entries.  The vertices are exact:
   * max combiner: each vertex solves a d-subset of rows against a sign
     pattern, kept when it satisfies every remaining row.
 
-Objective rows are kept as their nonzero (column, value) pairs in column
-order and evaluated over the pairs where the vertex is nonzero too; leaving
-out exact zeros keeps float sums bit-equal to the dense products.
+Rows come sparse from seminorms.level_rows; constraint rows are made dense
+once for the elimination, and objective rows are summed in column order over
+the vertex's nonzeros, so float sums are bit-equal to the dense products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
 enumeration, and in float mode the documented fallback is a sampled lower
 bound inflated by (1 + opnorm_safety).
@@ -34,9 +34,11 @@ import math
 import random
 
 from .errors import ComputationCapError, UnboundedSeminormError
-from .linalg import echelon_nullspace, invert, mat_vec, nullspace, rank, row_echelon, solve
+from .linalg import (
+    dense_rows, echelon_nullspace, invert, mat_vec, nullspace, rank, row_echelon, solve
+)
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
-from .seminorms import SUM, SeminormSystem, level_matrix
+from .seminorms import SUM, SeminormSystem, level_rows
 from .spaces import unit_vector
 
 DEFAULT_CAP = 200_000
@@ -49,11 +51,6 @@ def _combine(values, combiner):
     return sum(vals) if combiner == SUM else max(vals)
 
 
-def _sparse_rows(rows):
-    """Each row as the (column, value) pairs of its nonzeros, in column order."""
-    return [[(j, x) for j, x in enumerate(r) if x] for r in rows]
-
-
 def _nonzeros(c):
     """The vector c as {column: value} over its nonzero entries."""
     return {j: x for j, x in enumerate(c) if x}
@@ -62,11 +59,11 @@ def _nonzeros(c):
 def _row_values(rows, live):
     """Sparse rows applied to the vector with nonzeros live.
 
-    Each sum runs in column order over the pairs whose column is live; every
+    Each sum runs in column order over the columns that are live; every
     term left out is an exact zero, so float sums are bit-equal to the dense
     products.
     """
-    return (sum(x * live[j] for j, x in row if j in live) for row in rows)
+    return (sum(x * live[j] for j, x in row.items() if j in live) for row in rows)
 
 
 def _objective_at(pieces, c):
@@ -91,16 +88,18 @@ def polyhedral_sup(
 ):
     """sup of max_i combiner_i|R_i c| over {c : combiner|G c| <= 1}.
 
+    Rows of G and R_i are sparse, {column: value} with columns below dim;
+    objective_pieces is a list of (R_i, combiner_i).
     Raises UnboundedSeminormError when the objective does not vanish on the
     constraint family's kernel (the sup is then infinite on the box).
     """
     ftol = rank_tol(mode, tol)
-    rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r)]
+    rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r.values())]
+    rows = dense_rows(rows, dim, mode)
     ech, pivots = row_echelon(rows, ftol)
-    sparse = [(_sparse_rows(orows), comb) for orows, comb in objective_pieces]
     for kv in echelon_nullspace(ech, pivots, dim, ftol):
         live = _nonzeros(kv)
-        for orows, _ in sparse:
+        for orows, _ in objective_pieces:
             if any(not negligible(x, ftol) for x in _row_values(orows, live)):
                 raise UnboundedSeminormError(
                     "objective does not vanish on the constraint kernel"
@@ -112,8 +111,8 @@ def polyhedral_sup(
     g2 = [r for r in g2 if any(not negligible(x, ftol) for x in r)]
     position = {j: k for k, j in enumerate(pivots)}
     pieces2 = [
-        ([[(position[j], x) for j, x in r if j in position] for r in orows], comb)
-        for orows, comb in sparse
+        ([{position[j]: x for j, x in r.items() if j in position} for r in orows], comb)
+        for orows, comb in objective_pieces
     ]
     m = len(g2)
     if constraint_combiner == SUM:
@@ -190,12 +189,12 @@ def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, ca
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
     """
     pieces = [
-        (level_matrix(system, to_level, images, tol), system.combiner(to_level))
+        (level_rows(system, to_level, images, tol), system.combiner(to_level))
         for images in image_lists
     ]
     return polyhedral_sup(
         len(domain_basis),
-        level_matrix(system, from_level, domain_basis, tol),
+        level_rows(system, from_level, domain_basis, tol),
         system.combiner(from_level),
         pieces,
         system.mode,

@@ -35,7 +35,7 @@ from .errors import (
     LevelError,
     ModeError,
 )
-from .linalg import independent, nullspace
+from .linalg import dense_rows, independent, nullspace
 from .scalars import (
     DEFAULT_TOLERANCES,
     RATIONAL,
@@ -516,7 +516,7 @@ def level_rows(
     follows the nonzeros.  Every f_i(v_j) is summed in functional order from
     zero(mode), exactly as apply_functional does, and exact zeros are left
     out.  A row is kept when one entry is nonzero, beyond tol.rank in float
-    mode.
+    mode, and lists its columns j in increasing order (linalg's sparse row).
     """
     ftol = rank_tol(system.mode, tol)
     z = zero(system.mode)
@@ -531,7 +531,7 @@ def level_rows(
             for j, val in meets.get(idx, ()):
                 row[j] = row.get(j, z) + coeff * val
         if any(not negligible(c, ftol) for c in row.values()):
-            rows.append({j: c for j, c in row.items() if c != 0})
+            rows.append({j: row[j] for j in sorted(row) if row[j] != 0})
     return rows
 
 
@@ -541,12 +541,5 @@ def level_matrix(
     basis: Sequence[TruncatedVector],
     tol: Tolerances = DEFAULT_TOLERANCES,
 ):
-    """level_rows densified: rows f_i(v_j) of level k, zero rows pruned."""
-    z = zero(system.mode)
-    out = []
-    for row in level_rows(system, k, basis, tol):
-        dense = [z] * len(basis)
-        for j, c in row.items():
-            dense[j] = c
-        out.append(dense)
-    return out
+    """level_rows as dense rows, for dense elimination."""
+    return dense_rows(level_rows(system, k, basis, tol), len(basis), system.mode)

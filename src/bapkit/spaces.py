@@ -202,4 +202,5 @@ def vector_from_dense(box: Box, mode: str, coords: Iterable) -> TruncatedVector:
     coords = list(coords)
     if len(coords) != box.dimension:
         raise DomainError(f"expected {box.dimension} coordinates, got {len(coords)}")
-    return TruncatedVector.create(box, mode, zip(box.indices(), coords))
+    pairs = zip(box.indices(), (as_scalar(x, mode) for x in coords))
+    return TruncatedVector(box, mode, tuple((idx, x) for idx, x in pairs if x != 0))

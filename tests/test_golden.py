@@ -2,7 +2,9 @@
 
 Each case builds the document for suite `all` at the default config, drops
 the `generated_at` stamp and compares the SHA-256 of its canonical text
-with a constant recorded from a known-good build.  A change to any
+with a constant recorded from a known-good build.  Three larger cases pin
+the benchmark shapes at seed 0: a rational Vogt box 8 x 4 x 6, the rational
+Pelczynski schedule of dimension 10 and every suite in float mode.  A change to any
 certificate, to the codec or to the sampled checks' random draws shows up
 here as a hash mismatch.
 """
@@ -31,6 +33,43 @@ GOLDEN = {
     ("table", "float"): "de6ee64b68016958f9f2a844cd1026d1a5002b348d1d70c69e879400371cc7d4",
 }
 
+# the benchmark shapes at seed 0, merged over the default config
+SCALED = {
+    "vogt-8x4x6-rational": (
+        {
+            "suite": "vogt",
+            "mode": "rational",
+            "vogt": {"rho": "dyadic", "n_max": 8, "mu_max": 4, "nu_max": 6, "level_count": 4},
+        },
+        "63962c448813b1d9eeabe85fc03744ac58003646105ac04f0cca0b09e5b08ad4",
+    ),
+    "pelczynski-10-rational": (
+        {"suite": "pelczynski", "mode": "rational", "pelczynski": {"dimension": 10}},
+        "7ee206c199e9e4afed0d3be7ccd2b6088d6b968a67e8d311f7f2077c439bb144",
+    ),
+    "all-float": (
+        {
+            "suite": "all",
+            "mode": "float",
+            "vogt": {
+                "rho": THIRD_TABLE,
+                "n_max": 10,
+                "mu_max": 5,
+                "nu_max": 6,
+                "level_count": 4,
+            },
+            "pelczynski": {"dimension": 10},
+            "normability": {"dimension": 12, "families": 500},
+        },
+        "fc244bc76757d8fc9aee5c5072908c1c7f5fb06fc31b31a04425d49249e49226",
+    ),
+}
+
+
+def _sha256(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def documents():
@@ -48,8 +87,17 @@ def documents():
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_document_matches_golden_hash(documents, case):
-    text = json.dumps(documents[case], sort_keys=True, indent=2)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[case]
+    assert _sha256(documents[case]) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(SCALED))
+def test_benchmark_shape_matches_golden_hash(case):
+    override, expected = SCALED[case]
+    cfg = cli._merge_config(copy.deepcopy(cli._DEFAULTS), override)
+    cli._validate_config(cfg)
+    doc = cli.build_document(cfg)
+    del doc["generated_at"]
+    assert _sha256(doc) == expected
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bapkit.linalg import (
     column_space_basis,
+    dense_rows,
     in_span,
     independent,
     invert,
@@ -162,3 +163,15 @@ def test_sparse_rank_float_tolerance_treats_noise_as_zero():
     assert sparse_rank(rows, 1e-9) == 1
     assert sparse_rank(rows, None) == 2
     assert sparse_rank([{0: 1e-12}], 1e-9) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(sparse_fractions))
+def test_dense_rows_undo_the_sparse_form(rows):
+    assert dense_rows(sparse(rows), len(rows[0]), "rational") == rows
+
+
+def test_dense_rows_fill_typed_zeros():
+    assert dense_rows([{1: F(2)}, {}], 3, "rational") == [[F(0), F(2), F(0)], [F(0)] * 3]
+    got = dense_rows([{0: 1.5}], 2, "float")
+    assert got == [[1.5, 0.0]] and type(got[0][1]) is float

@@ -24,7 +24,7 @@ from bapkit import (
     vector_from_dense,
 )
 from bapkit.linalg import mat_mul, mat_vec, nullspace, rank, solve, transpose
-from bapkit.polyhedral import DEFAULT_CAP, _objective_at, _sparse_rows, comparison_level
+from bapkit.polyhedral import DEFAULT_CAP, _objective_at, comparison_level
 from bapkit.scalars import approx_equal, as_scalar, negligible, random_scalar, rank_tol
 from bapkit.seminorms import level_matrix
 from bapkit.spaces import unit_vector
@@ -32,8 +32,17 @@ from bapkit.spaces import unit_vector
 F = Fraction
 
 
+def sparse(dense):
+    """Dense rows as linalg's sparse rows {column: value}, zeros left out."""
+    return [{j: x for j, x in enumerate(r) if x != 0} for r in dense]
+
+
+def sparse_pieces(pieces):
+    return [(sparse(rs), combiner) for rs, combiner in pieces]
+
+
 def rows(*rs):
-    return [[F(v) for v in r] for r in rs]
+    return sparse([[F(v) for v in r] for r in rs])
 
 
 def test_hexagon_ball_oracle():
@@ -88,17 +97,17 @@ def test_cap_guards_rational_enumeration():
 def test_float_fallback_under_cap_stays_near_the_exact_value():
     g = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
     exact = polyhedral_sup(
-        2, g, "max", [([[1.0, 1.0]], "sum")], "float"
+        2, sparse(g), "max", [(sparse([[1.0, 1.0]]), "sum")], "float"
     )
     sampled = polyhedral_sup(
-        2, g, "max", [([[1.0, 1.0]], "sum")], "float", cap=3, samples=2000
+        2, sparse(g), "max", [(sparse([[1.0, 1.0]]), "sum")], "float", cap=3, samples=2000
     )
     assert 0 < sampled <= exact * (1 + 1e-5)
 
 
 def test_float_fallback_inflates_by_the_given_safety_factor():
-    g = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
-    objective = [([[1.0, 1.0]], "sum")]
+    g = sparse([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]])
+    objective = [(sparse([[1.0, 1.0]]), "sum")]
     default = polyhedral_sup(2, g, "max", objective, "float", cap=3, samples=200)
     wide = polyhedral_sup(
         2, g, "max", objective, "float", tol=Tolerances(opnorm_safety=0.5), cap=3, samples=200
@@ -307,7 +316,11 @@ def sup_through_complement(dim, g, combiner, pieces, mode, rng):
         pytest.fail("no random complement of the kernel found")
     cols = transpose(comp)
     return polyhedral_sup(
-        len(comp), mat_mul(g, cols), combiner, [(mat_mul(r, cols), c) for r, c in pieces], mode
+        len(comp),
+        sparse(mat_mul(g, cols)),
+        combiner,
+        [(sparse(mat_mul(r, cols)), c) for r, c in pieces],
+        mode,
     )
 
 
@@ -321,9 +334,9 @@ def test_polyhedral_sup_does_not_depend_on_the_kernel_complement(mode, seed):
         expected = sup_through_complement(dim, g, combiner, pieces, mode, rng)
     except UnboundedSeminormError:
         with pytest.raises(UnboundedSeminormError):
-            polyhedral_sup(dim, g, combiner, pieces, mode)
+            polyhedral_sup(dim, sparse(g), combiner, sparse_pieces(pieces), mode)
         return
-    actual = polyhedral_sup(dim, g, combiner, pieces, mode)
+    actual = polyhedral_sup(dim, sparse(g), combiner, sparse_pieces(pieces), mode)
     if mode == "rational":
         assert actual == expected
     else:
@@ -419,7 +432,7 @@ def random_sum_ball(mode, rng, square):
 @given(seed=st.integers(0, 2**32))
 def test_sum_ball_sup_matches_vertex_enumeration(square, mode, seed):
     dim, g, pieces = random_sum_ball(mode, random.Random(seed), square)
-    actual = polyhedral_sup(dim, g, "sum", pieces, mode)
+    actual = polyhedral_sup(dim, sparse(g), "sum", sparse_pieces(pieces), mode)
     assert_agrees(actual, enumerated_sup(dim, g, "sum", pieces, mode), mode)
 
 
@@ -464,5 +477,4 @@ def test_sparse_objective_matches_dense_rows(mode, seed):
     ]
     # zeros in c as well: vertices of square balls are often sparse
     c = [random_scalar(rng, mode) if rng.random() < 0.7 else as_scalar(0, mode) for _ in range(dim)]
-    sparse = [(_sparse_rows(rows), combiner) for rows, combiner in pieces]
-    assert _objective_at(sparse, c) == dense_objective(pieces, c)
+    assert _objective_at(sparse_pieces(pieces), c) == dense_objective(pieces, c)

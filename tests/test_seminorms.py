@@ -459,3 +459,32 @@ def test_level_rows_drop_cancelled_entries():
     assert level_matrix(system, 1, [flat, tilted]) == [[F(0), F(1)], [F(0), F(4)]]
     # the first functional kills the flat vector, so alone it has no row
     assert level_rows(system, 1, [flat]) == []
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_level_rows_list_their_columns_in_increasing_order(mode, seed):
+    # a two-pair functional over a permuted basis meets its columns out of
+    # order; the sparse objective sums of polyhedral_sup run in column order
+    rng = random.Random(seed)
+    box = SingleBox(4)
+    levels = tuple(
+        CustomLevel(
+            tuple(
+                tuple((j, rng.choice((1, -1, 2, F(1, 3)))) for j in rng.sample((1, 2, 3, 4), 2))
+                for _ in range(rng.randint(1, 3))
+            ),
+            rng.choice(("sum", "max")),
+        )
+        for _ in range(rng.randint(1, 3))
+    )
+    custom = CustomSeminorms(levels, box, mode)
+    basis = [unit_vector(box, mode, idx) for idx in box.indices()]
+    rng.shuffle(basis)
+    cases = [(custom, basis), (custom, random_basis(box, mode, rng))]
+    cases += [(system, random_basis(system.box, mode, rng)) for system in oracle_systems(mode)]
+    for system, vectors in cases:
+        for k in range(1, system.level_count + 1):
+            for row in level_rows(system, k, vectors):
+                assert list(row) == sorted(row)
