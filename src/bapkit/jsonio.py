@@ -21,6 +21,7 @@ objects produce identical text.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -89,6 +90,15 @@ class Record:
         self.cls, self.build, self.attrs, self.fields = cls, build, attrs or {}, fields
 
 
+def _operator(get) -> FiniteRankOperator:
+    """from_matrix checks the matrix; the declared range basis is kept, not re-derived."""
+    box, mode, basis = get("box"), get("mode"), get("range_basis")
+    if not all(isinstance(v, TruncatedVector) and (v.box, v.mode) == (box, mode) for v in basis):
+        raise InputError("range basis vectors must live on the operator's box and mode")
+    op = FiniteRankOperator.from_matrix(box, mode, get("matrix"), get("label"))
+    return dataclasses.replace(op, range_basis=basis)
+
+
 # (index, value) entries of a vector or functional; a triple index is a three-element list
 PAIRS = Seq(Row(PLAIN, SCALAR))
 
@@ -120,6 +130,7 @@ KINDS = {
     "sup-partial-system": Record(SupPartialSumSeminorms, base=OBJ, operators=Seq(OBJ)),
     "operator": Record(
         FiniteRankOperator,
+        build=_operator,
         box=OBJ, mode=RAW, matrix=Seq(Seq(SCALAR)), range_basis=Seq(OBJ), label=RAW,
     ),
     "complement-decomposition": Record(ComplementDecomposition, blocks=Seq(Row(RAW, Seq(OBJ)))),

@@ -14,6 +14,9 @@ graded seminorm system:
      running prefixes stay within twice the seminorm of the input;
   5. flatten every block, composing with its A_p, into one rank-one
      schedule whose total equals the total of the original family.
+
+An operator stores its columns, the sparse images of the unit vectors, and
+works column by column; FiniteRankOperator.matrix is a derived dense view.
 """
 
 from __future__ import annotations
@@ -46,15 +49,14 @@ from .scalars import (
     leq,
     random_scalar,
     rank_tol,
-    zero,
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
-from .spaces import Box, TruncatedVector, vector_from_dense, zero_vector
+from .spaces import Box, TruncatedVector, linear_combination, vector_from_dense, zero_vector
 
 
 @dataclass(frozen=True)
 class FiniteRankOperator:
-    """Dense coordinate matrix on a box plus a basis of its column space.
+    """Sparse columns on a box (for g (x) f, the columns f_c * g) plus a range basis.
 
     range_basis is derived deterministically (pivot columns) by the public
     constructors, so span(range_basis) always equals the column space and
@@ -63,9 +65,16 @@ class FiniteRankOperator:
 
     box: Box
     mode: str
-    matrix: tuple  # row-major, box.dimension square
+    columns: tuple  # one TruncatedVector per box coordinate, in box order
     range_basis: tuple = ()
     label: str = ""
+
+    @staticmethod
+    def _of_columns(box: Box, mode: str, columns, label: str = "") -> "FiniteRankOperator":
+        """Operator from columns that are already vectors on box in mode; trusted."""
+        columns = tuple(columns)
+        pivots = column_space_basis(list(zip(*(c.dense() for c in columns))), rank_tol(mode))
+        return FiniteRankOperator(box, mode, columns, tuple(columns[c] for c in pivots), label)
 
     @staticmethod
     def from_matrix(box: Box, mode: str, rows, label: str = "") -> "FiniteRankOperator":
@@ -73,12 +82,8 @@ class FiniteRankOperator:
         d = box.dimension
         if len(rows) != d or any(len(r) != d for r in rows):
             raise InputError(f"matrix must be {d}x{d} for this box")
-        coerced = tuple(tuple(as_scalar(v, mode) for v in r) for r in rows)
-        pivots = column_space_basis([list(r) for r in coerced], rank_tol(mode))
-        basis = tuple(
-            vector_from_dense(box, mode, [coerced[r][c] for r in range(d)]) for c in pivots
-        )
-        return FiniteRankOperator(box, mode, coerced, basis, label)
+        columns = [vector_from_dense(box, mode, [r[c] for r in rows]) for c in range(d)]
+        return FiniteRankOperator._of_columns(box, mode, columns, label)
 
     @staticmethod
     def identity(box: Box, mode: str, label: str = "identity") -> "FiniteRankOperator":
@@ -88,27 +93,30 @@ class FiniteRankOperator:
 
     @staticmethod
     def zero(box: Box, mode: str, label: str = "zero") -> "FiniteRankOperator":
-        d = box.dimension
-        return FiniteRankOperator.from_matrix(box, mode, [[0] * d] * d, label)
+        columns = [zero_vector(box, mode)] * box.dimension
+        return FiniteRankOperator._of_columns(box, mode, columns, label)
 
     @staticmethod
     def rank_one(
         output: TruncatedVector, functional_row, label: str = ""
     ) -> "FiniteRankOperator":
         """Operator x -> functional(x) * output; functional_row is dense."""
-        d = output.box.dimension
-        if len(functional_row) != d:
+        if len(functional_row) != output.box.dimension:
             raise InputError("functional row length must match the box dimension")
-        out = output.dense()
-        rows = [[out[r] * functional_row[c] for c in range(d)] for r in range(d)]
-        return FiniteRankOperator.from_matrix(output.box, output.mode, rows, label)
+        columns = [output.scale(f) for f in functional_row]
+        return FiniteRankOperator._of_columns(output.box, output.mode, columns, label)
+
+    @property
+    def matrix(self) -> tuple:
+        """Dense row-major view of the columns."""
+        return tuple(zip(*(c.dense() for c in self.columns)))
 
     @property
     def rank(self) -> int:
         return len(self.range_basis)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.matrix for v in r)
+        return all(c.is_zero() for c in self.columns)
 
     def _check_peer(self, other: "FiniteRankOperator") -> None:
         if self.box != other.box:
@@ -121,34 +129,27 @@ class FiniteRankOperator:
             raise DomainError("vector box does not match operator box")
         if x.mode != self.mode:
             raise ModeError("vector mode does not match operator mode")
-        out = [zero(self.mode)] * self.box.dimension
-        for idx, val in x.entries:
-            c = self.box.position(idx)
-            for r in range(self.box.dimension):
-                m = self.matrix[r][c]
-                if m != 0:
-                    out[r] += m * val
-        return vector_from_dense(self.box, self.mode, out)
+        position = self.box.position
+        terms = ((val, self.columns[position(idx)]) for idx, val in x.entries)
+        return linear_combination(self.box, self.mode, terms)
 
     def compose(self, other: "FiniteRankOperator", label: str = "") -> "FiniteRankOperator":
         self._check_peer(other)
-        rows = mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
-        return FiniteRankOperator.from_matrix(self.box, self.mode, rows, label)
+        columns = [self.apply(c) for c in other.columns]
+        return FiniteRankOperator._of_columns(self.box, self.mode, columns, label)
 
     def __add__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         self._check_peer(other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)
-        ]
-        return FiniteRankOperator.from_matrix(self.box, self.mode, rows)
+        columns = [a + b for a, b in zip(self.columns, other.columns)]
+        return FiniteRankOperator._of_columns(self.box, self.mode, columns)
 
     def __sub__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         return self + other.scale(-1)
 
     def scale(self, factor, label: str = "") -> "FiniteRankOperator":
         c = as_scalar(factor, self.mode)
-        rows = [[c * v for v in r] for r in self.matrix]
-        return FiniteRankOperator.from_matrix(self.box, self.mode, rows, label)
+        columns = [col.scale(c) for col in self.columns]
+        return FiniteRankOperator._of_columns(self.box, self.mode, columns, label)
 
     def approx_equal(
         self, other: "FiniteRankOperator", tol: Tolerances = DEFAULT_TOLERANCES
@@ -159,11 +160,9 @@ class FiniteRankOperator:
 
     def range_consistent(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         ftol = rank_tol(self.mode, tol)
-        rows = [list(r) for r in self.matrix]
-        if rank(rows, ftol) != len(self.range_basis):
+        if rank([list(r) for r in self.matrix], ftol) != len(self.range_basis):
             return False
-        cols = [[self.matrix[r][c] for r in range(self.box.dimension)]
-                for c in range(self.box.dimension)]
+        cols = [c.dense() for c in self.columns]
         basis_dense = [v.dense() for v in self.range_basis]
         return all(in_span(basis_dense, col, ftol) for col in cols) and all(
             in_span(cols, b, ftol) for b in basis_dense
@@ -549,17 +548,9 @@ def flatten_schedule(blocks) -> ScheduledFamily:
         adapted = block.split.decomposition.adapted_basis
         m = block.piece_count
         for i, c_op in enumerate(block.operators, start=1):
-            composed_rows = mat_mul(
-                [list(r) for r in c_op.matrix], [list(r) for r in source.matrix]
-            )
             b_vec = adapted[(i - 1) % m]
-            composed = FiniteRankOperator(
-                box,
-                mode,
-                tuple(tuple(v for v in r) for r in composed_rows),
-                (b_vec,),
-                label=f"schedule:p{p}:i{i}",
-            )
+            columns = tuple(c_op.apply(col) for col in source.columns)
+            composed = FiniteRankOperator(box, mode, columns, (b_vec,), f"schedule:p{p}:i{i}")
             operators.append(composed)
             structure.append((p, i))
             lead = b_vec.entries[0][1]

@@ -240,7 +240,7 @@ def comparison_level(
     when no level controls them all.
     """
     basis = [unit_vector(system.box, system.mode, idx) for idx in system.box.indices()]
-    image_lists = [[op.apply(v) for v in basis] for op in operators]
+    image_lists = [list(op.columns) for op in operators]
     for l in range(level, system.level_count + 1):
         try:
             return l, _graded_sup(system, level, l, basis, image_lists, tol, cap)

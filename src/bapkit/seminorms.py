@@ -22,10 +22,8 @@ Kinds:
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 from .errors import (
@@ -47,7 +45,7 @@ from .scalars import (
     rank_tol,
     zero,
 )
-from .spaces import Box, SingleBox, TripleBox, TruncatedVector
+from .spaces import Box, SingleBox, TripleBox, TruncatedVector, linear_combination
 
 SUM = "sum"
 MAX = "max"
@@ -451,23 +449,16 @@ class SupPartialSumSeminorms(SeminormSystem):
     def level_terms(self, k: int):
         """Base functionals composed with every partial sum; kernel-exact."""
         self.check_level(k)
-        dim = self.box.dimension
         order = list(self.box.indices())
         out = []
         partial = None
         for op in self.operators:
-            partial = op.matrix if partial is None else tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(partial, op.matrix)
-            )
+            partial = op.columns if partial is None else [
+                a + b for a, b in zip(partial, op.columns)
+            ]
             for pairs in self.base.level_terms(k):
-                row = [zero(self.mode)] * dim
-                for idx, coeff in pairs:
-                    r = self.box.position(idx)
-                    for j in range(dim):
-                        row[j] += coeff * partial[r][j]
-                sparse = tuple(
-                    (order[j], row[j]) for j in range(dim) if row[j] != 0
-                )
+                row = [apply_functional(pairs, column) for column in partial]
+                sparse = tuple((idx, v) for idx, v in zip(order, row) if v != 0)
                 if sparse:
                     out.append(sparse)
         return out
@@ -500,7 +491,7 @@ def seminorm_kernel_basis(
     if not independent([v.dense() for v in vectors], ftol):
         raise InputError("subspace basis is linearly dependent")
     coeffs = nullspace(level_matrix(system, k, vectors, tol), len(vectors), ftol)
-    return [reduce(operator.add, (v.scale(c) for c, v in zip(cs, vectors))) for cs in coeffs]
+    return [linear_combination(system.box, system.mode, zip(cs, vectors)) for cs in coeffs]
 
 
 def level_rows(

@@ -156,11 +156,8 @@ class TruncatedVector:
 
     def scale(self, factor) -> "TruncatedVector":
         c = as_scalar(factor, self.mode)
-        if c == 0:
-            return TruncatedVector(self.box, self.mode, ())
-        return TruncatedVector(
-            self.box, self.mode, tuple((idx, c * val) for idx, val in self.entries)
-        )
+        products = ((idx, c * val) for idx, val in self.entries)
+        return TruncatedVector(self.box, self.mode, tuple(p for p in products if p[1] != 0))
 
     def __neg__(self) -> "TruncatedVector":
         return self.scale(-1)
@@ -187,6 +184,13 @@ class TruncatedVector:
         self._check_peer(other)
         keys = set(self.support) | set(other.support)
         return all_approx_equal([(self.get(k), other.get(k)) for k in keys], self.mode, tol)
+
+
+def linear_combination(box: Box, mode: str, terms: Iterable) -> TruncatedVector:
+    """sum c * v over (c, v) terms of vectors on box in mode; each coordinate in term order."""
+    return _canonical(
+        box, mode, ((idx, c * val) for c, v in terms if c != 0 for idx, val in v.entries)
+    )
 
 
 def zero_vector(box: Box, mode: str) -> TruncatedVector:

@@ -1,13 +1,15 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Four rules: no module imports a name it never uses (`__init__` exists to
+Five rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
 because float-mode comparisons take their slack from `scalars.Tolerances`
-through the helpers there, and every private module-level function or class
+through the helpers there, every private module-level function or class
 is used in its own module outside its own body, because no other module may
-call it and an unused one is dead code.
+call it and an unused one is dead code, and no module outside `operators`
+reads a `.matrix` attribute, because an operator stores its columns and its
+dense matrix is a derived view that stays behind that one module.
 """
 
 import ast
@@ -120,6 +122,17 @@ def test_private_helpers_are_used_in_their_module(path):
         and everywhere.get(node.name, 0) == _name_counts(node).get(node.name, 0)
     ]
     assert not orphans, f"private helpers unused in their module: {orphans}"
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "operators.py"], ids=lambda p: p.name)
+def test_only_operators_reads_the_dense_matrix(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    ]
+    assert not reads, f"operators store columns; read those, not .matrix: {reads}"
 
 
 def test_the_rules_see_the_package():

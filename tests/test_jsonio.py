@@ -104,7 +104,7 @@ def test_operator_roundtrip_preserves_declared_range_basis():
     assert roundtrip(op) == op
     # a schedule operator carries a range basis that from_matrix would not pick
     override = FiniteRankOperator(
-        box, "rational", op.matrix, (vector_from_dense(box, "rational", [F(1), F(2)]),), "b"
+        box, "rational", op.columns, (vector_from_dense(box, "rational", [F(1), F(2)]),), "b"
     )
     decoded = roundtrip(override)
     assert decoded.range_basis == override.range_basis
@@ -232,6 +232,21 @@ def _vector_data(entries, mode="rational"):
     return {"kind": "vector", "box": {"kind": "single-box", "d": 2}, "mode": mode, "entries": entries}
 
 
+def _operator_data(matrix, basis_box=None, basis_mode="rational"):
+    """A rational operator record on a d = 2 box with one declared range basis vector."""
+    basis = _vector_data([[1, 1]], mode=basis_mode)
+    if basis_box is not None:
+        basis["box"] = basis_box
+    return {
+        "kind": "operator",
+        "box": {"kind": "single-box", "d": 2},
+        "mode": "rational",
+        "matrix": matrix,
+        "range_basis": [basis],
+        "label": "a",
+    }
+
+
 def _custom_data(levels):
     return {
         "kind": "custom-system",
@@ -279,6 +294,12 @@ MALFORMED = [
                       "details": [["a"]]}, ValueError),
     ("string-box-bound", {"kind": "single-box", "d": "x"}, TypeError),
     ("unhashable-kind", {"kind": []}, TypeError),
+    ("operator-matrix-not-square-for-box", _operator_data([[1]]), InputError),
+    ("operator-ragged-matrix", _operator_data([[1, 0], [1]]), InputError),
+    ("operator-range-basis-on-another-box",
+     _operator_data([[1, 0], [0, 0]], basis_box={"kind": "single-box", "d": 3}), InputError),
+    ("operator-range-basis-in-another-mode",
+     _operator_data([[1, 0], [0, 0]], basis_mode="float"), InputError),
     ("sup-system-without-operators", {
         "kind": "sup-partial-system",
         "base": {"kind": "max-prefix-system", "box": {"kind": "single-box", "d": 2},
@@ -293,6 +314,12 @@ def test_malformed_input_raises_pinned_type(data, error):
     with pytest.raises(error) as info:
         jsonio.decode(data)
     assert type(info.value) is error
+
+
+def test_well_formed_operator_record_decodes():
+    op = jsonio.decode(_operator_data([[1, 0], [0, 0]]))
+    assert op.matrix == ((F(1), F(0)), (F(0), F(0)))
+    assert op.range_basis == (vector_from_dense(SingleBox(2), "rational", [1, 0]),)
 
 
 def test_lenient_inputs_that_decode():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bapkit import (
@@ -31,7 +31,9 @@ from bapkit import (
     unit_vector,
     vector_from_dense,
 )
+from bapkit.linalg import column_space_basis, mat_mul, mat_vec
 from bapkit.operators import ComplementDecomposition
+from bapkit.scalars import as_scalar, rank_tol
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -106,6 +108,65 @@ def test_rank_one_constructor():
     assert p.rank == 1
     with pytest.raises(InputError):
         FiniteRankOperator.rank_one(out, [F(1)])
+
+
+# ---------------------------------------------------------------------------
+# stored columns against the dense formulas
+
+
+def _entries(mode):
+    values = (
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=3)
+        if mode == "rational"
+        else st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+    )
+    return st.one_of(st.just(0), values)
+
+
+@st.composite
+def dense_cases(draw):
+    """Two square matrices, a coordinate list and a factor in one mode, dimension <= 4."""
+    mode = draw(st.sampled_from(["rational", "float"]))
+    d = draw(st.integers(1, 4))
+    entry = _entries(mode)
+    row = st.lists(entry, min_size=d, max_size=d)
+    square = st.lists(row, min_size=d, max_size=d)
+    return SingleBox(d), mode, draw(square), draw(square), draw(row), draw(entry)
+
+
+def dense(op):
+    return [list(r) for r in op.matrix]
+
+
+# a column entry that underflows to zero under scale must not be stored
+UNDERFLOW = (SingleBox(2), "float", [[1.0, 0], [5e-324, 0]], [[0, 0], [0, 0]], [0, 0], 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_cases())
+@example(UNDERFLOW)
+def test_column_operations_equal_the_dense_formulas(case):
+    box, mode, rows_a, rows_b, coords, factor = case
+    a = FiniteRankOperator.from_matrix(box, mode, rows_a)
+    b = FiniteRankOperator.from_matrix(box, mode, rows_b)
+    x = vector_from_dense(box, mode, coords)
+    ma, mb = dense(a), dense(b)
+    assert ma == [[as_scalar(v, mode) for v in r] for r in rows_a]
+    assert a.apply(x).dense() == mat_vec(ma, x.dense())
+    assert dense(a.compose(b)) == mat_mul(ma, mb)
+    assert dense(a + b) == [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(ma, mb)]
+    c = as_scalar(factor, mode)
+    assert dense(a.scale(factor)) == [[c * v for v in r] for r in ma]
+    g = x.dense()
+    f = rows_b[0]
+    one = FiniteRankOperator.rank_one(x, f)
+    assert dense(one) == [[as_scalar(gr * fj, mode) for fj in f] for gr in g]
+    for op in (a, b, a.compose(b), a + b, a.scale(factor), one):
+        m = dense(op)
+        pivots = column_space_basis(m, rank_tol(mode))
+        assert op.range_basis == tuple(
+            vector_from_dense(box, mode, [r[j] for r in m]) for j in pivots
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ def test_entries_are_sorted_by_position():
     assert v.support == ((1, 1, 2), (2, 1, 1))
 
 
+def test_scale_drops_products_that_underflow_to_zero():
+    v = vector_from_dense(SingleBox(2), "float", [1.0, 5e-324])
+    assert v.scale(0.5).entries == ((1, 0.5),)
+    assert v.scale(0).is_zero()
+
+
 def test_get_checks_the_box():
     v = unit_vector(SingleBox(2), "rational", 1)
     assert v.get(2) == 0
