@@ -2,18 +2,21 @@
 
 Elements of the target space assign one coefficient to each schedule slot;
 the graded values there take the max over partial sums of the coefficient
-components.  The embedding I sends x to (schedule operator applied to x)
-per slot, the projection L resums and re-embeds.  The certificate couples
-the two gradings: value(k, x) <= |||I(x)|||_k <= 5 * M_k * value(l(k), x)
-with M_k an exact graded operator norm over the family's partial sums.
+components.  An element builds its partial sums once, on first use, in slot
+order; its total and its graded value at every position read them.  The
+embedding I sends x to (schedule operator applied to x) per slot, the
+projection L resums and re-embeds.  The certificate couples the two
+gradings: value(k, x) <= |||I(x)|||_k <= 5 * M_k * value(l(k), x) with M_k
+an exact graded operator norm over the family's partial sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import (
     CertificateFailureError,
@@ -42,20 +45,19 @@ class BasisSpaceElement:
         """Slot s as a vector: coefficient times generator, 0-based s."""
         return self.schedule.generators[s].scale(self.coefficients[s])
 
-    def partial_totals(self):
-        """Yields the running sums of the components, one per slot."""
-        acc = zero_vector(self.schedule.box, self.schedule.mode)
-        for s in range(len(self.coefficients)):
-            c = self.coefficients[s]
-            if c != 0:
-                acc = acc + self.schedule.generators[s].scale(c)
-            yield acc
+    @cached_property
+    def _partials(self) -> tuple:
+        """The zero vector, then the running sum after each slot, built once."""
+        components = (self.component(s) for s in range(len(self)))
+        zero_total = zero_vector(self.schedule.box, self.schedule.mode)
+        return tuple(itertools.accumulate(components, operator.add, initial=zero_total))
+
+    def partial_totals(self) -> tuple:
+        """The running sums of the components, one per slot."""
+        return self._partials[1:]
 
     def total(self) -> TruncatedVector:
-        acc = zero_vector(self.schedule.box, self.schedule.mode)
-        for acc in self.partial_totals():
-            pass
-        return acc
+        return self._partials[-1]
 
     def prefix(self, t: int) -> "BasisSpaceElement":
         """First t slots kept, the rest zeroed."""
@@ -79,14 +81,9 @@ def element_from_components(schedule: ScheduledFamily, coefficients) -> BasisSpa
 
 def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
     """Graded value at a working-level position: max over partial sums."""
-    schedule = element.schedule
-    level = schedule.original_level(position)
-    best = zero(schedule.mode)
-    for partial in element.partial_totals():
-        v = system.value(level, partial)
-        if v > best:
-            best = v
-    return best
+    level = element.schedule.original_level(position)
+    values = (system.value(level, partial) for partial in element.partial_totals())
+    return reduce(max, values, zero(element.schedule.mode))
 
 
 def embed(system: SeminormSystem, schedule: ScheduledFamily, x: TruncatedVector) -> BasisSpaceElement:
@@ -227,20 +224,15 @@ def verify_reconstruction(
     finals = []
     passed = True
     for x in vectors:
-        per_position = []
-        partial = zero_vector(schedule.box, schedule.mode)
-        partials = [partial]
-        for op in schedule.operators:
-            partial = partial + op.apply(x)
-            partials.append(partial)
-        worst = zero(schedule.mode)
-        for position in range(1, schedule.grading_depth + 1):
-            level = schedule.original_level(position)
-            trace = tuple(system.value(level, x - p) for p in partials)
-            per_position.append(trace)
-            if trace[-1] > worst:
-                worst = trace[-1]
-        all_traces.append(tuple(per_position))
+        pieces = (op.apply(x) for op in schedule.operators)
+        zero_total = zero_vector(schedule.box, schedule.mode)
+        partials = itertools.accumulate(pieces, operator.add, initial=zero_total)
+        residuals = [x - p for p in partials]
+        per_position = tuple(
+            tuple(system.value(level, r) for r in residuals) for level in schedule.working_levels
+        )
+        worst = reduce(max, (trace[-1] for trace in per_position), zero(schedule.mode))
+        all_traces.append(per_position)
         finals.append(worst)
         top = schedule.working_levels[-1]
         passed = passed and is_zero(worst / max(1, system.value(top, x)), schedule.mode)
@@ -276,12 +268,9 @@ def basis_criterion_check(
         y = element_from_components(schedule, coeffs)
         for position in range(1, schedule.grading_depth + 1):
             level = schedule.original_level(position)
-            running = zero(schedule.mode)
-            full = e0_value(system, y, position)
-            for partial in y.partial_totals():
-                v = system.value(level, partial)
-                if v > running:
-                    running = v
-                if not leq(running, full, schedule.mode):
-                    return BasisCriterionReport(False, 1, sample_count)
+            values = [system.value(level, partial) for partial in y.partial_totals()]
+            full = reduce(max, values, zero(schedule.mode))
+            running = itertools.accumulate(values, max)
+            if not all(leq(r, full, schedule.mode) for r in running):
+                return BasisCriterionReport(False, 1, sample_count)
     return BasisCriterionReport(True, 1, sample_count)

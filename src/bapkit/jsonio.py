@@ -7,7 +7,8 @@ shapes are:
 
   SCALAR     a Fraction as {"num", "den"}; an int or a finite float as is
   RAW        ints, strings and booleans, passed through unchanged
-  OBJ        a nested tagged object; OPT_OBJ also allows null
+  Obj(c...)  a nested tagged object of one of the classes c; with
+             optional=True also null.  Any other kind is an InputError.
   PLAIN      plain JSON: tuples as lists (tuples again on decode), Fractions
              and floats as SCALAR, anything else unchanged
   Seq(s)     a list of values of shape s
@@ -53,6 +54,7 @@ from .seminorms import (
     KoetheSeminorms,
     MaxPrefixSeminorms,
     RhoTable,
+    SeminormSystem,
     SupPartialSumSeminorms,
     VogtSeminorms,
 )
@@ -65,7 +67,12 @@ from .vogt import (
     VogtInstance,
 )
 
-SCALAR, RAW, OBJ, OPT_OBJ, PLAIN = "scalar", "raw", "obj", "opt-obj", "plain"
+SCALAR, RAW, PLAIN = "scalar", "raw", "plain"
+
+
+class Obj:
+    def __init__(self, *classes, optional: bool = False) -> None:
+        self.classes, self.optional = classes, optional
 
 
 class Seq:
@@ -93,7 +100,7 @@ class Record:
 def _operator(get) -> FiniteRankOperator:
     """from_matrix checks the matrix; the declared range basis is kept, not re-derived."""
     box, mode, basis = get("box"), get("mode"), get("range_basis")
-    if not all(isinstance(v, TruncatedVector) and (v.box, v.mode) == (box, mode) for v in basis):
+    if not all((v.box, v.mode) == (box, mode) for v in basis):
         raise InputError("range basis vectors must live on the operator's box and mode")
     op = FiniteRankOperator.from_matrix(box, mode, get("matrix"), get("label"))
     return dataclasses.replace(op, range_basis=basis)
@@ -101,6 +108,10 @@ def _operator(get) -> FiniteRankOperator:
 
 # (index, value) entries of a vector or functional; a triple index is a three-element list
 PAIRS = Seq(Row(PLAIN, SCALAR))
+BOX, TRIPLE_BOX, SINGLE_BOX = Obj(TripleBox, SingleBox), Obj(TripleBox), Obj(SingleBox)
+VECTORS = Seq(Obj(TruncatedVector))
+OPERATOR, OPERATORS = Obj(FiniteRankOperator), Seq(Obj(FiniteRankOperator))
+RHO, GEOMETRIC = Obj(RhoTable), Obj(GeometricForm)
 
 KINDS = {
     "triple-box": Record(TripleBox, n_max=RAW, mu_max=RAW, nu_max=RAW),
@@ -109,7 +120,7 @@ KINDS = {
     "vector": Record(
         TruncatedVector,
         build=lambda get: TruncatedVector.create(get("box"), get("mode"), dict(get("entries"))),
-        box=OBJ, mode=RAW, entries=PAIRS,
+        box=BOX, mode=RAW, entries=PAIRS,
     ),
     # a dyadic table is closed form, so its grid fields are neither read nor required
     "rho": Record(
@@ -120,32 +131,36 @@ KINDS = {
         ),
         table_kind=RAW, values=Seq(Row(RAW, RAW, SCALAR)), mu_limit=RAW, nu_limit=RAW,
     ),
-    "vogt-system": Record(VogtSeminorms, rho=OBJ, box=OBJ, mode=RAW, level_count=RAW),
-    "koethe-system": Record(KoetheSeminorms, weights=Seq(Seq(SCALAR)), box=OBJ, mode=RAW),
-    "max-prefix-system": Record(MaxPrefixSeminorms, box=OBJ, mode=RAW, level_count=RAW),
+    "vogt-system": Record(VogtSeminorms, rho=RHO, box=TRIPLE_BOX, mode=RAW, level_count=RAW),
+    "koethe-system": Record(KoetheSeminorms, weights=Seq(Seq(SCALAR)), box=SINGLE_BOX, mode=RAW),
+    "max-prefix-system": Record(MaxPrefixSeminorms, box=SINGLE_BOX, mode=RAW, level_count=RAW),
     "custom-system": Record(
         CustomSeminorms,
-        levels=Seq(Record(CustomLevel, combiner=RAW, functionals=Seq(PAIRS))), box=OBJ, mode=RAW,
+        levels=Seq(Record(CustomLevel, combiner=RAW, functionals=Seq(PAIRS))), box=BOX, mode=RAW,
     ),
-    "sup-partial-system": Record(SupPartialSumSeminorms, base=OBJ, operators=Seq(OBJ)),
+    "sup-partial-system": Record(
+        SupPartialSumSeminorms, base=Obj(SeminormSystem), operators=OPERATORS
+    ),
     "operator": Record(
         FiniteRankOperator,
         build=_operator,
-        box=OBJ, mode=RAW, matrix=Seq(Seq(SCALAR)), range_basis=Seq(OBJ), label=RAW,
+        box=BOX, mode=RAW, matrix=Seq(Seq(SCALAR)), range_basis=VECTORS, label=RAW,
     ),
-    "complement-decomposition": Record(ComplementDecomposition, blocks=Seq(Row(RAW, Seq(OBJ)))),
+    "complement-decomposition": Record(ComplementDecomposition, blocks=Seq(Row(RAW, VECTORS))),
     "rank-one-split": Record(
         RankOneSplit,
-        source=OBJ, pieces=Seq(OBJ), norm_grading=Seq(RAW), control_constant=SCALAR,
-        level_constants=Seq(SCALAR), decomposition=OBJ,
+        source=OPERATOR, pieces=OPERATORS, norm_grading=Seq(RAW), control_constant=SCALAR,
+        level_constants=Seq(SCALAR), decomposition=Obj(ComplementDecomposition),
     ),
     "schedule": Record(
         ScheduledFamily,
-        box=OBJ, mode=RAW, operators=Seq(OBJ), block_structure=Seq(Seq(RAW)),
-        replication_counts=Seq(Seq(RAW)), source_family=Seq(OBJ), splits=Seq(OBJ),
-        working_levels=Seq(RAW), generators=Seq(OBJ),
+        box=BOX, mode=RAW, operators=OPERATORS, block_structure=Seq(Seq(RAW)),
+        replication_counts=Seq(Seq(RAW)), source_family=OPERATORS, splits=Seq(Obj(RankOneSplit)),
+        working_levels=Seq(RAW), generators=VECTORS,
     ),
-    "basis-element": Record(BasisSpaceElement, schedule=OBJ, coefficients=Seq(SCALAR)),
+    "basis-element": Record(
+        BasisSpaceElement, schedule=Obj(ScheduledFamily), coefficients=Seq(SCALAR)
+    ),
     "equicontinuity-certificate": Record(
         EquicontinuityCertificate,
         factor=RAW, entries=Seq(Row(RAW, RAW, RAW, SCALAR)), sample_count=RAW,
@@ -161,9 +176,14 @@ KINDS = {
     "floor-certificate": Record(FloorCertificate, level=RAW, bound=SCALAR),
     "cauchy-family": Record(
         CauchyFamily,
-        level=RAW, vectors=Seq(OBJ), modulus=Seq(Row(RAW, SCALAR)), modulus_form=OPT_OBJ,
+        level=RAW, vectors=VECTORS, modulus=Seq(Row(RAW, SCALAR)),
+        modulus_form=Obj(GeometricForm, optional=True),
     ),
-    "vanishing-evidence": Record(VanishingEvidence, family=OBJ, decay_form=OBJ, floor=OPT_OBJ),
+    "vanishing-evidence": Record(
+        VanishingEvidence,
+        family=Obj(CauchyFamily), decay_form=GEOMETRIC,
+        floor=Obj(FloorCertificate, optional=True),
+    ),
     "diagnostic-verdict": Record(
         DiagnosticVerdict, verdict=RAW, reason=RAW, details=Seq(Row(RAW, PLAIN))
     ),
@@ -178,14 +198,15 @@ KINDS = {
     ),
     "failure-witness": Record(
         BapFailureWitness,
-        instance=OBJ, vanishing_level=RAW, floor_level=RAW, cauchy_level=RAW, mu=RAW, nu=RAW,
-        vectors=Seq(OBJ), decay_form=OBJ, decay_trace=Seq(SCALAR), floor_trace=Seq(SCALAR),
-        floor=OBJ, cauchy=OBJ,
+        instance=Obj(VogtInstance), vanishing_level=RAW, floor_level=RAW, cauchy_level=RAW,
+        mu=RAW, nu=RAW, vectors=VECTORS, decay_form=GEOMETRIC, decay_trace=Seq(SCALAR),
+        floor_trace=Seq(SCALAR), floor=Obj(FloorCertificate), cauchy=Obj(CauchyFamily),
     ),
-    "vogt-instance": Record(VogtInstance, rho=OBJ, box=OBJ, mode=RAW, level_count=RAW),
+    "vogt-instance": Record(VogtInstance, rho=RHO, box=TRIPLE_BOX, mode=RAW, level_count=RAW),
     "normed-basis-report": Record(
         NormedBasisReport,
-        system=OBJ, comparisons=Seq(Row(RAW, RAW, SCALAR)), sample_count=RAW, passed=RAW,
+        system=Obj(SupPartialSumSeminorms), comparisons=Seq(Row(RAW, RAW, SCALAR)),
+        sample_count=RAW, passed=RAW,
     ),
 }
 
@@ -228,10 +249,8 @@ def _out(shape, v):
         return v
     if shape is SCALAR:
         return _scalar_out(v)
-    if shape is OBJ:
-        return encode(v)
-    if shape is OPT_OBJ:
-        return None if v is None else encode(v)
+    if isinstance(shape, Obj):
+        return None if shape.optional and v is None else encode(v)
     if shape is PLAIN:
         if isinstance(v, (Fraction, float)):
             return _scalar_out(v)
@@ -251,10 +270,14 @@ def _in(shape, v):
         return v
     if shape is SCALAR:
         return _scalar_in(v)
-    if shape is OBJ:
-        return decode(v)
-    if shape is OPT_OBJ:
-        return None if v is None else decode(v)
+    if isinstance(shape, Obj):
+        if shape.optional and v is None:
+            return None
+        obj = decode(v)
+        if not isinstance(obj, shape.classes):
+            names = " or ".join(cls.__name__ for cls in shape.classes)
+            raise InputError(f"expected a {names} record, got {v['kind']!r}")
+        return obj
     if shape is PLAIN:
         if isinstance(v, (dict, float)):
             return _scalar_in(v)

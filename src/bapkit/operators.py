@@ -21,6 +21,7 @@ works column by column; FiniteRankOperator.matrix is a derived dense view.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -178,10 +179,7 @@ def telescope(family) -> list:
     ops = list(family)
     if not ops:
         raise DegenerateInputError("telescope needs at least one operator")
-    out = [ops[0]]
-    for prev, cur in zip(ops, ops[1:]):
-        out.append(cur - prev)
-    return out
+    return [ops[0]] + [cur - prev for prev, cur in zip(ops, ops[1:])]
 
 
 def accumulate(family) -> list:
@@ -189,10 +187,7 @@ def accumulate(family) -> list:
     ops = list(family)
     if not ops:
         raise DegenerateInputError("accumulate needs at least one operator")
-    out = [ops[0]]
-    for cur in ops[1:]:
-        out.append(out[-1] + cur)
-    return out
+    return list(itertools.accumulate(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -392,27 +387,19 @@ def rank_one_split(
     if ginv is None:
         raise ConstructionSoundnessError("adapted basis Gram matrix is singular")
     phi = mat_mul(ginv, vt)  # m x d, biorthogonal coefficient functionals
-    pieces = []
-    for j in range(m):
-        pieces.append(
-            FiniteRankOperator.rank_one(
-                adapted[j], phi[j], label=f"{op.label or 'op'}:piece{j + 1}"
-            )
-        )
+    pieces = [
+        FiniteRankOperator.rank_one(adapted[j], phi[j], label=f"{op.label or 'op'}:piece{j + 1}")
+        for j in range(m)
+    ]
     zero_vec = zero_vector(op.box, op.mode)
-    constants = []
-    for level in control_levels:
-        piece_images = []
-        for j in range(m):
-            piece_images.append([adapted[j] if i == j else zero_vec for i in range(m)])
-        constants.append(
-            rank_one_family_constant(system, level, adapted, piece_images, tol, cap)
-        )
+    piece_images = [[adapted[j] if i == j else zero_vec for i in range(m)] for j in range(m)]
+    constants = [
+        rank_one_family_constant(system, level, adapted, piece_images, tol, cap)
+        for level in control_levels
+    ]
     control = max(constants)
     for v in adapted:
-        total = zero_vec
-        for piece in pieces:
-            total = total + piece.apply(v)
+        total = reduce(operator.add, (piece.apply(v) for piece in pieces), zero_vec)
         if not total.approx_equal(v, tol):
             raise ConstructionSoundnessError("pieces do not sum to the identity on the range")
     return RankOneSplit(
@@ -478,23 +465,23 @@ def _verify_prefix_bound(
     share = as_scalar(Fraction(1, n_rep), mode)
     for _ in range(sample_count):
         coeffs = [random_scalar(rng, mode) for _ in range(m)]
-        partial_piece = [zero_vector(split.source.box, mode)]
-        for c, v in zip(coeffs, adapted):
-            partial_piece.append(partial_piece[-1] + v.scale(c))
+        partial_piece = list(itertools.accumulate(v.scale(c) for c, v in zip(coeffs, adapted)))
         e = partial_piece[-1]
+        shares = [p.scale(share) for p in partial_piece]
+        # prefix q = r*m + w ends inside copy r after w pieces; built once for every level
+        copies = [e.scale(Fraction(r, n_rep)) for r in range(n_rep)]
+        prefixes = [
+            (r, w, copies[r] + piece) for r in range(n_rep) for w, piece in enumerate(shares, 1)
+        ]
         for level in split.norm_grading:
             bound = two * system.value(level, e)
-            for r in range(n_rep):
-                done = e.scale(Fraction(r, n_rep))
-                for w in range(m):
-                    # prefix q = r*m + w + 1 ends inside copy r after w+1 pieces
-                    q_vec = done + partial_piece[w + 1].scale(share)
-                    val = system.value(level, q_vec)
-                    if not leq(val, bound, mode):
-                        raise ConstructionSoundnessError(
-                            f"prefix bound failed at level {level}, copy {r}, piece {w + 1}: "
-                            f"{val} > 2 * {system.value(level, e)}"
-                        )
+            for r, w, q_vec in prefixes:
+                val = system.value(level, q_vec)
+                if not leq(val, bound, mode):
+                    raise ConstructionSoundnessError(
+                        f"prefix bound failed at level {level}, copy {r}, piece {w}: "
+                        f"{val} > 2 * {system.value(level, e)}"
+                    )
 
 
 @dataclass(frozen=True)

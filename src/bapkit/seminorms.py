@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .errors import (
@@ -436,27 +437,21 @@ class SupPartialSumSeminorms(SeminormSystem):
     def value(self, k: int, x: TruncatedVector) -> Scalar:
         self.check_level(k)
         self.check_vector(x)
-        running = None
-        best = zero(self.mode)
-        for op in self.operators:
-            piece = op.apply(x)
-            running = piece if running is None else running + piece
-            v = self.base.value(k, running)
-            if v > best:
-                best = v
-        return best
+        partials = itertools.accumulate(op.apply(x) for op in self.operators)
+        return reduce(max, (self.base.value(k, p) for p in partials), zero(self.mode))
 
     def level_terms(self, k: int):
         """Base functionals composed with every partial sum; kernel-exact."""
         self.check_level(k)
         order = list(self.box.indices())
+        base_terms = self.base.level_terms(k)
+        partials = itertools.accumulate(
+            (op.columns for op in self.operators),
+            lambda acc, columns: [a + b for a, b in zip(acc, columns)],
+        )
         out = []
-        partial = None
-        for op in self.operators:
-            partial = op.columns if partial is None else [
-                a + b for a, b in zip(partial, op.columns)
-            ]
-            for pairs in self.base.level_terms(k):
+        for partial in partials:
+            for pairs in base_terms:
                 row = [apply_functional(pairs, column) for column in partial]
                 sparse = tuple((idx, v) for idx, v in zip(order, row) if v != 0)
                 if sparse:

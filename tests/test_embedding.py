@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bapkit import (
     CertificateFailureError,
@@ -25,6 +27,9 @@ from bapkit import (
     vector_from_dense,
     verify_reconstruction,
 )
+from bapkit.scalars import zero
+from bapkit.seminorms import SupPartialSumSeminorms, apply_functional
+from bapkit.spaces import zero_vector
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -259,3 +264,109 @@ def test_certificate_prunes_at_the_given_rank_tolerance():
         system, schedule, rng=random.Random(1), sample_count=10, tol=Tolerances(rank=1e-12)
     )
     assert fine.entries[0][2:] == (1, pytest.approx(1e10))
+
+
+# ---------------------------------------------------------------------------
+# running sums against explicit loops
+
+
+def loop_partial_totals(y):
+    acc = zero_vector(y.schedule.box, y.schedule.mode)
+    for s in range(len(y.coefficients)):
+        c = y.coefficients[s]
+        if c != 0:
+            acc = acc + y.schedule.generators[s].scale(c)
+        yield acc
+
+
+def loop_total(y):
+    acc = zero_vector(y.schedule.box, y.schedule.mode)
+    for acc in loop_partial_totals(y):
+        pass
+    return acc
+
+
+def loop_e0_value(system, y, position):
+    level = y.schedule.original_level(position)
+    best = zero(y.schedule.mode)
+    for partial in loop_partial_totals(y):
+        v = system.value(level, partial)
+        if v > best:
+            best = v
+    return best
+
+
+def loop_sup_value(sup, k, x):
+    running = None
+    best = zero(sup.mode)
+    for op in sup.operators:
+        piece = op.apply(x)
+        running = piece if running is None else running + piece
+        v = sup.base.value(k, running)
+        if v > best:
+            best = v
+    return best
+
+
+def loop_sup_level_terms(sup, k):
+    order = list(sup.box.indices())
+    out = []
+    partial = None
+    for op in sup.operators:
+        partial = op.columns if partial is None else [a + b for a, b in zip(partial, op.columns)]
+        for pairs in sup.base.level_terms(k):
+            row = [apply_functional(pairs, column) for column in partial]
+            sparse = tuple((idx, v) for idx, v in zip(order, row) if v != 0)
+            if sparse:
+                out.append(sparse)
+    return out
+
+
+def two_block_setup(mode):
+    """Seven slots over working levels (2, 3): e2's line first, then a skewed pair."""
+    system = KoetheSeminorms(((1, 0), (1, 1), (2, 3)), BOX2, mode)
+    family = [
+        FiniteRankOperator.from_matrix(BOX2, mode, [[0, 0], [0, 1]], "b"),
+        FiniteRankOperator.from_matrix(BOX2, mode, [[1, 1], [0, 2]], "a"),
+    ]
+    schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=5)
+    return system, schedule
+
+
+SETUPS = {mode: two_block_setup(mode) for mode in ("rational", "float")}
+coefficient = st.one_of(st.just(F(0)), st.fractions(-5, 5, max_denominator=6))
+
+
+def same(a, b):
+    """Equal and of the same type, so a float sum must be bit-equal and a zero typed."""
+    return a == b and type(a) is type(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(sorted(SETUPS)),
+    coeffs=st.lists(coefficient, min_size=7, max_size=7),
+    t=st.integers(0, 7),
+)
+def test_running_sums_match_explicit_loops(mode, coeffs, t):
+    system, schedule = SETUPS[mode]
+    if mode == "float":
+        coeffs = [float(c) for c in coeffs]
+    y = element_from_components(schedule, coeffs)
+    y.total()  # fill y's partials before deriving new elements from it
+    derived = [
+        y,
+        y.prefix(t),
+        dataclasses.replace(y, coefficients=y.coefficients[::-1]),
+        dataclasses.replace(y, coefficients=(zero(mode),) * len(y)),
+    ]
+    for e in derived:
+        assert e.partial_totals() == tuple(loop_partial_totals(e))
+        assert e.total() == loop_total(e)
+        for position in range(1, schedule.grading_depth + 1):
+            assert same(e0_value(system, e, position), loop_e0_value(system, e, position))
+    sup = SupPartialSumSeminorms(system, schedule.operators)
+    x = y.total()
+    for k in range(1, system.level_count + 1):
+        assert same(sup.value(k, x), loop_sup_value(sup, k, x))
+        assert sup.level_terms(k) == loop_sup_level_terms(sup, k)

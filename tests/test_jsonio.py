@@ -300,6 +300,20 @@ MALFORMED = [
      _operator_data([[1, 0], [0, 0]], basis_box={"kind": "single-box", "d": 3}), InputError),
     ("operator-range-basis-in-another-mode",
      _operator_data([[1, 0], [0, 0]], basis_mode="float"), InputError),
+    ("vector-box-of-another-kind",
+     {**_vector_data([[1, 1]]), "box": {"kind": "rho", "table_kind": "dyadic"}}, InputError),
+    ("operator-box-of-another-kind",
+     {**_operator_data([[1]]), "box": {"kind": "rho", "table_kind": "dyadic"}, "range_basis": []},
+     InputError),
+    ("vogt-instance-rho-of-another-kind",
+     _vogt_instance_data(rho={"kind": "single-box", "d": 2}), InputError),
+    ("family-vector-of-another-kind", {"kind": "cauchy-family", "level": 1,
+                                       "vectors": [{"kind": "single-box", "d": 2}],
+                                       "modulus": [], "modulus_form": None}, InputError),
+    ("optional-object-of-another-kind", {"kind": "cauchy-family", "level": 1, "vectors": [],
+                                         "modulus": [], "modulus_form": {
+                                             "kind": "floor-certificate", "level": 1,
+                                             "bound": 1}}, InputError),
     ("sup-system-without-operators", {
         "kind": "sup-partial-system",
         "base": {"kind": "max-prefix-system", "box": {"kind": "single-box", "d": 2},

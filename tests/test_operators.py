@@ -1,5 +1,6 @@
 """Finite-rank operators and the schedule pipeline."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bapkit import (
+    ConstructionSoundnessError,
     ContinuousNormError,
     DegenerateInputError,
     DomainError,
@@ -397,6 +399,15 @@ def test_prefix_bound_check_runs():
     split = rank_one_split(a, flat_system())
     block = scale_and_replicate(split, flat_system(), rng=random.Random(3), sample_count=40)
     assert block.replication == 3
+
+
+def test_prefix_bound_check_rejects_an_undamped_block():
+    # R = 6 calls for N = 12 copies; claiming R = 0 leaves one undamped copy
+    split = rank_one_split(op2([[1, 5], [0, 1]]), flat_system())
+    assert split.control_constant == 6
+    undamped = dataclasses.replace(split, control_constant=0)
+    with pytest.raises(ConstructionSoundnessError, match="level 1, copy 0, piece 1: 2 > 2 \\* 2/3"):
+        scale_and_replicate(undamped, flat_system(), rng=random.Random(3), sample_count=40)
 
 
 def test_tag_bookkeeping_of_decompositions():
