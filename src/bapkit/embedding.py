@@ -25,7 +25,7 @@ from .errors import (
     LevelError,
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
-from .polyhedral import DEFAULT_CAP, comparison_level
+from .polyhedral import comparison_level
 from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, is_zero, leq, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
@@ -142,7 +142,6 @@ def certify_equicontinuity(
     rng: random.Random | None = None,
     sample_count: int = 25,
     factor: int = 5,
-    cap: int = DEFAULT_CAP,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquicontinuityCertificate:
     """Exact M_k per position, then a sampled check of the two-sided bound.
@@ -160,7 +159,7 @@ def certify_equicontinuity(
     for position in range(1, schedule.grading_depth + 1):
         base_level = schedule.original_level(position)
         entries.append(
-            (position, base_level, *comparison_level(system, base_level, prefix_sums, tol, cap))
+            (position, base_level, *comparison_level(system, base_level, prefix_sums, tol))
         )
     cert = EquicontinuityCertificate(
         factor=factor, entries=tuple(entries), sample_count=sample_count

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from .scalars import FLOAT, RATIONAL, negligible, one, zero
 
-Matrix = "list[list]"
-
 
 def _mode(tol) -> str:
     """The scalar mode that a zero threshold stands for: None means exact."""

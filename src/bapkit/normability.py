@@ -20,7 +20,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .operators import accumulate
-from .polyhedral import DEFAULT_CAP, comparison_level
+from .polyhedral import comparison_level
 from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, leq, random_scalar, zero
 from .seminorms import SeminormSystem, SupPartialSumSeminorms
 from .spaces import vector_from_dense
@@ -294,7 +294,6 @@ def basis_sup_norms(
     rng: random.Random | None = None,
     sample_count: int = 20,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    cap: int = DEFAULT_CAP,
 ) -> NormedBasisReport:
     """Upgrade a graded system along a basis-like family of projections.
 
@@ -317,7 +316,7 @@ def basis_sup_norms(
     prefix = accumulate(ops)
     total = prefix[-1]
     comparisons = [
-        (k, *comparison_level(base, k, prefix, tol=tol, cap=cap))
+        (k, *comparison_level(base, k, prefix, tol=tol))
         for k in range(1, base.level_count + 1)
     ]
     rng = rng or random.Random(0)

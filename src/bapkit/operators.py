@@ -40,7 +40,7 @@ from .errors import (
     ZeroOperatorError,
 )
 from .linalg import column_space_basis, in_span, invert, mat_mul, rank
-from .polyhedral import DEFAULT_CAP, rank_one_family_constant
+from .polyhedral import rank_one_family_constant
 from .scalars import (
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -355,7 +355,6 @@ def rank_one_split(
     op: FiniteRankOperator,
     system: SeminormSystem,
     control_levels=None,
-    cap: int = DEFAULT_CAP,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RankOneSplit:
     if op.rank == 0 or op.is_zero():
@@ -394,7 +393,7 @@ def rank_one_split(
     zero_vec = zero_vector(op.box, op.mode)
     piece_images = [[adapted[j] if i == j else zero_vec for i in range(m)] for j in range(m)]
     constants = [
-        rank_one_family_constant(system, level, adapted, piece_images, tol, cap)
+        rank_one_family_constant(system, level, adapted, piece_images, tol)
         for level in control_levels
     ]
     control = max(constants)
@@ -566,7 +565,6 @@ def build_schedule(
     system: SeminormSystem,
     rng: random.Random | None = None,
     prefix_samples: int = 50,
-    cap: int = DEFAULT_CAP,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScheduledFamily:
     """Full pipeline: renumber, split, damp, replicate, flatten.
@@ -585,6 +583,6 @@ def build_schedule(
     rng = rng or random.Random(0)
     blocks = []
     for p, op in enumerate(ops, start=1):
-        split = rank_one_split(op, system, control_levels=working[:p], cap=cap, tol=tol)
+        split = rank_one_split(op, system, control_levels=working[:p], tol=tol)
         blocks.append(scale_and_replicate(split, system, rng, prefix_samples))
     return flatten_schedule(blocks)

@@ -23,22 +23,23 @@ Rows come sparse from seminorms.level_rows; constraint rows are made dense
 once for the elimination, and objective rows are summed in column order over
 the vertex's nonzeros, so float sums are bit-equal to the dense products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
-enumeration, and in float mode the documented fallback is a sampled lower
-bound inflated by (1 + opnorm_safety).
+enumeration.  Above it float mode returns, with nothing sampled, the sup over
+the larger ball of G_P, the d_eff independent rows of G, from one inversion
+of G_P: a sound upper bound, exact for square sum balls.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 
-from .errors import ComputationCapError, UnboundedSeminormError
+from .errors import ComputationCapError, InputError, UnboundedSeminormError
 from .linalg import (
-    dense_rows, echelon_nullspace, invert, mat_vec, nullspace, rank, row_echelon, solve
+    column_space_basis, dense_rows, echelon_nullspace, invert, mat_vec, nullspace, rank,
+    row_echelon, solve, transpose
 )
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
-from .seminorms import SUM, SeminormSystem, level_rows
+from .seminorms import MAX, SUM, SeminormSystem, SupPartialSumSeminorms, level_rows
 from .spaces import unit_vector
 
 DEFAULT_CAP = 200_000
@@ -83,15 +84,14 @@ def polyhedral_sup(
     mode: str,
     tol: Tolerances = DEFAULT_TOLERANCES,
     cap: int = DEFAULT_CAP,
-    rng: random.Random | None = None,
-    samples: int = 4000,
 ):
     """sup of max_i combiner_i|R_i c| over {c : combiner|G c| <= 1}.
 
     Rows of G and R_i are sparse, {column: value} with columns below dim;
     objective_pieces is a list of (R_i, combiner_i).
     Raises UnboundedSeminormError when the objective does not vanish on the
-    constraint family's kernel (the sup is then infinite on the box).
+    constraint family's kernel (the sup is then infinite on the box), and
+    ComputationCapError above cap unless a float bound's G_P inverts.
     """
     ftol = rank_tol(mode, tol)
     rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r.values())]
@@ -119,15 +119,20 @@ def polyhedral_sup(
         count = math.comb(m, d_eff - 1) if m >= d_eff - 1 else 0
     else:
         count = math.comb(m, d_eff) * 2 ** (d_eff - 1) if m >= d_eff else 0
+    inverse = None
     if count > cap:
-        if mode == RATIONAL:
-            raise ComputationCapError(
-                f"{count} vertex candidates exceed cap {cap} in rational mode"
-            )
-        return _sampled_sup(g2, constraint_combiner, pieces2, d_eff, tol, rng, samples)
+        # float mode takes the larger ball of the d_eff independent rows G_P
+        if mode != RATIONAL:
+            g2 = [g2[i] for i in column_space_basis(transpose(g2), ftol)]
+            inverse = invert(g2, ftol) if len(g2) == d_eff else None
+        if inverse is None:
+            raise ComputationCapError(f"{count} vertex candidates exceed cap {cap} in {mode} mode")
+        if constraint_combiner == MAX:
+            return _max_ball_sup(pieces2, inverse, mode)
+    elif constraint_combiner == SUM and m == d_eff:
+        inverse = invert(g2, ftol)
     # a square sum ball's vertices are the columns of G^-1; every other ball,
     # and a float G that its inversion finds singular, enumerates them
-    inverse = invert(g2, ftol) if constraint_combiner == SUM and m == d_eff else None
     if inverse is None:
         vertices = _vertices(g2, constraint_combiner, d_eff, ftol)
     else:
@@ -168,26 +173,28 @@ def _vertices(g2, combiner, d_eff, tol):
                     yield c
 
 
-def _sampled_sup(g2, combiner, pieces2, d_eff, tol, rng, samples):
-    """Float-mode fallback: sampled lower bound times (1 + opnorm_safety)."""
-    rng = rng or random.Random(0)
-    best = 0.0
-    for _ in range(samples):
-        c = [rng.gauss(0.0, 1.0) for _ in range(d_eff)]
-        norm = _combine((abs(x) for x in mat_vec(g2, c)), combiner)
-        if norm <= 0:
-            continue
-        c = [x / norm for x in c]
-        v = _objective_at(pieces2, c)
-        if v > best:
-            best = v
-    return best * (1.0 + tol.opnorm_safety)
+def _max_ball_sup(pieces, inverse, mode):
+    """sup over {|G c|_inf <= 1} for a square G with inverse: per objective
+    row r the l1 norm of r G^-1, combined per piece (exact for max pieces,
+    an upper bound for sum pieces), max over pieces."""
+    columns = [_nonzeros(c) for c in zip(*inverse)]
+    best = zero(mode)
+    for rows, combiner in pieces:
+        at_columns = [[abs(x) for x in _row_values(rows, col)] for col in columns]
+        best = max(best, _combine((sum(norm) for norm in zip(*at_columns)), combiner))
+    return best
 
 
-def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, cap):
+def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, cap=DEFAULT_CAP):
     """One ball, one sup: the max over image lists of the sup of
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
     """
+    base = system
+    while isinstance(base, SupPartialSumSeminorms):
+        base = base.base
+        if SUM in (base.combiner(to_level), base.combiner(from_level)):
+            # a max of per-partial sums, which level_terms cannot describe
+            raise InputError("a sup-partial level over a sum-combined base has no exact ball")
     pieces = [
         (level_rows(system, to_level, images, tol), system.combiner(to_level))
         for images in image_lists
@@ -257,7 +264,6 @@ def rank_one_family_constant(
     adapted_basis,
     piece_images,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    cap: int = DEFAULT_CAP,
 ):
     """Smallest C with max_j value(level, B_j e) <= C * value(level, e) on the span.
 
@@ -265,4 +271,4 @@ def rank_one_family_constant(
     to each adapted basis vector (for coordinate projections that is zero
     except at position j).
     """
-    return _graded_sup(system, level, level, adapted_basis, piece_images, tol, cap)
+    return _graded_sup(system, level, level, adapted_basis, piece_images, tol)

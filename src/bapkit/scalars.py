@@ -17,8 +17,10 @@ The Tolerances fields govern these kinds of decision:
                  pivot decisions (rank_tol gives None, exact, in rational mode)
   decay          the last/first ratio at which a tail modulus counts as
                  reached zero, in both modes
-  opnorm_safety  the inflation of a sampled operator-norm lower bound, used
-                 only by the float fallback above the enumeration cap
+
+No field inflates an operator norm: above the enumeration cap, float mode
+bounds a polyhedral sup from above through the inverse of its pivot rows G_P,
+and nothing is sampled (see polyhedral).
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class Tolerances:
     eq: float = 1e-12        # relative equality slack, float mode
     rank: float = 1e-9       # pivot threshold for rank decisions, float mode
     decay: float = 1e-6      # last/first ratio that counts as "reached zero"
-    opnorm_safety: float = 1e-6  # sampled operator-norm inflation, float fallback
 
 
 DEFAULT_TOLERANCES = Tolerances()

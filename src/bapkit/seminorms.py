@@ -51,9 +51,6 @@ from .spaces import Box, SingleBox, TripleBox, TruncatedVector, linear_combinati
 SUM = "sum"
 MAX = "max"
 
-# A functional is a tuple of (index, coefficient) pairs over a box.
-Functional = "tuple[tuple[object, Scalar], ...]"
-
 
 def apply_functional(pairs, vec: TruncatedVector) -> Scalar:
     total = zero(vec.mode)

@@ -23,8 +23,6 @@ from .scalars import (
     zero,
 )
 
-Index = "tuple[int, int, int] | int"
-
 
 @dataclass(frozen=True)
 class TripleBox:

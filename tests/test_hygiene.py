@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Five rules: no module imports a name it never uses (`__init__` exists to
+Six rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -9,7 +9,10 @@ through the helpers there, every private module-level function or class
 is used in its own module outside its own body, because no other module may
 call it and an unused one is dead code, and no module outside `operators`
 reads a `.matrix` attribute, because an operator stores its columns and its
-dense matrix is a derived view that stays behind that one module.
+dense matrix is a derived view that stays behind that one module, and every
+module-level name that a module assigns (outside `__init__`, dunders
+exempt) is read somewhere in the package, in an expression or an
+annotation, because an alias or constant that nothing reads is dead code.
 """
 
 import ast
@@ -49,9 +52,10 @@ def _annotation_names(node):
 
 
 def _used_names(tree):
+    """Names read in expressions or annotations, string annotations included."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
@@ -133,6 +137,22 @@ def test_only_operators_reads_the_dense_matrix(path):
         if isinstance(node, ast.Attribute) and node.attr == "matrix"
     ]
     assert not reads, f"operators store columns; read those, not .matrix: {reads}"
+
+
+def test_module_level_names_are_read_in_the_package():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    read = set().union(*map(_used_names, trees.values()))
+    unread = [
+        f"{path.name}:{node.lineno} {name.id}"
+        for path, tree in trees.items()
+        if path.name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and not name.id.startswith("__") and name.id not in read
+    ]
+    assert not unread, f"module-level names nothing reads: {unread}"
 
 
 def test_the_rules_see_the_package():

@@ -13,19 +13,22 @@ from bapkit import (
     CustomLevel,
     CustomSeminorms,
     FiniteRankOperator,
+    InputError,
     KoetheSeminorms,
     MaxPrefixSeminorms,
     SingleBox,
+    SupPartialSumSeminorms,
     Tolerances,
     UnboundedSeminormError,
     graded_operator_norm,
+    polyhedral,
     polyhedral_sup,
     rank_one_family_constant,
     vector_from_dense,
 )
 from bapkit.linalg import mat_mul, mat_vec, nullspace, rank, solve, transpose
 from bapkit.polyhedral import DEFAULT_CAP, _objective_at, comparison_level
-from bapkit.scalars import approx_equal, as_scalar, negligible, random_scalar, rank_tol
+from bapkit.scalars import approx_equal, as_scalar, leq, negligible, random_scalar, rank_tol
 from bapkit.seminorms import level_matrix
 from bapkit.spaces import unit_vector
 
@@ -94,25 +97,11 @@ def test_cap_guards_rational_enumeration():
         polyhedral_sup(2, g, "max", [(rows((1, 1)), "sum")], "rational", cap=3)
 
 
-def test_float_fallback_under_cap_stays_near_the_exact_value():
-    g = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]]
-    exact = polyhedral_sup(
-        2, sparse(g), "max", [(sparse([[1.0, 1.0]]), "sum")], "float"
-    )
-    sampled = polyhedral_sup(
-        2, sparse(g), "max", [(sparse([[1.0, 1.0]]), "sum")], "float", cap=3, samples=2000
-    )
-    assert 0 < sampled <= exact * (1 + 1e-5)
-
-
-def test_float_fallback_inflates_by_the_given_safety_factor():
-    g = sparse([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 1.0]])
-    objective = [(sparse([[1.0, 1.0]]), "sum")]
-    default = polyhedral_sup(2, g, "max", objective, "float", cap=3, samples=200)
-    wide = polyhedral_sup(
-        2, g, "max", objective, "float", tol=Tolerances(opnorm_safety=0.5), cap=3, samples=200
-    )
-    assert wide / default == pytest.approx(1.5 / (1 + 1e-6), rel=1e-12)
+def test_float_bound_above_the_cap_raises_when_the_pivot_rows_do_not_invert(monkeypatch):
+    monkeypatch.setattr(polyhedral, "invert", lambda rows, tol=None: None)
+    g = sparse([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ComputationCapError):
+        polyhedral_sup(2, g, "max", [(sparse([[1.0, 1.0]]), "sum")], "float", cap=0)
 
 
 def test_graded_operator_norm_between_koethe_levels():
@@ -189,6 +178,33 @@ def test_graded_operator_norm_prunes_at_the_given_rank_tolerance():
     assert norm == pytest.approx(1e10)
 
 
+def sup_partial(base):
+    # partial sums: the first operator, then the identity
+    ops = [
+        FiniteRankOperator.from_matrix(base.box, "rational", m)
+        for m in ([[1, 0, 0], [1, 0, 0], [0, 0, 0]], [[0, 0, 0], [-1, 1, 0], [0, 0, 1]])
+    ]
+    return SupPartialSumSeminorms(base, ops)
+
+
+def test_sup_partial_level_over_a_sum_base_raises():
+    # a max over partials of sums: the max over every functional of every
+    # partial would give 1/2, but x = (-2, -2, 0) already reaches 4/6
+    box = SingleBox(3)
+    sup = sup_partial(KoetheSeminorms(((1, 1, 1), (1, 2, 3)), box, "rational"))
+    x = vector_from_dense(box, "rational", [F(-2), F(-2), F(0)])
+    assert sup.value(1, x) / sup.value(2, x) == F(2, 3)
+    with pytest.raises(InputError):
+        graded_operator_norm(sup, 1, 2, FiniteRankOperator.identity(box, "rational"))
+
+
+def test_sup_partial_level_over_a_max_base_is_exact():
+    # level 1 is |x_1| and level 3 the max norm, for the base and the partials
+    box = SingleBox(3)
+    sup = sup_partial(MaxPrefixSeminorms(box, "rational", 3))
+    assert graded_operator_norm(sup, 1, 3, FiniteRankOperator.identity(box, "rational")) == 1
+
+
 # ---------------------------------------------------------------------------
 # comparison_level against one graded_operator_norm per operator
 
@@ -260,8 +276,9 @@ def test_comparison_level_matches_one_norm_per_operator(kind, mode, seed):
 @pytest.mark.parametrize("kind", ["koethe", "max-prefix", "custom"])
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32))
-def test_comparison_level_matches_one_norm_per_operator_when_sampled(kind, seed):
-    # a cap of 1 sends float mode to the sampled fallback
+def test_comparison_level_matches_one_norm_per_operator_when_bounded(kind, seed):
+    # a cap of 1 sends float mode to the bound through the inverse of the
+    # pivot rows, which scores each objective piece on its own as well
     check_comparison_level(kind, "float", seed, 1)
 
 
@@ -401,11 +418,12 @@ def assert_agrees(actual, expected, mode):
         assert approx_equal(actual, expected, "float")
 
 
-def random_sum_ball(mode, rng, square):
-    """A sum ball of rank r on 1..5 coordinates with 1..3 objective pieces that
-    vanish on its kernel.  square: exactly r rows, independent, so the ball is
-    square once restricted to its pivot columns; otherwise 1..3 extra rows
-    that combine the base rows, so the enumeration path runs."""
+def random_rank_ball(mode, rng, square):
+    """Ball rows of rank r on 1..5 coordinates, for either combiner, with 1..3
+    objective pieces that vanish on its kernel.  square: exactly r rows,
+    independent, so the ball is square once restricted to its pivot columns;
+    otherwise 1..3 extra rows that combine the base rows, so the enumeration
+    path runs."""
     dim = rng.randint(1, 5)
     while True:
         r = rng.randint(1, dim)
@@ -431,9 +449,27 @@ def random_sum_ball(mode, rng, square):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_sum_ball_sup_matches_vertex_enumeration(square, mode, seed):
-    dim, g, pieces = random_sum_ball(mode, random.Random(seed), square)
+    dim, g, pieces = random_rank_ball(mode, random.Random(seed), square)
     actual = polyhedral_sup(dim, sparse(g), "sum", sparse_pieces(pieces), mode)
     assert_agrees(actual, enumerated_sup(dim, g, "sum", pieces, mode), mode)
+
+
+@pytest.mark.parametrize("objective", ["sum", "max"])
+@pytest.mark.parametrize("ball", ["sum", "max"])
+@pytest.mark.parametrize("square", [True, False], ids=["square", "non-square"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_float_bound_above_the_cap_is_an_upper_bound(square, ball, objective, seed):
+    # cap=0 sends every float ball to the sup over the larger ball of its
+    # pivot rows G_P: exact when G_P is the whole ball and the closed form is
+    # exact, which leaves out square max balls under sum-combined objectives
+    dim, g, pieces = random_rank_ball("float", random.Random(seed), square)
+    pieces = [(rs, objective) for rs, _ in pieces]
+    exact = enumerated_sup(dim, g, ball, pieces, "float")
+    bound = polyhedral_sup(dim, sparse(g), ball, sparse_pieces(pieces), "float", cap=0)
+    assert leq(exact, bound, "float")
+    if square and (ball == "sum" or objective == "max"):
+        assert approx_equal(bound, exact, "float")
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
