@@ -86,8 +86,16 @@ def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
     return reduce(max, values, zero(element.schedule.mode))
 
 
-def embed(system: SeminormSystem, schedule: ScheduledFamily, x: TruncatedVector) -> BasisSpaceElement:
-    """I(x): one coefficient per slot, read off the generator's lead entry."""
+def embed(
+    system: SeminormSystem,
+    schedule: ScheduledFamily,
+    x: TruncatedVector,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> BasisSpaceElement:
+    """I(x): one coefficient per slot, read off the generator's lead entry.
+
+    Each slot's image must lie on its generator line under tol.
+    """
     if x.box != schedule.box or x.mode != schedule.mode:
         raise InputError("vector does not live on the schedule's box and mode")
     coeffs = []
@@ -96,16 +104,18 @@ def embed(system: SeminormSystem, schedule: ScheduledFamily, x: TruncatedVector)
         lead_index = gen.entries[0][0]
         c = img.get(lead_index)
         coeffs.append(c)
-        if not img.approx_equal(gen.scale(c)):
+        if not img.approx_equal(gen.scale(c), tol):
             raise ConstructionSoundnessError(
                 f"image of {op.label} left the generator line"
             )
     return BasisSpaceElement(schedule, tuple(coeffs))
 
 
-def project(system: SeminormSystem, element: BasisSpaceElement) -> BasisSpaceElement:
+def project(
+    system: SeminormSystem, element: BasisSpaceElement, tol: Tolerances = DEFAULT_TOLERANCES
+) -> BasisSpaceElement:
     """L(y): resum the components and embed again; idempotent."""
-    return embed(system, element.schedule, element.total())
+    return embed(system, element.schedule, element.total(), tol)
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,8 @@ def certify_equicontinuity(
     family has a finite graded norm; M_k is the max of those norms.  The
     sampled check enforces value(k, total x) <= |||I(x)|||_k and
     |||I(x)|||_k <= factor * M_k * value(l, x), failing loudly otherwise.
-    tol governs the comparison levels, M_k and the sampled comparisons.
+    tol governs the comparison levels, M_k, the embedding and the sampled
+    comparisons.
     """
     rng = rng or random.Random(0)
     prefix_sums = accumulate(schedule.source_family)
@@ -167,7 +178,7 @@ def certify_equicontinuity(
     total_op = prefix_sums[-1]
     for trial in range(sample_count):
         x = _random_vector(schedule.box, schedule.mode, rng)
-        y = embed(system, schedule, x)
+        y = embed(system, schedule, x, tol)
         for position, base_level, comp_level, m_val in entries:
             e0 = e0_value(system, y, position)
             lower = system.value(base_level, total_op.apply(x))
@@ -204,15 +215,16 @@ def verify_reconstruction(
     vectors=None,
     rng: random.Random | None = None,
     sample_count: int = 10,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ReconstructionReport:
     """Check the schedule resums sampled vectors exactly.
 
     Requires the source family to sum to the identity; the residual
     value(k, x - sum of the first t slots) must reach 0 at the final slot
-    for every working level.
+    for every working level.  Both comparisons are made under tol.
     """
     total = reduce(operator.add, schedule.source_family)
-    if not total.approx_equal(FiniteRankOperator.identity(schedule.box, schedule.mode)):
+    if not total.approx_equal(FiniteRankOperator.identity(schedule.box, schedule.mode), tol):
         raise InputError("reconstruction needs a family summing to the identity")
     rng = rng or random.Random(0)
     if vectors is None:
@@ -234,7 +246,7 @@ def verify_reconstruction(
         all_traces.append(per_position)
         finals.append(worst)
         top = schedule.working_levels[-1]
-        passed = passed and is_zero(worst / max(1, system.value(top, x)), schedule.mode)
+        passed = passed and is_zero(worst / max(1, system.value(top, x)), schedule.mode, tol)
     return ReconstructionReport(
         passed=passed, traces=tuple(all_traces), final_residuals=tuple(finals)
     )

@@ -139,13 +139,16 @@ class FiniteRankOperator:
         columns = [self.apply(c) for c in other.columns]
         return FiniteRankOperator._of_columns(self.box, self.mode, columns, label)
 
-    def __add__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
+    def _columnwise(self, other: "FiniteRankOperator", combine) -> "FiniteRankOperator":
         self._check_peer(other)
-        columns = [a + b for a, b in zip(self.columns, other.columns)]
+        columns = [combine(a, b) for a, b in zip(self.columns, other.columns)]
         return FiniteRankOperator._of_columns(self.box, self.mode, columns)
 
+    def __add__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
+        return self._columnwise(other, operator.add)
+
     def __sub__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
-        return self + other.scale(-1)
+        return self._columnwise(other, operator.sub)
 
     def scale(self, factor, label: str = "") -> "FiniteRankOperator":
         c = as_scalar(factor, self.mode)
@@ -433,12 +436,13 @@ def scale_and_replicate(
     system: SeminormSystem,
     rng: random.Random | None = None,
     sample_count: int = 50,
+    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScheduleBlock:
     """Damp by N = ceil(m * R) and lay out N copies of the m pieces.
 
     Verifies the identity on the range exactly and the prefix bound
     value(k, prefix) <= 2 * value(k, e) on sampled range elements for every
-    control level.
+    control level, comparing under tol.
     """
     m = split.piece_count
     n_rep = max(1, math.ceil(m * split.control_constant))
@@ -448,12 +452,16 @@ def scale_and_replicate(
     )
     operators = tuple(scaled[j] for _ in range(n_rep) for j in range(m))
     block = ScheduleBlock(split=split, operators=operators, replication=n_rep)
-    _verify_prefix_bound(block, system, rng or random.Random(0), sample_count)
+    _verify_prefix_bound(block, system, rng or random.Random(0), sample_count, tol)
     return block
 
 
 def _verify_prefix_bound(
-    block: ScheduleBlock, system: SeminormSystem, rng: random.Random, sample_count: int
+    block: ScheduleBlock,
+    system: SeminormSystem,
+    rng: random.Random,
+    sample_count: int,
+    tol: Tolerances,
 ) -> None:
     split = block.split
     adapted = split.decomposition.adapted_basis
@@ -476,7 +484,7 @@ def _verify_prefix_bound(
             bound = two * system.value(level, e)
             for r, w, q_vec in prefixes:
                 val = system.value(level, q_vec)
-                if not leq(val, bound, mode):
+                if not leq(val, bound, mode, tol):
                     raise ConstructionSoundnessError(
                         f"prefix bound failed at level {level}, copy {r}, piece {w}: "
                         f"{val} > 2 * {system.value(level, e)}"
@@ -517,8 +525,11 @@ class ScheduledFamily:
         return self.working_levels[grading_position - 1]
 
 
-def flatten_schedule(blocks) -> ScheduledFamily:
-    """Concatenate blocks, composing each damped piece with its source."""
+def flatten_schedule(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> ScheduledFamily:
+    """Concatenate blocks, composing each damped piece with its source.
+
+    The schedule total must equal the family total under tol.
+    """
     blocks = list(blocks)
     if not blocks:
         raise DegenerateInputError("flatten_schedule needs at least one block")
@@ -543,7 +554,7 @@ def flatten_schedule(blocks) -> ScheduledFamily:
             generators.append(b_vec.scale(1 / lead))
     total = reduce(operator.add, operators)
     family_total = reduce(operator.add, (block.split.source for block in blocks))
-    if not total.approx_equal(family_total):
+    if not total.approx_equal(family_total, tol):
         raise ConstructionSoundnessError("schedule total differs from the family total")
     return ScheduledFamily(
         box=box,
@@ -570,7 +581,7 @@ def build_schedule(
     """Full pipeline: renumber, split, damp, replicate, flatten.
 
     tol governs the kernel, rank and control-constant decisions of the
-    renumbering and the splits.
+    renumbering and the splits, the prefix bounds and the total check.
     """
     ops = list(family)
     if not ops:
@@ -584,5 +595,5 @@ def build_schedule(
     blocks = []
     for p, op in enumerate(ops, start=1):
         split = rank_one_split(op, system, control_levels=working[:p], tol=tol)
-        blocks.append(scale_and_replicate(split, system, rng, prefix_samples))
-    return flatten_schedule(blocks)
+        blocks.append(scale_and_replicate(split, system, rng, prefix_samples, tol))
+    return flatten_schedule(blocks, tol)

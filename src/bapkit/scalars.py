@@ -79,6 +79,39 @@ def negligible(value: Scalar, tol: float | None) -> bool:
     return abs(value) <= tol
 
 
+def sum_products(pairs, mode: str, absolute: bool = False) -> Scalar:
+    """sum a * b over the (a, b) pairs, in order, from zero(mode); a * |b| when absolute.
+
+    Rational mode keeps the sum as one integer numerator and one integer
+    denominator and normalises once, with Fraction(num, den) at the end,
+    instead of paying a gcd for every term; a and b must be int or
+    Fraction there.  Float mode adds the products left to right, as a
+    hand-written loop from 0.0 does, so its result is bit-identical to that
+    loop.
+    """
+    if mode != RATIONAL:
+        total = 0.0
+        for a, b in pairs:
+            total += a * abs(b) if absolute else a * b
+        return total
+    num, den = 0, 1
+    for a, b in pairs:
+        n = a.numerator * (abs(b.numerator) if absolute else b.numerator)
+        if n:
+            d = a.denominator * b.denominator
+            if d == den:
+                num += n
+            elif den % d == 0:
+                num += n * (den // d)
+            elif d % den == 0:
+                num = num * (d // den) + n
+                den = d
+            else:
+                num = num * d + n * den
+                den *= d
+    return Fraction(num, den)
+
+
 def random_scalar(rng: random.Random, mode: str) -> Scalar:
     """Sample coefficient of the sampled checks: p/q with |p| <= 6, 1 <= q <= 4, or N(0, 1)."""
     if mode == RATIONAL:

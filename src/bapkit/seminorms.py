@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 from .errors import (
@@ -44,6 +44,7 @@ from .scalars import (
     check_mode,
     negligible,
     rank_tol,
+    sum_products,
     zero,
 )
 from .spaces import Box, SingleBox, TripleBox, TruncatedVector, linear_combination
@@ -53,10 +54,7 @@ MAX = "max"
 
 
 def apply_functional(pairs, vec: TruncatedVector) -> Scalar:
-    total = zero(vec.mode)
-    for idx, coeff in pairs:
-        total += coeff * vec.get(idx)
-    return total
+    return sum_products(((coeff, vec.get(idx)) for idx, coeff in pairs), vec.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +81,23 @@ class RhoTable:
         if self.kind == "table":
             if self.mu_limit < 1 or self.nu_limit < 1:
                 raise InputError("table rho needs positive grid bounds")
-            seen = {}
             for mu, nu, val in self.values:
                 if not (1 <= mu <= self.mu_limit and 1 <= nu <= self.nu_limit):
                     raise InputError(f"rho entry ({mu},{nu}) outside grid")
                 if not 0 < val <= 1:
                     raise InputError(f"rho({mu},{nu}) = {val} not in (0, 1]")
-                seen[(mu, nu)] = val
             for mu in range(1, self.mu_limit + 1):
                 for nu in range(1, self.nu_limit + 1):
-                    if (mu, nu) not in seen:
+                    if (mu, nu) not in self._grid:
                         raise InputError(f"rho table missing entry ({mu},{nu})")
+
+    @cached_property
+    def _grid(self) -> dict:
+        """Table kind: (mu, nu) -> stored value, the first triple winning as a scan finds it."""
+        grid: dict = {}
+        for mu, nu, val in self.values:
+            grid.setdefault((mu, nu), val)
+        return grid
 
     @staticmethod
     def dyadic() -> "RhoTable":
@@ -117,10 +121,10 @@ class RhoTable:
             return 2.0**-mu
         if mu > self.mu_limit or nu > self.nu_limit:
             raise DomainError(f"rho index ({mu},{nu}) outside table grid")
-        for m, n, val in self.values:
-            if (m, n) == (mu, nu):
-                return as_scalar(val, mode)
-        raise DomainError(f"rho index ({mu},{nu}) missing")  # unreachable
+        val = self._grid.get((mu, nu))
+        if val is None:
+            raise DomainError(f"rho index ({mu},{nu}) missing")
+        return as_scalar(val, mode)
 
     def decay_index(self, epsilon, nu: int, mode: str = RATIONAL) -> int:
         """Smallest mu_0 with rho(mu, nu) <= epsilon for every mu >= mu_0.
@@ -309,10 +313,7 @@ class KoetheSeminorms(SeminormSystem):
         self.check_level(k)
         self.check_vector(x)
         row = self.weights[k - 1]
-        total = zero(self.mode)
-        for j, val in x.entries:
-            total += row[j - 1] * abs(val)
-        return total
+        return sum_products(((row[j - 1], val) for j, val in x.entries), self.mode, absolute=True)
 
     def level_terms(self, k: int):
         self.check_level(k)

@@ -20,6 +20,7 @@ from .scalars import (
     all_approx_equal,
     as_scalar,
     check_mode,
+    sum_products,
     zero,
 )
 
@@ -145,12 +146,42 @@ class TruncatedVector:
         if self.mode != other.mode:
             raise ModeError(f"mode mismatch: {self.mode} vs {other.mode}")
 
-    def __add__(self, other: "TruncatedVector") -> "TruncatedVector":
+    def _merge(self, other: "TruncatedVector", subtract: bool) -> "TruncatedVector":
+        """self + other, or self - other, in one walk over both sorted entry tuples.
+
+        Shared indices give a + b or a - b, dropped when zero; a lone entry
+        of other is negated when subtracting.  In IEEE arithmetic a - b
+        equals a + (-1.0 * b), so this matches adding other.scale(-1).
+        """
         self._check_peer(other)
-        return _canonical(self.box, self.mode, self.entries + other.entries)
+        position = self.box.position
+        left, right = self.entries, other.entries
+        out = []
+        i = j = 0
+        while i < len(left) and j < len(right):
+            (ia, a), (ib, b) = left[i], right[j]
+            pa, pb = position(ia), position(ib)
+            if pa < pb:
+                out.append(left[i])
+                i += 1
+            elif pb < pa:
+                out.append((ib, -b) if subtract else right[j])
+                j += 1
+            else:
+                total = a - b if subtract else a + b
+                if total != 0:
+                    out.append((ia, total))
+                i += 1
+                j += 1
+        out.extend(left[i:])
+        out.extend(((ib, -b) for ib, b in right[j:]) if subtract else right[j:])
+        return TruncatedVector(self.box, self.mode, tuple(out))
+
+    def __add__(self, other: "TruncatedVector") -> "TruncatedVector":
+        return self._merge(other, subtract=False)
 
     def __sub__(self, other: "TruncatedVector") -> "TruncatedVector":
-        return self + other.scale(-1)
+        return self._merge(other, subtract=True)
 
     def scale(self, factor) -> "TruncatedVector":
         c = as_scalar(factor, self.mode)
@@ -164,10 +195,9 @@ class TruncatedVector:
         """Standard coordinate inner product; drives orthogonal complements."""
         self._check_peer(other)
         small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
-        total = zero(self.mode)
-        for idx, val in small.entries:
-            total += val * big._lookup.get(idx, zero(self.mode))
-        return total
+        z = zero(self.mode)
+        lookup = big._lookup
+        return sum_products(((val, lookup.get(idx, z)) for idx, val in small.entries), self.mode)
 
     def dense(self) -> list:
         """Coordinates in box enumeration order; for matrix work only."""

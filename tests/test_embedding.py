@@ -126,6 +126,26 @@ def test_embed_detects_off_line_images():
         embed(flat_system(), tampered, vector_from_dense(BOX2, "rational", [F(1), F(1)]))
 
 
+def test_embed_compares_the_generator_line_under_the_given_tolerance():
+    system = KoetheSeminorms(((1, 1),), BOX2, "float")
+    a = FiniteRankOperator.from_matrix(BOX2, "float", [[1, 1], [0, 2]], "a")
+    schedule = build_schedule([a], system, rng=random.Random(0), prefix_samples=10)
+    # tilt the second generator (1, 2) off its image line by 1e-9
+    (_, lead), (_, second) = schedule.generators[1].entries
+    tilted = vector_from_dense(BOX2, "float", [lead, second + 1e-9])
+    generators = tuple(tilted if g == schedule.generators[1] else g for g in schedule.generators)
+    tampered = dataclasses.replace(schedule, generators=generators)
+    x = vector_from_dense(BOX2, "float", [1.0, 1.0])
+    with pytest.raises(ConstructionSoundnessError):
+        embed(system, tampered, x)
+    loose = Tolerances(eq=1e-6)
+    y = embed(system, tampered, x, loose)
+    assert y.coefficients == embed(system, schedule, x).coefficients
+    with pytest.raises(ConstructionSoundnessError):
+        project(system, y)
+    assert project(system, y, loose).coefficients == embed(system, schedule, y.total()).coefficients
+
+
 def test_project_is_idempotent_when_the_family_resums_the_identity():
     box = SingleBox(3)
     system = KoetheSeminorms(
@@ -219,6 +239,21 @@ def test_reconstruction_requires_an_identity_family():
     schedule = skewed_schedule()  # sums to a, not to the identity
     with pytest.raises(InputError):
         verify_reconstruction(flat_system(), schedule)
+
+
+def test_reconstruction_compares_under_the_given_tolerance():
+    # the family sums to the identity plus 1e-9 in one off-diagonal entry
+    system = KoetheSeminorms(((1, 1), (2, 2)), BOX2, "float")
+    family = [
+        FiniteRankOperator.from_matrix(BOX2, "float", [[1, 1e-9], [0, 0]], "a1"),
+        FiniteRankOperator.from_matrix(BOX2, "float", [[0, 0], [0, 1]], "a2"),
+    ]
+    schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=10)
+    with pytest.raises(InputError):
+        verify_reconstruction(system, schedule, sample_count=3)
+    report = verify_reconstruction(system, schedule, sample_count=3, tol=Tolerances(eq=1e-6))
+    assert report.passed
+    assert all(0 < r < 1e-6 for r in report.final_residuals)
 
 
 def test_basis_criterion_constant_one():

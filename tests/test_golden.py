@@ -4,7 +4,9 @@ Each case builds the document for suite `all` at the default config, drops
 the `generated_at` stamp and compares the SHA-256 of its canonical text
 with a constant recorded from a known-good build.  Three larger cases pin
 the benchmark shapes at seed 0: a rational Vogt box 8 x 4 x 6, the rational
-Pelczynski schedule of dimension 10 and every suite in float mode.  A change to any
+Pelczynski schedule of dimension 10 and every suite in float mode.  Two more
+pin the Pelczynski schedule at dimension 12, the top of the scaled configs,
+in both modes; no benchmark workload runs that size.  A change to any
 certificate, to the codec or to the sampled checks' random draws shows up
 here as a hash mismatch.
 """
@@ -33,7 +35,7 @@ GOLDEN = {
     ("table", "float"): "de6ee64b68016958f9f2a844cd1026d1a5002b348d1d70c69e879400371cc7d4",
 }
 
-# the benchmark shapes at seed 0, merged over the default config
+# the benchmark shapes and the dimension-12 schedules at seed 0, merged over the default config
 SCALED = {
     "vogt-8x4x6-rational": (
         {
@@ -46,6 +48,14 @@ SCALED = {
     "pelczynski-10-rational": (
         {"suite": "pelczynski", "mode": "rational", "pelczynski": {"dimension": 10}},
         "7ee206c199e9e4afed0d3be7ccd2b6088d6b968a67e8d311f7f2077c439bb144",
+    ),
+    "pelczynski-12-rational": (
+        {"suite": "pelczynski", "mode": "rational", "pelczynski": {"dimension": 12}},
+        "fa5546f6922e622e201a59bc13632549e3abefafe604907cf92ea7de33ce86d5",
+    ),
+    "pelczynski-12-float": (
+        {"suite": "pelczynski", "mode": "float", "pelczynski": {"dimension": 12}},
+        "88e54207cc671f0b6d3589cbde4251ed6fdaed9c6ed3385393af9c803b00c992",
     ),
     "all-float": (
         {

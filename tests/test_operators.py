@@ -18,6 +18,7 @@ from bapkit import (
     KoetheSeminorms,
     LevelError,
     MaxPrefixSeminorms,
+    ModeError,
     SingleBox,
     Tolerances,
     ZeroOperatorError,
@@ -169,6 +170,35 @@ def test_column_operations_equal_the_dense_formulas(case):
         assert op.range_basis == tuple(
             vector_from_dense(box, mode, [r[j] for r in m]) for j in pivots
         )
+
+
+def column_bits(op):
+    """Columns with each float spelled out bit for bit."""
+    return [
+        [(idx, type(v), v.hex() if isinstance(v, float) else v) for idx, v in col.entries]
+        for col in op.columns
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_cases())
+def test_subtraction_equals_adding_the_negated_operator(case):
+    box, mode, rows_a, rows_b, _, _ = case
+    a = FiniteRankOperator.from_matrix(box, mode, rows_a)
+    b = FiniteRankOperator.from_matrix(box, mode, rows_b)
+    for left, right in ((a, b), (b, a), (a, a)):
+        expected = left + right.scale(-1)
+        got = left - right
+        assert column_bits(got) == column_bits(expected)
+        assert got == expected
+
+
+def test_subtraction_checks_its_peer_first():
+    a = FiniteRankOperator.identity(SingleBox(2), "rational")
+    with pytest.raises(DomainError):
+        a - FiniteRankOperator.identity(SingleBox(3), "rational")
+    with pytest.raises(ModeError):
+        a - FiniteRankOperator.identity(SingleBox(2), "float")
 
 
 # ---------------------------------------------------------------------------

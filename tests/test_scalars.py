@@ -18,6 +18,7 @@ from bapkit.scalars import (
     leq,
     one,
     rank_tol,
+    sum_products,
     zero,
 )
 
@@ -149,3 +150,39 @@ def test_float_vectors_reject_nan_coordinates():
 
     with pytest.raises(ModeError):
         vector_from_dense(SingleBox(2), "float", [float("nan"), 1.0])
+
+
+def loop_sum(pairs, mode, absolute=False):
+    """sum_products as a loop that adds one product at a time."""
+    total = zero(mode)
+    for a, b in pairs:
+        total += a * abs(b) if absolute else a * b
+    return total
+
+
+# denominators up to 12 make every branch of the integer accumulation run:
+# equal, dividing, divisible and coprime denominators
+term_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+term_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+term_ints = st.integers(-9, 9)
+rational_terms = st.tuples(st.one_of(term_fractions, term_ints), term_fractions)
+float_terms = st.tuples(st.one_of(term_floats, term_fractions, term_ints), term_floats)
+
+
+@given(st.lists(rational_terms), st.booleans())
+def test_sum_products_is_exact_in_rational_mode(pairs, absolute):
+    got = sum_products(pairs, "rational", absolute)
+    assert type(got) is Fraction
+    assert got == loop_sum(pairs, "rational", absolute)
+
+
+@given(st.lists(float_terms), st.booleans())
+def test_sum_products_is_bit_equal_to_the_loop_in_float_mode(pairs, absolute):
+    got = sum_products(pairs, "float", absolute)
+    expected = loop_sum(pairs, "float", absolute)
+    assert type(got) is float and got.hex() == expected.hex()
+
+
+def test_sum_products_of_nothing_is_the_typed_zero():
+    assert sum_products([], "rational") == 0 and type(sum_products([], "rational")) is Fraction
+    assert sum_products([], "float").hex() == (0.0).hex()

@@ -29,7 +29,8 @@ from bapkit import (
     vector_from_dense,
 )
 from bapkit.linalg import independent, nullspace
-from bapkit.scalars import DEFAULT_TOLERANCES
+from bapkit.jsonio import decode, encode
+from bapkit.scalars import DEFAULT_TOLERANCES, approx_equal, as_scalar, zero
 from bapkit.seminorms import apply_functional, level_matrix, level_rows
 
 F = Fraction
@@ -488,3 +489,137 @@ def test_level_rows_list_their_columns_in_increasing_order(mode, seed):
         for k in range(1, system.level_count + 1):
             for row in level_rows(system, k, vectors):
                 assert list(row) == sorted(row)
+
+
+# ---------------------------------------------------------------------------
+# integer-accumulated sums against the loops they replaced
+
+
+def loop_koethe_value(system, k, x):
+    """KoetheSeminorms.value as a loop that adds one weighted term at a time."""
+    row = system.weights[k - 1]
+    total = zero(system.mode)
+    for j, val in x.entries:
+        total += row[j - 1] * abs(val)
+    return total
+
+
+def loop_apply_functional(pairs, vec):
+    total = zero(vec.mode)
+    for idx, coeff in pairs:
+        total += coeff * vec.get(idx)
+    return total
+
+
+def scalar_bits(value):
+    """A scalar with its type, and a float spelled out bit for bit."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def random_vector(box, mode, rng, max_support=6):
+    picked = rng.sample(list(box.indices()), rng.randint(0, min(max_support, box.dimension)))
+    if mode == "rational":
+        values = [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in picked]
+    else:
+        values = [rng.choice((rng.uniform(-9.0, 9.0), 0.1, -0.3, 1e-300)) for _ in picked]
+    return TruncatedVector.create(box, mode, zip(picked, values))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_koethe_value_equals_the_termwise_loop(mode, seed):
+    rng = random.Random(seed)
+    d = rng.randint(1, 6)
+    box = SingleBox(d)
+    row = [F(rng.randint(0, 7), rng.randint(1, 5)) for _ in range(d)]
+    rows = [row]
+    for _ in range(rng.randint(0, 2)):
+        row = [w + F(rng.randint(0, 3), rng.randint(1, 7)) for w in row]
+        rows.append(row)
+    if mode == "float":
+        rows = [[float(w) for w in r] for r in rows]
+    system = KoetheSeminorms(tuple(map(tuple, rows)), box, mode)
+    for _ in range(5):
+        x = random_vector(box, mode, rng)
+        for k in range(1, system.level_count + 1):
+            assert scalar_bits(system.value(k, x)) == scalar_bits(loop_koethe_value(system, k, x))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_apply_functional_equals_the_termwise_loop(mode, seed):
+    rng = random.Random(seed)
+    box = rng.choice([SingleBox(5), TripleBox(2, 2, 2)])
+    indices = list(box.indices())
+    coefficients = [1, -2, F(1, 3), F(-5, 12)] + ([0.1, -2.5] if mode == "float" else [])
+    pairs = [(rng.choice(indices), rng.choice(coefficients)) for _ in range(rng.randint(0, 8))]
+    x = random_vector(box, mode, rng)
+    assert scalar_bits(apply_functional(pairs, x)) == scalar_bits(loop_apply_functional(pairs, x))
+
+
+# Every kind whose level_terms claim to be value-exact.  SupPartialSumSeminorms
+# is left out: its terms are exact for kernels only (a max over every
+# functional of every partial, where value is a max of per-partial sums), so
+# graded_operator_norm refuses them over a sum base; see
+# test_sup_partial_level_over_a_sum_base_raises in test_polyhedral.py.
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_value_equals_the_combiner_over_the_level_terms(mode, seed):
+    rng = random.Random(seed)
+    for system in oracle_systems(mode):
+        for _ in range(3):
+            x = random_vector(system.box, mode, rng)
+            for k in range(1, system.level_count + 1):
+                pieces = [abs(apply_functional(pairs, x)) for pairs in system.level_terms(k)]
+                if system.combiner(k) == "sum":
+                    expected = sum(pieces, zero(mode))
+                else:
+                    expected = max(pieces, default=zero(mode))
+                # float: Vogt's split_value sums in another order than its terms
+                assert approx_equal(system.value(k, x), expected, mode)
+
+
+def loop_rho_value(table, mu, nu, mode):
+    """RhoTable.value as the scan over the stored triples that it replaced."""
+    if mu < 1 or nu < 1:
+        raise DomainError(f"rho index ({mu},{nu}) out of range")
+    if mu > table.mu_limit or nu > table.nu_limit:
+        raise DomainError(f"rho index ({mu},{nu}) outside table grid")
+    for m, n, val in table.values:
+        if (m, n) == (mu, nu):
+            return as_scalar(val, mode)
+    raise DomainError(f"rho index ({mu},{nu}) missing")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_rho_table_lookup_equals_the_scan(mode, seed):
+    rng = random.Random(seed)
+    mu_limit, nu_limit = rng.randint(1, 4), rng.randint(1, 4)
+    grid = {
+        (mu, nu): F(rng.randint(1, 9), 9) for mu in range(1, mu_limit + 1)
+        for nu in range(1, nu_limit + 1)
+    }
+    table = RhoTable.from_grid(grid)
+    fresh = RhoTable.from_grid(grid)
+    for mu in range(0, mu_limit + 2):
+        for nu in range(0, nu_limit + 2):
+            try:
+                expected = loop_rho_value(table, mu, nu, mode)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    table.value(mu, nu, mode)
+                continue
+            assert scalar_bits(table.value(mu, nu, mode)) == scalar_bits(expected)
+    # the lookup map is a cache: equality, hashing and the codec ignore it
+    assert table == fresh and hash(table) == hash(fresh)
+    assert encode(table) == encode(fresh) and decode(encode(table)) == table
+
+
+def test_rho_table_lookup_takes_the_first_of_repeated_entries():
+    table = RhoTable("table", ((1, 1, F(1, 2)), (1, 1, F(1, 3))), 1, 1)
+    assert table.value(1, 1, "rational") == F(1, 2) == loop_rho_value(table, 1, 1, "rational")

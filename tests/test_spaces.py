@@ -1,9 +1,10 @@
 """Truncation boxes and sparse vectors."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bapkit import (
@@ -16,6 +17,7 @@ from bapkit import (
     vector_from_dense,
     zero_vector,
 )
+from bapkit.spaces import _canonical
 
 
 def test_triple_box_dimension_and_membership():
@@ -93,10 +95,11 @@ def test_vector_algebra_cancellation():
 
 def test_peer_checks():
     a = unit_vector(SingleBox(2), "rational", 1)
-    with pytest.raises(DomainError):
-        a + unit_vector(SingleBox(3), "rational", 1)
-    with pytest.raises(ModeError):
-        a + unit_vector(SingleBox(2), "float", 1)
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(DomainError):
+            combine(a, unit_vector(SingleBox(3), "rational", 1))
+        with pytest.raises(ModeError):
+            combine(a, unit_vector(SingleBox(2), "float", 1))
 
 
 def test_dense_round_trip():
@@ -142,3 +145,86 @@ def test_float_mode_approx_equal():
 def test_zero_vector():
     z = zero_vector(SingleBox(3), "rational")
     assert z.is_zero() and z.entries == ()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass merge and the summed dot product against the paths they replaced
+
+
+def scalar_bits(value):
+    """A scalar with its type, and a float spelled out bit for bit."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def bits(entries):
+    return tuple((idx, *scalar_bits(v)) for idx, v in entries)
+
+
+def scalars(mode):
+    if mode == "rational":
+        return st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=7)
+    return st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.1, 0.2, 0.3, 1e-300, -5e-324, 2.0**53]),
+    )
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two vectors in one mode on a single or triple box.
+
+    Each index of a's support is shared with b at the same value (a - b
+    cancels there), at the negated value (a + b cancels), at another value,
+    or left out of b; b may add indices of its own, so the supports overlap,
+    are disjoint or cancel.
+    """
+    mode = draw(st.sampled_from(["rational", "float"]))
+    box = draw(st.sampled_from([SingleBox(1), SingleBox(6), TripleBox(2, 2, 3)]))
+    indices = list(box.indices())
+    values = scalars(mode)
+    left = draw(st.dictionaries(st.sampled_from(indices), values, max_size=len(indices)))
+    right = {}
+    for idx, val in left.items():
+        how = draw(st.sampled_from(["same", "negated", "other", "absent"]))
+        if how == "same":
+            right[idx] = val
+        elif how == "negated":
+            right[idx] = -val
+        elif how == "other":
+            right[idx] = draw(values)
+    extra = draw(st.dictionaries(st.sampled_from(indices), values, max_size=4))
+    for idx, val in extra.items():
+        right.setdefault(idx, val)
+    a = TruncatedVector.create(box, mode, left)
+    b = TruncatedVector.create(box, mode, right)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_pairs())
+def test_merge_equals_concatenate_and_sort(pair):
+    a, b = pair
+    box, mode = a.box, a.mode
+    added = _canonical(box, mode, a.entries + b.entries)
+    subtracted = _canonical(box, mode, a.entries + b.scale(-1).entries)
+    assert bits((a + b).entries) == bits(added.entries)
+    assert bits((a - b).entries) == bits(subtracted.entries)
+    assert a + b == added and a - b == subtracted
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+
+
+def loop_dot(a, b):
+    """TruncatedVector.dot as a loop that adds one product at a time."""
+    small, big = (a, b) if len(a.entries) <= len(b.entries) else (b, a)
+    lookup = dict(big.entries)
+    total = Fraction(0) if a.mode == "rational" else 0.0
+    for idx, val in small.entries:
+        total += val * lookup.get(idx, Fraction(0) if a.mode == "rational" else 0.0)
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_pairs())
+def test_dot_equals_the_termwise_loop(pair):
+    a, b = pair
+    assert scalar_bits(a.dot(b)) == scalar_bits(loop_dot(a, b))
