@@ -19,7 +19,7 @@ is picking its pivot-column entries.  The vertices are exact:
   * max combiner: each vertex solves a d-subset of rows against a sign
     pattern, kept when it satisfies every remaining row.
 
-Rows come sparse from seminorms.level_rows; constraint rows are made dense
+Rows come sparse from seminorms.functional_rows; constraint rows are made dense
 once for the elimination, and objective rows are summed in column order over
 the vertex's nonzeros, so float sums are bit-equal to the dense products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
@@ -39,7 +39,7 @@ from .linalg import (
     row_echelon, solve, transpose
 )
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
-from .seminorms import MAX, SUM, SeminormSystem, SupPartialSumSeminorms, level_rows
+from .seminorms import MAX, SUM, SeminormSystem, functional_rows
 from .spaces import unit_vector
 
 DEFAULT_CAP = 200_000
@@ -188,26 +188,21 @@ def _max_ball_sup(pieces, inverse, mode):
 def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, cap=DEFAULT_CAP):
     """One ball, one sup: the max over image lists of the sup of
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
+
+    Each to-level group, per image list, is one objective piece.  The from-level
+    ball must be a single group, as polyhedral_sup takes no intersection of balls.
     """
-    base = system
-    while isinstance(base, SupPartialSumSeminorms):
-        base = base.base
-        if SUM in (base.combiner(to_level), base.combiner(from_level)):
-            # a max of per-partial sums, which level_terms cannot describe
-            raise InputError("a sup-partial level over a sum-combined base has no exact ball")
+    ball = system.level_groups(from_level)
+    if len(ball) > 1:
+        raise InputError(f"level {from_level} has {len(ball)} groups, so no single ball")
+    combiner, functionals = ball[0] if ball else (SUM, ())
+    groups = system.level_groups(to_level)
     pieces = [
-        (level_rows(system, to_level, images, tol), system.combiner(to_level))
-        for images in image_lists
+        (functional_rows(fs, images, system.mode, tol), comb)
+        for images in image_lists for comb, fs in groups
     ]
-    return polyhedral_sup(
-        len(domain_basis),
-        level_rows(system, from_level, domain_basis, tol),
-        system.combiner(from_level),
-        pieces,
-        system.mode,
-        tol=tol,
-        cap=cap,
-    )
+    rows = functional_rows(functionals, domain_basis, system.mode, tol)
+    return polyhedral_sup(len(domain_basis), rows, combiner, pieces, system.mode, tol=tol, cap=cap)
 
 
 def graded_operator_norm(

@@ -1,10 +1,13 @@
 """Graded seminorm systems on truncation boxes.
 
 Every system is a finite family value(1, .) <= value(2, .) <= ... of
-seminorms, each one built from finitely many coordinate functionals combined
-either as a weighted absolute sum or as a max.  That shared shape is what
-makes kernels computable exactly: value(k, x) = 0 iff every constituent
-functional kills x.
+seminorms.  A level is a set of groups (level_groups), each of finitely many
+coordinate functionals combined either as an absolute sum or as a max, and
+its value is the max over the groups.  That shared shape is what makes
+kernels computable exactly: value(k, x) = 0 iff every constituent
+functional kills x.  SeminormSystem derives value from the groups; Vogt and
+sup-partial systems keep their own, whose float sums run in an order that
+documents pin bit for bit (Vogt's split_value also gives primed_value).
 
 Kinds:
   * vogt        triple-indexed; below the level threshold a coordinate enters
@@ -16,7 +19,7 @@ Kinds:
   * max-prefix  value(k, x) = max_{j <= k} |x_j|.
   * custom      explicit functional lists per level.
   * sup-partial derived: running-partial-sum sup of a base system along a
-                fixed operator family.
+                fixed operator family; one group per partial sum and base group.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ class RhoTable:
                     raise InputError(f"rho entry ({mu},{nu}) outside grid")
                 if not 0 < val <= 1:
                     raise InputError(f"rho({mu},{nu}) = {val} not in (0, 1]")
+            if len(self._grid) < len(self.values):
+                raise InputError("rho table repeats a (mu, nu) entry")
             for mu in range(1, self.mu_limit + 1):
                 for nu in range(1, self.nu_limit + 1):
                     if (mu, nu) not in self._grid:
@@ -93,11 +98,8 @@ class RhoTable:
 
     @cached_property
     def _grid(self) -> dict:
-        """Table kind: (mu, nu) -> stored value, the first triple winning as a scan finds it."""
-        grid: dict = {}
-        for mu, nu, val in self.values:
-            grid.setdefault((mu, nu), val)
-        return grid
+        """Table kind: (mu, nu) -> stored value."""
+        return {(mu, nu): val for mu, nu, val in self.values}
 
     @staticmethod
     def dyadic() -> "RhoTable":
@@ -162,7 +164,7 @@ class RhoTable:
 
 
 class SeminormSystem:
-    """Shared interface; concrete kinds subclass.
+    """Shared interface; concrete kinds subclass and state each level in level_groups.
 
     Levels are 1-based and run to .level_count.  Monotonicity across levels
     is guaranteed by construction for the built-in kinds and only sampled
@@ -185,15 +187,56 @@ class SeminormSystem:
         if x.mode != self.mode:
             raise ModeError(f"vector mode {x.mode} does not match system mode {self.mode}")
 
-    def value(self, k: int, x: TruncatedVector) -> Scalar:
-        raise NotImplementedError
-
-    def combiner(self, k: int) -> str:
+    def level_groups(self, k: int):
+        """Level k as a tuple of (combiner, functionals) groups, each functional
+        a tuple of (index, coeff) pairs; value(k, x) is the max over the groups
+        of the combiner over |f . x|.  At most one group is MAX."""
         raise NotImplementedError
 
     def level_terms(self, k: int):
-        """All functionals of level k, as (index, coeff) pair tuples."""
-        raise NotImplementedError
+        """All functionals of level k, flat: the level vanishes where each one does."""
+        return [pairs for _, functionals in self.level_groups(k) for pairs in functionals]
+
+    @cached_property
+    def _level_index(self):
+        """Per level, (combiner, units, weights, wide) for each group, built once:
+        a one-pair functional c x_i enters as the weight |c| at i, since
+        |c x_i| = |c| |x_i|, and units lists a MAX group's unit weights, which
+        do not multiply.  wide keeps the others, a second one at i included."""
+        index = []
+        for k in range(1, self.level_count + 1):
+            index.append([])
+            for combiner, functionals in self.level_groups(k):
+                weights, wide = {}, []
+                for pairs in functionals:
+                    if len(pairs) == 1 and pairs[0][0] not in weights:
+                        weights[pairs[0][0]] = abs(as_scalar(pairs[0][1], self.mode))
+                    else:
+                        wide.append(pairs)
+                units = {i for i, w in weights.items() if w == 1 and combiner == MAX}
+                index[-1].append((combiner, units, weights, wide))
+        return index
+
+    def value(self, k: int, x: TruncatedVector) -> Scalar:
+        """The max over level k's groups, walking the support of x (see _level_index)."""
+        self.check_level(k)
+        self.check_vector(x)
+        best = None
+        for combiner, units, weights, wide in self._level_index[k - 1]:
+            if combiner == SUM:
+                terms = ((weights[i], v) for i, v in x.entries if i in weights)
+                if wide:
+                    terms = itertools.chain(terms, ((1, apply_functional(f, x)) for f in wide))
+                found = [sum_products(terms, self.mode, absolute=True)]
+            else:
+                found = [abs(apply_functional(f, x)) for f in wide] if wide else []
+                for i, v in x.entries:
+                    if i in weights:
+                        found.append(abs(v) if i in units else weights[i] * abs(v))
+            for v in found:
+                if best is None or v > best:
+                    best = v
+        return zero(self.mode) if best is None else best
 
 
 @dataclass(frozen=True)
@@ -215,9 +258,6 @@ class VogtSeminorms(SeminormSystem):
             self.rho.mu_limit < self.box.mu_max or self.rho.nu_limit < self.box.nu_max
         ):
             raise InputError("rho table grid smaller than the box")
-
-    def combiner(self, k: int) -> str:
-        return SUM
 
     def _weight(self, base: int, n: int, mu: int, nu: int) -> Scalar:
         return as_scalar(base ** (n + mu + nu), self.mode)
@@ -257,7 +297,7 @@ class VogtSeminorms(SeminormSystem):
         self.check_level(p)
         return 2 * self.split_value(x, p, p + 1)
 
-    def level_terms(self, k: int):
+    def level_groups(self, k: int):
         self.check_level(k)
         out = []
         for n, mu, nu in self.box.indices():
@@ -269,7 +309,7 @@ class VogtSeminorms(SeminormSystem):
                 if n + 1 <= self.box.n_max:
                     pairs.append((((n + 1, mu, nu)), -w))
                 out.append(tuple(pairs))
-        return out
+        return ((SUM, tuple(out)),)
 
 
 @dataclass(frozen=True)
@@ -306,19 +346,10 @@ class KoetheSeminorms(SeminormSystem):
     def level_count(self) -> int:  # type: ignore[override]
         return len(self.weights)
 
-    def combiner(self, k: int) -> str:
-        return SUM
-
-    def value(self, k: int, x: TruncatedVector) -> Scalar:
-        self.check_level(k)
-        self.check_vector(x)
-        row = self.weights[k - 1]
-        return sum_products(((row[j - 1], val) for j, val in x.entries), self.mode, absolute=True)
-
-    def level_terms(self, k: int):
+    def level_groups(self, k: int):
         self.check_level(k)
         row = self.weights[k - 1]
-        return [((j, row[j - 1]),) for j in range(1, self.box.d + 1) if row[j - 1] != 0]
+        return ((SUM, tuple(((j, w),) for j, w in enumerate(row, 1) if w != 0)),)
 
 
 @dataclass(frozen=True)
@@ -338,23 +369,10 @@ class MaxPrefixSeminorms(SeminormSystem):
         if self.level_count < 1:
             raise LevelError("need at least one level")
 
-    def combiner(self, k: int) -> str:
-        return MAX
-
-    def value(self, k: int, x: TruncatedVector) -> Scalar:
-        self.check_level(k)
-        self.check_vector(x)
-        cut = min(k, self.box.d)
-        best = zero(self.mode)
-        for j, val in x.entries:
-            if j <= cut and abs(val) > best:
-                best = abs(val)
-        return best
-
-    def level_terms(self, k: int):
+    def level_groups(self, k: int):
         self.check_level(k)
         one = as_scalar(1, self.mode)
-        return [((j, one),) for j in range(1, min(k, self.box.d) + 1)]
+        return ((MAX, tuple(((j, one),) for j in range(1, min(k, self.box.d) + 1))),)
 
 
 @dataclass(frozen=True)
@@ -392,22 +410,10 @@ class CustomSeminorms(SeminormSystem):
     def level_count(self) -> int:  # type: ignore[override]
         return len(self.levels)
 
-    def combiner(self, k: int) -> str:
+    def level_groups(self, k: int):
         self.check_level(k)
-        return self.levels[k - 1].combiner
-
-    def value(self, k: int, x: TruncatedVector) -> Scalar:
-        self.check_level(k)
-        self.check_vector(x)
         lvl = self.levels[k - 1]
-        pieces = [abs(apply_functional(pairs, x)) for pairs in lvl.functionals]
-        if not pieces:
-            return zero(self.mode)
-        return sum(pieces, zero(self.mode)) if lvl.combiner == SUM else max(pieces)
-
-    def level_terms(self, k: int):
-        self.check_level(k)
-        return list(self.levels[k - 1].functionals)
+        return ((lvl.combiner, tuple(lvl.functionals)),)
 
 
 class SupPartialSumSeminorms(SeminormSystem):
@@ -429,32 +435,32 @@ class SupPartialSumSeminorms(SeminormSystem):
         self.level_count = base.level_count
         self.monotone_guaranteed = base.monotone_guaranteed
 
-    def combiner(self, k: int) -> str:
-        return MAX  # max over prefixes; kernels still need every term zero
-
     def value(self, k: int, x: TruncatedVector) -> Scalar:
         self.check_level(k)
         self.check_vector(x)
         partials = itertools.accumulate(op.apply(x) for op in self.operators)
         return reduce(max, (self.base.value(k, p) for p in partials), zero(self.mode))
 
-    def level_terms(self, k: int):
-        """Base functionals composed with every partial sum; kernel-exact."""
+    def level_groups(self, k: int):
+        """Base groups composed with every partial sum, zero functionals left out:
+        a group per partial and base SUM group, and one MAX group for the rest."""
         self.check_level(k)
         order = list(self.box.indices())
-        base_terms = self.base.level_terms(k)
+        base_groups = self.base.level_groups(k)
         partials = itertools.accumulate(
             (op.columns for op in self.operators),
             lambda acc, columns: [a + b for a, b in zip(acc, columns)],
         )
-        out = []
-        for partial in partials:
-            for pairs in base_terms:
-                row = [apply_functional(pairs, column) for column in partial]
-                sparse = tuple((idx, v) for idx, v in zip(order, row) if v != 0)
-                if sparse:
-                    out.append(sparse)
-        return out
+        groups, maxed = [], []
+        for partial, (combiner, functionals) in itertools.product(partials, base_groups):
+            rows = ([apply_functional(pairs, column) for column in partial] for pairs in functionals)
+            composed = (tuple((idx, v) for idx, v in zip(order, row) if v != 0) for row in rows)
+            composed = tuple(f for f in composed if f)
+            if combiner == MAX:
+                maxed += composed
+            elif composed:
+                groups.append((SUM, composed))
+        return (*groups, (MAX, tuple(maxed))) if maxed else tuple(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +493,13 @@ def seminorm_kernel_basis(
     return [linear_combination(system.box, system.mode, zip(cs, vectors)) for cs in coeffs]
 
 
-def level_rows(
-    system: SeminormSystem,
-    k: int,
-    basis: Sequence[TruncatedVector],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-):
-    """Rows f_i(v_j) of level k as sparse dicts {j: value}, zero rows pruned.
+def level_rows(system: SeminormSystem, k: int, basis, tol: Tolerances = DEFAULT_TOLERANCES):
+    """functional_rows of level k's functionals, its level_terms."""
+    return functional_rows(system.level_terms(k), basis, system.mode, tol)
+
+
+def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str, tol: Tolerances):
+    """Rows f_i(v_j) as sparse dicts {j: value}, zero rows pruned.
 
     An index -> [(j, entry)] map over the basis supports means each
     functional touches only the basis vectors that meet it, so the cost
@@ -502,14 +508,14 @@ def level_rows(
     out.  A row is kept when one entry is nonzero, beyond tol.rank in float
     mode, and lists its columns j in increasing order (linalg's sparse row).
     """
-    ftol = rank_tol(system.mode, tol)
-    z = zero(system.mode)
+    ftol = rank_tol(mode, tol)
+    z = zero(mode)
     meets: dict = {}
     for j, v in enumerate(basis):
         for idx, val in v.entries:
             meets.setdefault(idx, []).append((j, val))
     rows = []
-    for pairs in system.level_terms(k):
+    for pairs in functionals:
         row: dict = {}
         for idx, coeff in pairs:
             for j, val in meets.get(idx, ()):
@@ -519,11 +525,6 @@ def level_rows(
     return rows
 
 
-def level_matrix(
-    system: SeminormSystem,
-    k: int,
-    basis: Sequence[TruncatedVector],
-    tol: Tolerances = DEFAULT_TOLERANCES,
-):
+def level_matrix(system: SeminormSystem, k: int, basis, tol: Tolerances = DEFAULT_TOLERANCES):
     """level_rows as dense rows, for dense elimination."""
     return dense_rows(level_rows(system, k, basis, tol), len(basis), system.mode)

@@ -143,6 +143,10 @@ def _table(**fields):
         (_table(values=[[1, 1, {"num": 1, "den": 0}]]), "vogt.rho does not decode"),
         (_table(values=[[1, 1, 2]]), "vogt.rho does not decode"),
         (_table(mu_limit="1"), "vogt.rho does not decode"),
+        (
+            _table(values=[[1, 1, {"num": 1, "den": 2}], [1, 1, {"num": 1, "den": 3}]]),
+            "rho table repeats a (mu, nu) entry",
+        ),
     ],
 )
 def test_config_rejects_booleans_and_undecodable_tables(tmp_path, capsys, override, fragment):

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Six rules: no module imports a name it never uses (`__init__` exists to
+Seven rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -12,7 +12,11 @@ reads a `.matrix` attribute, because an operator stores its columns and its
 dense matrix is a derived view that stays behind that one module, and every
 module-level name that a module assigns (outside `__init__`, dunders
 exempt) is read somewhere in the package, in an expression or an
-annotation, because an alias or constant that nothing reads is dead code.
+annotation, because an alias or constant that nothing reads is dead code,
+and each seminorm kind states its levels once, in `level_groups`: in
+`seminorms`, no class defines `combiner`, and a seminorm system defines
+`value` only on the base class, which derives it from the groups, and on
+the Vogt and sup-partial kinds, whose float sums keep their own order.
 """
 
 import ast
@@ -153,6 +157,27 @@ def test_module_level_names_are_read_in_the_package():
         if isinstance(name, ast.Name) and not name.id.startswith("__") and name.id not in read
     ]
     assert not unread, f"module-level names nothing reads: {unread}"
+
+
+def test_each_seminorm_level_is_defined_once():
+    tree = ast.parse((PACKAGE / "seminorms.py").read_text(encoding="utf-8"))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    systems = {"SeminormSystem"} | {
+        c.name for c in classes if any(getattr(b, "id", None) == "SeminormSystem" for b in c.bases)
+    }
+
+    def owners(method, among):
+        return {
+            c.name
+            for c in classes
+            if c.name in among
+            for node in c.body
+            if isinstance(node, ast.FunctionDef) and node.name == method
+        }
+
+    assert owners("combiner", {c.name for c in classes}) == set()
+    assert owners("value", systems) <= {"SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"}
+    assert {"KoetheSeminorms", "MaxPrefixSeminorms", "CustomSeminorms"} <= owners("level_groups", systems)
 
 
 def test_the_rules_see_the_package():

@@ -198,6 +198,20 @@ def test_sup_partial_level_over_a_sum_base_raises():
         graded_operator_norm(sup, 1, 2, FiniteRankOperator.identity(box, "rational"))
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_one_group_sup_partial_level_over_a_sum_base_is_exact(mode):
+    # one operator, the identity: one partial sum, so each level is one sum group
+    box = SingleBox(3)
+    base = KoetheSeminorms(((1, 1, 1), (1, 2, 3)), box, mode)
+    identity = FiniteRankOperator.identity(box, mode)
+    sup = SupPartialSumSeminorms(base, [identity])
+    op = FiniteRankOperator.from_matrix(box, mode, [[1, 0, 2], [0, -1, 0], [3, 0, 1]])
+    for to_level, from_level in ((1, 2), (2, 2), (1, 1)):
+        for operator in (identity, op):
+            expected = graded_operator_norm(base, to_level, from_level, operator)
+            assert graded_operator_norm(sup, to_level, from_level, operator) == expected
+
+
 def test_sup_partial_level_over_a_max_base_is_exact():
     # level 1 is |x_1| and level 3 the max norm, for the base and the partials
     box = SingleBox(3)
@@ -485,9 +499,11 @@ def test_graded_operator_norm_matches_vertex_enumeration(kind, mode, seed):
     basis = [unit_vector(system.box, mode, idx) for idx in system.box.indices()]
     images = [op.apply(v) for v in basis]
     g = level_matrix(system, from_level, basis)
-    pieces = [(level_matrix(system, to_level, images), system.combiner(to_level))]
+    ((to_combiner, _),) = system.level_groups(to_level)
+    ((from_combiner, _),) = system.level_groups(from_level)
+    pieces = [(level_matrix(system, to_level, images), to_combiner)]
     try:
-        expected = enumerated_sup(3, g, system.combiner(from_level), pieces, mode)
+        expected = enumerated_sup(3, g, from_combiner, pieces, mode)
     except UnboundedSeminormError:
         with pytest.raises(UnboundedSeminormError):
             graded_operator_norm(system, to_level, from_level, op)

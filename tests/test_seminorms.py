@@ -30,7 +30,7 @@ from bapkit import (
 )
 from bapkit.linalg import independent, nullspace
 from bapkit.jsonio import decode, encode
-from bapkit.scalars import DEFAULT_TOLERANCES, approx_equal, as_scalar, zero
+from bapkit.scalars import DEFAULT_TOLERANCES, approx_equal, as_scalar, sum_products, zero
 from bapkit.seminorms import apply_functional, level_matrix, level_rows
 
 F = Fraction
@@ -225,7 +225,7 @@ def test_custom_system_combiners():
     x = vector_from_dense(box, "rational", [F(3), F(-4)])
     assert system.value(1, x) == 4  # max(|3|, |4|)
     assert system.value(2, x) == 1  # |3 - 4|
-    assert system.combiner(1) == "max"
+    assert system.level_groups(1) == (("max", (((1, F(1)),), ((2, F(1)),))),)
     assert not system.monotone_guaranteed
 
 
@@ -559,27 +559,108 @@ def test_apply_functional_equals_the_termwise_loop(mode, seed):
     assert scalar_bits(apply_functional(pairs, x)) == scalar_bits(loop_apply_functional(pairs, x))
 
 
-# Every kind whose level_terms claim to be value-exact.  SupPartialSumSeminorms
-# is left out: its terms are exact for kernels only (a max over every
-# functional of every partial, where value is a max of per-partial sums), so
-# graded_operator_norm refuses them over a sum base; see
-# test_sup_partial_level_over_a_sum_base_raises in test_polyhedral.py.
+def sup_partial_systems(mode):
+    """Sup-partial systems over the Koethe, max-prefix and custom oracle systems."""
+    box = SingleBox(4)
+    matrices = (
+        [[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [-1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 0, 1]],
+        [[0, 0, 0, 0], [0, 0, 0, 0], [1, -1, 0, 0], [0, 0, 3, -1]],
+    )
+    ops = [FiniteRankOperator.from_matrix(box, mode, m) for m in matrices]
+    return [SupPartialSumSeminorms(base, ops) for base in oracle_systems(mode)[2:]]
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_value_equals_the_combiner_over_the_level_terms(mode, seed):
     rng = random.Random(seed)
-    for system in oracle_systems(mode):
+    for system in oracle_systems(mode) + sup_partial_systems(mode):
         for _ in range(3):
             x = random_vector(system.box, mode, rng)
             for k in range(1, system.level_count + 1):
-                pieces = [abs(apply_functional(pairs, x)) for pairs in system.level_terms(k)]
-                if system.combiner(k) == "sum":
-                    expected = sum(pieces, zero(mode))
-                else:
-                    expected = max(pieces, default=zero(mode))
-                # float: Vogt's split_value sums in another order than its terms
+                expected = zero(mode)
+                for combiner, functionals in system.level_groups(k):
+                    pieces = [abs(apply_functional(pairs, x)) for pairs in functionals]
+                    if combiner == "sum":
+                        expected = max(expected, sum(pieces, zero(mode)))
+                    else:
+                        expected = max([expected] + pieces)
+                # float: the kinds sum in another order than their groups
                 assert approx_equal(system.value(k, x), expected, mode)
+                assert system.level_terms(k) == [
+                    pairs for _, functionals in system.level_groups(k) for pairs in functionals
+                ]
+
+
+# ---------------------------------------------------------------------------
+# values derived from the level groups against the loops they replaced
+
+
+def koethe_value_loop(system, k, x):
+    row = system.weights[k - 1]
+    return sum_products(((row[j - 1], val) for j, val in x.entries), system.mode, absolute=True)
+
+
+def max_prefix_value_loop(system, k, x):
+    cut = min(k, system.box.d)
+    best = zero(system.mode)
+    for j, val in x.entries:
+        if j <= cut and abs(val) > best:
+            best = abs(val)
+    return best
+
+
+def custom_value_loop(system, k, x):
+    lvl = system.levels[k - 1]
+    pieces = [abs(apply_functional(pairs, x)) for pairs in lvl.functionals]
+    if not pieces:
+        return zero(system.mode)
+    return sum(pieces, zero(system.mode)) if lvl.combiner == "sum" else max(pieces)
+
+
+def random_custom_system(box, mode, rng):
+    """Levels of one- and several-pair functionals, indices repeated, unit weights common."""
+    indices = list(box.indices())
+    coefficients = [1, 1, -1, 2, F(1, 3), F(-5, 2), 0]
+    levels = tuple(
+        CustomLevel(
+            tuple(
+                tuple((rng.choice(indices), rng.choice(coefficients))
+                      for _ in range(rng.choice((1, 1, 2, 3))))
+                for _ in range(rng.randint(0, 5))
+            ),
+            rng.choice(("sum", "max")),
+        )
+        for _ in range(rng.randint(1, 3))
+    )
+    return CustomSeminorms(levels, box, mode)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_derived_value_equals_the_replaced_loops(mode, seed):
+    rng = random.Random(seed)
+    box = SingleBox(rng.randint(1, 6))
+    rows, row = [], [0] * box.d
+    for _ in range(rng.randint(1, 3)):
+        row = [w + rng.choice((0, 0, 1, F(1, 3), F(7, 2))) for w in row]
+        rows.append(tuple(as_scalar(w, mode) for w in row))
+    koethe = KoetheSeminorms(tuple(rows), box, mode)
+    max_prefix = MaxPrefixSeminorms(box, mode, rng.randint(1, box.d + 2))
+    custom = random_custom_system(rng.choice([box, TripleBox(2, 2, 2)]), mode, rng)
+    for _ in range(5):
+        x, y = random_vector(box, mode, rng), random_vector(custom.box, mode, rng)
+        for k in range(1, koethe.level_count + 1):
+            assert scalar_bits(koethe.value(k, x)) == scalar_bits(koethe_value_loop(koethe, k, x))
+        for k in range(1, max_prefix.level_count + 1):
+            got, expected = max_prefix.value(k, x), max_prefix_value_loop(max_prefix, k, x)
+            assert scalar_bits(got) == scalar_bits(expected)
+        for k in range(1, custom.level_count + 1):
+            got, expected = custom.value(k, y), custom_value_loop(custom, k, y)
+            assert type(got) is type(expected) and approx_equal(got, expected, mode)
 
 
 def loop_rho_value(table, mu, nu, mode):
@@ -620,6 +701,15 @@ def test_rho_table_lookup_equals_the_scan(mode, seed):
     assert encode(table) == encode(fresh) and decode(encode(table)) == table
 
 
-def test_rho_table_lookup_takes_the_first_of_repeated_entries():
-    table = RhoTable("table", ((1, 1, F(1, 2)), (1, 1, F(1, 3))), 1, 1)
-    assert table.value(1, 1, "rational") == F(1, 2) == loop_rho_value(table, 1, 1, "rational")
+def test_rho_table_rejects_repeated_entries():
+    with pytest.raises(InputError):
+        RhoTable("table", ((1, 1, F(1, 2)), (1, 1, F(1, 3))), 1, 1)
+    data = {
+        "kind": "rho",
+        "table_kind": "table",
+        "values": [[1, 1, {"num": 1, "den": 2}], [1, 1, {"num": 1, "den": 3}]],
+        "mu_limit": 1,
+        "nu_limit": 1,
+    }
+    with pytest.raises(InputError):
+        decode(data)
