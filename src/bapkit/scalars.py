@@ -44,6 +44,26 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+def _as_rational(value) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ModeError(f"rational mode needs int or Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise ModeError(f"float mode needs a real number, got {type(value).__name__}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ModeError(f"float mode needs a finite number, got {out!r}")
+    return out
+
+
+def scalar_coercer(mode: str):
+    """as_scalar for one mode, with the mode checked once: for coercing many numbers."""
+    return _as_rational if check_mode(mode) == RATIONAL else _as_float
+
+
 def as_scalar(value, mode: str) -> Scalar:
     """Coerce a number into the given mode.
 
@@ -51,17 +71,7 @@ def as_scalar(value, mode: str) -> Scalar:
     an accident, so it is rejected instead of silently converted.  Float mode
     rejects NaN and infinities, which would make every comparison meaningless.
     """
-    check_mode(mode)
-    if mode == RATIONAL:
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise ModeError(f"rational mode needs int or Fraction, got {type(value).__name__}")
-        return Fraction(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-        raise ModeError(f"float mode needs a real number, got {type(value).__name__}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ModeError(f"float mode needs a finite number, got {out!r}")
-    return out
+    return scalar_coercer(mode)(value)
 
 
 def zero(mode: str) -> Scalar:
@@ -85,7 +95,8 @@ def sum_products(pairs, mode: str, absolute: bool = False) -> Scalar:
     Rational mode keeps the sum as one integer numerator and one integer
     denominator and normalises once, with Fraction(num, den) at the end,
     instead of paying a gcd for every term; a and b must be int or
-    Fraction there.  Float mode adds the products left to right, as a
+    Fraction there (both carry .numerator and .denominator, so plain int
+    weights need no conversion).  Float mode adds the products left to right, as a
     hand-written loop from 0.0 does, so its result is bit-identical to that
     loop.
     """

@@ -8,6 +8,9 @@ kernels computable exactly: value(k, x) = 0 iff every constituent
 functional kills x.  SeminormSystem derives value from the groups; Vogt and
 sup-partial systems keep their own, whose float sums run in an order that
 documents pin bit for bit (Vogt's split_value also gives primed_value).
+split_value is one sum_products over the support: the plain terms in entry
+order, then the difference sites in box order, normalised once in rational
+mode and added left to right from 0.0 in float mode.
 
 Kinds:
   * vogt        triple-indexed; below the level threshold a coordinate enters
@@ -262,28 +265,42 @@ class VogtSeminorms(SeminormSystem):
     def _weight(self, base: int, n: int, mu: int, nu: int) -> Scalar:
         return as_scalar(base ** (n + mu + nu), self.mode)
 
+    @cached_property
+    def _rho_grid(self) -> dict:
+        """(mu, nu) -> rho(mu, nu) in the system's mode over the box, built once;
+        total, since a table rho covers the box (see __post_init__)."""
+        return {
+            (mu, nu): self.rho.value(mu, nu, self.mode)
+            for mu in range(1, self.box.mu_max + 1)
+            for nu in range(1, self.box.nu_max + 1)
+        }
+
     def split_value(self, x: TruncatedVector, base: int, threshold: int) -> Scalar:
         """Sum of plain terms (nu <= threshold) and difference terms
-        (nu > threshold) with weight base**(n+mu+nu).
+        (nu > threshold) with weight base**(n+mu+nu), as one sum_products.
 
-        Runs over the support and its n-shift only, never the whole box.
+        Runs over the support and its n-shift only, never the whole box.  The
+        sum takes the plain terms first, in entry order, then the difference
+        sites in box order; documents pin this order in float mode.  Above the
+        top row the neighbour x[n+1] is 0, as no entry of x lies there.
         """
         self.check_vector(x)
-        total = zero(self.mode)
+        z = zero(self.mode)
+        lookup, rho = x._lookup, self._rho_grid
+        terms = []
         diff_sites = set()
         for (n, mu, nu), val in x.entries:
             if nu <= threshold:
-                total += abs(val) * self._weight(base, n, mu, nu)
+                terms.append((base ** (n + mu + nu), val))
             else:
                 diff_sites.add((n, mu, nu))
                 if n > 1:
                     diff_sites.add((n - 1, mu, nu))
         for n, mu, nu in sorted(diff_sites):
-            here = x.get((n, mu, nu))
-            above = x.get((n + 1, mu, nu)) if n + 1 <= self.box.n_max else zero(self.mode)
-            term = abs(self.rho.value(mu, nu, self.mode) * here - above)
-            total += term * self._weight(base, n, mu, nu)
-        return total
+            here = lookup.get((n, mu, nu), z)
+            above = lookup.get((n + 1, mu, nu), z)
+            terms.append((base ** (n + mu + nu), rho[mu, nu] * here - above))
+        return sum_products(terms, self.mode, absolute=True)
 
     def value(self, k: int, x: TruncatedVector) -> Scalar:
         self.check_level(k)
@@ -305,7 +322,7 @@ class VogtSeminorms(SeminormSystem):
             if nu <= k:
                 out.append((((n, mu, nu), w),))
             else:
-                pairs = [((n, mu, nu), self.rho.value(mu, nu, self.mode) * w)]
+                pairs = [((n, mu, nu), self._rho_grid[mu, nu] * w)]
                 if n + 1 <= self.box.n_max:
                     pairs.append((((n + 1, mu, nu)), -w))
                 out.append(tuple(pairs))

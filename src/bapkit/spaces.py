@@ -20,6 +20,7 @@ from .scalars import (
     all_approx_equal,
     as_scalar,
     check_mode,
+    scalar_coercer,
     sum_products,
     zero,
 )
@@ -117,12 +118,12 @@ class TruncatedVector:
 
     @staticmethod
     def create(box: Box, mode: str, values: Mapping | Iterable = ()) -> "TruncatedVector":
-        check_mode(mode)
+        coerce = scalar_coercer(mode)
         items = values.items() if isinstance(values, Mapping) else values
         pairs = []
         for idx, raw in items:
             _require_index(box, idx)
-            pairs.append((idx, as_scalar(raw, mode)))
+            pairs.append((idx, coerce(raw)))
         return _canonical(box, mode, pairs)
 
     @cached_property
@@ -234,5 +235,6 @@ def vector_from_dense(box: Box, mode: str, coords: Iterable) -> TruncatedVector:
     coords = list(coords)
     if len(coords) != box.dimension:
         raise DomainError(f"expected {box.dimension} coordinates, got {len(coords)}")
-    pairs = zip(box.indices(), (as_scalar(x, mode) for x in coords))
+    coerce = scalar_coercer(mode)
+    pairs = zip(box.indices(), map(coerce, coords))
     return TruncatedVector(box, mode, tuple((idx, x) for idx, x in pairs if x != 0))

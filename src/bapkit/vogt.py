@@ -83,7 +83,8 @@ def comparison_inequality_check(
 
     value(p, x) <= primed(p, x), primed(p, x) <= 2 * value(p+1, x), and
     the plain monotonicity value(p, x) <= value(p+1, x); all hold exactly
-    in rational mode.
+    in rational mode.  Each level is evaluated once per sample: value(p+1, x)
+    serves as nxt at p and as v at p+1.
     """
     system = instance.system()
     rng = rng or random.Random(0)
@@ -91,8 +92,8 @@ def comparison_inequality_check(
     passed = True
     for _ in range(sample_count):
         x = _random_sparse(instance, rng)
+        v = system.value(1, x)
         for p in range(1, instance.level_count + 1):
-            v = system.value(p, x)
             vp = system.primed_value(p, x)
             if not leq(v, vp, mode):
                 passed = False
@@ -102,6 +103,7 @@ def comparison_inequality_check(
                     passed = False
                 if not leq(v, nxt, mode):
                     passed = False
+                v = nxt
     return ComparisonReport(passed, sample_count, instance.level_count)
 
 

@@ -4,9 +4,10 @@ Each case builds the document for suite `all` at the default config, drops
 the `generated_at` stamp and compares the SHA-256 of its canonical text
 with a constant recorded from a known-good build.  Three larger cases pin
 the benchmark shapes at seed 0: a rational Vogt box 8 x 4 x 6, the rational
-Pelczynski schedule of dimension 10 and every suite in float mode.  Two more
-pin the Pelczynski schedule at dimension 12, the top of the scaled configs,
-in both modes; no benchmark workload runs that size.  A change to any
+Pelczynski schedule of dimension 10 and every suite in float mode.  Four more
+pin the tops of the scaled configs in both modes, which no benchmark workload
+runs: the Pelczynski schedule at dimension 12 and the dyadic Vogt box
+12 x 6 x 8.  A change to any
 certificate, to the codec or to the sampled checks' random draws shows up
 here as a hash mismatch.
 """
@@ -35,7 +36,8 @@ GOLDEN = {
     ("table", "float"): "de6ee64b68016958f9f2a844cd1026d1a5002b348d1d70c69e879400371cc7d4",
 }
 
-# the benchmark shapes and the dimension-12 schedules at seed 0, merged over the default config
+# the benchmark shapes, the dimension-12 schedules and the 12 x 6 x 8 Vogt box at
+# seed 0, merged over the default config
 SCALED = {
     "vogt-8x4x6-rational": (
         {
@@ -56,6 +58,22 @@ SCALED = {
     "pelczynski-12-float": (
         {"suite": "pelczynski", "mode": "float", "pelczynski": {"dimension": 12}},
         "88e54207cc671f0b6d3589cbde4251ed6fdaed9c6ed3385393af9c803b00c992",
+    ),
+    "vogt-12x6x8-rational": (
+        {
+            "suite": "vogt",
+            "mode": "rational",
+            "vogt": {"rho": "dyadic", "n_max": 12, "mu_max": 6, "nu_max": 8, "level_count": 4},
+        },
+        "cfff74844648f4a20807c882b007970105e21f3ba2e885c6fa8467fee68330bf",
+    ),
+    "vogt-12x6x8-float": (
+        {
+            "suite": "vogt",
+            "mode": "float",
+            "vogt": {"rho": "dyadic", "n_max": 12, "mu_max": 6, "nu_max": 8, "level_count": 4},
+        },
+        "e4b85128d1c894b69acd80cc83788d2506379b6104f37ac95fa7d3b4d1ee10a8",
     ),
     "all-float": (
         {

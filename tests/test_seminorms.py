@@ -663,6 +663,50 @@ def test_derived_value_equals_the_replaced_loops(mode, seed):
             assert type(got) is type(expected) and approx_equal(got, expected, mode)
 
 
+def loop_split_value(system, x, base, threshold):
+    """VogtSeminorms.split_value as the term-by-term loop that it replaced."""
+    mode = system.mode
+    total = zero(mode)
+    diff_sites = set()
+    for (n, mu, nu), val in x.entries:
+        if nu <= threshold:
+            total += abs(val) * as_scalar(base ** (n + mu + nu), mode)
+        else:
+            diff_sites.add((n, mu, nu))
+            if n > 1:
+                diff_sites.add((n - 1, mu, nu))
+    for n, mu, nu in sorted(diff_sites):
+        here = x.get((n, mu, nu))
+        above = x.get((n + 1, mu, nu)) if n + 1 <= system.box.n_max else zero(mode)
+        term = abs(system.rho.value(mu, nu, mode) * here - above)
+        total += term * as_scalar(base ** (n + mu + nu), mode)
+    return total
+
+
+def vogt_vectors(box, mode):
+    """Sparse vectors on box; float entries include tiny and inexact ones."""
+    if mode == "rational":
+        values = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12)
+    else:
+        values = st.floats(-9.0, 9.0) | st.sampled_from([0.1, -0.3, 1e-300])
+    pairs = st.lists(st.tuples(st.sampled_from(list(box.indices())), values), max_size=8)
+    return pairs.map(lambda ps: TruncatedVector.create(box, mode, ps))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_split_value_equals_the_termwise_loop(mode, data):
+    # the dyadic and the table rho systems; value uses (k, k), primed_value (p, p + 1)
+    for system in oracle_systems(mode)[:2]:
+        x = data.draw(vogt_vectors(system.box, mode))
+        for k in range(1, system.level_count + 1):
+            for base, threshold in ((k, k), (k, k + 1)):
+                got = system.split_value(x, base, threshold)
+                expected = loop_split_value(system, x, base, threshold)
+                assert scalar_bits(got) == scalar_bits(expected)
+
+
 def loop_rho_value(table, mu, nu, mode):
     """RhoTable.value as the scan over the stored triples that it replaced."""
     if mu < 1 or nu < 1:

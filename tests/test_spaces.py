@@ -110,6 +110,37 @@ def test_dense_round_trip():
         vector_from_dense(box, "rational", [1, 2, 3])  # wrong length
 
 
+@pytest.mark.parametrize(
+    "mode, bad",
+    [
+        ("rational", 0.0),  # a float zero is still a float
+        ("rational", True),
+        ("rational", False),
+        ("float", float("nan")),
+        ("float", float("inf")),
+        ("float", -float("inf")),
+        ("float", True),
+    ],
+)
+def test_vector_from_dense_coerces_every_coordinate(mode, bad):
+    # the mode is checked once, but each coordinate, zeros included, is still coerced
+    box = SingleBox(3)
+    with pytest.raises(ModeError):
+        vector_from_dense(box, mode, [1, bad, 0])
+    with pytest.raises(ModeError):
+        vector_from_dense(box, "decimal", [1, 0, 0])
+
+
+def test_vector_from_dense_keeps_the_mode_types():
+    box = SingleBox(3)
+    exact = vector_from_dense(box, "rational", [2, 0, Fraction(1, 3)])
+    assert exact.entries == ((1, Fraction(2)), (3, Fraction(1, 3)))
+    assert all(type(v) is Fraction for _, v in exact.entries)
+    approx = vector_from_dense(box, "float", [2, 0.0, Fraction(1, 4)])
+    assert approx.entries == ((1, 2.0), (3, 0.25))
+    assert all(type(v) is float for _, v in approx.entries)
+
+
 coords = st.lists(
     st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6),
     min_size=4,

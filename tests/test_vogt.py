@@ -13,12 +13,14 @@ from bapkit import (
     RhoTable,
     TripleBox,
     VogtInstance,
+    VogtSeminorms,
     bap_failure_witness,
     comparison_inequality_check,
     norm_positivity_check,
     nuclearity_certificate,
     witness_evidence,
 )
+from bapkit.vogt import _random_sparse
 
 F = Fraction
 
@@ -46,6 +48,60 @@ def test_comparison_inequalities_hold_in_float_mode():
     inst = VogtInstance(RhoTable.dyadic(), TripleBox(4, 2, 3), "float", 3)
     report = comparison_inequality_check(inst, rng=random.Random(1), sample_count=10)
     assert report.passed
+
+
+# Each row swaps in a value or primed_value under which exactly one of the
+# three comparison inequalities fails on every nonzero sample, given that the
+# true values satisfy all three:
+#   value<=primed   primed(p) = value(p) / 2
+#   primed<=2*next  primed(p) = 2 value(p+1) + 1 below the top level
+#   value<=next     value(1) = primed(1) and value(2) = primed(1) / 2, so
+#                   value(2) <= value(2) <= primed(2) and primed(1) = 2 value(2)
+BROKEN_COMPARISONS = {
+    "value<=primed": lambda value, primed: {
+        "primed_value": lambda self, p, x: value(self, p, x) / 2,
+    },
+    "primed<=2*next": lambda value, primed: {
+        "primed_value": lambda self, p, x: (
+            2 * value(self, p + 1, x) + 1 if p < self.level_count else primed(self, p, x)
+        ),
+    },
+    "value<=next": lambda value, primed: {
+        "value": lambda self, k, x: (
+            primed(self, 1, x) if k == 1 else primed(self, 1, x) / 2 if k == 2 else value(self, k, x)
+        ),
+    },
+}
+
+
+def failing_comparisons(instance, sample_count):
+    """Which inequalities fail on the check's samples, each level evaluated afresh."""
+    system = instance.system()
+    rng = random.Random(0)
+    failing = set()
+    for _ in range(sample_count):
+        x = _random_sparse(instance, rng)
+        for p in range(1, instance.level_count + 1):
+            if not system.value(p, x) <= system.primed_value(p, x):
+                failing.add("value<=primed")
+            if p < instance.level_count:
+                if not system.primed_value(p, x) <= 2 * system.value(p + 1, x):
+                    failing.add("primed<=2*next")
+                if not system.value(p, x) <= system.value(p + 1, x):
+                    failing.add("value<=next")
+    return failing
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_COMPARISONS))
+def test_each_comparison_inequality_can_fail(monkeypatch, broken):
+    inst = dyadic_instance()
+    assert failing_comparisons(inst, 15) == set()
+    patches = BROKEN_COMPARISONS[broken](VogtSeminorms.value, VogtSeminorms.primed_value)
+    for name, method in patches.items():
+        monkeypatch.setattr(VogtSeminorms, name, method)
+    assert failing_comparisons(inst, 15) == {broken}
+    report = comparison_inequality_check(inst, rng=random.Random(0), sample_count=15)
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------
