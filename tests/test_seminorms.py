@@ -154,16 +154,17 @@ def test_vogt_table_grid_must_cover_the_box():
         VogtSeminorms(table, TripleBox(2, 2, 2), "rational", 2)
 
 
-def sparse_vectors(box, max_support=6):
-    indices = list(box.indices())
+def sparse_vectors(box, mode="rational", max_support=6):
+    """Nonzero sparse vectors on box; float entries include tiny and inexact ones."""
+    if mode == "rational":
+        values = st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6)
+    else:
+        values = st.floats(-9.0, 9.0) | st.sampled_from([0.1, -0.3, 1e-300])
     return st.lists(
-        st.tuples(
-            st.sampled_from(indices),
-            st.fractions(min_value=F(-4), max_value=F(4), max_denominator=6),
-        ),
+        st.tuples(st.sampled_from(list(box.indices())), values),
         min_size=1,
         max_size=max_support,
-    ).map(lambda pairs: TruncatedVector.create(box, "rational", pairs))
+    ).map(lambda pairs: TruncatedVector.create(box, mode, pairs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -683,23 +684,13 @@ def loop_split_value(system, x, base, threshold):
     return total
 
 
-def vogt_vectors(box, mode):
-    """Sparse vectors on box; float entries include tiny and inexact ones."""
-    if mode == "rational":
-        values = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12)
-    else:
-        values = st.floats(-9.0, 9.0) | st.sampled_from([0.1, -0.3, 1e-300])
-    pairs = st.lists(st.tuples(st.sampled_from(list(box.indices())), values), max_size=8)
-    return pairs.map(lambda ps: TruncatedVector.create(box, mode, ps))
-
-
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_split_value_equals_the_termwise_loop(mode, data):
     # the dyadic and the table rho systems; value uses (k, k), primed_value (p, p + 1)
     for system in oracle_systems(mode)[:2]:
-        x = data.draw(vogt_vectors(system.box, mode))
+        x = data.draw(sparse_vectors(system.box, mode))
         for k in range(1, system.level_count + 1):
             for base, threshold in ((k, k), (k, k + 1)):
                 got = system.split_value(x, base, threshold)
