@@ -205,9 +205,9 @@ def run_suite_pelczynski(cfg: dict):
     for _ in range(5):
         dense = [rng.randint(-5, 5) for _ in range(d)]
         x = vector_from_dense(box, mode, dense)
-        y = embed(system, schedule, x)
-        once = project(system, y)
-        twice = project(system, once)
+        y = embed(schedule, x)
+        once = project(y)
+        twice = project(once)
         if once.coefficients != twice.coefficients:
             idempotent = False
     checks["projection-idempotent"] = {"passed": idempotent, "report": None}

@@ -87,10 +87,7 @@ def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
 
 
 def embed(
-    system: SeminormSystem,
-    schedule: ScheduledFamily,
-    x: TruncatedVector,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    schedule: ScheduledFamily, x: TruncatedVector, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> BasisSpaceElement:
     """I(x): one coefficient per slot, read off the generator's lead entry.
 
@@ -112,10 +109,10 @@ def embed(
 
 
 def project(
-    system: SeminormSystem, element: BasisSpaceElement, tol: Tolerances = DEFAULT_TOLERANCES
+    element: BasisSpaceElement, *, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> BasisSpaceElement:
     """L(y): resum the components and embed again; idempotent."""
-    return embed(system, element.schedule, element.total(), tol)
+    return embed(element.schedule, element.total(), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ def certify_equicontinuity(
     total_op = prefix_sums[-1]
     for trial in range(sample_count):
         x = _random_vector(schedule.box, schedule.mode, rng)
-        y = embed(system, schedule, x, tol)
+        y = embed(schedule, x, tol=tol)
         for position, base_level, comp_level, m_val in entries:
             e0 = e0_value(system, y, position)
             lower = system.value(base_level, total_op.apply(x))
@@ -212,7 +209,7 @@ class ReconstructionReport:
 def verify_reconstruction(
     system: SeminormSystem,
     schedule: ScheduledFamily,
-    vectors=None,
+    *,
     rng: random.Random | None = None,
     sample_count: int = 10,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -227,10 +224,7 @@ def verify_reconstruction(
     if not total.approx_equal(FiniteRankOperator.identity(schedule.box, schedule.mode), tol):
         raise InputError("reconstruction needs a family summing to the identity")
     rng = rng or random.Random(0)
-    if vectors is None:
-        vectors = [
-            _random_vector(schedule.box, schedule.mode, rng) for _ in range(sample_count)
-        ]
+    vectors = [_random_vector(schedule.box, schedule.mode, rng) for _ in range(sample_count)]
     all_traces = []
     finals = []
     passed = True

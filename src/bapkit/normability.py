@@ -11,6 +11,7 @@ violation is reported.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,22 +218,22 @@ def dv_condition_check(
 ) -> DiagnosticVerdict:
     """Check the level-comparison condition against observed families.
 
-    comparison_levels maps each tested level k to its j(k) > k >= base
-    level; a family bounded (Cauchy) at j(k) and vanishing at the base
-    level must not carry a verified floor at k.  Empty evidence is
-    vacuously consistent and flagged as such.
+    comparison_levels is a mapping from each tested level k to its
+    j(k) > k >= base level, checked once up front; a family bounded
+    (Cauchy) at j(k) and vanishing at the base level must not carry a
+    verified floor at k.  Empty evidence is vacuously consistent and
+    flagged as such.
     """
     system.check_level(base_level)
-    if callable(comparison_levels):
-        j_of = comparison_levels
-    else:
-        for k, j in comparison_levels.items():
-            if not (isinstance(k, int) and isinstance(j, int) and j > k >= base_level):
-                raise InputError(
-                    f"comparison levels must satisfy j(k) > k >= {base_level},"
-                    f" got j({k})={j}"
-                )
-        j_of = lambda k: comparison_levels[k]
+    if not isinstance(comparison_levels, Mapping):
+        kind = type(comparison_levels).__name__
+        raise InputError(f"comparison levels must be a mapping, got {kind}")
+    for k, j in comparison_levels.items():
+        if not (isinstance(k, int) and isinstance(j, int) and j > k >= base_level):
+            raise InputError(
+                f"comparison levels must satisfy j(k) > k >= {base_level},"
+                f" got j({k})={j}"
+            )
     items = list(evidence)
     if not items:
         return DiagnosticVerdict("consistent", "no evidence", details=(("evidence", 0),))
@@ -240,14 +241,9 @@ def dv_condition_check(
         if item.floor is None:
             continue
         k = item.floor.level
-        try:
-            j = j_of(k)
-        except KeyError:
+        if k not in comparison_levels:
             raise InputError(f"no comparison level declared for level {k}")
-        if not (isinstance(j, int) and j > k >= base_level):
-            raise InputError(
-                f"comparison levels must satisfy j(k) > k >= {base_level}, got j({k})={j}"
-            )
+        j = comparison_levels[k]
         if item.family.level != j:
             raise InputError(
                 f"evidence family sits at level {item.family.level}, expected j({k})={j}"

@@ -4,6 +4,11 @@ A box is the finite index window standing in for the full index set: triple
 boxes enumerate (n, mu, nu) with 1 <= n <= n_max and so on, single boxes
 enumerate coordinates 1..d.  Vectors store only their nonzero entries, so
 evaluation cost follows the support, not the box volume.
+
+Box order is the natural order of the indices: ints for single boxes,
+lexicographic (n, mu, nu) for triple boxes.  `indices()` and `position`
+follow it, so entries sort and merge by comparing indices; `position` only
+lays a vector out densely.
 """
 
 from __future__ import annotations
@@ -92,15 +97,11 @@ def _require_index(box: Box, idx) -> None:
 
 
 def _canonical(box: Box, mode: str, pairs: Iterable) -> "TruncatedVector":
-    """The vector summing the (index, value) pairs: entries in box order, zeros dropped."""
+    """The vector summing the (index, value) pairs: entries in index order, zeros dropped."""
     merged: dict = {}
     for idx, val in pairs:
         merged[idx] = merged[idx] + val if idx in merged else val
-    cleaned = tuple(
-        (idx, val)
-        for idx, val in sorted(merged.items(), key=lambda kv: box.position(kv[0]))
-        if val != 0
-    )
+    cleaned = tuple((idx, val) for idx, val in sorted(merged.items()) if val != 0)
     return TruncatedVector(box, mode, cleaned)
 
 
@@ -108,7 +109,7 @@ def _canonical(box: Box, mode: str, pairs: Iterable) -> "TruncatedVector":
 class TruncatedVector:
     """Immutable sparse vector on a box; zero entries are never stored.
 
-    The entries tuple is kept sorted by box position, which makes equality,
+    The entries tuple is kept sorted by index, which makes equality,
     hashing and serialization canonical.
     """
 
@@ -155,17 +156,15 @@ class TruncatedVector:
         equals a + (-1.0 * b), so this matches adding other.scale(-1).
         """
         self._check_peer(other)
-        position = self.box.position
         left, right = self.entries, other.entries
         out = []
         i = j = 0
         while i < len(left) and j < len(right):
             (ia, a), (ib, b) = left[i], right[j]
-            pa, pb = position(ia), position(ib)
-            if pa < pb:
+            if ia < ib:
                 out.append(left[i])
                 i += 1
-            elif pb < pa:
+            elif ib < ia:
                 out.append((ib, -b) if subtract else right[j])
                 j += 1
             else:

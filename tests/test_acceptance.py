@@ -236,15 +236,15 @@ def test_criterion_5_schedules_embed_and_certify():
         for _ in range(200):
             dense = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(schedule.box.dimension)]
             x = vector_from_dense(schedule.box, "rational", dense)
-            y = embed(system, schedule, x)
+            y = embed(schedule, x)
             assert y.total() == x
-            assert project(system, y).coefficients == y.coefficients
+            assert project(y).coefficients == y.coefficients
             z = element_from_components(
                 schedule,
                 [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(len(schedule))],
             )
-            lz = project(system, z)
-            assert project(system, lz).coefficients == lz.coefficients
+            lz = project(z)
+            assert project(lz).coefficients == lz.coefficients
         cert = certify_equicontinuity(
             system, schedule, rng=random.Random(17), sample_count=500
         )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bapkit
-from bapkit import RhoTable, SingleBox
+from bapkit import BasisSpaceElement, RhoTable, SeminormSystem, SingleBox, SupPartialSumSeminorms
 from bapkit import cli
 from bapkit import jsonio
 
@@ -200,6 +200,36 @@ def test_slow_decay_table_fails_the_vogt_suite(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["passed"] is False
     assert doc["suites"]["vogt"]["checks"]["error"]["type"] == "BoxTooSmallError"
+
+
+# per check: the class, the method it loses, and the broken method built from the original
+BROKEN_CHECKS = {
+    "pelczynski/reconstruction": (
+        SeminormSystem, "value", lambda value: lambda self, k, x: Fraction(1)
+    ),
+    "pelczynski/projection-idempotent": (
+        BasisSpaceElement, "total", lambda total: lambda self: total(self).scale(2)
+    ),
+    "normability/sup-norm-upgrade": (
+        SupPartialSumSeminorms, "value", lambda value: lambda self, k, x: 0
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BROKEN_CHECKS))
+def test_each_check_can_fail_on_its_own(monkeypatch, check):
+    suite = check.split("/")[0]
+    run_suite = getattr(cli, f"run_suite_{suite}")
+    cfg = cli.load_config(None, namespace(suite=suite))
+
+    def failing():
+        _, checks = run_suite(cfg)
+        return {f"{suite}/{name}" for name, result in checks.items() if not result["passed"]}
+
+    assert failing() == set()
+    owner, name, broken = BROKEN_CHECKS[check]
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    assert failing() == {check}
 
 
 def test_usage_errors_exit_two():

@@ -102,9 +102,8 @@ def test_e0_value_oracle():
 
 def test_embed_reads_generator_coefficients():
     schedule = skewed_schedule()
-    system = flat_system()
     x = vector_from_dense(BOX2, "rational", [F(3), F(6)])
-    y = embed(system, schedule, x)
+    y = embed(schedule, x)
     # each copy contributes x1/3 along (1,0) and x2/3 along (1,2)
     assert y.coefficients == (F(1), F(2), F(1), F(2), F(1), F(2))
     assert y.total() == vector_from_dense(BOX2, "rational", [F(9), F(12)])
@@ -113,7 +112,19 @@ def test_embed_reads_generator_coefficients():
 def test_embed_box_check():
     schedule = skewed_schedule()
     with pytest.raises(InputError):
-        embed(flat_system(), schedule, vector_from_dense(SingleBox(3), "rational", [1, 0, 0]))
+        embed(schedule, vector_from_dense(SingleBox(3), "rational", [1, 0, 0]))
+
+
+def test_embed_and_project_take_the_tolerance_by_keyword_only():
+    schedule = skewed_schedule()
+    x = vector_from_dense(BOX2, "rational", [F(3), F(6)])
+    y = embed(schedule, x)
+    with pytest.raises(TypeError):
+        embed(flat_system(), schedule, x)  # a seminorm system cannot bind to schedule
+    with pytest.raises(TypeError):
+        embed(schedule, x, Tolerances())
+    with pytest.raises(TypeError):
+        project(y, Tolerances())
 
 
 def test_embed_detects_off_line_images():
@@ -123,7 +134,7 @@ def test_embed_detects_off_line_images():
         schedule, generators=(schedule.generators[1], schedule.generators[0]) * 3
     )
     with pytest.raises(ConstructionSoundnessError):
-        embed(flat_system(), tampered, vector_from_dense(BOX2, "rational", [F(1), F(1)]))
+        embed(tampered, vector_from_dense(BOX2, "rational", [F(1), F(1)]))
 
 
 def test_embed_compares_the_generator_line_under_the_given_tolerance():
@@ -137,13 +148,13 @@ def test_embed_compares_the_generator_line_under_the_given_tolerance():
     tampered = dataclasses.replace(schedule, generators=generators)
     x = vector_from_dense(BOX2, "float", [1.0, 1.0])
     with pytest.raises(ConstructionSoundnessError):
-        embed(system, tampered, x)
+        embed(tampered, x)
     loose = Tolerances(eq=1e-6)
-    y = embed(system, tampered, x, loose)
-    assert y.coefficients == embed(system, schedule, x).coefficients
+    y = embed(tampered, x, tol=loose)
+    assert y.coefficients == embed(schedule, x).coefficients
     with pytest.raises(ConstructionSoundnessError):
-        project(system, y)
-    assert project(system, y, loose).coefficients == embed(system, schedule, y.total()).coefficients
+        project(y)
+    assert project(y, tol=loose).coefficients == embed(schedule, y.total()).coefficients
 
 
 def test_project_is_idempotent_when_the_family_resums_the_identity():
@@ -155,13 +166,13 @@ def test_project_is_idempotent_when_the_family_resums_the_identity():
         coordinate_family(box), system, rng=random.Random(0), prefix_samples=10
     )
     y = element_from_components(schedule, [F(1, 2), -2, 3])
-    once = project(system, y)
-    twice = project(system, once)
+    once = project(y)
+    twice = project(once)
     assert once.coefficients == twice.coefficients
     # an embedded vector is already a fixed point
     x = vector_from_dense(box, "rational", [F(2), F(-1), F(4)])
-    z = embed(system, schedule, x)
-    assert project(system, z).coefficients == z.coefficients
+    z = embed(schedule, x)
+    assert project(z).coefficients == z.coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +295,7 @@ def test_embed_accepts_large_float_inputs():
     for sigma in (1e6, 1e9):
         for _ in range(50):
             x = vector_from_dense(box, "float", [rng.gauss(0.0, sigma) for _ in range(3)])
-            embed(system, schedule, x)
+            embed(schedule, x)
 
 
 def test_certificate_prunes_at_the_given_rank_tolerance():

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Seven rules: no module imports a name it never uses (`__init__` exists to
+Eight rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -16,7 +16,11 @@ annotation, because an alias or constant that nothing reads is dead code,
 and each seminorm kind states its levels once, in `level_groups`: in
 `seminorms`, no class defines `combiner`, and a seminorm system defines
 `value` only on the base class, which derives it from the groups, and on
-the Vogt and sup-partial kinds, whose float sums keep their own order.
+the Vogt and sup-partial kinds, whose float sums keep their own order,
+and every function reads each of its parameters, `*args` and `**kwargs`
+included, in its body (`self`, `cls`, `_`-names and bodies that only raise
+are exempt), because an input that the function ignores tells its callers
+that it matters.
 """
 
 import ast
@@ -178,6 +182,55 @@ def test_each_seminorm_level_is_defined_once():
     assert owners("combiner", {c.name for c in classes}) == set()
     assert owners("value", systems) <= {"SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"}
     assert {"KoetheSeminorms", "MaxPrefixSeminorms", "CustomSeminorms"} <= owners("level_groups", systems)
+
+
+def _only_raises(body):
+    """A body of an optional docstring and raise statements, such as an abstract method's."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return bool(body) and all(isinstance(stmt, ast.Raise) for stmt in body)
+
+
+def _parameters(args):
+    yield from args.posonlyargs + args.args + args.kwonlyargs
+    yield from (a for a in (args.vararg, args.kwarg) if a is not None)
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for each parameter that its function's body never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or _only_raises(node.body):
+            continue
+        exempt = {"self", "cls"} | {
+            sub.id
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        for arg in _parameters(node.args):
+            if arg.arg not in exempt and not arg.arg.startswith("_"):
+                yield node.lineno, node.name, arg.arg
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unread = [f"{path.name}:{line} {fn}({arg})" for line, fn, arg in _unread_parameters(tree)]
+    assert not unread, f"parameters the function never reads: {unread}"
+
+
+def test_the_parameter_rule_flags_an_unread_input():
+    source = """
+def embed(system, schedule, x, *args, **kwargs):
+    return schedule, x
+def level_groups(self, k):
+    "Abstract."
+    raise NotImplementedError
+def helper(_unused, cls, *parts):
+    return parts
+"""
+    found = [(fn, arg) for _, fn, arg in _unread_parameters(ast.parse(source))]
+    assert found == [("embed", "system"), ("embed", "args"), ("embed", "kwargs")]
 
 
 def test_the_rules_see_the_package():

@@ -264,11 +264,10 @@ def test_dv_condition_validates_the_level_map_eagerly():
         dv_condition_check(prefix_system(), {0: 2}, 1, [])
 
 
-def test_dv_condition_checks_callable_maps_per_floor():
-    w = witness()
-    system = w.instance.system()
+def test_dv_condition_rejects_a_callable_map():
+    # the map is a finite table; a callable is refused before any evidence is read
     with pytest.raises(InputError):
-        dv_condition_check(system, lambda k: k, w.vanishing_level, [witness_evidence(w)])
+        dv_condition_check(prefix_system(), lambda k: k + 1, 1, [])
 
 
 def test_dv_condition_requires_a_declared_comparison_level():

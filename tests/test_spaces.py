@@ -37,6 +37,18 @@ def test_triple_box_positions_follow_enumeration_order():
     assert [box.position(idx) for idx in listed] == list(range(box.dimension))
 
 
+@pytest.mark.parametrize(
+    "box",
+    [SingleBox(1), SingleBox(7), TripleBox(1, 1, 1), TripleBox(2, 2, 3), TripleBox(3, 4, 2)],
+    ids=str,
+)
+def test_box_order_is_the_natural_order_of_the_indices(box):
+    # vectors sort and merge their entries by comparing indices directly
+    listed = list(box.indices())
+    assert listed == sorted(listed)
+    assert [box.position(idx) for idx in listed] == list(range(box.dimension))
+
+
 def test_box_bounds_must_be_positive():
     with pytest.raises(DomainError):
         TripleBox(0, 1, 1)
