@@ -9,6 +9,7 @@ a construction refused an input, 2 configuration or usage problems.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import random
 import sys
@@ -67,7 +68,7 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = copy.deepcopy(_DEFAULTS)
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -356,7 +357,7 @@ _STATEMENTS = (
     ),
     (
         "basis-criterion",
-        "prefix values are running maxima, constant 1",
+        "coefficient terms within twice the graded value; seminorm triangle inequality",
         "bapkit.embedding.basis_criterion_check",
     ),
     (

@@ -87,15 +87,15 @@ class FiniteRankOperator:
         return FiniteRankOperator._of_columns(box, mode, columns, label)
 
     @staticmethod
-    def identity(box: Box, mode: str, label: str = "identity") -> "FiniteRankOperator":
+    def identity(box: Box, mode: str) -> "FiniteRankOperator":
         d = box.dimension
         rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        return FiniteRankOperator.from_matrix(box, mode, rows, label)
+        return FiniteRankOperator.from_matrix(box, mode, rows, "identity")
 
     @staticmethod
-    def zero(box: Box, mode: str, label: str = "zero") -> "FiniteRankOperator":
+    def zero(box: Box, mode: str) -> "FiniteRankOperator":
         columns = [zero_vector(box, mode)] * box.dimension
-        return FiniteRankOperator._of_columns(box, mode, columns, label)
+        return FiniteRankOperator._of_columns(box, mode, columns, "zero")
 
     @staticmethod
     def rank_one(
@@ -134,10 +134,10 @@ class FiniteRankOperator:
         terms = ((val, self.columns[position(idx)]) for idx, val in x.entries)
         return linear_combination(self.box, self.mode, terms)
 
-    def compose(self, other: "FiniteRankOperator", label: str = "") -> "FiniteRankOperator":
+    def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         self._check_peer(other)
         columns = [self.apply(c) for c in other.columns]
-        return FiniteRankOperator._of_columns(self.box, self.mode, columns, label)
+        return FiniteRankOperator._of_columns(self.box, self.mode, columns)
 
     def _columnwise(self, other: "FiniteRankOperator", combine) -> "FiniteRankOperator":
         self._check_peer(other)
@@ -161,16 +161,6 @@ class FiniteRankOperator:
         self._check_peer(other)
         pairs = [(a, b) for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)]
         return all_approx_equal(pairs, self.mode, tol)
-
-    def range_consistent(self, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        ftol = rank_tol(self.mode, tol)
-        if rank([list(r) for r in self.matrix], ftol) != len(self.range_basis):
-            return False
-        cols = [c.dense() for c in self.columns]
-        basis_dense = [v.dense() for v in self.range_basis]
-        return all(in_span(basis_dense, col, ftol) for col in cols) and all(
-            in_span(cols, b, ftol) for b in basis_dense
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +242,6 @@ class ComplementDecomposition:
     @property
     def adapted_basis(self) -> tuple:
         return tuple(v for _, basis in self.blocks for v in basis)
-
-    def tag_of_position(self, j: int) -> int:
-        pos = 0
-        for tag, basis in self.blocks:
-            pos += len(basis)
-            if j < pos:
-                return tag
-        raise InputError(f"position {j} outside the adapted basis")
 
 
 def _project_out(v, orthogonal):

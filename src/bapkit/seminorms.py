@@ -149,18 +149,6 @@ class RhoTable:
                 worst = mu + 1
         return worst
 
-    def verify_decay(self, mu_max: int, nu_max: int, epsilons, mode: str = RATIONAL) -> bool:
-        """Check the witness on a box; table grids must reach mu_max."""
-        for nu in range(1, nu_max + 1):
-            for eps in epsilons:
-                mu0 = self.decay_index(eps, nu, mode)
-                if mu0 > mu_max:
-                    return False
-                for mu in range(mu0, mu_max + 1):
-                    if self.value(mu, nu, mode) > eps:
-                        return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # system kinds
@@ -170,15 +158,14 @@ class SeminormSystem:
     """Shared interface; concrete kinds subclass and state each level in level_groups.
 
     Levels are 1-based and run to .level_count.  Monotonicity across levels
-    is guaranteed by construction for the built-in kinds and only sampled
-    for custom systems (see .monotone_guaranteed).
+    holds by construction for the vogt, koethe and max-prefix kinds, carries
+    over to sup-partial from its base, and is the caller's claim for custom
+    systems; nothing checks it at run time.
     """
 
-    kind: str
     box: Box
     mode: str
     level_count: int
-    monotone_guaranteed: bool = True
 
     def check_level(self, k: int) -> None:
         if not (isinstance(k, int) and 1 <= k <= self.level_count):
@@ -248,8 +235,6 @@ class VogtSeminorms(SeminormSystem):
     box: TripleBox
     mode: str
     level_count: int
-    kind: str = "vogt"
-    monotone_guaranteed: bool = True
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
@@ -336,8 +321,6 @@ class KoetheSeminorms(SeminormSystem):
     weights: tuple  # level_count rows of d nonnegative scalars
     box: SingleBox
     mode: str
-    kind: str = "koethe"
-    monotone_guaranteed: bool = True
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
@@ -376,8 +359,6 @@ class MaxPrefixSeminorms(SeminormSystem):
     box: SingleBox
     mode: str
     level_count: int
-    kind: str = "max-prefix"
-    monotone_guaranteed: bool = True
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
@@ -409,8 +390,6 @@ class CustomSeminorms(SeminormSystem):
     levels: tuple  # tuple of CustomLevel
     box: Box
     mode: str
-    kind: str = "custom"
-    monotone_guaranteed: bool = False
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
@@ -440,8 +419,6 @@ class SupPartialSumSeminorms(SeminormSystem):
     levels and is monotone whenever the base is.
     """
 
-    kind = "sup-partial"
-
     def __init__(self, base: SeminormSystem, operators: Sequence) -> None:
         if not operators:
             raise DegenerateInputError("need at least one operator")
@@ -450,7 +427,6 @@ class SupPartialSumSeminorms(SeminormSystem):
         self.box = base.box
         self.mode = base.mode
         self.level_count = base.level_count
-        self.monotone_guaranteed = base.monotone_guaranteed
 
     def value(self, k: int, x: TruncatedVector) -> Scalar:
         self.check_level(k)

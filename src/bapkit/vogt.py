@@ -50,13 +50,10 @@ class VogtInstance:
     def system(self) -> VogtSeminorms:
         return VogtSeminorms(self.rho, self.box, self.mode, self.level_count)
 
-    def unit(self, n: int, mu: int, nu: int) -> TruncatedVector:
-        return unit_vector(self.box, self.mode, (n, mu, nu))
 
-
-def _random_sparse(instance: VogtInstance, rng: random.Random, max_support: int = 10):
+def _random_sparse(instance: VogtInstance, rng: random.Random):
     all_indices = list(instance.box.indices())
-    size = rng.randint(1, min(max_support, len(all_indices)))
+    size = rng.randint(1, min(10, len(all_indices)))
     picked = rng.sample(all_indices, size)
     entries = {}
     for idx in picked:
@@ -127,10 +124,6 @@ class NuclearityCertificate:
     limit: object
     shells: tuple
     passed: bool
-
-    @property
-    def gap(self):
-        return self.limit - self.complete_sum
 
 
 def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCertificate:

@@ -169,6 +169,23 @@ def test_cli_flags_override_config_file(tmp_path):
     assert cfg["suite"] == "vogt"
 
 
+@pytest.mark.parametrize("override", [None, {"normability": {"families": 3}}])
+def test_a_loaded_config_shares_no_section_with_the_next_load(tmp_path, override):
+    path = None
+    if override is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(override))
+        path = str(path)
+    first = cli.load_config(path, namespace())
+    for section in ("vogt", "pelczynski", "normability"):
+        first[section]["mutated"] = True
+    first["pelczynski"]["dimension"] = 12
+    again = cli.load_config(path, namespace())
+    assert again["pelczynski"]["dimension"] == 4
+    assert not any("mutated" in again[section] for section in ("vogt", "pelczynski", "normability"))
+    assert cli.load_config(None, namespace())["pelczynski"] == {"dimension": 4}
+
+
 def test_decode_rho_accepts_dyadic_and_encoded_tables():
     assert cli._decode_rho("dyadic") == RhoTable.dyadic()
     table = RhoTable.from_grid({(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4)})

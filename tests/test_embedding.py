@@ -14,7 +14,6 @@ from bapkit import (
     FiniteRankOperator,
     InputError,
     KoetheSeminorms,
-    LevelError,
     SingleBox,
     Tolerances,
     basis_criterion_check,
@@ -193,10 +192,8 @@ def test_certificate_on_the_coordinate_family():
     for position, base_level, comp_level, m_val in cert.entries:
         assert comp_level == base_level  # constant weights need no level jump
         assert m_val == 1
-    assert cert.entry(1)[0] == 1
-    assert cert.bound(1) == 5
-    with pytest.raises(LevelError):
-        cert.entry(99)
+    assert cert.entries[0][0] == 1
+    assert cert.factor * cert.entries[0][3] == 5
 
 
 def test_certificate_searches_past_uncontrolled_levels():
@@ -275,6 +272,19 @@ def test_basis_criterion_constant_one():
     assert report.passed
     assert report.constant == 1
     assert report.sample_count == 15
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_basis_criterion_fails_when_the_values_break_the_triangle_inequality(monkeypatch, seed):
+    # the coordinate schedule of the Pelczynski suite at d = 4, built honestly;
+    # seeded random integers in -9..9 then stand in for every Koethe value
+    box = SingleBox(4)
+    system = KoetheSeminorms(tuple((k,) * 4 for k in range(1, 5)), box, "rational")
+    schedule = build_schedule(coordinate_family(box), system, rng=random.Random(0), prefix_samples=5)
+    values = random.Random(seed)
+    monkeypatch.setattr(KoetheSeminorms, "value", lambda self, k, x: values.randint(-9, 9))
+    report = basis_criterion_check(system, schedule, rng=random.Random(3), sample_count=10)
+    assert not report.passed
 
 
 def test_embed_accepts_large_float_inputs():

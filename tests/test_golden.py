@@ -12,7 +12,7 @@ certificate, to the codec or to the sampled checks' random draws shows up
 here as a hash mismatch.
 """
 
-import copy
+import argparse
 import hashlib
 import json
 
@@ -94,6 +94,14 @@ SCALED = {
 }
 
 
+def _config(override) -> dict:
+    """The default config with override merged in, validated."""
+    defaults = cli.load_config(None, argparse.Namespace(suite=None, mode=None, seed=None))
+    cfg = cli._merge_config(defaults, override)
+    cli._validate_config(cfg)
+    return cfg
+
+
 def _sha256(doc) -> str:
     text = json.dumps(doc, sort_keys=True, indent=2)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -103,11 +111,8 @@ def _sha256(doc) -> str:
 def documents():
     docs = {}
     for rho_name, mode in GOLDEN:
-        cfg = copy.deepcopy(cli._DEFAULTS)
-        cfg["mode"] = mode
-        cfg["vogt"]["rho"] = "dyadic" if rho_name == "dyadic" else THIRD_TABLE
-        cli._validate_config(cfg)
-        doc = cli.build_document(cfg)
+        rho = "dyadic" if rho_name == "dyadic" else THIRD_TABLE
+        doc = cli.build_document(_config({"mode": mode, "vogt": {"rho": rho}}))
         del doc["generated_at"]
         docs[rho_name, mode] = doc
     return docs
@@ -121,9 +126,7 @@ def test_document_matches_golden_hash(documents, case):
 @pytest.mark.parametrize("case", sorted(SCALED))
 def test_benchmark_shape_matches_golden_hash(case):
     override, expected = SCALED[case]
-    cfg = cli._merge_config(copy.deepcopy(cli._DEFAULTS), override)
-    cli._validate_config(cfg)
-    doc = cli.build_document(cfg)
+    doc = cli.build_document(_config(override))
     del doc["generated_at"]
     assert _sha256(doc) == expected
 

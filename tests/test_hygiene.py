@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Eight rules: no module imports a name it never uses (`__init__` exists to
+Nine rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -20,7 +20,9 @@ the Vogt and sup-partial kinds, whose float sums keep their own order,
 and every function reads each of its parameters, `*args` and `**kwargs`
 included, in its body (`self`, `cls`, `_`-names and bodies that only raise
 are exempt), because an input that the function ignores tells its callers
-that it matters.
+that it matters, and every method or property of a class (dunders exempt)
+is read by name somewhere in the package outside its own body, because a
+member that only its own tests call is dead code.
 """
 
 import ast
@@ -161,6 +163,44 @@ def test_module_level_names_are_read_in_the_package():
         if isinstance(name, ast.Name) and not name.id.startswith("__") and name.id not in read
     ]
     assert not unread, f"module-level names nothing reads: {unread}"
+
+
+def _read_counts(node):
+    """How often each name is read, as a bare name or as an attribute."""
+    counts = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            name = sub.attr
+        else:
+            continue
+        counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+# public constructors that only callers outside the package name
+READ_OUTSIDE = {("RhoTable", "from_grid")}
+
+
+def test_every_member_is_read_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    everywhere = {}
+    for tree in trees:
+        for name, count in _read_counts(tree).items():
+            everywhere[name] = everywhere.get(name, 0) + count
+    unread = [
+        f"{cls.name}.{member.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("__")
+        and (cls.name, member.name) not in READ_OUTSIDE
+        and everywhere.get(member.name, 0) == _read_counts(member).get(member.name, 0)
+    ]
+    assert not unread, f"methods and properties nothing else in the package reads: {unread}"
 
 
 def test_each_seminorm_level_is_defined_once():

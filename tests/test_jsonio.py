@@ -1,5 +1,6 @@
 """Round-trip serialization for every public object kind."""
 
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -363,16 +364,31 @@ def test_encode_rejects_non_finite_floats(value):
 NOT_SERIALIZED = {"Tolerances", "ScheduleBlock"}
 
 
-def _record_classes(shape):
+def _records(shape):
+    """Every Record in a shape, nested records included."""
     if isinstance(shape, jsonio.Record):
-        yield shape.cls
-        for inner in shape.fields.values():
-            yield from _record_classes(inner)
+        yield shape
+        inner = shape.fields.values()
     elif isinstance(shape, jsonio.Seq):
-        yield from _record_classes(shape.item)
+        inner = (shape.item,)
     elif isinstance(shape, jsonio.Row):
-        for inner in shape.items:
-            yield from _record_classes(inner)
+        inner = shape.items
+    else:
+        inner = ()
+    for item in inner:
+        yield from _records(item)
+
+
+def test_each_record_without_build_sets_exactly_the_init_fields():
+    # a constructor field that the codec leaves out would not survive a round trip
+    mismatched = sorted(
+        rec.cls.__name__
+        for kind in jsonio.KINDS.values()
+        for rec in _records(kind)
+        if rec.build is None
+        and set(inspect.signature(rec.cls).parameters) != {rec.attrs.get(n, n) for n in rec.fields}
+    )
+    assert mismatched == []
 
 
 def test_every_public_dataclass_has_an_encoding():
@@ -380,7 +396,7 @@ def test_every_public_dataclass_has_an_encoding():
 
     import bapkit
 
-    encoded = {cls for rec in jsonio.KINDS.values() for cls in _record_classes(rec)}
+    encoded = {rec.cls for kind in jsonio.KINDS.values() for rec in _records(kind)}
     public = {
         name: obj
         for name, obj in vars(bapkit).items()

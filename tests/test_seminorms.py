@@ -93,11 +93,6 @@ def test_decay_index_in_float_mode_reaches_any_epsilon():
         assert rho.value(mu0, 1, "float") <= eps < rho.value(mu0 - 1, 1, "float")
 
 
-def test_verify_decay():
-    assert RhoTable.dyadic().verify_decay(4, 2, [F(1, 2), F(1, 8)])
-    assert not RhoTable.dyadic().verify_decay(2, 1, [F(1, 8)])  # needs mu_max 3
-
-
 # ---------------------------------------------------------------------------
 # vogt systems
 
@@ -227,7 +222,8 @@ def test_custom_system_combiners():
     assert system.value(1, x) == 4  # max(|3|, |4|)
     assert system.value(2, x) == 1  # |3 - 4|
     assert system.level_groups(1) == (("max", (((1, F(1)),), ((2, F(1)),))),)
-    assert not system.monotone_guaranteed
+    with pytest.raises(TypeError):
+        CustomSeminorms(levels, box, "rational", monotone_guaranteed=False)
 
 
 def test_custom_level_validation():
