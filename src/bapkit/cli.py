@@ -229,7 +229,8 @@ def run_suite_normability(cfg: dict):
         [witness_evidence(witness)],
     )
     checks["witness-violation"] = {"passed": verdict.violated, "report": encode(verdict)}
-    # leg 2: a plain prefix system with decaying families stays consistent
+    # leg 2: a plain prefix system with decaying families stays consistent, and each
+    # family's decay form must dominate its raw trace at level 1
     d = cfg["normability"]["dimension"]
     box = SingleBox(d)
     prefix = MaxPrefixSeminorms(box, mode, d)
@@ -243,11 +244,8 @@ def run_suite_normability(cfg: dict):
             base_vec = [rng.gauss(0.0, 1.0) for _ in range(d)]
             ratio = 1.0 / rng.randint(2, 4)
         level = rng.randint(2, d)
-        vectors = []
-        for i in range(1, 6):
-            vectors.append(
-                vector_from_dense(box, mode, [c * ratio**i for c in base_vec])
-            )
+        x0 = vector_from_dense(box, mode, base_vec)
+        vectors = [x0.scale(ratio**i) for i in range(1, 6)]
         family = CauchyFamily.from_vectors(prefix, level, vectors)
         scale = max([abs(c) for c in base_vec] + [1 if mode == RATIONAL else 1.0])
         evidence.append(
@@ -337,7 +335,8 @@ _STATEMENTS = (
     ),
     (
         "dominated-vanishing",
-        "comparison-level condition j(k) > k on observed families",
+        "comparison-level condition j(k) > k on observed families; every unfloored"
+        " family's decay form dominates its raw base-level trace",
         "bapkit.normability.dv_condition_check",
     ),
     (

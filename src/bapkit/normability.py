@@ -14,6 +14,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     CertificateFailureError,
@@ -65,18 +66,49 @@ class FloorCertificate:
         return all(leq(self.bound, v, system.mode) for v in trace)
 
 
+def _pair_modulus(system: SeminormSystem, level: int, vectors) -> tuple:
+    """(l, max over later members m of value(level, x_m - x_l)) for each member l but the last."""
+    modulus = []
+    for li, xl in enumerate(vectors[:-1]):
+        worst = zero(system.mode)
+        for xm in vectors[li + 1 :]:
+            v = system.value(level, xm - xl)
+            if v > worst:
+                worst = v
+        modulus.append((li, worst))
+    return tuple(modulus)
+
+
+class _MeasuredOnRead:
+    """CauchyFamily.modulus: the constructor stores a tuple, or a zero-argument
+    measurement that runs on the first read and whose tuple is then kept."""
+
+    def __get__(self, family, _owner=None):
+        if family is None:
+            raise AttributeError("modulus has no default")
+        stored = family.__dict__["modulus"]
+        if callable(stored):
+            stored = family.__dict__["modulus"] = stored()
+        return stored
+
+    def __set__(self, family, value) -> None:
+        family.__dict__["modulus"] = value
+
+
 @dataclass(frozen=True)
 class CauchyFamily:
     """Vector sequence with a tail modulus at one level.
 
     modulus[i] = (l, bound) claims value(level, x_m - x_l) <= bound for
     every later member m; modulus_form, when present, is a decaying closed
-    form dominating those bounds.
+    form dominating those bounds.  from_vectors measures the modulus on the
+    first read of .modulus (equality, hashing and the codec read it), not
+    at construction.
     """
 
     level: int
     vectors: tuple
-    modulus: tuple
+    modulus: tuple = _MeasuredOnRead()  # a required field; the descriptor gives no default
     modulus_form: GeometricForm | None = None
 
     @staticmethod
@@ -85,15 +117,11 @@ class CauchyFamily:
     ) -> "CauchyFamily":
         vectors = tuple(vectors)
         system.check_level(level)
-        modulus = []
-        for li, xl in enumerate(vectors[:-1]):
-            worst = zero(system.mode)
-            for xm in vectors[li + 1 :]:
-                v = system.value(level, xm - xl)
-                if v > worst:
-                    worst = v
-            modulus.append((li, worst))
-        return CauchyFamily(level, vectors, tuple(modulus), modulus_form)
+        for x in vectors:
+            system.check_vector(x)
+        return CauchyFamily(
+            level, vectors, partial(_pair_modulus, system, level, vectors), modulus_form
+        )
 
     def verify_modulus(self, system: SeminormSystem) -> bool:
         """Re-measure every pair against the stored bounds."""
@@ -136,6 +164,18 @@ class DiagnosticVerdict:
         return self.verdict == "violated"
 
 
+def _check_decay_form(
+    system: SeminormSystem, vectors, decay_level: int, decay_form: GeometricForm
+) -> None:
+    """Raise unless decay_form dominates the raw trace at decay_level, member m at index m."""
+    decay_trace = measure_trace(system, decay_level, vectors)
+    indices = range(1, len(vectors) + 1)
+    if not decay_form.dominates_trace(decay_trace, indices, system.mode):
+        raise CertificateFailureError(
+            f"decay form does not dominate the raw trace at level {decay_level}"
+        )
+
+
 def injective_extension_test(
     system: SeminormSystem,
     family: CauchyFamily,
@@ -173,16 +213,11 @@ def injective_extension_test(
         return DiagnosticVerdict(
             "consistent", f"tail modulus at level {family.level} not certified decaying"
         )
-    decay_trace = measure_trace(system, decay_level, family.vectors)
     if not decay_form.is_decaying():
         return DiagnosticVerdict(
             "consistent", f"decay form at level {decay_level} has ratio >= 1"
         )
-    indices = list(range(1, len(family.vectors) + 1))
-    if not decay_form.dominates_trace(decay_trace, indices, system.mode):
-        raise CertificateFailureError(
-            f"decay form does not dominate the raw trace at level {decay_level}"
-        )
+    _check_decay_form(system, family.vectors, decay_level, decay_form)
     if not floor.verify(system, family.vectors):
         raise CertificateFailureError(
             f"floor {floor.bound} fails against the raw trace at level {floor.level}"
@@ -221,8 +256,10 @@ def dv_condition_check(
     comparison_levels is a mapping from each tested level k to its
     j(k) > k >= base level, checked once up front; a family bounded
     (Cauchy) at j(k) and vanishing at the base level must not carry a
-    verified floor at k.  Empty evidence is vacuously consistent and
-    flagged as such.
+    verified floor at k.  A family without a floor must still vanish as
+    claimed: its decay form has to dominate its raw trace at the base
+    level, or CertificateFailureError is raised, as for a floored family.
+    Empty evidence is vacuously consistent and flagged as such.
     """
     system.check_level(base_level)
     if not isinstance(comparison_levels, Mapping):
@@ -239,6 +276,7 @@ def dv_condition_check(
         return DiagnosticVerdict("consistent", "no evidence", details=(("evidence", 0),))
     for item in items:
         if item.floor is None:
+            _check_decay_form(system, item.family.vectors, base_level, item.decay_form)
             continue
         k = item.floor.level
         if k not in comparison_levels:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import bapkit
-from bapkit import BasisSpaceElement, RhoTable, SeminormSystem, SingleBox, SupPartialSumSeminorms
+from bapkit import (
+    BasisSpaceElement,
+    CertificateFailureError,
+    MaxPrefixSeminorms,
+    RhoTable,
+    SeminormSystem,
+    SingleBox,
+    SupPartialSumSeminorms,
+)
 from bapkit import cli
 from bapkit import jsonio
 
@@ -247,6 +256,51 @@ def test_each_check_can_fail_on_its_own(monkeypatch, check):
     owner, name, broken = BROKEN_CHECKS[check]
     monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
     assert failing() == {check}
+
+
+def seeded_random_values(_value):
+    rng = random.Random(0)
+    return lambda self, k, x: rng.randint(-9, 9)
+
+
+# checks that write `passed: True` and fail by raising: the method a patch breaks, the
+# patches, and the error type the suite documents for that failure
+RAISING_CHECKS = {
+    "normability/clean-system-consistent": (
+        MaxPrefixSeminorms,
+        "value",
+        {
+            "doubled": lambda value: lambda self, k, x: 2 * value(self, k, x),
+            "random": seeded_random_values,
+        },
+        CertificateFailureError,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize(
+    "check, patch",
+    [(check, patch) for check, row in sorted(RAISING_CHECKS.items()) for patch in sorted(row[2])],
+)
+def test_each_raising_check_can_fail(monkeypatch, capsys, mode, check, patch):
+    suite = check.split("/")[0]
+    run_suite = getattr(cli, f"run_suite_{suite}")
+    cfg = cli.load_config(None, namespace(suite=suite, mode=mode))
+    passed, checks = run_suite(cfg)
+    assert passed and checks[check.split("/")[1]]["passed"]
+    owner, name, patches, error = RAISING_CHECKS[check]
+    monkeypatch.setattr(owner, name, patches[patch](getattr(owner, name)))
+    with pytest.raises(error):
+        run_suite(cfg)
+    doc = cli.build_document(cfg)
+    assert doc["passed"] is False
+    assert doc["suites"][suite]["passed"] is False
+    assert doc["suites"][suite]["checks"]["error"]["type"] == error.__name__
+    assert cli.main(["run", "--suite", suite, "--mode", mode]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["suites"][suite]["checks"]["error"]["type"] == error.__name__
 
 
 def test_usage_errors_exit_two():

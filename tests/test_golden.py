@@ -4,10 +4,11 @@ Each case builds the document for suite `all` at the default config, drops
 the `generated_at` stamp and compares the SHA-256 of its canonical text
 with a constant recorded from a known-good build.  Three larger cases pin
 the benchmark shapes at seed 0: a rational Vogt box 8 x 4 x 6, the rational
-Pelczynski schedule of dimension 10 and every suite in float mode.  Four more
-pin the tops of the scaled configs in both modes, which no benchmark workload
-runs: the Pelczynski schedule at dimension 12 and the dyadic Vogt box
-12 x 6 x 8.  A change to any
+Pelczynski schedule of dimension 10 and every suite in float mode.  Five more
+pin tops of the scaled configs, which no benchmark workload runs: the
+Pelczynski schedule at dimension 12 and the dyadic Vogt box 12 x 6 x 8, each
+in both modes, and the rational normability suite at dimension 12 with 500
+families.  A change to any
 certificate, to the codec or to the sampled checks' random draws shows up
 here as a hash mismatch.
 """
@@ -36,8 +37,9 @@ GOLDEN = {
     ("table", "float"): "de6ee64b68016958f9f2a844cd1026d1a5002b348d1d70c69e879400371cc7d4",
 }
 
-# the benchmark shapes, the dimension-12 schedules and the 12 x 6 x 8 Vogt box at
-# seed 0, merged over the default config
+# the benchmark shapes, the dimension-12 schedules, the 12 x 6 x 8 Vogt box and the
+# rational normability suite at dimension 12 with 500 families at seed 0, merged over
+# the default config
 SCALED = {
     "vogt-8x4x6-rational": (
         {
@@ -74,6 +76,14 @@ SCALED = {
             "vogt": {"rho": "dyadic", "n_max": 12, "mu_max": 6, "nu_max": 8, "level_count": 4},
         },
         "e4b85128d1c894b69acd80cc83788d2506379b6104f37ac95fa7d3b4d1ee10a8",
+    ),
+    "normability-12-rational": (
+        {
+            "suite": "normability",
+            "mode": "rational",
+            "normability": {"dimension": 12, "families": 500},
+        },
+        "01f9361b9b70e03dfd41ac8641f602b077abd8b33ccdb3e3a07b2cd3687cf340",
     ),
     "all-float": (
         {

@@ -9,13 +9,16 @@ from bapkit import (
     CauchyFamily,
     CertificateFailureError,
     DiagnosticVerdict,
+    DomainError,
     FiniteRankOperator,
     FloorCertificate,
     GeometricForm,
     InputError,
     InsufficientDataError,
     KoetheSeminorms,
+    LevelError,
     MaxPrefixSeminorms,
+    ModeError,
     SingleBox,
     Tolerances,
     VanishingEvidence,
@@ -27,6 +30,7 @@ from bapkit import (
     witness_evidence,
     vector_from_dense,
 )
+from bapkit import jsonio
 from bapkit.vogt import VogtInstance
 from bapkit.seminorms import RhoTable
 from bapkit.spaces import TripleBox
@@ -39,18 +43,31 @@ def witness():
     return bap_failure_witness(inst)
 
 
-def prefix_system(d=4):
-    return MaxPrefixSeminorms(SingleBox(d), "rational", d)
+def prefix_system(d=4, mode="rational"):
+    return MaxPrefixSeminorms(SingleBox(d), mode, d)
 
 
 def geometric_family(system, level, ratio=F(1, 3), members=5):
     """Vectors c * ratio**i on the first coordinate; Cauchy and vanishing."""
     box = system.box
     vectors = [
-        vector_from_dense(box, "rational", [ratio**i] + [F(0)] * (box.d - 1))
+        vector_from_dense(box, system.mode, [ratio**i] + [F(0)] * (box.d - 1))
         for i in range(1, members + 1)
     ]
     return CauchyFamily.from_vectors(system, level, vectors)
+
+
+def eager_modulus(system, level, vectors):
+    """The modulus as from_vectors once measured it, every pair at construction: the oracle."""
+    modulus = []
+    for li, xl in enumerate(vectors[:-1]):
+        worst = F(0) if system.mode == "rational" else 0.0
+        for xm in vectors[li + 1 :]:
+            v = system.value(level, xm - xl)
+            if v > worst:
+                worst = v
+        modulus.append((li, worst))
+    return tuple(modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +107,73 @@ def test_cauchy_family_modulus_measurement():
     assert fam.verify_modulus(system)
     tampered = CauchyFamily(fam.level, fam.vectors, tuple((l, b / 2) for l, b in fam.modulus))
     assert not tampered.verify_modulus(system)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_lazy_modulus_equals_the_eager_oracle(mode):
+    system = prefix_system(d=5, mode=mode)
+    families = [
+        geometric_family(system, level, ratio=ratio, members=members)
+        for level in (1, 3, 5)
+        for ratio in (F(1, 2), F(1, 3))
+        for members in (1, 2, 5)
+    ]
+    for fam in families:
+        assert fam.modulus == eager_modulus(system, fam.level, fam.vectors)
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
+    w = bap_failure_witness(inst)
+    assert len(w.cauchy.modulus) == len(w.vectors) - 1
+    assert w.cauchy.modulus == eager_modulus(inst.system(), w.cauchy.level, w.vectors)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_family_round_trips_before_and_after_its_modulus_is_read(mode):
+    system = prefix_system(mode=mode)
+    unread = geometric_family(system, 2)
+    assert jsonio.decode(jsonio.encode(unread)) == unread
+    read = geometric_family(system, 2)
+    assert read.modulus == eager_modulus(system, 2, read.vectors)
+    assert jsonio.decode(jsonio.encode(read)) == read
+    # equality sees the modulus: a family claiming other bounds is a different family
+    halved = CauchyFamily(read.level, read.vectors, tuple((l, b / 2) for l, b in read.modulus))
+    assert halved != read
+
+
+def test_an_unread_family_measures_no_pair(monkeypatch):
+    system = prefix_system()
+    value = MaxPrefixSeminorms.value
+    calls = []
+
+    def counting(self, k, x):
+        calls.append((k, x))
+        return value(self, k, x)
+
+    monkeypatch.setattr(MaxPrefixSeminorms, "value", counting)
+    fam = geometric_family(system, 2, members=5)
+    assert calls == []
+    assert len(fam.modulus) == 4
+    assert len(calls) == 10  # the pairs l < m of five members, each measured once
+    assert fam.modulus == eager_modulus(system, 2, fam.vectors)
+
+
+def test_from_vectors_validates_at_construction():
+    system = prefix_system()
+    good = geometric_family(system, 2).vectors
+    with pytest.raises(LevelError):
+        CauchyFamily.from_vectors(system, 5, good)
+    with pytest.raises(LevelError):
+        CauchyFamily.from_vectors(system, 0, good)
+    foreign_box = [vector_from_dense(SingleBox(3), "rational", [F(1), F(0), F(0)])]
+    with pytest.raises(DomainError):
+        CauchyFamily.from_vectors(system, 2, good + tuple(foreign_box))
+    foreign_mode = [vector_from_dense(system.box, "float", [1.0, 0.0, 0.0, 0.0])]
+    with pytest.raises(ModeError):
+        CauchyFamily.from_vectors(system, 2, good + tuple(foreign_mode))
+    # a lone foreign member, which no pair difference would reach, is refused as well
+    with pytest.raises(DomainError):
+        CauchyFamily.from_vectors(system, 2, foreign_box)
+    with pytest.raises(ModeError):
+        CauchyFamily.from_vectors(system, 2, foreign_mode)
 
 
 def test_modulus_decay_paths():
@@ -249,6 +333,18 @@ def test_dv_condition_consistent_on_floorless_families():
     verdict = dv_condition_check(system, {k: k + 1 for k in (1, 2, 3)}, 1, evidence)
     assert verdict.verdict == "consistent"
     assert "3 families" in verdict.reason
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_dv_condition_rejects_an_unfloored_family_that_does_not_vanish_as_claimed(mode):
+    system = prefix_system(mode=mode)
+    fam = geometric_family(system, 3, ratio=F(1, 2))
+    honest = VanishingEvidence(fam, GeometricForm(F(1), F(1, 2)), floor=None)
+    assert dv_condition_check(system, {1: 2}, 1, [honest]).verdict == "consistent"
+    # the trace at level 1 is 2**-m for member m; a form of scale 1/2 sits below it
+    too_small = VanishingEvidence(fam, GeometricForm(F(1, 2), F(1, 2)), floor=None)
+    with pytest.raises(CertificateFailureError, match="at level 1"):
+        dv_condition_check(system, {1: 2}, 1, [honest, too_small])
 
 
 def test_dv_condition_empty_evidence():
