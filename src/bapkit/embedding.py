@@ -190,10 +190,6 @@ class ReconstructionReport:
     traces: tuple  # per sample: tuple per position of the residual trace
     final_residuals: tuple
 
-    @property
-    def sample_count(self) -> int:
-        return len(self.traces)
-
 
 def verify_reconstruction(
     system: SeminormSystem,

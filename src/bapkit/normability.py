@@ -59,11 +59,13 @@ class FloorCertificate:
     level: int
     bound: object
 
+    def holds_on(self, trace, mode: str) -> bool:
+        """The bound is positive and no value of the trace falls below it."""
+        return self.bound > 0 and all(leq(self.bound, v, mode) for v in trace)
+
     def verify(self, system: SeminormSystem, vectors) -> bool:
-        if not self.bound > 0:
-            return False
-        trace = measure_trace(system, self.level, vectors)
-        return all(leq(self.bound, v, system.mode) for v in trace)
+        """holds_on the trace at this level, measured only when the bound is positive."""
+        return self.holds_on((system.value(self.level, x) for x in vectors), system.mode)
 
 
 def _pair_modulus(system: SeminormSystem, level: int, vectors) -> tuple:
@@ -126,13 +128,10 @@ class CauchyFamily:
     def verify_modulus(self, system: SeminormSystem) -> bool:
         """Re-measure every pair against the stored bounds."""
         bounds = dict(self.modulus)
-        for li, xl in enumerate(self.vectors[:-1]):
-            if li not in bounds:
-                return False
-            for xm in self.vectors[li + 1 :]:
-                if not leq(system.value(self.level, xm - xl), bounds[li], system.mode):
-                    return False
-        return True
+        return all(
+            li in bounds and leq(worst, bounds[li], system.mode)
+            for li, worst in _pair_modulus(system, self.level, self.vectors)
+        )
 
     def modulus_decays(self, system: SeminormSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
         """Closed form wins when present; otherwise a tail threshold."""

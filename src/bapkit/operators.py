@@ -93,11 +93,6 @@ class FiniteRankOperator:
         return FiniteRankOperator.from_matrix(box, mode, rows, "identity")
 
     @staticmethod
-    def zero(box: Box, mode: str) -> "FiniteRankOperator":
-        columns = [zero_vector(box, mode)] * box.dimension
-        return FiniteRankOperator._of_columns(box, mode, columns, "zero")
-
-    @staticmethod
     def rank_one(
         output: TruncatedVector, functional_row, label: str = ""
     ) -> "FiniteRankOperator":

@@ -247,9 +247,13 @@ class BapFailureWitness:
     floor: FloorCertificate
     cauchy: CauchyFamily
 
-    @property
-    def member_count(self) -> int:
-        return len(self.vectors)
+
+def _check_closed_form(what: str, measured, closed_form, mode: str) -> None:
+    """Raise unless each measured (key, value) pair has value == closed_form(key)."""
+    for key, value in measured:
+        expected = closed_form(key)
+        if not approx_equal(value, expected, mode):
+            raise CertificateFailureError(f"{what} {key}: {value} != {expected}")
 
 
 def bap_failure_witness(
@@ -306,45 +310,43 @@ def bap_failure_witness(
     decay_scale = as_scalar(p0 ** (mu + p - 1), mode)
     decay_form = GeometricForm(scale=decay_scale, ratio=rho * p0, shift=1)
     decay_trace = tuple(system.value(p0, x) for x in vectors)
-    for m, measured in enumerate(decay_trace, start=1):
-        if not approx_equal(measured, decay_form.value(m), mode):
-            raise CertificateFailureError(
-                f"vanishing trace at member {m}: {measured} != {decay_form.value(m)}"
-            )
+    _check_closed_form(
+        "vanishing trace at member", enumerate(decay_trace, start=1), decay_form.value, mode
+    )
     # floor level: plain geometric sums, bounded below by the first term
     floor_scale = as_scalar(p ** (mu + p), mode)
-    floor_bound = as_scalar(p ** (mu + p + 1), mode) * rho
     floor_trace = tuple(system.value(p, x) for x in vectors)
-    for m, measured in enumerate(floor_trace, start=1):
-        expected = floor_scale * geometric_sum(rho * as_scalar(p, mode), 1, m)
-        if not approx_equal(measured, expected, mode):
-            raise CertificateFailureError(
-                f"floor trace at member {m}: {measured} != {expected}"
-            )
-        if not leq(floor_bound, measured, mode):
-            raise CertificateFailureError(
-                f"floor trace at member {m} dips below {floor_bound}"
-            )
-    floor = FloorCertificate(level=p, bound=floor_bound)
-    # cauchy level: all pairs match the exact geometric segment sums
+    _check_closed_form(
+        "floor trace at member",
+        enumerate(floor_trace, start=1),
+        lambda m: floor_scale * geometric_sum(rho * as_scalar(p, mode), 1, m),
+        mode,
+    )
+    floor = FloorCertificate(level=p, bound=as_scalar(p ** (mu + p + 1), mode) * rho)
+    if not floor.holds_on(floor_trace, mode):
+        raise CertificateFailureError(f"floor trace dips below {floor.bound}")
+    # cauchy level: each pair (l, m), l < m, measured once against its exact segment sum
     q_scale = as_scalar(q ** (mu + p), mode)
     rq = rho * as_scalar(q, mode)
+    pairs = {
+        (l, m): system.value(q, vectors[m - 1] - vectors[l - 1])
+        for l in range(1, count)
+        for m in range(l + 1, count + 1)
+    }
+    _check_closed_form(
+        "cauchy-level pair",
+        pairs.items(),
+        lambda lm: q_scale * geometric_sum(rq, lm[0] + 1, lm[1]),
+        mode,
+    )
+    # member l's bound is the largest of its pair values, keyed from 0 as in CauchyFamily
+    modulus = tuple(
+        (l - 1, max(pairs[l, m] for m in range(l + 1, count + 1))) for l in range(1, count)
+    )
     tail_form = GeometricForm(scale=q_scale / (1 - rq), ratio=rq, shift=2)
-    for li in range(count):
-        for m in range(li + 2, count + 1):
-            measured = system.value(q, vectors[m - 1] - vectors[li])
-            expected = q_scale * geometric_sum(rq, li + 2, m)
-            if not approx_equal(measured, expected, mode):
-                raise CertificateFailureError(
-                    f"pair ({li + 1},{m}) at the cauchy level: {measured} != {expected}"
-                )
-            if not leq(measured, tail_form.value(li), mode):
-                raise CertificateFailureError(
-                    f"pair ({li + 1},{m}) exceeds the tail bound {tail_form.value(li)}"
-                )
-    cauchy = CauchyFamily.from_vectors(system, q, vectors, modulus_form=tail_form)
-    if not cauchy.verify_modulus(system):
-        raise CertificateFailureError("measured cauchy modulus failed re-verification")
+    cauchy = CauchyFamily(q, vectors, modulus, tail_form)
+    if not cauchy.modulus_decays(system):
+        raise CertificateFailureError("cauchy modulus exceeds its geometric tail form")
     return BapFailureWitness(
         instance=instance,
         vanishing_level=p0,

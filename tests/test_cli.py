@@ -20,6 +20,7 @@ from bapkit import (
     SeminormSystem,
     SingleBox,
     SupPartialSumSeminorms,
+    VogtSeminorms,
 )
 from bapkit import cli
 from bapkit import jsonio
@@ -265,15 +266,20 @@ def seeded_random_values(_value):
 
 # checks that write `passed: True` and fail by raising: the method a patch breaks, the
 # patches, and the error type the suite documents for that failure
+BROKEN_VALUES = {
+    "doubled": lambda value: lambda self, k, x: 2 * value(self, k, x),
+    "random": seeded_random_values,
+}
 RAISING_CHECKS = {
     "normability/clean-system-consistent": (
-        MaxPrefixSeminorms,
-        "value",
-        {
-            "doubled": lambda value: lambda self, k, x: 2 * value(self, k, x),
-            "random": seeded_random_values,
-        },
-        CertificateFailureError,
+        MaxPrefixSeminorms, "value", BROKEN_VALUES, CertificateFailureError
+    ),
+    # both suites build the Vogt witness family, which checks its traces on construction
+    "normability/witness-violation": (
+        VogtSeminorms, "value", BROKEN_VALUES, CertificateFailureError
+    ),
+    "vogt/failure-witness": (
+        VogtSeminorms, "value", BROKEN_VALUES, CertificateFailureError
     ),
 }
 

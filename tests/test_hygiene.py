@@ -165,29 +165,30 @@ def test_module_level_names_are_read_in_the_package():
     assert not unread, f"module-level names nothing reads: {unread}"
 
 
-def _read_counts(node):
-    """How often each name is read, as a bare name or as an attribute."""
+def _attribute_reads(node):
+    """How often each name is read as an attribute; a local name or parameter
+    of the same spelling is not a read of a member."""
     counts = {}
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            name = sub.id
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            name = sub.attr
-        else:
-            continue
-        counts[name] = counts.get(name, 0) + 1
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            counts[sub.attr] = counts.get(sub.attr, 0) + 1
     return counts
 
 
-# public constructors that only callers outside the package name
-READ_OUTSIDE = {("RhoTable", "from_grid")}
+# public members that only callers outside the package read, each with its reason
+READ_OUTSIDE = {
+    # the constructor of a table-kind decay table from a full grid
+    ("RhoTable", "from_grid"),
+    # the truncation P_t y that the basis criterion is stated with
+    ("BasisSpaceElement", "prefix"),
+}
 
 
 def test_every_member_is_read_in_the_package():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
     everywhere = {}
     for tree in trees:
-        for name, count in _read_counts(tree).items():
+        for name, count in _attribute_reads(tree).items():
             everywhere[name] = everywhere.get(name, 0) + count
     unread = [
         f"{cls.name}.{member.name}"
@@ -198,7 +199,7 @@ def test_every_member_is_read_in_the_package():
         if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not member.name.startswith("__")
         and (cls.name, member.name) not in READ_OUTSIDE
-        and everywhere.get(member.name, 0) == _read_counts(member).get(member.name, 0)
+        and everywhere.get(member.name, 0) == _attribute_reads(member).get(member.name, 0)
     ]
     assert not unread, f"methods and properties nothing else in the package reads: {unread}"
 

@@ -97,16 +97,26 @@ def test_floor_certificate_verify():
     assert not FloorCertificate(level=1, bound=F(0)).verify(system, fam.vectors)
 
 
-def test_cauchy_family_modulus_measurement():
-    system = prefix_system()
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_cauchy_family_modulus_measurement(mode):
+    def halved(fam):
+        return CauchyFamily(fam.level, fam.vectors, tuple((l, b / 2) for l, b in fam.modulus))
+
+    system = prefix_system(mode=mode)
     fam = geometric_family(system, 2, members=4)
     # worst tail from member l is against the last member, on coordinate 1
     bounds = dict(fam.modulus)
-    assert bounds[0] == F(1, 3) - F(1, 81)
-    assert bounds[2] == F(1, 27) - F(1, 81)
+    exact = (F(1, 3) - F(1, 81), F(1, 27) - F(1, 81))
+    assert (bounds[0], bounds[2]) == (exact if mode == "rational" else pytest.approx(exact))
     assert fam.verify_modulus(system)
-    tampered = CauchyFamily(fam.level, fam.vectors, tuple((l, b / 2) for l, b in fam.modulus))
-    assert not tampered.verify_modulus(system)
+    assert not halved(fam).verify_modulus(system)
+    # the witness's family, built from its own pair values, is rejected the same way
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
+    w = bap_failure_witness(inst)
+    assert w.cauchy.verify_modulus(inst.system())
+    assert not halved(w.cauchy).verify_modulus(inst.system())
+    with pytest.raises(CertificateFailureError):
+        injective_extension_test(inst.system(), halved(w.cauchy), 1, w.decay_form, w.floor)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])

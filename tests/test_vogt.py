@@ -7,6 +7,7 @@ import pytest
 
 from bapkit import (
     BoxTooSmallError,
+    CertificateFailureError,
     InputError,
     InsufficientDataError,
     LevelError,
@@ -206,7 +207,7 @@ def test_witness_frozen_oracles():
     assert witness.floor_level == 2
     assert witness.cauchy_level == 3
     assert witness.mu == 2 and witness.nu == 2
-    assert witness.member_count == 4
+    assert len(witness.vectors) == 4
     # the third member: value 1/256 low, 14 at the floor level
     assert witness.decay_trace[2] == F(1, 256)
     assert witness.floor_trace[2] == 14
@@ -235,6 +236,55 @@ def test_witness_tail_form_dominates_the_modulus():
     witness = bap_failure_witness(dyadic_instance())
     assert witness.cauchy.modulus_decays(witness.instance.system())
     assert witness.cauchy.verify_modulus(witness.instance.system())
+
+
+# Each row doubles the Vogt values at one of the witness's three levels only, so
+# exactly one closed form fails: the default witness has vanishing level 1, floor
+# level 2 and Cauchy level 3.
+WRONG_WITNESS_LEVELS = {
+    "vanishing": (1, "vanishing trace"),
+    "floor": (2, "floor trace"),
+    "cauchy": (3, "cauchy-level pair"),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("wrong", sorted(WRONG_WITNESS_LEVELS))
+def test_a_value_wrong_at_one_witness_level_fails_the_witness(monkeypatch, mode, wrong):
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
+    bap_failure_witness(inst)
+    level, message = WRONG_WITNESS_LEVELS[wrong]
+    value = VogtSeminorms.value
+    monkeypatch.setattr(
+        VogtSeminorms,
+        "value",
+        lambda self, k, x: 2 * value(self, k, x) if k == level else value(self, k, x),
+    )
+    with pytest.raises(CertificateFailureError, match=message):
+        bap_failure_witness(inst)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("box, members", [((5, 3, 4), 4), ((51, 6, 6), 50)])
+def test_the_witness_measures_each_cauchy_pair_once(monkeypatch, mode, box, members):
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(*box), mode, 4)
+    value = VogtSeminorms.value
+    levels = []
+
+    def counting(self, k, x):
+        levels.append(k)
+        return value(self, k, x)
+
+    monkeypatch.setattr(VogtSeminorms, "value", counting)
+    witness = bap_failure_witness(inst)
+    assert len(witness.vectors) == members
+    pairs = members * (members - 1) // 2  # 6 at the default box, 1,225 for 50 members
+    assert levels.count(witness.cauchy_level) == pairs
+    assert levels.count(witness.floor_level) == levels.count(witness.vanishing_level) == members
+    # re-verification is one more pass of the same pair loop
+    levels.clear()
+    assert witness.cauchy.verify_modulus(inst.system())
+    assert levels == [witness.cauchy_level] * pairs
 
 
 def test_witness_box_and_data_guards():
