@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +39,11 @@ MODES = (RATIONAL, FLOAT)
 
 Scalar = Fraction | float
 
+# An unnormalised integer ratio numerator/denominator (denominator > 0): a
+# rational term that sum_products adds without building a Fraction for it.
+Ratio = namedtuple("Ratio", "numerator denominator")
+
+
 def check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ModeError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
@@ -45,6 +51,8 @@ def check_mode(mode: str) -> str:
 
 
 def _as_rational(value) -> Fraction:
+    if type(value) is Fraction:  # already coerced; Fraction(value) would only copy it
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ModeError(f"rational mode needs int or Fraction, got {type(value).__name__}")
     return Fraction(value)
@@ -94,11 +102,11 @@ def sum_products(pairs, mode: str, absolute: bool = False) -> Scalar:
 
     Rational mode keeps the sum as one integer numerator and one integer
     denominator and normalises once, with Fraction(num, den) at the end,
-    instead of paying a gcd for every term; a and b must be int or
-    Fraction there (both carry .numerator and .denominator, so plain int
-    weights need no conversion).  Float mode adds the products left to right, as a
-    hand-written loop from 0.0 does, so its result is bit-identical to that
-    loop.
+    instead of paying a gcd for every term; a and b must be int, Fraction
+    or Ratio there (each carries .numerator and .denominator, so plain int
+    weights need no conversion, and a Ratio term needs no Fraction at all).
+    Float mode adds the products left to right, as a hand-written loop from
+    0.0 does, so its result is bit-identical to that loop.
     """
     if mode != RATIONAL:
         total = 0.0

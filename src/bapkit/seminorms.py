@@ -10,7 +10,10 @@ sup-partial systems keep their own, whose float sums run in an order that
 documents pin bit for bit (Vogt's split_value also gives primed_value).
 split_value is one sum_products over the support: the plain terms in entry
 order, then the difference sites in box order, normalised once in rational
-mode and added left to right from 0.0 in float mode.
+mode and added left to right from 0.0 in float mode.  In rational mode each
+difference term rho * here - above reaches the sum as one unnormalised Ratio,
+(r.num h.num a.den - a.num r.den h.den) / (r.den h.den a.den), so no site
+builds a Fraction.
 
 Kinds:
   * vogt        triple-indexed; below the level threshold a coordinate enters
@@ -44,12 +47,14 @@ from .linalg import dense_rows, independent, nullspace
 from .scalars import (
     DEFAULT_TOLERANCES,
     RATIONAL,
+    Ratio,
     Scalar,
     Tolerances,
     as_scalar,
     check_mode,
     negligible,
     rank_tol,
+    scalar_coercer,
     sum_products,
     zero,
 )
@@ -247,9 +252,6 @@ class VogtSeminorms(SeminormSystem):
         ):
             raise InputError("rho table grid smaller than the box")
 
-    def _weight(self, base: int, n: int, mu: int, nu: int) -> Scalar:
-        return as_scalar(base ** (n + mu + nu), self.mode)
-
     @cached_property
     def _rho_grid(self) -> dict:
         """(mu, nu) -> rho(mu, nu) in the system's mode over the box, built once;
@@ -267,7 +269,8 @@ class VogtSeminorms(SeminormSystem):
         Runs over the support and its n-shift only, never the whole box.  The
         sum takes the plain terms first, in entry order, then the difference
         sites in box order; documents pin this order in float mode.  Above the
-        top row the neighbour x[n+1] is 0, as no entry of x lies there.
+        top row the neighbour x[n+1] is 0, as no entry of x lies there.  A
+        rational difference term is one Ratio (see the module docstring).
         """
         self.check_vector(x)
         z = zero(self.mode)
@@ -281,10 +284,18 @@ class VogtSeminorms(SeminormSystem):
                 diff_sites.add((n, mu, nu))
                 if n > 1:
                     diff_sites.add((n - 1, mu, nu))
+        rational = self.mode == RATIONAL
         for n, mu, nu in sorted(diff_sites):
+            r = rho[mu, nu]
             here = lookup.get((n, mu, nu), z)
             above = lookup.get((n + 1, mu, nu), z)
-            terms.append((base ** (n + mu + nu), rho[mu, nu] * here - above))
+            if rational:
+                rd, hd, ad = r.denominator, here.denominator, above.denominator
+                num = r.numerator * here.numerator * ad - above.numerator * rd * hd
+                term = Ratio(num, rd * hd * ad)
+            else:
+                term = r * here - above
+            terms.append((base ** (n + mu + nu), term))
         return sum_products(terms, self.mode, absolute=True)
 
     def value(self, k: int, x: TruncatedVector) -> Scalar:
@@ -301,9 +312,10 @@ class VogtSeminorms(SeminormSystem):
 
     def level_groups(self, k: int):
         self.check_level(k)
+        coerce = scalar_coercer(self.mode)
         out = []
         for n, mu, nu in self.box.indices():
-            w = self._weight(k, n, mu, nu)
+            w = coerce(k ** (n + mu + nu))
             if nu <= k:
                 out.append((((n, mu, nu), w),))
             else:
@@ -486,9 +498,29 @@ def seminorm_kernel_basis(
     return [linear_combination(system.box, system.mode, zip(cs, vectors)) for cs in coeffs]
 
 
-def level_rows(system: SeminormSystem, k: int, basis, tol: Tolerances = DEFAULT_TOLERANCES):
-    """functional_rows of level k's functionals, its level_terms."""
-    return functional_rows(system.level_terms(k), basis, system.mode, tol)
+def level_rows(
+    system: SeminormSystem, k: int, basis=None, tol: Tolerances = DEFAULT_TOLERANCES
+):
+    """functional_rows of level k's functionals, its level_terms, over basis.
+
+    basis None is the box's unit basis in box order, as graded_operator_norm's
+    domain_basis=None is.  There f(e_j) is f's coefficient at j, so each row
+    is read off its functional without building a vector or a product, under
+    functional_rows' rules: a repeated index summed in functional order, each
+    value coerced to the mode's scalar, exact zeros dropped, negligible rows
+    pruned and columns sorted.
+    """
+    if basis is not None:
+        return functional_rows(system.level_terms(k), basis, system.mode, tol)
+    coerce, position = scalar_coercer(system.mode), system.box.position
+    rows = []
+    for pairs in system.level_terms(k):
+        row: dict = {}
+        for idx, coeff in pairs:
+            j = position(idx)
+            row[j] = row[j] + coerce(coeff) if j in row else coerce(coeff)
+        rows.append(row)
+    return _kept_rows(rows, system.mode, tol)
 
 
 def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str, tol: Tolerances):
@@ -501,7 +533,6 @@ def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str, to
     out.  A row is kept when one entry is nonzero, beyond tol.rank in float
     mode, and lists its columns j in increasing order (linalg's sparse row).
     """
-    ftol = rank_tol(mode, tol)
     z = zero(mode)
     meets: dict = {}
     for j, v in enumerate(basis):
@@ -513,9 +544,19 @@ def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str, to
         for idx, coeff in pairs:
             for j, val in meets.get(idx, ()):
                 row[j] = row.get(j, z) + coeff * val
-        if any(not negligible(c, ftol) for c in row.values()):
-            rows.append({j: row[j] for j in sorted(row) if row[j] != 0})
-    return rows
+        rows.append(row)
+    return _kept_rows(rows, mode, tol)
+
+
+def _kept_rows(rows, mode: str, tol: Tolerances):
+    """The rows with an entry beyond tol.rank (nonzero in rational mode), each
+    without its exact zeros and with its columns in increasing order."""
+    ftol = rank_tol(mode, tol)
+    return [
+        {j: row[j] for j in sorted(row) if row[j] != 0}
+        for row in rows
+        if any(not negligible(c, ftol) for c in row.values())
+    ]
 
 
 def level_matrix(system: SeminormSystem, k: int, basis, tol: Tolerances = DEFAULT_TOLERANCES):

@@ -35,7 +35,7 @@ from .scalars import (
     zero,
 )
 from .seminorms import RhoTable, VogtSeminorms, level_rows
-from .spaces import TripleBox, TruncatedVector, unit_vector
+from .spaces import TripleBox, TruncatedVector
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,12 @@ class NormPositivityReport:
 
 def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     system = instance.system()
-    basis = [unit_vector(instance.box, instance.mode, idx) for idx in instance.box.indices()]
     d = instance.box.dimension
     ranks = []
     passed = True
     for k in range(1, instance.level_count + 1):
-        rk = sparse_rank(level_rows(system, k, basis), rank_tol(instance.mode))
+        # the rows over the box's unit basis: each functional's own coefficients
+        rk = sparse_rank(level_rows(system, k), rank_tol(instance.mode))
         ranks.append((k, rk, d))
         if rk != d:
             passed = False

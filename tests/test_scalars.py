@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bapkit import ModeError
 from bapkit.scalars import (
     DEFAULT_TOLERANCES,
+    Ratio,
     Tolerances,
     all_approx_equal,
     approx_equal,
@@ -186,3 +187,24 @@ def test_sum_products_is_bit_equal_to_the_loop_in_float_mode(pairs, absolute):
 def test_sum_products_of_nothing_is_the_typed_zero():
     assert sum_products([], "rational") == 0 and type(sum_products([], "rational")) is Fraction
     assert sum_products([], "float").hex() == (0.0).hex()
+
+
+# unnormalised ratios: the common factor f stays in, numerators run through 0
+ratio_terms = st.builds(
+    lambda n, d, f: Ratio(n * f, d * f), st.integers(-20, 20), st.integers(1, 12), st.integers(1, 6)
+)
+
+
+@given(st.lists(st.tuples(st.one_of(term_fractions, term_ints), ratio_terms)), st.booleans())
+def test_sum_products_adds_ratio_pairs_exactly(pairs, absolute):
+    got = sum_products(pairs, "rational", absolute)
+    as_fractions = [(a, Fraction(b.numerator, b.denominator)) for a, b in pairs]
+    assert type(got) is Fraction
+    assert got == loop_sum(as_fractions, "rational", absolute)
+
+
+def test_sum_products_of_ratio_pairs_with_a_zero_numerator():
+    pairs = [(3, Ratio(0, 35)), (Fraction(1, 2), Ratio(-6, 14)), (4, Ratio(10, 4)), (1, Ratio(0, 1))]
+    assert sum_products(pairs, "rational") == Fraction(-3, 14) + 10
+    assert sum_products(pairs, "rational", absolute=True) == Fraction(3, 14) + 10
+    assert sum_products([(5, Ratio(0, 9))], "rational") == 0

@@ -30,7 +30,14 @@ from bapkit import (
 )
 from bapkit.linalg import independent, nullspace
 from bapkit.jsonio import decode, encode
-from bapkit.scalars import DEFAULT_TOLERANCES, approx_equal, as_scalar, sum_products, zero
+from bapkit.scalars import (
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    approx_equal,
+    as_scalar,
+    sum_products,
+    zero,
+)
 from bapkit.seminorms import apply_functional, level_matrix, level_rows
 
 F = Fraction
@@ -488,6 +495,43 @@ def test_level_rows_list_their_columns_in_increasing_order(mode, seed):
                 assert list(row) == sorted(row)
 
 
+def row_bits(rows):
+    """Each row's (column, scalar_bits) pairs in order: keys, values and value types."""
+    return [[(j, scalar_bits(v)) for j, v in row.items()] for row in rows]
+
+
+def unit_basis(box, mode):
+    return [unit_vector(box, mode, idx) for idx in box.indices()]
+
+
+# plain int coefficients, an index repeated within one functional, and a functional
+# that cancels: unit-basis rows must coerce, sum in functional order and prune
+INT_LEVEL = CustomLevel((((1, 2), (3, -1), (1, 3)), ((2, 4), (2, -4)), ((4, 1),)), "sum")
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_unit_basis_rows_equal_the_rows_over_unit_vectors(mode):
+    int_system = CustomSeminorms((INT_LEVEL,), SingleBox(4), mode)
+    for system in oracle_systems(mode) + sup_partial_systems(mode) + [int_system]:
+        basis = unit_basis(system.box, mode)
+        for k in range(1, system.level_count + 1):
+            assert row_bits(level_rows(system, k)) == row_bits(level_rows(system, k, basis))
+    one = as_scalar(1, mode)
+    assert row_bits(level_rows(int_system, 1)) == row_bits([{0: 5 * one, 2: -one}, {3: one}])
+
+
+def test_unit_basis_rows_prune_a_negligible_float_row():
+    level = CustomLevel((((1, 1e-12), (2, -3e-11)), ((3, 0.5),)), "max")
+    system = CustomSeminorms((level,), SingleBox(3), "float")
+    basis = unit_basis(system.box, "float")
+    assert level_rows(system, 1) == level_rows(system, 1, basis) == [{2: 0.5}]
+    # below a finer rank tolerance the first row is no longer negligible
+    fine = Tolerances(rank=1e-13)
+    kept = level_rows(system, 1, tol=fine)
+    assert row_bits(kept) == row_bits(level_rows(system, 1, basis, fine))
+    assert kept == [{0: 1e-12, 1: -3e-11}, {2: 0.5}]
+
+
 # ---------------------------------------------------------------------------
 # integer-accumulated sums against the loops they replaced
 
@@ -680,18 +724,39 @@ def loop_split_value(system, x, base, threshold):
     return total
 
 
+def assert_split_value_equals_the_loop(system, x):
+    # value uses (k, k), primed_value (p, p + 1)
+    for k in range(1, system.level_count + 1):
+        for base, threshold in ((k, k), (k, k + 1)):
+            got = system.split_value(x, base, threshold)
+            expected = loop_split_value(system, x, base, threshold)
+            assert scalar_bits(got) == scalar_bits(expected)
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_split_value_equals_the_termwise_loop(mode, data):
-    # the dyadic and the table rho systems; value uses (k, k), primed_value (p, p + 1)
+    # the dyadic and the table rho systems
     for system in oracle_systems(mode)[:2]:
-        x = data.draw(sparse_vectors(system.box, mode))
-        for k in range(1, system.level_count + 1):
-            for base, threshold in ((k, k), (k, k + 1)):
-                got = system.split_value(x, base, threshold)
-                expected = loop_split_value(system, x, base, threshold)
-                assert scalar_bits(got) == scalar_bits(expected)
+        assert_split_value_equals_the_loop(system, data.draw(sparse_vectors(system.box, mode)))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_split_value_equals_the_termwise_loop_at_coprime_denominators(mode):
+    # every difference site below has rho 2/3 or 5/7 and here and above both
+    # nonzero, their three denominators pairwise coprime, so no rational term
+    # reduces; (3, 2, 2) and (3, 2, 3) sit at n = n_max, where above is 0
+    grid = {(1, 1): F(1, 2), (1, 2): F(2, 3), (1, 3): F(5, 7)}
+    grid |= {(2, 1): F(1, 4), (2, 2): F(5, 7), (2, 3): F(2, 3)}
+    system = VogtSeminorms(RhoTable.from_grid(grid), TripleBox(3, 2, 3), mode, 3)
+    entries = {
+        (1, 1, 2): F(-1, 4), (2, 1, 2): F(6, 5),  # rho 2/3
+        (1, 1, 3): F(3, 11), (2, 1, 3): F(-4, 5),  # rho 5/7
+        (2, 2, 2): F(9, 8), (3, 2, 2): F(2, 13),  # rho 5/7
+        (2, 2, 3): F(-7, 5), (3, 2, 3): F(-6, 17),  # rho 2/3
+    }
+    assert_split_value_equals_the_loop(system, TruncatedVector.create(system.box, mode, entries))
 
 
 def loop_rho_value(table, mu, nu, mode):

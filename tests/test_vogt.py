@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import bapkit.seminorms
+import bapkit.spaces
+import bapkit.vogt
 from bapkit import (
     BoxTooSmallError,
     CertificateFailureError,
@@ -22,6 +25,7 @@ from bapkit import (
     unit_vector,
     witness_evidence,
 )
+from bapkit.linalg import sparse_rank
 from bapkit.vogt import _random_sparse
 
 F = Fraction
@@ -195,6 +199,29 @@ def test_every_level_of_the_largest_scaled_box_is_a_norm():
     report = norm_positivity_check(dyadic_instance(12, 6, 8, 4))
     assert report.passed
     assert report.level_ranks == tuple((k, 576, 576) for k in range(1, 5))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_norm_positivity_reads_its_rows_off_the_functionals(monkeypatch, mode):
+    # no unit vectors and no products over them: one sparse_rank per level of the rows
+    # that level_rows reads straight off the functionals
+    def forbidden(*args):
+        raise AssertionError("norm_positivity_check built rows over a vector basis")
+
+    for module in (bapkit.spaces, bapkit.seminorms, bapkit.vogt):
+        monkeypatch.setattr(module, "unit_vector", forbidden, raising=False)
+        monkeypatch.setattr(module, "functional_rows", forbidden, raising=False)
+    ranked = []
+
+    def counting(rows, tol):
+        ranked.append(rows)
+        return sparse_rank(rows, tol)
+
+    monkeypatch.setattr(bapkit.vogt, "sparse_rank", counting)
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
+    report = norm_positivity_check(inst)
+    assert report.passed and len(ranked) == inst.level_count
+    assert report.level_ranks == tuple((k, 60, 60) for k in range(1, 5))
 
 
 # ---------------------------------------------------------------------------
