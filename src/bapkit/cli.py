@@ -81,6 +81,8 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
             raise ConfigError(
                 f"config {path!r} is not valid JSON: {exc.msg} at byte {exc.pos}"
             )
+        except RecursionError:
+            raise ConfigError(f"config {path!r} nests too deeply to parse")
         if not isinstance(data, dict):
             raise ConfigError(f"config {path!r} must hold a JSON object")
         cfg = _merge_config(cfg, data)
@@ -132,6 +134,8 @@ def _decode_rho(spec):
         return RhoTable.dyadic()
     try:
         rho = decode(spec)
+    except RecursionError:
+        raise ConfigError("vogt.rho does not decode: it nests too deeply")
     except (BapkitError, ZeroDivisionError, TypeError, ValueError) as exc:
         raise ConfigError(f"vogt.rho does not decode: {exc}")
     if not isinstance(rho, RhoTable):

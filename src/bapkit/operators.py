@@ -458,13 +458,14 @@ def _verify_prefix_bound(
             (r, w, copies[r] + piece) for r in range(n_rep) for w, piece in enumerate(shares, 1)
         ]
         for level in split.norm_grading:
-            bound = two * system.value(level, e)
+            e_value = system.value(level, e)
+            bound = two * e_value
             for r, w, q_vec in prefixes:
                 val = system.value(level, q_vec)
                 if not leq(val, bound, mode, tol):
                     raise ConstructionSoundnessError(
                         f"prefix bound failed at level {level}, copy {r}, piece {w}: "
-                        f"{val} > 2 * {system.value(level, e)}"
+                        f"{val} > 2 * {e_value}"
                     )
 
 

@@ -19,9 +19,9 @@ is picking its pivot-column entries.  The vertices are exact:
   * max combiner: each vertex solves a d-subset of rows against a sign
     pattern, kept when it satisfies every remaining row.
 
-Rows come sparse from seminorms.functional_rows; constraint rows are made dense
-once for the elimination, and objective rows are summed in column order over
-the vertex's nonzeros, so float sums are bit-equal to the dense products.
+Rows come sparse from seminorms.level_rows (ball) and functional_rows (images); constraint
+rows are made dense once for the elimination, and objective rows are summed in column
+order over the vertex's nonzeros, so float sums are bit-equal to the dense products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
 enumeration.  Above it float mode returns, with nothing sampled, the sup over
 the larger ball of G_P, the d_eff independent rows of G, from one inversion
@@ -33,14 +33,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import ComputationCapError, InputError, UnboundedSeminormError
+from .errors import ComputationCapError, DomainError, InputError, ModeError, UnboundedSeminormError
 from .linalg import (
     column_space_basis, dense_rows, echelon_nullspace, invert, mat_vec, nullspace, rank,
     row_echelon, solve, transpose
 )
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
-from .seminorms import MAX, SUM, SeminormSystem, functional_rows
-from .spaces import unit_vector
+from .seminorms import MAX, SUM, SeminormSystem, functional_rows, level_rows
 
 DEFAULT_CAP = 200_000
 
@@ -189,20 +188,29 @@ def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, ca
     """One ball, one sup: the max over image lists of the sup of
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
 
-    Each to-level group, per image list, is one objective piece.  The from-level
-    ball must be a single group, as polyhedral_sup takes no intersection of balls.
+    domain_basis None is the box's unit basis.  Each to-level group, per image list, is one
+    objective piece; the ball's level_rows must be one group's, as polyhedral_sup takes one.
     """
     ball = system.level_groups(from_level)
     if len(ball) > 1:
         raise InputError(f"level {from_level} has {len(ball)} groups, so no single ball")
-    combiner, functionals = ball[0] if ball else (SUM, ())
+    combiner = ball[0][0] if ball else SUM
     groups = system.level_groups(to_level)
     pieces = [
         (functional_rows(fs, images, system.mode, tol), comb)
         for images in image_lists for comb, fs in groups
     ]
-    rows = functional_rows(functionals, domain_basis, system.mode, tol)
-    return polyhedral_sup(len(domain_basis), rows, combiner, pieces, system.mode, tol=tol, cap=cap)
+    rows = level_rows(system, from_level, domain_basis, tol)
+    dim = system.box.dimension if domain_basis is None else len(domain_basis)
+    return polyhedral_sup(dim, rows, combiner, pieces, system.mode, tol=tol, cap=cap)
+
+
+def _check_operators(system, operators):
+    for op in operators:
+        if op.box != system.box:
+            raise DomainError(f"operator box {op.box} does not match system box {system.box}")
+        if op.mode != system.mode:
+            raise ModeError(f"operator mode {op.mode} does not match system mode {system.mode}")
 
 
 def graded_operator_norm(
@@ -216,13 +224,15 @@ def graded_operator_norm(
 ):
     """Exact sup of value(to_level, T x) over {x in domain : value(from_level, x) <= 1}.
 
-    domain defaults to the whole box.  Raises UnboundedSeminormError when the
-    from-level kernel is not annihilated at the to-level, which is how the
-    smallest finite comparison level is located by callers.
+    domain defaults to the whole box, where T e_j is column j.  Raises DomainError or
+    ModeError for an operator on another box or mode, and UnboundedSeminormError when the
+    from-level kernel is not annihilated at the to-level, which is how callers locate
+    the smallest finite comparison level.
     """
-    if domain_basis is None:
-        domain_basis = [unit_vector(system.box, system.mode, idx) for idx in system.box.indices()]
-    images = [operator.apply(v) for v in domain_basis]
+    _check_operators(system, [operator])
+    images = operator.columns
+    if domain_basis is not None:
+        images = [operator.apply(v) for v in domain_basis]
     return _graded_sup(system, to_level, from_level, domain_basis, [images], tol, cap)
 
 
@@ -238,14 +248,14 @@ def comparison_level(
     Returns (l, M): l is the smallest level >= level at which every operator
     has a finite graded_operator_norm(system, level, l, .), M the largest of
     those norms.  Each level tried is one sup over its ball, scoring every
-    operator's images as one objective piece.  Raises UnboundedSeminormError
-    when no level controls them all.
+    operator's columns as one objective piece.  Raises DomainError or ModeError as
+    graded_operator_norm does, and UnboundedSeminormError when no level controls them all.
     """
-    basis = [unit_vector(system.box, system.mode, idx) for idx in system.box.indices()]
-    image_lists = [list(op.columns) for op in operators]
+    _check_operators(system, operators)
+    image_lists = [op.columns for op in operators]
     for l in range(level, system.level_count + 1):
         try:
-            return l, _graded_sup(system, level, l, basis, image_lists, tol, cap)
+            return l, _graded_sup(system, level, l, None, image_lists, tol, cap)
         except UnboundedSeminormError:
             continue
     raise UnboundedSeminormError(

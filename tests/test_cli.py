@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, config handling, document shape."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,11 +12,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bapkit
 from bapkit import (
     BasisSpaceElement,
     CertificateFailureError,
+    ConstructionSoundnessError,
+    KoetheSeminorms,
     MaxPrefixSeminorms,
     RhoTable,
     SeminormSystem,
@@ -23,6 +29,7 @@ from bapkit import (
     VogtSeminorms,
 )
 from bapkit import cli
+from bapkit import embedding
 from bapkit import jsonio
 
 
@@ -209,6 +216,35 @@ def test_decode_rho_rejects_garbage():
         cli._decode_rho(jsonio.encode(SingleBox(3)))
 
 
+def deep_list_config():
+    depth = 200_000
+    return '{"vogt": ' + "[" * depth + "]" * depth + "}"
+
+
+def deep_rho_config():
+    rho = {"kind": "koethe-system", "weights": [[1]], "box": {"kind": "single-box", "d": 1},
+           "mode": "rational"}
+    for _ in range(400):
+        rho = {"kind": "sup-partial-system", "base": rho, "operators": []}
+    return json.dumps({"vogt": {"rho": rho}})
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [(deep_list_config, "nests too deeply to parse"), (deep_rho_config, "vogt.rho does not decode")],
+    ids=["json", "rho"],
+)
+def test_deeply_nested_config_exits_two(tmp_path, capsys, text, fragment):
+    # json.loads and the record decoder both recurse once per level
+    path = tmp_path / "deep.json"
+    path.write_text(text())
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "doc.json")]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error:")
+    assert fragment in captured.err
+
+
 def test_slow_decay_table_fails_the_vogt_suite(tmp_path, capsys):
     # every entry 1/3 never reaches the 1/4 threshold inside mu_max rows,
     # so the witness construction refuses the box and the suite fails
@@ -285,7 +321,22 @@ BROKEN_VALUES = {
     "doubled": lambda value: lambda self, k, x: 2 * value(self, k, x),
     "random": seeded_random_values,
 }
+def tenth_of_constant(comparison_level):
+    def patched(*args, **kwargs):
+        level, constant = comparison_level(*args, **kwargs)
+        return level, constant / 10
+    return patched
+
+
 RAISING_CHECKS = {
+    # doubling every value keeps the prefix bound's ratio, so "doubled" cannot fail it
+    "pelczynski/schedule": (
+        KoetheSeminorms, "value", {"random": seeded_random_values}, ConstructionSoundnessError
+    ),
+    # M_k / 10 passes the schedule and fails the certificate's upper bound
+    "pelczynski/equicontinuity": (
+        embedding, "comparison_level", {"tenth": tenth_of_constant}, CertificateFailureError
+    ),
     "normability/clean-system-consistent": (
         MaxPrefixSeminorms, "value", BROKEN_VALUES, CertificateFailureError
     ),
@@ -375,3 +426,107 @@ def test_out_path_check_keeps_an_existing_file_until_the_run_ends(tmp_path, monk
     assert cli.main(["run", "--suite", "vogt", "--out", str(out_path)]) == 0
     assert seen == ["previous run\n"]
     assert json.loads(out_path.read_text()) == {"passed": True, "suites": {}}
+
+
+# ---------------------------------------------------------------------------
+# generated configs: every one exits 0, 1 or 2, and none with a traceback
+
+# sizes come only from small sets: the config bounds no Vogt size from above
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 4)
+    | st.sampled_from([0.5, -1.0, float("nan"), float("inf")])
+    | st.sampled_from(["", "dyadic", "rational", "float", "all", "vogt", "rho"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "d", "num", "den", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(strategy, other=JSON_VALUES):
+    """strategy in most draws, other in about one of five."""
+    return st.integers(0, 4).flatmap(lambda i: other if i == 4 else strategy)
+
+
+KOETHE = {"kind": "koethe-system", "weights": [[1, 1]], "box": {"kind": "single-box", "d": 2},
+          "mode": "rational"}
+OTHER_KINDS = [
+    {"kind": "single-box", "d": 3},
+    KOETHE,
+    {"kind": "sup-partial-system", "base": KOETHE, "operators": []},
+]
+
+
+@st.composite
+def rho_specs(draw):
+    """dyadic, an encoded table, maybe broken in one field or cell, or another record."""
+    mu_limit, nu_limit = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rho = st.sampled_from([{"num": 1, "den": 2}, {"num": 1, "den": 5}, 0.25, 1])
+    spec = {
+        "kind": "rho",
+        "table_kind": "table",
+        "values": [
+            [mu, nu, draw(rho)] for mu in range(1, mu_limit + 1) for nu in range(1, nu_limit + 1)
+        ],
+        "mu_limit": mu_limit,
+        "nu_limit": nu_limit,
+    }
+    how = draw(st.sampled_from(["table", "dyadic", "drop", "replace", "cell", "other kind"]))
+    if how == "dyadic":
+        return "dyadic"
+    if how == "drop":
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    elif how == "replace":
+        spec[draw(st.sampled_from(sorted(spec)))] = draw(JSON_VALUES)
+    elif how == "cell":
+        cell = draw(st.sampled_from(spec["values"]))
+        cell[draw(st.integers(0, 2))] = draw(st.sampled_from([2, 0, {"num": 1, "den": 0}]) | JSON_VALUES)
+    elif how == "other kind":
+        return draw(st.sampled_from(OTHER_KINDS))
+    return spec
+
+
+def section(fields, required=()):
+    """A section with its required fields and any subset of the others, each mostly well
+    typed, and rarely an unknown key."""
+    fields = {key: mostly(strategy) for key, strategy in fields.items()}
+    known = st.fixed_dictionaries(
+        {key: fields.pop(key) for key in required}, optional=fields
+    )
+    unknown = mostly(st.just({}), st.fixed_dictionaries({"extra": JSON_VALUES}))
+    return st.builds(lambda a, b: {**a, **b}, known, unknown)
+
+
+VOGT_SIZES = st.integers(0, 6)
+CONFIGS = mostly(section({
+    "suite": st.sampled_from([*cli.SUITES, "all"]),
+    "mode": st.sampled_from(["rational", "float"]),
+    "seed": st.integers(-1, 3),
+    "vogt": section({
+        "rho": rho_specs(),
+        "n_max": VOGT_SIZES,
+        "mu_max": VOGT_SIZES,
+        "nu_max": VOGT_SIZES,
+        "level_count": VOGT_SIZES,
+    }, required=["rho"]),
+    "pelczynski": section({"dimension": st.integers(1, 4)}),
+    "normability": section({"dimension": st.integers(1, 4), "families": st.integers(0, 5)}),
+}, required=["vogt"]))
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(config=CONFIGS)
+def test_generated_configs_exit_zero_one_or_two_without_a_traceback(tmp_path, config):
+    path, out = tmp_path / "cfg.json", tmp_path / "doc.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

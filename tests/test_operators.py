@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -447,6 +448,25 @@ def test_prefix_bound_check_rejects_an_undamped_block():
     undamped = dataclasses.replace(split, control_constant=0)
     with pytest.raises(ConstructionSoundnessError, match="level 1, copy 0, piece 1: 2 > 2 \\* 2/3"):
         scale_and_replicate(undamped, flat_system(), rng=random.Random(3), sample_count=40)
+
+
+def test_prefix_bound_message_states_the_compared_values(monkeypatch):
+    # seeded random level values: the message must report the values that were
+    # compared, not a second measurement, so the inequality it states holds
+    rng = random.Random(0)
+    monkeypatch.setattr(KoetheSeminorms, "value", lambda self, k, x: rng.randint(-9, 9))
+    box = SingleBox(4)
+    system = KoetheSeminorms(tuple((k,) * 4 for k in range(1, 5)), box, "rational")
+    family = [
+        FiniteRankOperator.from_matrix(
+            box, "rational", [[int(i == j == p) for j in range(4)] for i in range(4)]
+        )
+        for p in range(4)
+    ]
+    with pytest.raises(ConstructionSoundnessError, match="prefix bound failed") as raised:
+        build_schedule(family, system, rng=random.Random(0), prefix_samples=25)
+    value, e_value = re.search(r": (-?\d+) > 2 \* (-?\d+)$", str(raised.value)).groups()
+    assert int(value) > 2 * int(e_value)
 
 
 def test_tag_bookkeeping_of_decompositions():

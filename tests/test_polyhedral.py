@@ -9,16 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bapkit import (
+    BapkitError,
     ComputationCapError,
     CustomLevel,
     CustomSeminorms,
+    DomainError,
     FiniteRankOperator,
     InputError,
     KoetheSeminorms,
     MaxPrefixSeminorms,
+    ModeError,
     SingleBox,
     SupPartialSumSeminorms,
     Tolerances,
+    TruncatedVector,
     UnboundedSeminormError,
     graded_operator_norm,
     polyhedral,
@@ -294,6 +298,78 @@ def test_comparison_level_matches_one_norm_per_operator_when_bounded(kind, seed)
     # a cap of 1 sends float mode to the bound through the inverse of the
     # pivot rows, which scores each objective piece on its own as well
     check_comparison_level(kind, "float", seed, 1)
+
+
+def graded_norm_outcome(system, to_level, from_level, op, domain_basis=None):
+    """The norm as (type, repr), so float results compare bit for bit, or the error type."""
+    try:
+        norm = graded_operator_norm(system, to_level, from_level, op, domain_basis=domain_basis)
+    except BapkitError as exc:
+        return type(exc)
+    return type(norm), repr(norm)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("kind", ["koethe", "max-prefix", "custom"])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_unit_basis_default_matches_an_explicit_unit_basis(kind, mode, seed):
+    # no basis reads the ball off the functionals and scores the operator's
+    # columns; an explicit unit basis multiplies by 1 and applies the operator
+    rng = random.Random(seed)
+    system = random_system(kind, mode, rng)
+    op = random_family(mode, rng)[0]
+    to_level = rng.randint(1, system.level_count)
+    from_level = rng.randint(1, system.level_count)
+    basis = [unit_vector(system.box, mode, idx) for idx in system.box.indices()]
+    assert graded_norm_outcome(system, to_level, from_level, op) == graded_norm_outcome(
+        system, to_level, from_level, op, basis
+    )
+
+
+def test_unit_basis_sups_build_no_vector_and_apply_no_operator(monkeypatch):
+    box = SingleBox(3)
+    system = KoetheSeminorms(((1, 1, 1), (1, 2, 3)), box, "rational")
+    ops = [
+        FiniteRankOperator.from_matrix(box, "rational", m)
+        for m in ([[1, 0, 2], [0, -1, 0], [3, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 2]])
+    ]
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        TruncatedVector, "create", staticmethod(counted("create", TruncatedVector.create))
+    )
+    monkeypatch.setattr(FiniteRankOperator, "apply", counted("apply", FiniteRankOperator.apply))
+    # column 1 of the first operator has the largest l1 norm, 4, and weight 1 at both levels
+    assert comparison_level(system, 1, ops) == (1, 4)
+    assert graded_operator_norm(system, 1, 2, ops[0]) == 4
+    assert calls == []
+
+
+# an operator on another box, and one in another mode, than a rational system on SingleBox(3)
+OFF_THE_SYSTEM = {
+    DomainError: FiniteRankOperator.identity(SingleBox(2), "rational"),
+    ModeError: FiniteRankOperator.identity(SingleBox(3), "float"),
+}
+
+
+@pytest.mark.parametrize("error", [DomainError, ModeError], ids=["box", "mode"])
+@pytest.mark.parametrize("entry_point", ["comparison_level", "graded_operator_norm"])
+def test_operators_on_another_box_or_mode_are_refused(entry_point, error):
+    box = SingleBox(3)
+    system = KoetheSeminorms(((1, 1, 1),), box, "rational")
+    eye = FiniteRankOperator.identity(box, "rational")
+    with pytest.raises(error):
+        if entry_point == "comparison_level":
+            comparison_level(system, 1, [eye, OFF_THE_SYSTEM[error]])
+        else:
+            graded_operator_norm(system, 1, 1, OFF_THE_SYSTEM[error])
 
 
 # ---------------------------------------------------------------------------
