@@ -13,7 +13,8 @@ shapes are:
              and floats as SCALAR, anything else unchanged
   Seq(s)     a list of values of shape s
   Row(s...)  a list of exactly one value per shape, e.g. a (mu, nu, rho) triple
-  Record     an object with named fields; a tagged kind is a Record in KINDS
+  Record     an object with exactly its named fields, no others; a tagged kind
+             is a Record in KINDS
 
 Floats travel as plain numbers (repr round-trips them exactly), triple
 indices as three-element lists.  Serialization always sorts keys, so equal
@@ -90,7 +91,8 @@ class Record:
 
     attrs maps a JSON name to its attribute where the two differ.  build,
     when given, constructs the object in place of the class: it receives
-    get, which decodes one field by name.
+    get, which decodes one field by name, or gives get's second argument
+    where the record leaves that field out.
     """
 
     def __init__(self, cls, build=None, attrs=None, **fields) -> None:
@@ -104,6 +106,16 @@ def _operator(get) -> FiniteRankOperator:
         raise InputError("range basis vectors must live on the operator's box and mode")
     op = FiniteRankOperator.from_matrix(box, mode, get("matrix"), get("label"))
     return dataclasses.replace(op, range_basis=basis)
+
+
+def _rho(get) -> RhoTable:
+    """A table reads its grid.  A dyadic table is closed form, so it may leave
+    its grid fields out, and any it carries must be empty, as encode writes them."""
+    if get("table_kind") != "dyadic":
+        return RhoTable("table", get("values"), get("mu_limit"), get("nu_limit"))
+    if (get("values", ()), get("mu_limit", 0), get("nu_limit", 0)) != ((), 0, 0):
+        raise InputError("a dyadic rho table carries no grid")
+    return RhoTable.dyadic()
 
 
 # (index, value) entries of a vector or functional; a triple index is a three-element list
@@ -122,13 +134,10 @@ KINDS = {
         build=lambda get: TruncatedVector.create(get("box"), get("mode"), dict(get("entries"))),
         box=BOX, mode=RAW, entries=PAIRS,
     ),
-    # a dyadic table is closed form, so its grid fields are neither read nor required
     "rho": Record(
         RhoTable,
         attrs={"table_kind": "kind"},
-        build=lambda get: RhoTable.dyadic() if get("table_kind") == "dyadic" else RhoTable(
-            "table", get("values"), get("mu_limit"), get("nu_limit")
-        ),
+        build=_rho,
         table_kind=RAW, values=Seq(Row(RAW, RAW, SCALAR)), mu_limit=RAW, nu_limit=RAW,
     ),
     "vogt-system": Record(VogtSeminorms, rho=RHO, box=TRIPLE_BOX, mode=RAW, level_count=RAW),
@@ -287,7 +296,14 @@ def _in(shape, v):
     if isinstance(shape, Row):
         return tuple(_in(s, x) for s, x in zip(shape.items, _row(v, shape)))
 
-    def get(name):
+    undeclared = v.keys() - shape.fields.keys() if isinstance(v, dict) else ()
+    if undeclared:
+        names = sorted(map(str, undeclared))
+        raise InputError(f"undeclared fields {names} in a {shape.cls.__name__}")
+
+    def get(name, *absent):
+        if absent and name not in v:
+            return absent[0]
         return _in(shape.fields[name], v[name])
 
     if shape.build is not None:
@@ -312,7 +328,7 @@ def decode(data):
     if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}")
     try:
-        return _in(KINDS[kind], data)
+        return _in(KINDS[kind], {name: field for name, field in data.items() if name != "kind"})
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r} in {kind!r}")
 

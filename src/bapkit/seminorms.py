@@ -7,10 +7,13 @@ its value is the max over the groups.  That shared shape is what makes
 kernels computable exactly: value(k, x) = 0 iff every constituent
 functional kills x.  SeminormSystem derives value from the groups; Vogt and
 sup-partial systems keep their own, whose float sums run in an order that
-documents pin bit for bit (Vogt's split_value also gives primed_value).
-split_value is one sum_products over the support: the plain terms in entry
-order, then the difference sites in box order, normalised once in rational
-mode and added left to right from 0.0 in float mode.  In rational mode each
+documents pin bit for bit.  Vogt states its split once, in _split, keyed by
+(base, threshold); split_value walks it over a vector's support (value and
+primed_value), and split_groups reads it as functionals (level_groups and
+the primed levels).  split_value is one sum_products over the support: the
+plain terms in entry order, then the difference sites in box order,
+normalised once in rational mode and added left to right from 0.0 in float
+mode.  In rational mode each
 difference term rho * here - above reaches the sum as one unnormalised Ratio,
 (r.num h.num a.den - a.num r.den h.den) / (r.den h.den a.den), so no site
 builds a Fraction.
@@ -262,9 +265,32 @@ class VogtSeminorms(SeminormSystem):
             for nu in range(1, self.box.nu_max + 1)
         }
 
+    @cached_property
+    def _rules(self) -> dict:
+        """(base, threshold) -> that split's rule (see _split), each built on first use."""
+        return {}
+
+    @cached_property
+    def _functionals(self) -> dict:
+        """(base, threshold) -> that split's functionals (see split_groups), each built once."""
+        return {}
+
+    def _split(self, base: int, threshold: int):
+        """The split, stated once: a site (n, mu, nu) has the weight
+        powers[n+mu+nu] = base**(n+mu+nu), and damps[mu, nu] is None where the
+        site is plain (nu <= threshold), else rho(mu, nu), its difference's damping."""
+        key = (base, threshold)
+        if key not in self._rules:
+            top = self.box.n_max + self.box.mu_max + self.box.nu_max
+            damps = {
+                (mu, nu): None if nu <= threshold else r for (mu, nu), r in self._rho_grid.items()
+            }
+            self._rules[key] = [base**s for s in range(top + 1)], damps
+        return self._rules[key]
+
     def split_value(self, x: TruncatedVector, base: int, threshold: int) -> Scalar:
-        """Sum of plain terms (nu <= threshold) and difference terms
-        (nu > threshold) with weight base**(n+mu+nu), as one sum_products.
+        """The (base, threshold) split of x: its plain and its difference terms,
+        each with its weight, as one sum_products.
 
         Runs over the support and its n-shift only, never the whole box.  The
         sum takes the plain terms first, in entry order, then the difference
@@ -274,19 +300,19 @@ class VogtSeminorms(SeminormSystem):
         """
         self.check_vector(x)
         z = zero(self.mode)
-        lookup, rho = x._lookup, self._rho_grid
+        lookup, (powers, damps) = x._lookup, self._split(base, threshold)
         terms = []
         diff_sites = set()
         for (n, mu, nu), val in x.entries:
-            if nu <= threshold:
-                terms.append((base ** (n + mu + nu), val))
+            if damps[mu, nu] is None:
+                terms.append((powers[n + mu + nu], val))
             else:
                 diff_sites.add((n, mu, nu))
                 if n > 1:
                     diff_sites.add((n - 1, mu, nu))
         rational = self.mode == RATIONAL
         for n, mu, nu in sorted(diff_sites):
-            r = rho[mu, nu]
+            r = damps[mu, nu]
             here = lookup.get((n, mu, nu), z)
             above = lookup.get((n + 1, mu, nu), z)
             if rational:
@@ -295,8 +321,29 @@ class VogtSeminorms(SeminormSystem):
                 term = Ratio(num, rd * hd * ad)
             else:
                 term = r * here - above
-            terms.append((base ** (n + mu + nu), term))
+            terms.append((powers[n + mu + nu], term))
         return sum_products(terms, self.mode, absolute=True)
+
+    def split_groups(self, base: int, threshold: int) -> tuple:
+        """The (base, threshold) split as functionals, one per site in box order,
+        built once: w x[n] at a plain site, rho w x[n] - w x[n+1] at a difference
+        site, without the second pair on the top row."""
+        key = (base, threshold)
+        if key not in self._functionals:
+            powers, damps = self._split(base, threshold)
+            coerce = scalar_coercer(self.mode)
+            weights = [(coerce(w), -coerce(w)) for w in powers]
+            out = []
+            for n, mu, nu in self.box.indices():
+                (w, minus_w), r = weights[n + mu + nu], damps[mu, nu]
+                if r is None:
+                    out.append((((n, mu, nu), w),))
+                elif n < self.box.n_max:
+                    out.append((((n, mu, nu), r * w), ((n + 1, mu, nu), minus_w)))
+                else:
+                    out.append((((n, mu, nu), r * w),))
+            self._functionals[key] = tuple(out)
+        return self._functionals[key]
 
     def value(self, k: int, x: TruncatedVector) -> Scalar:
         self.check_level(k)
@@ -312,18 +359,7 @@ class VogtSeminorms(SeminormSystem):
 
     def level_groups(self, k: int):
         self.check_level(k)
-        coerce = scalar_coercer(self.mode)
-        out = []
-        for n, mu, nu in self.box.indices():
-            w = coerce(k ** (n + mu + nu))
-            if nu <= k:
-                out.append((((n, mu, nu), w),))
-            else:
-                pairs = [((n, mu, nu), self._rho_grid[mu, nu] * w)]
-                if n + 1 <= self.box.n_max:
-                    pairs.append((((n + 1, mu, nu)), -w))
-                out.append(tuple(pairs))
-        return ((SUM, tuple(out)),)
+        return ((SUM, self.split_groups(k, k)),)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 The grading splits every level into plain terms (low third index) and
 damped difference terms along the first index (high third index).  The
 module packages the standard exact computations on truncations: the
-primed comparison values, a diagonal nuclearity sum with closed-form
-limit, positivity certificates per column of the decay table, and the
-vanishing-with-floor witness family that the diagnostics in
-`normability` consume.
+primed comparison values, a diagonal nuclearity sum read off the system's
+functionals and bounded by its closed-form limit, positivity certificates
+per column of the decay table, and the vanishing-with-floor witness family
+that the diagnostics in `normability` consume.  An instance builds its
+system once, so the checks share its cached splits.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BoxTooSmallError,
@@ -48,6 +50,11 @@ class VogtInstance:
     level_count: int
 
     def system(self) -> VogtSeminorms:
+        """The instance's one system, so every check shares its cached splits."""
+        return self._system
+
+    @cached_property
+    def _system(self) -> VogtSeminorms:
         return VogtSeminorms(self.rho, self.box, self.mode, self.level_count)
 
 
@@ -106,13 +113,16 @@ def comparison_inequality_check(
 
 @dataclass(frozen=True)
 class NuclearityCertificate:
-    """Diagonal transfer sum between a level and its primed predecessor.
+    """Diagonal transfer sum from level p+1 to the primed level p, read off
+    the system's functionals.
 
-    Every per-coordinate weight ratio collapses to ratio**(n+mu+nu), so
-    the sum over the full grid converges to (ratio / (1 - ratio))**3.
-    shells lists (s, box_count, full_count); shells complete inside the
-    box match the full grid count binom(s-1, 2) exactly, giving the
-    explicit gap bound limit - complete_sum.
+    At each site the primed split (p, p+1) and level p+1 name the same
+    indices, and the term is the ratio of their first coefficients, which a
+    difference site's second coefficients repeat; each term must be
+    ratio**(n+mu+nu), ratio = p/(p+1), and the box sum must not pass the
+    full grid's sum (ratio / (1 - ratio))**3.  shells lists (s, box_count,
+    full_count), full_count = binom(s-1, 2); shells through complete_through
+    fit the box, so complete_sum, their full sum, bounds the box sum below.
     """
 
     level: int
@@ -127,45 +137,41 @@ class NuclearityCertificate:
 
 
 def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCertificate:
-    """Exact transfer terms from a level to the next, summed over the box."""
+    """The transfer terms from a level's successor to the primed level, summed over the box."""
     if not (isinstance(level, int) and 1 <= level < instance.level_count):
         raise LevelError(
             f"need a level with a successor, got {level} of {instance.level_count}"
         )
     p = level
     mode = instance.mode
+    system = instance.system()
+    ((_, successor),) = system.level_groups(p + 1)
     r = as_scalar(Fraction(p, p + 1), mode)
+    s_top = instance.box.n_max + instance.box.mu_max + instance.box.nu_max
+    powers = {s: r**s for s in range(3, s_top + 1)}
     passed = True
     box_sum = zero(mode)
     shell_counts: dict = {}
-    for n, mu, nu in instance.box.indices():
+    sites = zip(instance.box.indices(), system.split_groups(p, p + 1), successor)
+    for (n, mu, nu), primed, upper in sites:
         s = n + mu + nu
-        if nu <= p + 1:
-            num = as_scalar(p**s, mode)
-            den = as_scalar((p + 1) ** s, mode)
-        else:
-            rho = instance.rho.value(mu, nu, mode)
-            num = rho * as_scalar(p**s, mode)
-            den = rho * as_scalar((p + 1) ** s, mode)
-        term = num / den
-        if not approx_equal(term, r**s, mode):
+        term = primed[0][1] / upper[0][1]
+        if (
+            [i for i, _ in primed] != [i for i, _ in upper]
+            or not approx_equal(term, powers[s], mode)
+            or (len(primed) > 1 and not approx_equal(primed[1][1] / upper[1][1], term, mode))
+        ):
             passed = False
         box_sum += term
         shell_counts[s] = shell_counts.get(s, 0) + 1
-    s_top = instance.box.n_max + instance.box.mu_max + instance.box.nu_max
     complete_through = min(instance.box.n_max, instance.box.mu_max, instance.box.nu_max) + 2
     shells = []
     complete_sum = zero(mode)
     for s in range(3, s_top + 1):
         full = math.comb(s - 1, 2)
-        in_box = shell_counts.get(s, 0)
-        shells.append((s, in_box, full))
+        shells.append((s, shell_counts.get(s, 0), full))
         if s <= complete_through:
-            if in_box != full:
-                passed = False
-            complete_sum += full * r**s
-        elif in_box > full:
-            passed = False
+            complete_sum += full * powers[s]
     limit = (r / (1 - r)) ** 3
     if not (leq(complete_sum, box_sum, mode) and leq(box_sum, limit, mode)):
         passed = False
@@ -189,7 +195,8 @@ class NormPositivityReport:
     Truncation makes each level a norm (the difference terms cascade from
     the top index down), which the rank check confirms.  q_certificates
     carry the content that survives the limit: for each decay-table entry
-    the smallest integer level q with q * rho > 1, checked exactly.
+    the smallest integer level q with q * rho > 1, computed in the mode's
+    own arithmetic.
     """
 
     level_ranks: tuple  # (level, rank, dimension)
@@ -219,8 +226,6 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
                 q += 1
             while (q - 1) * rho > 1:
                 q -= 1
-            if not (q * rho > 1 >= (q - 1) * rho):
-                passed = False
             certs.append((mu, nu, q))
     return NormPositivityReport(tuple(ranks), tuple(certs), passed)
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import bapkit
@@ -20,6 +20,7 @@ from bapkit import (
     BasisSpaceElement,
     CertificateFailureError,
     ConstructionSoundnessError,
+    FloorCertificate,
     KoetheSeminorms,
     MaxPrefixSeminorms,
     RhoTable,
@@ -209,6 +210,20 @@ def test_decode_rho_accepts_dyadic_and_encoded_tables():
     assert cli._decode_rho(jsonio.encode(table)) == table
 
 
+# a dyadic rho record with a grid and a field that no record declares
+UNDECLARED_RHO_FIELDS = {"vogt": {"rho": {"kind": "rho", "table_kind": "dyadic",
+                                          "values": "not a table", "junk": [1, 2]}}}
+
+
+def test_a_rho_record_with_undeclared_fields_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(UNDECLARED_RHO_FIELDS))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "doc.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: vogt.rho does not decode: undeclared fields ['junk']")
+    assert not (tmp_path / "doc.json").exists()
+
+
 def test_decode_rho_rejects_garbage():
     with pytest.raises(cli.ConfigError, match="does not decode"):
         cli._decode_rho({"kind": "rho"})
@@ -282,6 +297,18 @@ BROKEN_CHECKS = {
         "level_groups",
         lambda groups: lambda self, k: tuple((c, fs[:-1]) for c, fs in groups(self, k)),
     ),
+    # nuclearity p reads level p + 1's functionals; level 1's, still of full rank, have
+    # weight base 1 and threshold 1, so their terms are p**s, not (p/(p+1))**s
+    "vogt/nuclearity-level-1": (
+        VogtSeminorms,
+        "level_groups",
+        lambda groups: lambda self, k: groups(self, 1 if k == 2 else k),
+    ),
+    "vogt/nuclearity-level-2": (
+        VogtSeminorms,
+        "level_groups",
+        lambda groups: lambda self, k: groups(self, 1 if k == 3 else k),
+    ),
 }
 
 
@@ -340,6 +367,12 @@ RAISING_CHECKS = {
     "normability/clean-system-consistent": (
         MaxPrefixSeminorms, "value", BROKEN_VALUES, CertificateFailureError
     ),
+    # the suite re-verifies the witness's own floor on the raw trace, so only a broken
+    # re-verification reaches this check: the witness certified that floor just before
+    "vogt/injective-extension": (
+        FloorCertificate, "verify", {"false": lambda verify: lambda self, system, vectors: False},
+        CertificateFailureError,
+    ),
     # both suites build the Vogt witness family, which checks its traces on construction
     "normability/witness-violation": (
         VogtSeminorms, "value", BROKEN_VALUES, CertificateFailureError
@@ -373,6 +406,26 @@ def test_each_raising_check_can_fail(monkeypatch, capsys, mode, check, patch):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert json.loads(captured.out)["suites"][suite]["checks"]["error"]["type"] == error.__name__
+
+
+# document checks whose rows are function-level tests, each with where it lives
+FUNCTION_LEVEL_ROWS = {
+    "vogt/comparison-inequality": "tests/test_vogt.py::test_each_comparison_inequality_can_fail",
+    "pelczynski/basis-criterion": (
+        "tests/test_embedding.py::"
+        "test_basis_criterion_fails_when_the_values_break_the_triangle_inequality"
+    ),
+}
+
+
+def test_every_document_check_has_a_row():
+    doc = cli.build_document(cli.load_config(None, namespace(suite="all")))
+    names = {
+        f"{suite}/{name}" for suite, result in doc["suites"].items() for name in result["checks"]
+    }
+    rows = [BROKEN_CHECKS, RAISING_CHECKS, FUNCTION_LEVEL_ROWS]
+    assert sorted(names - set().union(*rows)) == []
+    assert sorted(set().union(*rows) - names) == []
 
 
 def test_usage_errors_exit_two():
@@ -522,6 +575,7 @@ CONFIGS = mostly(section({
     max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(config=CONFIGS)
+@example(config=UNDECLARED_RHO_FIELDS)
 def test_generated_configs_exit_zero_one_or_two_without_a_traceback(tmp_path, config):
     path, out = tmp_path / "cfg.json", tmp_path / "doc.json"
     path.write_text(json.dumps(config))

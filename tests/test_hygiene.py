@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Nine rules: no module imports a name it never uses (`__init__` exists to
+Ten rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -17,6 +17,10 @@ and each seminorm kind states its levels once, in `level_groups`: in
 `seminorms`, no class defines `combiner`, and a seminorm system defines
 `value` only on the base class, which derives it from the groups, and on
 the Vogt and sup-partial kinds, whose float sums keep their own order,
+and the Vogt kind states its split once: one function compares a site's
+`nu` with the threshold, `split_value` and `split_groups` both read it, and
+`nuclearity_certificate` reads the split's functionals, so it compares no
+`nu` and calls no `rho.value` of its own,
 and every function reads each of its parameters, `*args` and `**kwargs`
 included, in its body (`self`, `cls`, `_`-names and bodies that only raise
 are exempt), because an input that the function ignores tells its callers
@@ -205,6 +209,9 @@ def test_every_member_is_read_in_the_package():
 
 
 def test_each_seminorm_level_is_defined_once():
+    """No kind restates its levels.  Vogt keeps its own value only for the float
+    summation order that documents pin, not for a second statement of the split,
+    which test_the_vogt_split_is_stated_once checks."""
     tree = ast.parse((PACKAGE / "seminorms.py").read_text(encoding="utf-8"))
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
     systems = {"SeminormSystem"} | {
@@ -223,6 +230,43 @@ def test_each_seminorm_level_is_defined_once():
     assert owners("combiner", {c.name for c in classes}) == set()
     assert owners("value", systems) <= {"SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"}
     assert {"KoetheSeminorms", "MaxPrefixSeminorms", "CustomSeminorms"} <= owners("level_groups", systems)
+
+
+def _compares_nu(node):
+    """Whether a comparison in node has the name nu as an operand."""
+    return any(
+        isinstance(sub, ast.Compare)
+        and any(isinstance(op, ast.Name) and op.id == "nu" for op in [sub.left, *sub.comparators])
+        for sub in ast.walk(node)
+    )
+
+
+def _functions(tree):
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_vogt_split_is_stated_once():
+    seminorms = ast.parse((PACKAGE / "seminorms.py").read_text(encoding="utf-8"))
+    (vogt_class,) = [
+        node for node in seminorms.body
+        if isinstance(node, ast.ClassDef) and node.name == "VogtSeminorms"
+    ]
+    methods = _functions(vogt_class)
+    rules = [name for name, node in methods.items() if _compares_nu(node)]
+    assert len(rules) == 1, f"VogtSeminorms compares nu in {rules}"
+    rule = rules[0]
+    for reader in ("split_value", "split_groups"):
+        assert rule in _attribute_reads(methods[reader]), f"{reader} does not read {rule}"
+    vogt = ast.parse((PACKAGE / "vogt.py").read_text(encoding="utf-8"))
+    certificate = _functions(vogt)["nuclearity_certificate"]
+    assert not _compares_nu(certificate)
+    rho_values = [
+        sub.lineno
+        for sub in ast.walk(certificate)
+        if isinstance(sub, ast.Attribute) and sub.attr == "value"
+        and "rho" in (getattr(sub.value, "id", None), getattr(sub.value, "attr", None))
+    ]
+    assert rho_values == [], f"nuclearity_certificate calls rho.value at lines {rho_values}"
 
 
 def _only_raises(body):

@@ -315,6 +315,16 @@ MALFORMED = [
                                          "modulus": [], "modulus_form": {
                                              "kind": "floor-certificate", "level": 1,
                                              "bound": 1}}, InputError),
+    # a record holds exactly the fields it declares, nested records included
+    ("undeclared-field", {"kind": "single-box", "d": 3, "junk": 1}, InputError),
+    ("undeclared-nested-field",
+     _custom_data([{"combiner": "sum", "functionals": [], "kind": "custom-level"}]), InputError),
+    ("dyadic-rho-with-undeclared-fields", {"kind": "rho", "table_kind": "dyadic",
+                                           "values": "not a table", "junk": [1, 2]}, InputError),
+    ("dyadic-rho-with-a-grid", {"kind": "rho", "table_kind": "dyadic",
+                                "values": [[1, 1, {"num": 1, "den": 2}]]}, InputError),
+    ("dyadic-rho-with-grid-bounds", {"kind": "rho", "table_kind": "dyadic", "values": [],
+                                     "mu_limit": 1, "nu_limit": 1}, InputError),
     ("sup-system-without-operators", {
         "kind": "sup-partial-system",
         "base": {"kind": "max-prefix-system", "box": {"kind": "single-box", "d": 2},

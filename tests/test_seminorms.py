@@ -35,6 +35,7 @@ from bapkit.scalars import (
     Tolerances,
     approx_equal,
     as_scalar,
+    scalar_coercer,
     sum_products,
     zero,
 )
@@ -757,6 +758,42 @@ def test_split_value_equals_the_termwise_loop_at_coprime_denominators(mode):
         (2, 2, 3): F(-7, 5), (3, 2, 3): F(-6, 17),  # rho 2/3
     }
     assert_split_value_equals_the_loop(system, TruncatedVector.create(system.box, mode, entries))
+
+
+def loop_vogt_level_groups(system, k):
+    """VogtSeminorms.level_groups as the box loop that it was before split_groups."""
+    coerce = scalar_coercer(system.mode)
+    out = []
+    for n, mu, nu in system.box.indices():
+        w = coerce(k ** (n + mu + nu))
+        if nu <= k:
+            out.append((((n, mu, nu), w),))
+        else:
+            pairs = [((n, mu, nu), system.rho.value(mu, nu, system.mode) * w)]
+            if n + 1 <= system.box.n_max:
+                pairs.append((((n + 1, mu, nu)), -w))
+            out.append(tuple(pairs))
+    return (("sum", tuple(out)),)
+
+
+def coefficient_bits(groups):
+    return [
+        [(idx, scalar_bits(c)) for idx, c in pairs]
+        for _, functionals in groups
+        for pairs in functionals
+    ]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_vogt_level_groups_equal_the_box_loop(mode):
+    # the dyadic and the table rho systems, and one with difference sites at every level
+    wide = VogtSeminorms(RhoTable.dyadic(), TripleBox(4, 3, 5), mode, 4)
+    for system in oracle_systems(mode)[:2] + [wide]:
+        for k in range(1, system.level_count + 1):
+            expected = loop_vogt_level_groups(system, k)
+            assert system.split_groups(k, k) == expected[0][1]
+            assert system.level_groups(k) == expected
+            assert coefficient_bits(system.level_groups(k)) == coefficient_bits(expected)
 
 
 def loop_rho_value(table, mu, nu, mode):

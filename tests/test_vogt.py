@@ -1,5 +1,6 @@
 """The triple-indexed model space: comparisons, nuclearity, the witness."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from bapkit import (
     InputError,
     InsufficientDataError,
     LevelError,
+    NuclearityCertificate,
     RhoTable,
     TripleBox,
     VogtInstance,
@@ -25,7 +27,10 @@ from bapkit import (
     unit_vector,
     witness_evidence,
 )
+from bapkit.jsonio import encode
 from bapkit.linalg import sparse_rank
+from bapkit.scalars import approx_equal, as_scalar, leq, zero
+from bapkit.seminorms import SUM
 from bapkit.vogt import _random_sparse
 
 F = Fraction
@@ -149,6 +154,90 @@ def test_nuclearity_per_term_cancellation():
         r = F(p, p + 1)
         expected = sum((r ** (n + mu + nu) for n, mu, nu in inst.box.indices()), F(0))
         assert cert.box_sum == expected
+
+
+def loop_nuclearity_certificate(instance, level):
+    """nuclearity_certificate as it was before it read the functionals: each term
+    recomputed from p, s and the decay table, the shell counts checked against
+    binom(s-1, 2)."""
+    p = level
+    mode = instance.mode
+    r = as_scalar(F(p, p + 1), mode)
+    passed = True
+    box_sum = zero(mode)
+    shell_counts = {}
+    for n, mu, nu in instance.box.indices():
+        s = n + mu + nu
+        if nu <= p + 1:
+            num = as_scalar(p**s, mode)
+            den = as_scalar((p + 1) ** s, mode)
+        else:
+            rho = instance.rho.value(mu, nu, mode)
+            num = rho * as_scalar(p**s, mode)
+            den = rho * as_scalar((p + 1) ** s, mode)
+        term = num / den
+        if not approx_equal(term, r**s, mode):
+            passed = False
+        box_sum += term
+        shell_counts[s] = shell_counts.get(s, 0) + 1
+    s_top = instance.box.n_max + instance.box.mu_max + instance.box.nu_max
+    complete_through = min(instance.box.n_max, instance.box.mu_max, instance.box.nu_max) + 2
+    shells = []
+    complete_sum = zero(mode)
+    for s in range(3, s_top + 1):
+        full = math.comb(s - 1, 2)
+        in_box = shell_counts.get(s, 0)
+        shells.append((s, in_box, full))
+        if s <= complete_through:
+            if in_box != full:
+                passed = False
+            complete_sum += full * r**s
+        elif in_box > full:
+            passed = False
+    limit = (r / (1 - r)) ** 3
+    if not (leq(complete_sum, box_sum, mode) and leq(box_sum, limit, mode)):
+        passed = False
+    return NuclearityCertificate(
+        p, r, instance.box.dimension, box_sum, complete_through, complete_sum, limit,
+        tuple(shells), passed,
+    )
+
+
+THIRD_POWERS = RhoTable.from_grid(
+    {(mu, nu): F(1, 3**mu) for mu in range(1, 5) for nu in range(1, 7)}
+)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("rho", [RhoTable.dyadic(), THIRD_POWERS], ids=["dyadic", "third-powers"])
+@pytest.mark.parametrize("box", [(5, 3, 4), (3, 4, 6), (8, 4, 6)])
+def test_nuclearity_equals_the_recomputing_loop(mode, rho, box):
+    inst = VogtInstance(rho, TripleBox(*box), mode, 4)
+    for p in (1, 2, 3):
+        got = nuclearity_certificate(inst, p)
+        assert got.passed
+        assert encode(got) == encode(loop_nuclearity_certificate(inst, p))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_a_weight_base_other_than_the_level_fails_nuclearity(monkeypatch, mode):
+    # level k weighted by (k + 1)**(n+mu+nu): each term is (p/(p+2))**s, not (p/(p+1))**s
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
+    assert nuclearity_certificate(inst, 1).passed and nuclearity_certificate(inst, 2).passed
+    monkeypatch.setattr(
+        VogtSeminorms, "level_groups", lambda self, k: ((SUM, self.split_groups(k + 1, k)),)
+    )
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
+    assert not nuclearity_certificate(inst, 1).passed
+    assert not nuclearity_certificate(inst, 2).passed
+
+
+def test_an_instance_builds_its_system_once():
+    inst = dyadic_instance()
+    system = inst.system()
+    assert inst.system() is system
+    assert system.split_groups(1, 2) is system.split_groups(1, 2)
+    assert system.level_groups(3)[0][1] is system.split_groups(3, 3)
 
 
 def test_nuclearity_level_bounds():
