@@ -165,9 +165,10 @@ def certify_equicontinuity(
     for trial in range(sample_count):
         x = _random_vector(schedule.box, schedule.mode, rng)
         y = embed(schedule, x, tol=tol)
+        total_x = total_op.apply(x)
         for position, base_level, comp_level, m_val in entries:
             e0 = e0_value(system, y, position)
-            lower = system.value(base_level, total_op.apply(x))
+            lower = system.value(base_level, total_x)
             upper = factor * m_val * system.value(comp_level, x)
             if not leq(lower, e0, schedule.mode, tol):
                 raise CertificateFailureError(

@@ -80,26 +80,39 @@ def sparse_rank(rows, tol=None) -> int:
     """Rank of sparse rows {column: value}; same zero tests as the dense rank.
 
     Each incoming row is reduced by the stored pivot row of its lowest
-    column until that column is new, then stored divided by its pivot entry
-    (the unit pivot itself is implicit).  Entries that reduce to zero
-    (|x| <= tol with a tolerance) are dropped.
+    column until that column is new, then stored as that column's pivot,
+    (lead, rest): its entry there and the others.  Entries that reduce to
+    zero (|x| <= tol with a tolerance) are dropped.  An exact row is stored
+    as it is, and a later row that meets it divides once, by its lead, so
+    rows that never meet make no division.  A float row is stored divided by
+    its lead, lead 1, and a row that meets it subtracts its own entry times
+    the stored rest, as the dense elimination does.
     """
     pivots: dict = {}
+    exact = tol is None
     for row in rows:
-        live = {c: v for c, v in row.items() if not negligible(v, tol)}
+        if exact:
+            live = {c: v for c, v in row.items() if v}
+        else:
+            live = {c: v for c, v in row.items() if not negligible(v, tol)}
         while live:
             col = min(live)
-            factor = live.pop(col)
+            value = live.pop(col)
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = {c: v / factor for c, v in live.items()}
-                break
-            for c, v in pivot.items():
-                value = live[c] - factor * v if c in live else -factor * v
-                if negligible(value, tol):
-                    live.pop(c, None)
+                if exact:
+                    pivots[col] = (value, live)
                 else:
-                    live[c] = value
+                    pivots[col] = (1, {c: v / value for c, v in live.items()})
+                break
+            lead, rest = pivot
+            factor = value / lead if exact else value
+            for c, v in rest.items():
+                new = live[c] - factor * v if c in live else -factor * v
+                if (new != 0) if exact else not negligible(new, tol):
+                    live[c] = new
+                else:
+                    live.pop(c, None)
     return len(pivots)
 
 

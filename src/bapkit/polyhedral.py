@@ -19,7 +19,7 @@ is picking its pivot-column entries.  The vertices are exact:
   * max combiner: each vertex solves a d-subset of rows against a sign
     pattern, kept when it satisfies every remaining row.
 
-Rows come sparse from seminorms.level_rows (ball) and functional_rows (images); constraint
+Rows come sparse from seminorms.basis_rows (ball) and functional_rows (images); constraint
 rows are made dense once for the elimination, and objective rows are summed in column
 order over the vertex's nonzeros, so float sums are bit-equal to the dense products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
@@ -39,7 +39,7 @@ from .linalg import (
     row_echelon, solve, transpose
 )
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
-from .seminorms import MAX, SUM, SeminormSystem, functional_rows, level_rows
+from .seminorms import MAX, SUM, SeminormSystem, basis_rows, functional_rows
 
 DEFAULT_CAP = 200_000
 
@@ -189,18 +189,19 @@ def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, ca
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
 
     domain_basis None is the box's unit basis.  Each to-level group, per image list, is one
-    objective piece; the ball's level_rows must be one group's, as polyhedral_sup takes one.
+    objective piece; the ball must be one group, as polyhedral_sup takes one, and its rows
+    are read off that group's functionals.
     """
     ball = system.level_groups(from_level)
     if len(ball) > 1:
         raise InputError(f"level {from_level} has {len(ball)} groups, so no single ball")
-    combiner = ball[0][0] if ball else SUM
+    combiner, functionals = ball[0] if ball else (SUM, ())
     groups = system.level_groups(to_level)
     pieces = [
         (functional_rows(fs, images, system.mode, tol), comb)
         for images in image_lists for comb, fs in groups
     ]
-    rows = level_rows(system, from_level, domain_basis, tol)
+    rows = basis_rows(system, functionals, domain_basis, tol)
     dim = system.box.dimension if domain_basis is None else len(domain_basis)
     return polyhedral_sup(dim, rows, combiner, pieces, system.mode, tol=tol, cap=cap)
 

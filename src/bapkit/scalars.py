@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,10 +37,6 @@ FLOAT = "float"
 MODES = (RATIONAL, FLOAT)
 
 Scalar = Fraction | float
-
-# An unnormalised integer ratio numerator/denominator (denominator > 0): a
-# rational term that sum_products adds without building a Fraction for it.
-Ratio = namedtuple("Ratio", "numerator denominator")
 
 
 def check_mode(mode: str) -> str:
@@ -59,9 +54,12 @@ def _as_rational(value) -> Fraction:
 
 
 def _as_float(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+    if type(value) is float:  # already a float; float(value) would only copy it
+        out = value
+    elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise ModeError(f"float mode needs a real number, got {type(value).__name__}")
-    out = float(value)
+    else:
+        out = float(value)
     if not math.isfinite(out):
         raise ModeError(f"float mode needs a finite number, got {out!r}")
     return out
@@ -103,8 +101,8 @@ def sum_products(pairs, mode: str, absolute: bool = False) -> Scalar:
     Rational mode keeps the sum as one integer numerator and one integer
     denominator and normalises once, with Fraction(num, den) at the end,
     instead of paying a gcd for every term; a and b must be int, Fraction
-    or Ratio there (each carries .numerator and .denominator, so plain int
-    weights need no conversion, and a Ratio term needs no Fraction at all).
+    or another pair of integers .numerator / .denominator, denominator > 0,
+    not necessarily in lowest terms (so plain int weights need no conversion).
     Float mode adds the products left to right, as a hand-written loop from
     0.0 does, so its result is bit-identical to that loop.
     """

@@ -8,15 +8,15 @@ kernels computable exactly: value(k, x) = 0 iff every constituent
 functional kills x.  SeminormSystem derives value from the groups; Vogt and
 sup-partial systems keep their own, whose float sums run in an order that
 documents pin bit for bit.  Vogt states its split once, in _split, keyed by
-(base, threshold); split_value walks it over a vector's support (value and
+(base, threshold); split_value walks it over a vector's site table (value and
 primed_value), and split_groups reads it as functionals (level_groups and
-the primed levels).  split_value is one sum_products over the support: the
-plain terms in entry order, then the difference sites in box order,
-normalised once in rational mode and added left to right from 0.0 in float
-mode.  In rational mode each
-difference term rho * here - above reaches the sum as one unnormalised Ratio,
-(r.num h.num a.den - a.num r.den h.den) / (r.den h.den a.den), so no site
-builds a Fraction.
+the primed levels).  The site table holds what no split changes: the
+vector's entries and, computed when a split first reads them, its
+difference terms rho * here - above, so the splits of one vector share
+them.  A split sums the plain terms in entry order, then the difference
+sites in box order: in rational mode as one integer sum over the table's
+common denominator, normalised once, and in float mode through
+sum_products, left to right from 0.0.
 
 Kinds:
   * vogt        triple-indexed; below the level threshold a coordinate enters
@@ -34,6 +34,7 @@ Kinds:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -50,7 +51,6 @@ from .linalg import dense_rows, independent, nullspace
 from .scalars import (
     DEFAULT_TOLERANCES,
     RATIONAL,
-    Ratio,
     Scalar,
     Tolerances,
     as_scalar,
@@ -180,7 +180,7 @@ class SeminormSystem:
             raise LevelError(f"level {k!r} outside 1..{self.level_count}")
 
     def check_vector(self, x: TruncatedVector) -> None:
-        if x.box != self.box:
+        if x.box is not self.box and x.box != self.box:
             raise DomainError(f"vector box {x.box} does not match system box {self.box}")
         if x.mode != self.mode:
             raise ModeError(f"vector mode {x.mode} does not match system mode {self.mode}")
@@ -237,6 +237,61 @@ class SeminormSystem:
         return zero(self.mode) if best is None else best
 
 
+class _SiteTable:
+    """What the Vogt splits read of one vector x, the same under every split.
+
+    plain lists each entry as (site, s, (mu, nu), value) in entry order, s
+    being n + mu + nu.  The difference sites, x's support and its n - 1
+    shift, and their terms |rho x[n] - x[n+1]| fill on first use, each term
+    when a split first reads its site as a difference, so a vector read once
+    pays only for what its one split reads.  In rational mode each value is
+    an integer numerator over scale, the lcm of x's denominators times the
+    system's rho_scale, and so is each term; in float mode scale is None and
+    the values are x's floats.
+    """
+
+    __slots__ = ("scale", "plain", "_rho_scale", "_sites", "_terms", "_lookup")
+
+    def __init__(self, x: TruncatedVector, rho_scale: int | None) -> None:
+        self._rho_scale, self._sites = rho_scale, None
+        if rho_scale is None:
+            self.scale = None
+            self.plain = [((n, mu, nu), n + mu + nu, (mu, nu), v) for (n, mu, nu), v in x.entries]
+            return
+        denominators = [v.denominator for _, v in x.entries]
+        self.scale = scale = math.lcm(*denominators) * rho_scale
+        self.plain = [
+            ((n, mu, nu), n + mu + nu, (mu, nu), v.numerator * (scale // q))
+            for ((n, mu, nu), v), q in zip(x.entries, denominators)
+        ]
+
+    def differences(self, damps, weights):
+        """(s, term) for each difference site in box order whose column damps
+        reads as a difference; weights[(mu, nu)] = (a, b) gives the term as
+        |a x[n] - b x[n+1]| over the entries' lookup (see _difference_weights)."""
+        if self._sites is None:
+            rho_scale = self._rho_scale
+            if rho_scale is None:
+                self._lookup = {site: v for site, _, _, v in self.plain}
+            else:  # numerators over the lcm of x's denominators alone
+                self._lookup = {site: v // rho_scale for site, _, _, v in self.plain}
+            support = set(self._lookup)
+            below = {(n - 1, mu, nu) for n, mu, nu in support if n > 1}
+            self._sites = [
+                ((n, mu, nu), (n + 1, mu, nu), n + mu + nu, (mu, nu))
+                for n, mu, nu in sorted(support | below)
+            ]
+            self._terms = [None] * len(self._sites)
+        known, lookup = self._terms, self._lookup
+        for i, (site, above, s, column) in enumerate(self._sites):
+            if damps[column] is not None:
+                term = known[i]
+                if term is None:
+                    a, b = weights[column]
+                    term = known[i] = abs(a * lookup.get(site, 0) - b * lookup.get(above, 0))
+                yield s, term
+
+
 @dataclass(frozen=True)
 class VogtSeminorms(SeminormSystem):
     rho: RhoTable
@@ -279,50 +334,66 @@ class VogtSeminorms(SeminormSystem):
         """The split, stated once: a site (n, mu, nu) has the weight
         powers[n+mu+nu] = base**(n+mu+nu), and damps[mu, nu] is None where the
         site is plain (nu <= threshold), else rho(mu, nu), its difference's damping."""
-        key = (base, threshold)
-        if key not in self._rules:
+        rule = self._rules.get((base, threshold))
+        if rule is None:
             top = self.box.n_max + self.box.mu_max + self.box.nu_max
             damps = {
                 (mu, nu): None if nu <= threshold else r for (mu, nu), r in self._rho_grid.items()
             }
-            self._rules[key] = [base**s for s in range(top + 1)], damps
-        return self._rules[key]
+            rule = self._rules[base, threshold] = [base**s for s in range(top + 1)], damps
+        return rule
+
+    @cached_property
+    def _last_sites(self) -> list:
+        """The one-slot cache of split_value: [the last vector split, its _SiteTable]."""
+        return [None, None]
+
+    @cached_property
+    def _rho_scale(self) -> int | None:
+        """The lcm of rho's denominators over the box, a factor of every rational
+        site table's scale; None in float mode."""
+        if self.mode != RATIONAL:
+            return None
+        return math.lcm(*[r.denominator for r in self._rho_grid.values()])
+
+    @cached_property
+    def _difference_weights(self) -> dict:
+        """(mu, nu) -> (a, b) with a x[n] - b x[n+1] the difference term
+        rho x[n] - x[n+1] over a site table's scale, x's entries taken over the
+        lcm of their denominators: (rho * rho_scale, rho_scale) in rational
+        mode, where both are integers, and (rho, 1) in float mode."""
+        scale = self._rho_scale
+        if scale is None:
+            return {column: (r, 1) for column, r in self._rho_grid.items()}
+        return {column: (int(r * scale), scale) for column, r in self._rho_grid.items()}
 
     def split_value(self, x: TruncatedVector, base: int, threshold: int) -> Scalar:
         """The (base, threshold) split of x: its plain and its difference terms,
-        each with its weight, as one sum_products.
+        each with its weight, read off x's site table.
 
         Runs over the support and its n-shift only, never the whole box.  The
         sum takes the plain terms first, in entry order, then the difference
         sites in box order; documents pin this order in float mode.  Above the
-        top row the neighbour x[n+1] is 0, as no entry of x lies there.  A
-        rational difference term is one Ratio (see the module docstring).
+        top row the neighbour x[n+1] is 0, as no entry of x lies there.  In
+        rational mode the sum is one integer sum over the table's common
+        denominator, normalised once.
         """
         self.check_vector(x)
-        z = zero(self.mode)
-        lookup, (powers, damps) = x._lookup, self._split(base, threshold)
-        terms = []
-        diff_sites = set()
-        for (n, mu, nu), val in x.entries:
-            if damps[mu, nu] is None:
-                terms.append((powers[n + mu + nu], val))
-            else:
-                diff_sites.add((n, mu, nu))
-                if n > 1:
-                    diff_sites.add((n - 1, mu, nu))
-        rational = self.mode == RATIONAL
-        for n, mu, nu in sorted(diff_sites):
-            r = damps[mu, nu]
-            here = lookup.get((n, mu, nu), z)
-            above = lookup.get((n + 1, mu, nu), z)
-            if rational:
-                rd, hd, ad = r.denominator, here.denominator, above.denominator
-                num = r.numerator * here.numerator * ad - above.numerator * rd * hd
-                term = Ratio(num, rd * hd * ad)
-            else:
-                term = r * here - above
-            terms.append((powers[n + mu + nu], term))
-        return sum_products(terms, self.mode, absolute=True)
+        powers, damps = self._split(base, threshold)
+        slot = self._last_sites
+        if slot[0] is not x:
+            slot[:] = x, _SiteTable(x, self._rho_scale)
+        table = slot[1]
+        plain, weights = table.plain, self._difference_weights
+        if table.scale is None:
+            terms = [(powers[s], v) for _, s, column, v in plain if damps[column] is None]
+            if len(terms) < len(plain):
+                terms += [(powers[s], term) for s, term in table.differences(damps, weights)]
+            return sum_products(terms, self.mode, absolute=True)
+        products = [powers[s] * abs(v) for _, s, column, v in plain if damps[column] is None]
+        if len(products) < len(plain):
+            products += [powers[s] * term for s, term in table.differences(damps, weights)]
+        return Fraction(sum(products), table.scale)
 
     def split_groups(self, base: int, threshold: int) -> tuple:
         """The (base, threshold) split as functionals, one per site in box order,
@@ -537,20 +608,31 @@ def seminorm_kernel_basis(
 def level_rows(
     system: SeminormSystem, k: int, basis=None, tol: Tolerances = DEFAULT_TOLERANCES
 ):
-    """functional_rows of level k's functionals, its level_terms, over basis.
+    """basis_rows of level k's functionals, its level_terms."""
+    return basis_rows(system, system.level_terms(k), basis, tol)
+
+
+def basis_rows(
+    system: SeminormSystem, functionals, basis=None, tol: Tolerances = DEFAULT_TOLERANCES
+):
+    """functional_rows of the functionals over basis, in the system's box and mode.
 
     basis None is the box's unit basis in box order, as graded_operator_norm's
     domain_basis=None is.  There f(e_j) is f's coefficient at j, so each row
     is read off its functional without building a vector or a product, under
     functional_rows' rules: a repeated index summed in functional order, each
     value coerced to the mode's scalar, exact zeros dropped, negligible rows
-    pruned and columns sorted.
+    pruned and columns sorted.  A one-pair functional is its row.
     """
     if basis is not None:
-        return functional_rows(system.level_terms(k), basis, system.mode, tol)
+        return functional_rows(functionals, basis, system.mode, tol)
     coerce, position = scalar_coercer(system.mode), system.box.position
     rows = []
-    for pairs in system.level_terms(k):
+    for pairs in functionals:
+        if len(pairs) == 1:
+            ((idx, coeff),) = pairs
+            rows.append({position(idx): coerce(coeff)})
+            continue
         row: dict = {}
         for idx, coeff in pairs:
             j = position(idx)
@@ -588,6 +670,9 @@ def _kept_rows(rows, mode: str, tol: Tolerances):
     """The rows with an entry beyond tol.rank (nonzero in rational mode), each
     without its exact zeros and with its columns in increasing order."""
     ftol = rank_tol(mode, tol)
+    if ftol is None:
+        kept = ({j: row[j] for j in sorted(row) if row[j]} for row in rows)
+        return [row for row in kept if row]
     return [
         {j: row[j] for j in sorted(row) if row[j] != 0}
         for row in rows

@@ -12,6 +12,7 @@ system once, so the checks share its cached splits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .scalars import (
     geometric_sum,
     leq,
     rank_tol,
+    sum_products,
     zero,
 )
 from .seminorms import RhoTable, VogtSeminorms, level_rows
@@ -57,18 +59,23 @@ class VogtInstance:
     def _system(self) -> VogtSeminorms:
         return VogtSeminorms(self.rho, self.box, self.mode, self.level_count)
 
+    @cached_property
+    def _indices(self) -> tuple:
+        """The box's indices in box order, listed once for the sampled checks."""
+        return tuple(self.box.indices())
 
-def _random_sparse(instance: VogtInstance, rng: random.Random):
-    all_indices = list(instance.box.indices())
-    size = rng.randint(1, min(10, len(all_indices)))
-    picked = rng.sample(all_indices, size)
-    entries = {}
-    for idx in picked:
-        if instance.mode == RATIONAL:
-            entries[idx] = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-        else:
-            entries[idx] = rng.gauss(0.0, 1.0)
-    return TruncatedVector.create(instance.box, instance.mode, entries)
+
+def _random_sparse(instance: VogtInstance, rng: random.Random) -> TruncatedVector:
+    """A random vector on up to ten distinct sites of the box, its entries
+    sorted and its zero values left out, as TruncatedVector.create leaves them."""
+    indices = instance._indices
+    picked = rng.sample(indices, rng.randint(1, min(10, len(indices))))
+    if instance.mode == RATIONAL:
+        values = [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in picked]
+    else:
+        values = [rng.gauss(0.0, 1.0) for _ in picked]
+    entries = sorted((idx, v) for idx, v in zip(picked, values) if v != 0)
+    return TruncatedVector(instance.box, instance.mode, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,7 @@ def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCert
     s_top = instance.box.n_max + instance.box.mu_max + instance.box.nu_max
     powers = {s: r**s for s in range(3, s_top + 1)}
     passed = True
-    box_sum = zero(mode)
+    terms = []
     shell_counts: dict = {}
     sites = zip(instance.box.indices(), system.split_groups(p, p + 1), successor)
     for (n, mu, nu), primed, upper in sites:
@@ -162,8 +169,9 @@ def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCert
             or (len(primed) > 1 and not approx_equal(primed[1][1] / upper[1][1], term, mode))
         ):
             passed = False
-        box_sum += term
+        terms.append(term)
         shell_counts[s] = shell_counts.get(s, 0) + 1
+    box_sum = sum_products(zip(itertools.repeat(1), terms), mode)
     complete_through = min(instance.box.n_max, instance.box.mu_max, instance.box.nu_max) + 2
     shells = []
     complete_sum = zero(mode)
@@ -311,16 +319,17 @@ def bap_failure_witness(
         entries = {(n, mu, nu): rho**n for n in range(1, m + 1)}
         vectors.append(TruncatedVector.create(instance.box, mode, entries))
     vectors = tuple(vectors)
+    # each member read at the vanishing and the floor level in turn, so both
+    # reads share its sites
+    decay_trace, floor_trace = zip(*[(system.value(p0, x), system.value(p, x)) for x in vectors])
     # vanishing level: only the last difference site survives
     decay_scale = as_scalar(p0 ** (mu + p - 1), mode)
     decay_form = GeometricForm(scale=decay_scale, ratio=rho * p0, shift=1)
-    decay_trace = tuple(system.value(p0, x) for x in vectors)
     _check_closed_form(
         "vanishing trace at member", enumerate(decay_trace, start=1), decay_form.value, mode
     )
     # floor level: plain geometric sums, bounded below by the first term
     floor_scale = as_scalar(p ** (mu + p), mode)
-    floor_trace = tuple(system.value(p, x) for x in vectors)
     _check_closed_form(
         "floor trace at member",
         enumerate(floor_trace, start=1),

@@ -224,6 +224,20 @@ def test_a_rho_record_with_undeclared_fields_exits_two(tmp_path, capsys):
     assert not (tmp_path / "doc.json").exists()
 
 
+# a dyadic rho record whose grid is a string, not an array
+STRING_RHO_VALUES = {"suite": "vogt", "vogt": {"rho": {"kind": "rho", "table_kind": "dyadic",
+                                                        "values": ""}}}
+
+
+def test_a_rho_record_with_a_string_for_a_sequence_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(STRING_RHO_VALUES))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "doc.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: vogt.rho does not decode: expected a JSON array")
+    assert not (tmp_path / "doc.json").exists()
+
+
 def test_decode_rho_rejects_garbage():
     with pytest.raises(cli.ConfigError, match="does not decode"):
         cli._decode_rho({"kind": "rho"})
@@ -576,6 +590,7 @@ CONFIGS = mostly(section({
 )
 @given(config=CONFIGS)
 @example(config=UNDECLARED_RHO_FIELDS)
+@example(config=STRING_RHO_VALUES)
 def test_generated_configs_exit_zero_one_or_two_without_a_traceback(tmp_path, config):
     path, out = tmp_path / "cfg.json", tmp_path / "doc.json"
     path.write_text(json.dumps(config))

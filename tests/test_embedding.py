@@ -196,6 +196,25 @@ def test_certificate_on_the_coordinate_family():
     assert cert.factor * cert.entries[0][3] == 5
 
 
+def test_certificate_applies_no_operator_twice_to_one_sample(monkeypatch):
+    # the total operator's image of a sample serves every position
+    box = SingleBox(3)
+    system = KoetheSeminorms(
+        tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, "rational"
+    )
+    schedule = build_schedule(
+        coordinate_family(box), system, rng=random.Random(0), prefix_samples=10
+    )
+    applied = []
+    apply = FiniteRankOperator.apply
+    monkeypatch.setattr(
+        FiniteRankOperator, "apply", lambda self, x: applied.append((id(self), x)) or apply(self, x)
+    )
+    certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=20)
+    assert schedule.grading_depth > 1 and applied
+    assert len(set(applied)) == len(applied)
+
+
 def test_certificate_searches_past_uncontrolled_levels():
     # level 1 sees only x1 and the family image (x2, x2) is invisible there,
     # so the comparison level is pushed up to 2

@@ -284,6 +284,11 @@ MALFORMED = [
     ("short-row", _table([[1, 1]]), ValueError),
     ("long-row", _table([[1, 1, 1, 1]]), ValueError),
     ("null-sequence", _table(None), TypeError),
+    # a string or an object is iterable, but no sequence of values
+    ("string-sequence", {"kind": "rho", "table_kind": "dyadic", "values": ""}, InputError),
+    ("string-blocks", {"kind": "complement-decomposition", "blocks": ""}, InputError),
+    ("object-modulus", {"kind": "cauchy-family", "level": 1, "vectors": [], "modulus": {},
+                        "modulus_form": None}, InputError),
     ("zero-denominator", _table([[1, 1, {"num": 1, "den": 0}]]), ZeroDivisionError),
     ("vector-bad-mode", _vector_data([], mode="complex"), ModeError),
     ("vector-index-outside-box", _vector_data([[3, 1]]), DomainError),

@@ -1,7 +1,9 @@
 """Exact elimination: echelon form, rank, nullspace, solve, invert."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,7 @@ from bapkit.linalg import (
     sparse_rank,
     transpose,
 )
-from bapkit.scalars import DEFAULT_TOLERANCES
+from bapkit.scalars import DEFAULT_TOLERANCES, negligible
 
 F = Fraction
 
@@ -156,6 +158,71 @@ def test_sparse_rank_oracles():
     rows = [{0: F(1), 1: F(1)}]
     sparse_rank(rows)
     assert rows == [{0: F(1), 1: F(1)}]  # input rows are left alone
+
+
+def loop_sparse_rank(rows, tol=None):
+    """sparse_rank as it was: each pivot row stored divided by its lead, every
+    entry passed through negligible, in both modes."""
+    pivots = {}
+    for row in rows:
+        live = {c: v for c, v in row.items() if not negligible(v, tol)}
+        while live:
+            col = min(live)
+            factor = live.pop(col)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = {c: v / factor for c, v in live.items()}
+                break
+            for c, v in pivot.items():
+                value = live[c] - factor * v if c in live else -factor * v
+                if negligible(value, tol):
+                    live.pop(c, None)
+                else:
+                    live[c] = value
+    return len(pivots)
+
+
+def random_sparse_rows(rng, value):
+    """Up to 9 rows over up to 8 columns, each with up to 4 entries, so rows meet
+    their pivots and fill in; repeated and zero rows mixed in."""
+    ncols = rng.randint(1, 8)
+    rows = [
+        {c: value() for c in sorted(rng.sample(range(ncols), rng.randint(0, min(4, ncols))))}
+        for _ in range(rng.randint(1, 9))
+    ]
+    return rows + [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2))], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sparse_rank_equals_the_dense_rank_and_the_normalising_loop(seed):
+    rng = random.Random(seed)
+    exact, ncols = random_sparse_rows(rng, lambda: F(rng.randint(-3, 3), rng.randint(1, 3)))
+    assert sparse_rank(exact) == loop_sparse_rank(exact)
+    assert sparse_rank(exact) == rank(dense_rows(exact, ncols, "rational"))
+    tol = DEFAULT_TOLERANCES.rank
+    floats, ncols = random_sparse_rows(rng, lambda: float(rng.randint(-3, 3)))
+    assert sparse_rank(floats, tol) == rank(dense_rows(floats, ncols, "float"), tol)
+    noisy, _ = random_sparse_rows(rng, lambda: rng.choice((rng.gauss(0.0, 1.0), 1e-10, 0.0)))
+    assert sparse_rank(noisy, tol) == loop_sparse_rank(noisy, tol)
+
+
+class Undividable(Fraction):
+    """A Fraction that fails the test when divided, or divides another."""
+
+    def __truediv__(self, other):
+        raise AssertionError("sparse_rank divided by a stored pivot")
+
+    __rtruediv__ = __truediv__
+
+
+def test_exact_rows_that_never_meet_a_pivot_make_no_division():
+    # a cascade of damped differences closed by a plain term, as a Vogt level's rows are
+    half, minus_one = Undividable(1, 2), Undividable(-1)
+    chain = [{j: half, j + 1: minus_one} for j in range(5)] + [{5: Undividable(3)}]
+    assert sparse_rank(chain) == 6
+    with pytest.raises(AssertionError):
+        sparse_rank(chain + [{0: Undividable(1)}])
 
 
 def test_sparse_rank_float_tolerance_treats_noise_as_zero():

@@ -352,6 +352,22 @@ def test_unit_basis_sups_build_no_vector_and_apply_no_operator(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("explicit_basis", [False, True], ids=["unit-basis", "explicit-basis"])
+def test_a_graded_sup_reads_each_level_once(monkeypatch, explicit_basis):
+    # the ball's rows come from the groups that _graded_sup has read, not from a second read
+    box = SingleBox(3)
+    system = KoetheSeminorms(((1, 1, 1), (1, 2, 3)), box, "rational")
+    op = FiniteRankOperator.from_matrix(box, "rational", [[1, 0, 2], [0, -1, 0], [3, 0, 1]])
+    basis = [unit_vector(box, "rational", j) for j in box.indices()] if explicit_basis else None
+    reads = []
+    level_groups = KoetheSeminorms.level_groups
+    monkeypatch.setattr(
+        KoetheSeminorms, "level_groups", lambda self, k: reads.append(k) or level_groups(self, k)
+    )
+    assert graded_operator_norm(system, 1, 2, op, basis) == 4
+    assert sorted(reads) == [1, 2]
+
+
 # an operator on another box, and one in another mode, than a rational system on SingleBox(3)
 OFF_THE_SYSTEM = {
     DomainError: FiniteRankOperator.identity(SingleBox(2), "rational"),

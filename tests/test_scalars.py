@@ -1,5 +1,6 @@
 """Scalar modes, comparison policy, geometric sums."""
 
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from bapkit import ModeError
 from bapkit.scalars import (
     DEFAULT_TOLERANCES,
-    Ratio,
     Tolerances,
     all_approx_equal,
     approx_equal,
@@ -190,6 +190,7 @@ def test_sum_products_of_nothing_is_the_typed_zero():
 
 
 # unnormalised ratios: the common factor f stays in, numerators run through 0
+Ratio = namedtuple("Ratio", "numerator denominator")
 ratio_terms = st.builds(
     lambda n, d, f: Ratio(n * f, d * f), st.integers(-20, 20), st.integers(1, 12), st.integers(1, 6)
 )

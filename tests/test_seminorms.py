@@ -1,6 +1,7 @@
 """Graded systems: decay tables, the four built-in kinds, kernels."""
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -758,6 +759,65 @@ def test_split_value_equals_the_termwise_loop_at_coprime_denominators(mode):
         (2, 2, 3): F(-7, 5), (3, 2, 3): F(-6, 17),  # rho 2/3
     }
     assert_split_value_equals_the_loop(system, TruncatedVector.create(system.box, mode, entries))
+
+
+# an unnormalised integer ratio, the form of a rational difference term in summing_split_value
+Ratio = namedtuple("Ratio", "numerator denominator")
+
+
+def summing_split_value(system, x, base, threshold):
+    """VogtSeminorms.split_value as it was before the site table: each split
+    recomputes every difference term, a rational one as one unnormalised
+    Ratio, and sums the plain terms in entry order, then the difference sites
+    in box order, through sum_products."""
+    mode = system.mode
+    z = zero(mode)
+    lookup = dict(x.entries)
+    terms, diff_sites = [], set()
+    for (n, mu, nu), val in x.entries:
+        if nu <= threshold:
+            terms.append((base ** (n + mu + nu), val))
+        else:
+            diff_sites.add((n, mu, nu))
+            if n > 1:
+                diff_sites.add((n - 1, mu, nu))
+    for n, mu, nu in sorted(diff_sites):
+        r = system.rho.value(mu, nu, mode)
+        here = lookup.get((n, mu, nu), z)
+        above = lookup.get((n + 1, mu, nu), z)
+        if mode == "rational":
+            rd, hd, ad = r.denominator, here.denominator, above.denominator
+            num = r.numerator * here.numerator * ad - above.numerator * rd * hd
+            term = Ratio(num, rd * hd * ad)
+        else:
+            term = r * here - above
+        terms.append((base ** (n + mu + nu), term))
+    return sum_products(terms, mode, absolute=True)
+
+
+def assert_levels_equal_the_summing_loop(system, x):
+    for k in range(1, system.level_count + 1):
+        expected = summing_split_value(system, x, k, k)
+        assert scalar_bits(system.value(k, x)) == scalar_bits(expected)
+        expected = 2 * summing_split_value(system, x, k, k + 1)
+        assert scalar_bits(system.primed_value(k, x)) == scalar_bits(expected)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_vogt_levels_equal_the_summing_loop_across_the_site_cache(mode, seed):
+    # the dyadic and the table rho systems, and one with difference sites at every level;
+    # interleaved vectors (x, y, x), repeated calls on one vector, and a vector equal to
+    # the cached one that is another object
+    rng = random.Random(seed)
+    wide = VogtSeminorms(RhoTable.dyadic(), TripleBox(4, 3, 5), mode, 4)
+    for system in oracle_systems(mode)[:2] + [wide]:
+        x, y = (random_vector(system.box, mode, rng, max_support=10) for _ in range(2))
+        twin = TruncatedVector(x.box, x.mode, x.entries)
+        assert twin == x and twin is not x
+        for v in (x, y, x, x, twin, y, twin):
+            assert_levels_equal_the_summing_loop(system, v)
 
 
 def loop_vogt_level_groups(system, k):

@@ -61,6 +61,35 @@ def test_comparison_inequalities_hold_in_float_mode():
     assert report.passed
 
 
+def create_random_sparse(instance, rng):
+    """_random_sparse as it was: the box's indices listed for every sample, the
+    entries drawn site by site and the vector built by create."""
+    all_indices = list(instance.box.indices())
+    size = rng.randint(1, min(10, len(all_indices)))
+    picked = rng.sample(all_indices, size)
+    entries = {}
+    for idx in picked:
+        if instance.mode == "rational":
+            entries[idx] = F(rng.randint(-8, 8), rng.randint(1, 5))
+        else:
+            entries[idx] = rng.gauss(0.0, 1.0)
+    return bapkit.spaces.TruncatedVector.create(instance.box, instance.mode, entries)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("box", [(3, 2, 4), (2, 1, 2)], ids=["24-sites", "4-sites"])
+def test_random_sparse_draws_as_the_create_loop(mode, box):
+    # the same draws, so the same samples and the same generator state after them;
+    # zero values, drawn about once in 17 rational entries, are left out
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(*box), mode, 3)
+    ours, theirs = random.Random(7), random.Random(7)
+    for _ in range(300):
+        x, expected = _random_sparse(inst, ours), create_random_sparse(inst, theirs)
+        assert x == expected
+        assert [type(v) for _, v in x.entries] == [type(v) for _, v in expected.entries]
+    assert ours.getstate() == theirs.getstate()
+
+
 # Each row swaps in a value or primed_value under which exactly one of the
 # three comparison inequalities fails on every nonzero sample, given that the
 # true values satisfy all three:
