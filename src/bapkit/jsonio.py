@@ -13,7 +13,8 @@ shapes are:
              and floats as SCALAR, anything else unchanged
   Seq(s)     a list of values of shape s; a string or an object is an
              InputError, not a sequence of characters or of keys
-  Row(s...)  a list of exactly one value per shape, e.g. a (mu, nu, rho) triple
+  Row(s...)  a list of exactly one value per shape, e.g. a (mu, nu, rho) triple;
+             a string or an object is an InputError, as for Seq
   Record     an object with exactly its named fields, no others; a tagged kind
              is a Record in KINDS
 
@@ -292,11 +293,11 @@ def _in(shape, v):
         if isinstance(v, (dict, float)):
             return _scalar_in(v)
         return tuple(_in(PLAIN, x) for x in v) if isinstance(v, list) else v
-    if isinstance(shape, Seq):
-        if isinstance(v, (str, dict)):  # iterable, but not a sequence of values
+    if isinstance(shape, (Seq, Row)):
+        if isinstance(v, (str, dict)):  # iterable, but no array of values
             raise InputError(f"expected a JSON array, got a {type(v).__name__}")
-        return tuple(_in(shape.item, x) for x in v)
-    if isinstance(shape, Row):
+        if isinstance(shape, Seq):
+            return tuple(_in(shape.item, x) for x in v)
         return tuple(_in(s, x) for s, x in zip(shape.items, _row(v, shape)))
 
     undeclared = v.keys() - shape.fields.keys() if isinstance(v, dict) else ()

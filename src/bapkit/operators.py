@@ -297,12 +297,10 @@ def select_complements(
     final_tag = len(chain) - 1
     if chain[-1]:
         blocks.append((final_tag, tuple(chain[-1])))
+    # block l holds len(chain[l]) - len(chain[l + 1]) vectors: the sizes sum to len(chain[0])
     decomp = ComplementDecomposition(tuple(blocks))
-    total = sum(len(b) for _, b in decomp.blocks)
-    if total != len(chain[0]):
-        raise ConstructionSoundnessError("block dimensions do not add up")
     dense = [v.dense() for v in decomp.adapted_basis]
-    if rank(dense, ftol) != total:
+    if rank(dense, ftol) != len(chain[0]):
         raise ConstructionSoundnessError("adapted basis is dependent")
     return decomp
 

@@ -163,11 +163,9 @@ def _vertices(g2, combiner, d_eff, tol):
             sub = [g2[i] for i in subset]
             if rank(sub, tol) < d_eff:
                 continue
+            # solve repeats rank's elimination of these full-rank square rows: never None
             for tail in itertools.product((1, -1), repeat=d_eff - 1):
-                sigma = [1, *tail]
-                c = solve(sub, sigma, tol)
-                if c is None:
-                    continue
+                c = solve(sub, [1, *tail], tol)
                 if all(abs(x) <= 1 + slack for x in mat_vec(g2, c)):
                     yield c
 

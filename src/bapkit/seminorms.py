@@ -134,10 +134,7 @@ class RhoTable:
             return 2.0**-mu
         if mu > self.mu_limit or nu > self.nu_limit:
             raise DomainError(f"rho index ({mu},{nu}) outside table grid")
-        val = self._grid.get((mu, nu))
-        if val is None:
-            raise DomainError(f"rho index ({mu},{nu}) missing")
-        return as_scalar(val, mode)
+        return as_scalar(self._grid[mu, nu], mode)  # __post_init__ checked the grid is full
 
     def decay_index(self, epsilon, nu: int, mode: str = RATIONAL) -> int:
         """Smallest mu_0 with rho(mu, nu) <= epsilon for every mu >= mu_0.

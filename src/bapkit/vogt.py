@@ -227,13 +227,12 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     for mu in range(1, instance.box.mu_max + 1):
         for nu in range(1, instance.box.nu_max + 1):
             rho = instance.rho.value(mu, nu, instance.mode)
-            # 1 / rho can round below an integer in float mode, so step q to
-            # the smallest integer with q * rho > 1 in the mode's own arithmetic
+            # floor(1 / rho) * rho <= 1 in both modes, as a float 1 / rho is at most
+            # half an ulp high; q * rho can round down to 1 in float mode, so step q
+            # up to the smallest integer with q * rho > 1 in the mode's arithmetic
             q = math.floor(1 / rho) + 1
             while q * rho <= 1:
                 q += 1
-            while (q - 1) * rho > 1:
-                q -= 1
             certs.append((mu, nu, q))
     return NormPositivityReport(tuple(ranks), tuple(certs), passed)
 
@@ -312,7 +311,7 @@ def bap_failure_witness(
         )
     system = instance.system()
     rho = instance.rho.value(mu, nu, mode)
-    if not (rho * q < 1 and rho * p < 1 and rho * p0 < 1):
+    if rho * q >= 1:  # then rho * p < 1 and rho * p0 < 1 too, as p0 < p <= q
         raise CertificateFailureError("decay entry too large for geometric control")
     vectors = []
     for m in range(1, count + 1):

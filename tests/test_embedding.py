@@ -26,6 +26,7 @@ from bapkit import (
     vector_from_dense,
     verify_reconstruction,
 )
+from bapkit import embedding
 from bapkit.scalars import zero
 from bapkit.seminorms import SupPartialSumSeminorms, apply_functional
 from bapkit.spaces import zero_vector
@@ -238,6 +239,20 @@ def test_certificate_failure_on_a_false_factor():
         certify_equicontinuity(
             system, schedule, rng=random.Random(1), sample_count=20, factor=0
         )
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_certificate_lower_bound_fails_when_the_graded_value_reads_zero(monkeypatch, mode):
+    # the graded value is the largest partial-sum value and the last partial sum is the
+    # total, so only a broken e0_value, or float rounding past tol, falls below it
+    box = SingleBox(3)
+    system = KoetheSeminorms(tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, mode)
+    schedule = build_schedule(
+        coordinate_family(box, mode), system, rng=random.Random(0), prefix_samples=10
+    )
+    monkeypatch.setattr(embedding, "e0_value", lambda system, element, position: zero(mode))
+    with pytest.raises(CertificateFailureError, match="lower bound failed at position 1"):
+        certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
 
 
 # ---------------------------------------------------------------------------

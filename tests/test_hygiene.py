@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Ten rules: no module imports a name it never uses (`__init__` exists to
+Eleven rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -26,11 +26,24 @@ included, in its body (`self`, `cls`, `_`-names and bodies that only raise
 are exempt), because an input that the function ignores tells its callers
 that it matters, and every method or property of a class (dunders exempt)
 is read by name somewhere in the package outside its own body, because a
-member that only its own tests call is dead code.
+member that only its own tests call is dead code, and a row reaches every
+failure branch of the package (a raise of CertificateFailureError or
+ConstructionSoundnessError, a verdict set to False, a failed report
+returned), or BRANCH_ALLOWLIST names it with its reason, because a branch
+that cannot fire certifies nothing.  That rule runs the rows in a fresh
+interpreter under a tracer that looks only inside the functions holding a
+branch, never the whole suite.
 """
 
 import ast
+import functools
+import json
+import os
 import re
+import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -316,6 +329,250 @@ def helper(_unused, cls, *parts):
 """
     found = [(fn, arg) for _, fn, arg in _unread_parameters(ast.parse(source))]
     assert found == [("embed", "system"), ("embed", "args"), ("embed", "kwargs")]
+
+
+# ---------------------------------------------------------------------------
+# failure branches
+
+
+FAILURE_ERRORS = {"CertificateFailureError", "ConstructionSoundnessError"}
+
+
+def _literal(path, name):
+    """The value of a module-level literal assignment, read without importing its module."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+# the tests that the branch gate runs: the rows that make each document check fail, and a
+# test for each failure branch that those rows leave unreached
+BRANCH_ROWS = (
+    "tests/test_cli.py::test_each_check_can_fail_on_its_own",
+    "tests/test_cli.py::test_each_check_can_fail_on_its_own_in_float_mode",
+    "tests/test_cli.py::test_each_raising_check_can_fail",
+    *_literal(TESTS / "test_cli.py", "FUNCTION_LEVEL_ROWS").values(),
+    "tests/test_embedding.py::test_embed_detects_off_line_images",
+    "tests/test_embedding.py::test_certificate_lower_bound_fails_when_the_graded_value_reads_zero",
+    "tests/test_normability.py::test_cauchy_family_modulus_measurement",
+    "tests/test_normability.py::"
+    "test_basis_sup_norms_fails_its_upper_bound_with_a_tenth_of_the_constant",
+    "tests/test_operators.py::"
+    "test_levels_listed_against_the_grading_give_a_filtration_that_is_not_nested",
+    "tests/test_operators.py::test_a_bad_filtration_fails_a_postcondition_of_the_complements",
+    "tests/test_operators.py::test_a_broken_gram_inversion_fails_the_split",
+    "tests/test_operators.py::test_a_range_basis_missing_a_pivot_fails_the_schedule_total",
+    "tests/test_vogt.py::"
+    "test_a_float_cauchy_level_of_two_to_the_54_makes_the_decay_entry_too_large",
+    "tests/test_vogt.py::test_a_decay_entry_that_rounds_to_zero_in_float_mode_leaves_no_floor",
+)
+
+# failure branches that no row reaches, each with the reason it stays
+BRANCH_ALLOWLIST = {
+    ("vogt", "bap_failure_witness", "cauchy modulus exceeds its geometric tail form"): (
+        "a float-tolerance guard: every finite segment sum lies strictly below its geometric"
+        " tail, exactly in rational mode, and float rounding stays under eq for fewer than"
+        " some thousands of members"
+    ),
+}
+
+
+def _text(node):
+    """A message's text: a string as it is, an f-string with {} for each field."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+    return node.value if isinstance(node, ast.Constant) else ast.unparse(node)
+
+
+def _is_false(node):
+    return isinstance(node, ast.Constant) and node.value is False
+
+
+def _branch_label(node, condition):
+    """node's label as a failure branch, or None when it is none: a raise's message, a verdict
+    set to False with the condition it sits under, or a returned report (a class called) built
+    with False."""
+    if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+        if getattr(node.exc.func, "id", None) in FAILURE_ERRORS:
+            return _text(node.exc.args[0]) if node.exc.args else ""
+    elif isinstance(node, ast.Assign) and _is_false(node.value):
+        return f"{ast.unparse(node.targets[0])} = False {condition}"
+    elif isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
+        call = node.value
+        report = isinstance(call.func, ast.Name) and call.func.id[:1].isupper()
+        if report and any(map(_is_false, call.args + [k.value for k in call.keywords])):
+            return ast.unparse(node)
+    return None
+
+
+def _failure_branches(package):
+    """{(module, function, label): (path, line)} for every failure branch of the package.
+
+    function is the dotted name of the classes and functions around the branch, and label
+    is _branch_label's, so no key names a line.
+    """
+    branches = {}
+
+    def visit(node, path, scope, condition):
+        label = _branch_label(node, condition)
+        if label is not None:
+            key = (path.stem, scope, label)
+            assert key not in branches, f"two failure branches share the key {key}"
+            branches[key] = (path, node.lineno)
+        for field, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if not isinstance(child, ast.AST):
+                    continue
+                inner, sub = scope, condition
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner, sub = f"{scope}.{child.name}".lstrip("."), ""
+                elif isinstance(node, ast.If) and field in ("body", "orelse"):
+                    sub = f"{'if' if field == 'body' else 'unless'} {ast.unparse(node.test)}"
+                elif isinstance(node, ast.ExceptHandler) and field == "body":
+                    sub = f"except {ast.unparse(node.type)}"
+                visit(child, path, inner, sub)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "", "")
+    return branches
+
+
+def _trace_rows(out, *rows):
+    """Run the rows with pytest under a tracer that looks only inside the functions that hold a
+    failure branch, and write to the JSON file out the lines it saw run there, the rows that
+    turned it off, and pytest's exit code.  _start_run calls this in a fresh interpreter."""
+    branches = _failure_branches(PACKAGE)
+    # by file and bare name, as a code object names itself on every supported Python
+    watched = {(os.path.realpath(path), key[1].rpartition(".")[2]) for key, (path, _) in branches.items()}
+    lines, lost, seen = set(), [], {}
+
+    def local(frame, event, _arg):
+        if event == "line":
+            lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def tracer(frame, _event, _arg):
+        code = frame.f_code
+        try:
+            return seen[code]
+        except KeyError:
+            hit = (os.path.realpath(code.co_filename), code.co_name) in watched
+            seen[code] = local if hit else None
+            return seen[code]
+
+    class Tracing:
+        """Installs the tracer for each row's call, and notes a row that turned it off."""
+
+        @pytest.hookimpl(hookwrapper=True)
+        def pytest_runtest_call(self, item):
+            sys.settrace(tracer)
+            yield
+            if sys.gettrace() is not tracer:
+                lost.append(item.nodeid)
+            sys.settrace(None)
+
+    code = pytest.main(["-q", "-p", "no:cacheprovider", *rows], plugins=[Tracing()])
+    ran = sorted({(os.path.realpath(path), line) for path, line in lines})
+    Path(out).write_text(json.dumps({"exit": int(code), "lines": ran, "lost": lost}))
+
+
+def _start_run(root, scratch):
+    """Start BRANCH_ROWS on the checkout at root in a fresh interpreter, with its files in scratch."""
+    scratch.mkdir()
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_hygiene; "
+        "test_hygiene._trace_rows(*sys.argv[2:])"
+    )
+    with open(scratch / "output.txt", "w") as output:
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, str(root / "tests"), str(scratch / "trace.json"),
+             *BRANCH_ROWS],
+            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+            stdout=output, stderr=subprocess.STDOUT,
+        )
+    return root, scratch, process
+
+
+def _finish_run(root, scratch, process):
+    """A started run's result: the checkout's failure branches, the keys of those that the rows
+    reach, the rows that turned the tracer off, and pytest's exit code and output."""
+    process.wait(timeout=300)  # the rows take seconds; _branch_runs kills a run that hangs
+    trace = scratch / "trace.json"
+    traced = json.loads(trace.read_text()) if trace.exists() else {"exit": None, "lines": [], "lost": []}
+    ran = {tuple(pair) for pair in traced["lines"]}
+    branches = _failure_branches(root / "src" / "bapkit")
+    reached = {key for key, (path, line) in branches.items() if (os.path.realpath(path), line) in ran}
+    output = (scratch / "output.txt").read_text()
+    return branches, reached, traced["lost"], traced["exit"], output
+
+
+INJECTED_KEY = ("vogt", "bap_failure_witness", "decay entry is not a number")
+
+
+@functools.cache
+def _branch_runs():
+    """The gate's two runs, started together so that they overlap: BRANCH_ROWS on this
+    checkout, and on a copy of it whose witness construction has one more raise, which nothing
+    reaches, since a float decay entry is never NaN."""
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "copy"
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(PACKAGE, copy / "src" / "bapkit", ignore=skip)
+        shutil.copytree(TESTS, copy / "tests", ignore=skip)
+        shutil.copy(TESTS.parent / "pyproject.toml", copy)
+        vogt = copy / "src" / "bapkit" / "vogt.py"
+        anchor = "    rho = instance.rho.value(mu, nu, mode)\n"
+        source = vogt.read_text(encoding="utf-8")
+        assert source.count(anchor) == 1
+        injected = f'    if rho != rho:\n        raise CertificateFailureError("{INJECTED_KEY[2]}")\n'
+        vogt.write_text(source.replace(anchor, anchor + injected), encoding="utf-8")
+        started = {
+            "checkout": _start_run(TESTS.parent, Path(scratch) / "checkout-run"),
+            "copy": _start_run(copy, Path(scratch) / "copy-run"),
+        }
+        try:
+            return {name: _finish_run(*run) for name, run in started.items()}
+        finally:
+            for _, _, process in started.values():
+                process.kill()  # nothing to do for a run that has exited
+
+
+def _gate_failures(branches, reached, allowlist):
+    """The branches neither reached nor allowlisted, and the allowlist entries that name no
+    unreached branch."""
+    unreached = sorted(set(branches) - reached - set(allowlist))
+    stale = sorted(set(allowlist) - (set(branches) - reached))
+    return unreached, stale
+
+
+def test_every_failure_branch_is_reached_by_a_row_or_allowlisted():
+    branches, reached, lost, code, output = _branch_runs()["checkout"]
+    assert code == 0, output
+    assert lost == [], f"rows that turned the tracer off: {lost}"
+    unreached, stale = _gate_failures(branches, reached, BRANCH_ALLOWLIST)
+    assert unreached == [], (
+        "failure branches that no row reaches: add a test that reaches each to BRANCH_ROWS,"
+        f" or an entry with its reason to BRANCH_ALLOWLIST: {unreached}"
+    )
+    assert stale == [], f"allowlist entries that name no unreached branch: {stale}"
+    # a few float-tolerance guards or linear-algebra postconditions at most; the rest get rows
+    assert len(BRANCH_ALLOWLIST) <= 4
+
+
+def test_the_branch_gate_flags_a_stale_allowlist_entry():
+    branches, reached, *_ = _branch_runs()["checkout"]
+    gone = ("vogt", "bap_failure_witness", "no such message")
+    reachable = min(reached)
+    _, stale = _gate_failures(branches, reached, {**BRANCH_ALLOWLIST, gone: "", reachable: ""})
+    assert stale == sorted([gone, reachable])
+
+
+def test_the_branch_gate_fails_on_a_copy_with_an_unreachable_raise():
+    branches, reached, lost, code, output = _branch_runs()["copy"]
+    assert code == 0 and lost == [], output
+    assert INJECTED_KEY in branches
+    assert _gate_failures(branches, reached, BRANCH_ALLOWLIST) == ([INJECTED_KEY], [])
 
 
 def test_the_rules_see_the_package():

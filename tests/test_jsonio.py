@@ -289,6 +289,11 @@ MALFORMED = [
     ("string-blocks", {"kind": "complement-decomposition", "blocks": ""}, InputError),
     ("object-modulus", {"kind": "cauchy-family", "level": 1, "vectors": [], "modulus": {},
                         "modulus_form": None}, InputError),
+    # a string is no row of its characters, nor an object one of its keys
+    ("string-row", {"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
+                    "details": ["ab"]}, InputError),
+    ("object-row", {"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
+                    "details": [{"a": 1, "b": 2}]}, InputError),
     ("zero-denominator", _table([[1, 1, {"num": 1, "den": 0}]]), ZeroDivisionError),
     ("vector-bad-mode", _vector_data([], mode="complex"), ModeError),
     ("vector-index-outside-box", _vector_data([[3, 1]]), DomainError),

@@ -1,5 +1,6 @@
 """Exact elimination: echelon form, rank, nullspace, solve, invert."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -80,6 +81,27 @@ def test_invert_gives_two_sided_inverse(rows):
     else:
         assert mat_mul(rows, minv) == eye
         assert mat_mul(minv, rows) == eye
+
+
+float_entry = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 1e-10, -2e-9, 1.5e-9]), st.floats(-4, 4)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.lists(float_entry, min_size=n, max_size=n), min_size=n, max_size=n),
+    )
+))
+def test_solve_solves_every_sign_pattern_of_square_rows_of_full_rank(matrices):
+    # polyhedral's max-ball vertices solve such rows against each sign pattern, unchecked:
+    # solve eliminates the same columns that rank does, so it finds every pivot again
+    for rows, tol in zip(matrices, (None, DEFAULT_TOLERANCES.rank)):
+        if rank(rows, tol) == len(rows):
+            for tail in itertools.product((1, -1), repeat=len(rows) - 1):
+                assert solve(rows, [1, *tail], tol) is not None
 
 
 def test_in_span():

@@ -30,7 +30,8 @@ from bapkit import (
     witness_evidence,
     vector_from_dense,
 )
-from bapkit import jsonio
+from bapkit import jsonio, normability
+from bapkit.scalars import as_scalar
 from bapkit.vogt import VogtInstance
 from bapkit.seminorms import RhoTable
 from bapkit.spaces import TripleBox
@@ -196,6 +197,14 @@ def test_modulus_decay_paths():
     assert with_form.modulus_decays(system)
     rising = CauchyFamily(fam.level, fam.vectors, fam.modulus, GeometricForm(F(1), F(2)))
     assert not rising.modulus_decays(system)
+
+
+def test_modulus_decay_without_bounds_or_from_a_zero_first_bound():
+    system = prefix_system()
+    assert not CauchyFamily(1, (), ()).modulus_decays(system)
+    # a first bound of 0 decays only if every later bound is 0 too
+    assert CauchyFamily(1, (), ((0, F(0)), (1, F(0)))).modulus_decays(system)
+    assert not CauchyFamily(1, (), ((0, F(0)), (1, F(1)))).modulus_decays(system)
 
 
 def test_modulus_decay_raw_threshold():
@@ -412,6 +421,22 @@ def test_basis_sup_norms_strict_gap():
     # the intermediate partial sum (1, 1) beats the base value of y
     assert report.system.value(1, y) == 2
     assert base.value(1, y) == 1
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_basis_sup_norms_fails_its_upper_bound_with_a_tenth_of_the_constant(monkeypatch, mode):
+    box, a1, a2 = shear_pair(mode)
+    base = KoetheSeminorms(((1, 1),), box, mode)
+    comparison_level = normability.comparison_level
+
+    def tenth(*args, **kwargs):
+        level, constant = comparison_level(*args, **kwargs)
+        return level, constant / 10
+
+    monkeypatch.setattr(normability, "comparison_level", tenth)
+    report = basis_sup_norms(base, [a1, a2], rng=random.Random(0), sample_count=15)
+    assert report.comparisons == ((1, 1, as_scalar(F(1, 5), mode)),)
+    assert not report.passed
 
 
 def test_basis_sup_norms_requires_rank_one():

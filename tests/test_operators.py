@@ -35,6 +35,7 @@ from bapkit import (
     unit_vector,
     vector_from_dense,
 )
+from bapkit import operators
 from bapkit.linalg import column_space_basis, in_span, mat_mul, mat_vec, rank
 from bapkit.operators import ComplementDecomposition
 from bapkit.scalars import as_scalar, rank_tol
@@ -99,6 +100,8 @@ def test_apply_oracle():
     assert a.apply(x).dense() == [F(3), F(4)]
     with pytest.raises(DomainError):
         a.apply(unit_vector(SingleBox(3), "rational", 1))
+    with pytest.raises(ModeError):
+        a.apply(unit_vector(BOX2, "float", 1))
 
 
 def test_compose_matches_matrix_product():
@@ -311,6 +314,42 @@ def test_select_complements_rejects_empty_range():
         select_complements((), [])
 
 
+def test_select_complements_skips_zero_and_dependent_candidates():
+    box = SingleBox(4)
+    e = [unit_vector(box, "rational", j) for j in (1, 2, 3, 4)]
+    # against span(e1, e2), e1 projects to zero and e2 + e3 onto the kept e3
+    decomp = select_complements((e[0], e[2], e[1] + e[2], e[3]), [(e[0], e[1])])
+    assert decomp.blocks == ((0, (e[2], e[3])), (1, (e[0], e[1])))
+
+
+# rows: each input below reaches one postcondition of the filtration or the complements
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_levels_listed_against_the_grading_give_a_filtration_that_is_not_nested(mode):
+    # level 2 is a norm on the plane and level 1 kills e2, so the kernels grow along [2, 1]
+    system = KoetheSeminorms(((1, 0), (1, 1)), BOX2, mode)
+    eye = FiniteRankOperator.identity(BOX2, mode)
+    with pytest.raises(ConstructionSoundnessError, match="kernel filtration is not nested"):
+        kernel_filtration(eye, system, levels=[2, 1])
+
+
+# a filtration space larger than the range leaves no complement block; a dependent one
+# passes the block counts and makes the adapted basis dependent
+BAD_FILTRATIONS = {
+    "larger-than-the-range": (lambda e1, e2: ((e1,), [(e1, e2)]), "dimension 0, expected -1"),
+    "dependent": (lambda e1, e2: ((e1, e2), [(e1, e1.scale(2))]), "adapted basis is dependent"),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("bad", sorted(BAD_FILTRATIONS))
+def test_a_bad_filtration_fails_a_postcondition_of_the_complements(mode, bad):
+    build, message = BAD_FILTRATIONS[bad]
+    with pytest.raises(ConstructionSoundnessError, match=message):
+        select_complements(*build(*(unit_vector(BOX2, mode, j) for j in (1, 2))))
+
+
 # ---------------------------------------------------------------------------
 # the rank-one split
 
@@ -392,6 +431,17 @@ def test_flatten_schedule_structure():
         assert gen.entries[0][1] == 1
     with pytest.raises(DegenerateInputError):
         flatten_schedule([])
+
+
+def test_flatten_schedule_rejects_blocks_on_different_boxes():
+    a = op2([[1, 1], [0, 2]], label="a")
+    block = scale_and_replicate(rank_one_split(a, flat_system()), flat_system())
+    box3 = SingleBox(3)
+    system3 = KoetheSeminorms(((1, 1, 1),), box3, "rational")
+    eye3 = FiniteRankOperator.identity(box3, "rational")
+    other = scale_and_replicate(rank_one_split(eye3, system3), system3)
+    with pytest.raises(DomainError):
+        flatten_schedule([block, other])
 
 
 def test_schedule_level_bookkeeping():
@@ -511,3 +561,38 @@ def test_build_schedule_prunes_at_the_given_rank_tolerance():
     eye = FiniteRankOperator.identity(BOX2, "float")
     assert build_schedule([eye], faint_system()).working_levels == (2,)
     assert build_schedule([eye], faint_system(), tol=FINE).working_levels == (1,)
+
+
+# ---------------------------------------------------------------------------
+# rows: a linear-algebra name that operators imports, broken, reaches each postcondition
+# that no input reaches
+
+# the Gram inversion finds no inverse, or a wrong one, so the pieces do not resum
+BROKEN_INVERSES = {
+    "none": (lambda invert: lambda rows, tol: None, "Gram matrix is singular"),
+    "doubled": (
+        lambda invert: lambda rows, tol: [[2 * x for x in row] for row in invert(rows, tol)],
+        "pieces do not sum to the identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("broken", sorted(BROKEN_INVERSES))
+def test_a_broken_gram_inversion_fails_the_split(monkeypatch, mode, broken):
+    patch, message = BROKEN_INVERSES[broken]
+    monkeypatch.setattr(operators, "invert", patch(operators.invert))
+    eye = FiniteRankOperator.identity(BOX2, mode)
+    with pytest.raises(ConstructionSoundnessError, match=message):
+        rank_one_split(eye, KoetheSeminorms(((1, 1),), BOX2, mode))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_a_range_basis_missing_a_pivot_fails_the_schedule_total(monkeypatch, mode):
+    # the identity's range basis keeps e1 only, so its pieces resum e1's line, not the plane
+    pivots = operators.column_space_basis
+    monkeypatch.setattr(operators, "column_space_basis", lambda rows, tol: pivots(rows, tol)[:1])
+    eye = FiniteRankOperator.identity(BOX2, mode)
+    system = KoetheSeminorms(((1, 1),), BOX2, mode)
+    with pytest.raises(ConstructionSoundnessError, match="schedule total differs"):
+        build_schedule([eye], system, rng=random.Random(0), prefix_samples=5)

@@ -72,6 +72,10 @@ def test_rho_table_validation():
         RhoTable("table", ((1, 1, F(2)),), 1, 1)  # value outside (0, 1]
     with pytest.raises(InputError):
         RhoTable("table", ((1, 1, F(1, 2)),), 2, 1)  # missing grid entry
+    with pytest.raises(InputError):
+        RhoTable("table", (), 0, 1)  # no grid
+    with pytest.raises(InputError):
+        RhoTable("table", ((1, 1, F(1, 2)), (2, 1, F(1, 2))), 1, 1)  # entry outside the grid
 
 
 def test_decay_index_dyadic():
@@ -233,6 +237,31 @@ def test_custom_system_combiners():
     assert system.level_groups(1) == (("max", (((1, F(1)),), ((2, F(1)),))),)
     with pytest.raises(TypeError):
         CustomSeminorms(levels, box, "rational", monotone_guaranteed=False)
+
+
+SYSTEM_CONSTRUCTOR_CHECKS = {
+    "vogt-without-levels": (
+        lambda: VogtSeminorms(RhoTable.dyadic(), TripleBox(2, 2, 2), "rational", 0), LevelError
+    ),
+    "max-prefix-without-levels": (
+        lambda: MaxPrefixSeminorms(SingleBox(2), "rational", 0), LevelError
+    ),
+    "custom-without-levels": (lambda: CustomSeminorms((), SingleBox(2), "rational"), LevelError),
+    "koethe-on-a-triple-box": (
+        lambda: KoetheSeminorms(((1,) * 8,), TripleBox(2, 2, 2), "rational"), InputError
+    ),
+    "max-prefix-on-a-triple-box": (
+        lambda: MaxPrefixSeminorms(TripleBox(2, 2, 2), "rational", 1), InputError
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEM_CONSTRUCTOR_CHECKS))
+def test_system_constructor_checks(case):
+    build, error = SYSTEM_CONSTRUCTOR_CHECKS[case]
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
 
 
 def test_custom_level_validation():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bapkit.seminorms
 import bapkit.spaces
@@ -313,6 +315,25 @@ def test_q_certificates_agree_across_modes_for_a_third_power_table():
     assert all(q == 3**mu + 1 for (mu, _), q in lookup.items())
 
 
+# float decay entries: any in (2**-60, 1], and each 1/n for n < 2000 with its two neighbours
+FLOAT_ENTRIES = st.one_of(
+    st.floats(min_value=2.0**-60, max_value=1.0),
+    st.integers(1, 1999).flatmap(
+        lambda n: st.sampled_from([math.nextafter(1 / n, 0), 1 / n, math.nextafter(1 / n, 2)])
+    ).filter(lambda rho: rho <= 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FLOAT_ENTRIES)
+def test_a_float_q_certificate_is_the_smallest_q_with_q_rho_above_one(rho):
+    # q starts at floor(1 / rho) + 1 and only steps up, so it is the smallest
+    # such q only if floor(1 / rho) * rho never rounds above 1
+    inst = VogtInstance(RhoTable.from_grid({(1, 1): F(rho)}), TripleBox(1, 1, 1), "float", 1)
+    ((_, _, q),) = norm_positivity_check(inst).q_certificates
+    assert (q - 1) * rho <= 1 < q * rho
+
+
 def test_every_level_of_the_largest_scaled_box_is_a_norm():
     report = norm_positivity_check(dyadic_instance(12, 6, 8, 4))
     assert report.passed
@@ -447,6 +468,28 @@ def test_witness_box_and_data_guards():
         bap_failure_witness(dyadic_instance(), cauchy_level=1)
     with pytest.raises(InputError):
         bap_failure_witness(dyadic_instance(), vanishing_level=0)
+
+
+# rows: two float-mode inputs, each reaching one raise of the witness construction
+
+
+def test_a_float_cauchy_level_of_two_to_the_54_makes_the_decay_entry_too_large():
+    # 1 / (q + 1) rounds up to 2**-54, so the dyadic row 54 passes the decay index and
+    # rho * q rounds to 1; exact arithmetic gives rho * q <= q / (q + 1) < 1 for every q
+    q = 2**54
+    inst = VogtInstance(RhoTable.dyadic(), TripleBox(4, 54, 2), "float", q)
+    with pytest.raises(CertificateFailureError, match="decay entry too large"):
+        bap_failure_witness(inst, cauchy_level=q)
+
+
+def test_a_decay_entry_that_rounds_to_zero_in_float_mode_leaves_no_floor():
+    # 1/10**400 is positive, but its float is 0.0, so the floor bound 2**5 * rho is 0
+    grid = {(mu, nu): F(1, 2) if mu == 1 else F(1, 10**400) for mu in (1, 2) for nu in (1, 2)}
+    inst = VogtInstance(RhoTable.from_grid(grid), TripleBox(4, 2, 2), "float", 3)
+    with pytest.raises(CertificateFailureError, match="floor trace dips below 0.0"):
+        bap_failure_witness(inst)
+    exact = bap_failure_witness(VogtInstance(inst.rho, inst.box, "rational", 3))
+    assert exact.floor.bound == F(2**5, 10**400)
 
 
 def test_witness_with_a_higher_cauchy_level_keeps_the_floor():
