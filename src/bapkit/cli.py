@@ -120,7 +120,7 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("vogt.nu_max must be >= 2 for the witness family")
     if v["rho"] != "dyadic" and not isinstance(v["rho"], dict):
         raise ConfigError("vogt.rho must be 'dyadic' or an encoded decay table")
-    _decode_rho(v["rho"])
+    _decode_rho(v["rho"], cfg["mode"])
     for name in ("pelczynski", "normability"):
         if not _is_int(cfg[name]["dimension"]) or not 2 <= cfg[name]["dimension"] <= 12:
             raise ConfigError(f"{name}.dimension must be an integer in 2..12")
@@ -129,7 +129,9 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("normability.families must be an integer in 1..500")
 
 
-def _decode_rho(spec):
+def _decode_rho(spec, mode: str = RATIONAL):
+    """The config's decay table; in float mode every entry must be a normal float,
+    whose reciprocal is then finite too, since the checks divide by it."""
     if spec == "dyadic":
         return RhoTable.dyadic()
     try:
@@ -140,13 +142,19 @@ def _decode_rho(spec):
         raise ConfigError(f"vogt.rho does not decode: {exc}")
     if not isinstance(rho, RhoTable):
         raise ConfigError("vogt.rho must decode to a decay table")
+    if mode == FLOAT:
+        for mu, nu, value in rho.values:
+            if float(value) < sys.float_info.min:
+                raise ConfigError(
+                    f"vogt.rho entry ({mu},{nu}) is below the normal float range"
+                )
     return rho
 
 
 def _vogt_instance(cfg: dict) -> VogtInstance:
     v = cfg["vogt"]
     return VogtInstance(
-        rho=_decode_rho(v["rho"]),
+        rho=_decode_rho(v["rho"], cfg["mode"]),
         box=TripleBox(v["n_max"], v["mu_max"], v["nu_max"]),
         mode=cfg["mode"],
         level_count=v["level_count"],

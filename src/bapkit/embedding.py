@@ -78,11 +78,19 @@ def element_from_components(schedule: ScheduledFamily, coefficients) -> BasisSpa
     return BasisSpaceElement(schedule, coeffs)
 
 
+def e0_values(system: SeminormSystem, element: BasisSpaceElement) -> tuple:
+    """Graded value at every working-level position, in position order: per
+    level the max over partial sums, each partial sum read once for all levels."""
+    levels = element.schedule.working_levels
+    reads = [system.values(levels, partial) for partial in element.partial_totals()]
+    z = zero(element.schedule.mode)
+    return tuple(reduce(max, (read[i] for read in reads), z) for i in range(len(levels)))
+
+
 def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
     """Graded value at a working-level position: max over partial sums."""
-    level = element.schedule.original_level(position)
-    values = (system.value(level, partial) for partial in element.partial_totals())
-    return reduce(max, values, zero(element.schedule.mode))
+    element.schedule.original_level(position)  # LevelError outside the positions
+    return e0_values(system, element)[position - 1]
 
 
 def embed(
@@ -162,14 +170,19 @@ def certify_equicontinuity(
         factor=factor, entries=tuple(entries), sample_count=sample_count
     )
     total_op = prefix_sums[-1]
+    comp_levels = [comp_level for _, _, comp_level, _ in entries]
     for trial in range(sample_count):
         x = _random_vector(schedule.box, schedule.mode, rng)
         y = embed(schedule, x, tol=tol)
         total_x = total_op.apply(x)
-        for position, base_level, comp_level, m_val in entries:
-            e0 = e0_value(system, y, position)
-            lower = system.value(base_level, total_x)
-            upper = factor * m_val * system.value(comp_level, x)
+        bounds = zip(
+            entries,
+            e0_values(system, y),
+            system.values(schedule.working_levels, total_x),
+            system.values(comp_levels, x),
+        )
+        for (position, _, _, m_val), e0, lower, comp_value in bounds:
+            upper = factor * m_val * comp_value
             if not leq(lower, e0, schedule.mode, tol):
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "
@@ -218,15 +231,13 @@ def verify_reconstruction(
         pieces = (op.apply(x) for op in schedule.operators)
         zero_total = zero_vector(schedule.box, schedule.mode)
         partials = itertools.accumulate(pieces, operator.add, initial=zero_total)
-        residuals = [x - p for p in partials]
-        per_position = tuple(
-            tuple(system.value(level, r) for r in residuals) for level in schedule.working_levels
-        )
+        reads = [system.values(schedule.working_levels, x - p) for p in partials]
+        per_position = tuple(zip(*reads))
         worst = reduce(max, (trace[-1] for trace in per_position), zero(schedule.mode))
         all_traces.append(per_position)
         finals.append(worst)
-        top = schedule.working_levels[-1]
-        passed = passed and is_zero(worst / max(1, system.value(top, x)), schedule.mode, tol)
+        top_value = per_position[-1][0]  # the first residual is x itself
+        passed = passed and is_zero(worst / max(1, top_value), schedule.mode, tol)
     return ReconstructionReport(
         passed=passed, traces=tuple(all_traces), final_residuals=tuple(finals)
     )
@@ -261,10 +272,9 @@ def basis_criterion_check(
     for _ in range(sample_count):
         coeffs = [random_scalar(rng, schedule.mode) for _ in schedule.operators]
         y = element_from_components(schedule, coeffs)
-        components = [y.component(t) for t in range(len(y))]
-        for position in range(1, schedule.grading_depth + 1):
-            level = schedule.original_level(position)
-            bound = 2 * e0_value(system, y, position)
-            if not all(leq(system.value(level, c), bound, schedule.mode) for c in components):
+        reads = [system.values(schedule.working_levels, y.component(t)) for t in range(len(y))]
+        for i, e0 in enumerate(e0_values(system, y)):
+            bound = 2 * e0
+            if not all(leq(read[i], bound, schedule.mode) for read in reads):
                 return BasisCriterionReport(False, 1, sample_count)
     return BasisCriterionReport(True, 1, sample_count)

@@ -35,12 +35,16 @@ def dense_rows(rows, ncols: int, mode: str) -> list[list]:
     return [[row.get(j, z) for j in range(ncols)] for row in rows]
 
 
-def row_echelon(rows, tol=None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form and the pivot column list."""
+def row_echelon(rows, tol=None, pivot_columns=None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form and the pivot column list.
+
+    pivot_columns, when given, confines the pivots to the columns before it;
+    the later columns only follow the row operations.
+    """
     m = clone(rows)
     if not m:
         return m, []
-    ncols = len(m[0])
+    ncols = len(m[0]) if pivot_columns is None else pivot_columns
     pivots: list[int] = []
     lead = 0
     for col in range(ncols):
@@ -166,14 +170,30 @@ def solve(rows, rhs, tol=None):
 
 def invert(rows, tol=None):
     """Inverse of a square matrix, or None when singular."""
-    n = len(rows)
+    return echelon_inverse(rows, tol)[2]
+
+
+def echelon_inverse(rows, tol=None):
+    """row_echelon of rows, no more of them than columns, and the inverse of
+    their pivot columns, or None when the rows are dependent: one elimination.
+
+    It eliminates [rows | I] with its pivots confined to the rows' own
+    columns, so the left block is row_echelon(rows), value for value.  When
+    every row holds a pivot, the right block B has B rows = that echelon
+    form, which is the identity on the pivot columns, so B inverts them; it
+    is the inverse that invert gives for them, value for value, since that
+    elimination makes the same row operations (a column without a pivot makes
+    none).
+    """
+    if not rows:
+        return [], [], []
+    n, ncols = len(rows), len(rows[0])
     mode = _mode(tol)
     aug = [list(r) + [one(mode) if i == j else zero(mode) for j in range(n)]
            for i, r in enumerate(rows)]
-    ech, pivots = row_echelon(aug, tol)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in ech[:n]]
+    ech, pivots = row_echelon(aug, tol, ncols)
+    inverse = [row[ncols:] for row in ech] if len(pivots) == n else None
+    return [row[:ncols] for row in ech], pivots, inverse
 
 
 def mat_mul(a, b) -> list[list]:

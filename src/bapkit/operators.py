@@ -455,11 +455,12 @@ def _verify_prefix_bound(
         prefixes = [
             (r, w, copies[r] + piece) for r in range(n_rep) for w, piece in enumerate(shares, 1)
         ]
-        for level in split.norm_grading:
-            e_value = system.value(level, e)
+        levels = split.norm_grading
+        reads = [system.values(levels, q_vec) for _, _, q_vec in prefixes]
+        for i, (level, e_value) in enumerate(zip(levels, system.values(levels, e))):
             bound = two * e_value
-            for r, w, q_vec in prefixes:
-                val = system.value(level, q_vec)
+            for (r, w, _), read in zip(prefixes, reads):
+                val = read[i]
                 if not leq(val, bound, mode, tol):
                     raise ConstructionSoundnessError(
                         f"prefix bound failed at level {level}, copy {r}, piece {w}: "

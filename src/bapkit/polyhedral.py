@@ -9,7 +9,8 @@ column and 0 at every other free column; restricting a row to the quotient
 is picking its pivot-column entries.  The vertices are exact:
 
   * sum combiner with a square restricted constraint matrix G (one row per
-    quotient coordinate): the columns of G^-1, from one inversion.  Each
+    quotient coordinate): the columns of G^-1, which the elimination that
+    finds the pivots gives too, run on [G | I] (linalg.echelon_inverse).  Each
     column c has |G c|_1 = 1, so the sup is the classical l1 -> l1 operator
     norm, the largest objective value at a column of G^-1;
   * any other sum combiner: each vertex spans the kernel line of some
@@ -20,8 +21,10 @@ is picking its pivot-column entries.  The vertices are exact:
     pattern, kept when it satisfies every remaining row.
 
 Rows come sparse from seminorms.basis_rows (ball) and functional_rows (images); constraint
-rows are made dense once for the elimination, and objective rows are summed in column
-order over the vertex's nonzeros, so float sums are bit-equal to the dense products.
+rows are made dense once for the elimination.  Objective rows are transposed once per sup,
+column -> the rows that hold it, so a vertex costs only the entries its nonzeros meet, and
+each row's products are summed in column order, so float sums are bit-equal to the dense
+products.
 Dimension and row counts are desk-scale; a combinatorics cap guards the
 enumeration.  Above it float mode returns, with nothing sampled, the sup over
 the larger ball of G_P, the d_eff independent rows of G, from one inversion
@@ -35,8 +38,8 @@ import math
 
 from .errors import ComputationCapError, DomainError, InputError, ModeError, UnboundedSeminormError
 from .linalg import (
-    column_space_basis, dense_rows, echelon_nullspace, invert, mat_vec, nullspace, rank,
-    row_echelon, solve, transpose
+    column_space_basis, dense_rows, echelon_inverse, echelon_nullspace, invert, mat_vec,
+    nullspace, rank, row_echelon, solve, transpose
 )
 from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
 from .seminorms import MAX, SUM, SeminormSystem, basis_rows, functional_rows
@@ -45,34 +48,42 @@ DEFAULT_CAP = 200_000
 
 
 def _combine(values, combiner):
-    vals = list(values)
-    if not vals:
-        return 0
-    return sum(vals) if combiner == SUM else max(vals)
+    return sum(values) if combiner == SUM else max(values)
 
 
-def _nonzeros(c):
-    """The vector c as {column: value} over its nonzero entries."""
-    return {j: x for j, x in enumerate(c) if x}
+def _by_column(pieces):
+    """The objective rows transposed, once per sup: column j -> [(piece, row, coeff)]
+    over the rows that hold j, in piece and row order."""
+    columns = {}
+    for p, (rows, _) in enumerate(pieces):
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                columns.setdefault(j, []).append((p, i, x))
+    return columns
 
 
-def _row_values(rows, live):
-    """Sparse rows applied to the vector with nonzeros live.
+def _row_values(columns, c):
+    """{(piece, row): R c} over the objective rows that meet c's nonzeros.
 
-    Each sum runs in column order over the columns that are live; every
-    term left out is an exact zero, so float sums are bit-equal to the dense
-    products.
+    Each row's products are summed in increasing column order, as its sparse
+    dict lists them; every term left out is an exact zero, so float sums are
+    bit-equal to the dense products, and a row left out is 0.
     """
-    return (sum(x * live[j] for j, x in row.items() if j in live) for row in rows)
+    products = {}
+    for j, cj in enumerate(c):
+        if cj:
+            for p, i, x in columns.get(j, ()):
+                products.setdefault((p, i), []).append(x * cj)
+    return {key: sum(terms) for key, terms in products.items()}
 
 
-def _objective_at(pieces, c):
-    live = _nonzeros(c)
-    best = None
-    for rows, combiner in pieces:
-        v = _combine((abs(x) for x in _row_values(rows, live)), combiner)
-        best = v if best is None else max(best, v)
-    return 0 if best is None else best
+def _objective(combiners, columns, c):
+    """max over pieces of combiner |R c| at the vertex c, each piece's rows
+    combined in row order; a piece that c does not meet is 0."""
+    touched = {}
+    for (p, _), v in sorted(_row_values(columns, c).items()):
+        touched.setdefault(p, []).append(abs(v))
+    return max((_combine(vals, combiners[p]) for p, vals in touched.items()), default=0)
 
 
 def polyhedral_sup(
@@ -86,8 +97,8 @@ def polyhedral_sup(
 ):
     """sup of max_i combiner_i|R_i c| over {c : combiner|G c| <= 1}.
 
-    Rows of G and R_i are sparse, {column: value} with columns below dim;
-    objective_pieces is a list of (R_i, combiner_i).
+    Rows of G and R_i are sparse, {column: value} with columns below dim in
+    increasing order; objective_pieces is a list of (R_i, combiner_i).
     Raises UnboundedSeminormError when the objective does not vanish on the
     constraint family's kernel (the sup is then infinite on the box), and
     ComputationCapError above cap unless a float bound's G_P inverts.
@@ -95,31 +106,29 @@ def polyhedral_sup(
     ftol = rank_tol(mode, tol)
     rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r.values())]
     rows = dense_rows(rows, dim, mode)
-    ech, pivots = row_echelon(rows, ftol)
+    if constraint_combiner == SUM and len(rows) <= dim:
+        # independent rows invert on their pivot columns, from the same elimination
+        ech, pivots, inverse = echelon_inverse(rows, ftol)
+    else:
+        (ech, pivots), inverse = row_echelon(rows, ftol), None
+    columns = _by_column(objective_pieces)
     for kv in echelon_nullspace(ech, pivots, dim, ftol):
-        live = _nonzeros(kv)
-        for orows, _ in objective_pieces:
-            if any(not negligible(x, ftol) for x in _row_values(orows, live)):
-                raise UnboundedSeminormError(
-                    "objective does not vanish on the constraint kernel"
-                )
+        if any(not negligible(x, ftol) for x in _row_values(columns, kv).values()):
+            raise UnboundedSeminormError("objective does not vanish on the constraint kernel")
     d_eff = len(pivots)
     if d_eff == 0:
         return zero(mode)
     g2 = [[r[j] for j in pivots] for r in rows]
     g2 = [r for r in g2 if any(not negligible(x, ftol) for x in r)]
-    position = {j: k for k, j in enumerate(pivots)}
-    pieces2 = [
-        ([{position[j]: x for j, x in r.items() if j in position} for r in orows], comb)
-        for orows, comb in objective_pieces
-    ]
+    columns = {k: columns[j] for k, j in enumerate(pivots) if j in columns}
+    combiners = [comb for _, comb in objective_pieces]
     m = len(g2)
     if constraint_combiner == SUM:
         count = math.comb(m, d_eff - 1) if m >= d_eff - 1 else 0
     else:
         count = math.comb(m, d_eff) * 2 ** (d_eff - 1) if m >= d_eff else 0
-    inverse = None
     if count > cap:
+        inverse = None
         # float mode takes the larger ball of the d_eff independent rows G_P
         if mode != RATIONAL:
             g2 = [g2[i] for i in column_space_basis(transpose(g2), ftol)]
@@ -127,9 +136,12 @@ def polyhedral_sup(
         if inverse is None:
             raise ComputationCapError(f"{count} vertex candidates exceed cap {cap} in {mode} mode")
         if constraint_combiner == MAX:
-            return _max_ball_sup(pieces2, inverse, mode)
+            return _max_ball_sup(combiners, columns, inverse, mode)
     elif constraint_combiner == SUM and m == d_eff:
-        inverse = invert(g2, ftol)
+        if inverse is None:  # G's rows were dependent, and float rounding left g2 square
+            inverse = invert(g2, ftol)
+    else:
+        inverse = None
     # a square sum ball's vertices are the columns of G^-1; every other ball,
     # and a float G that its inversion finds singular, enumerates them
     if inverse is None:
@@ -138,7 +150,7 @@ def polyhedral_sup(
         vertices = zip(*inverse)
     best = zero(mode)
     for c in vertices:
-        v = _objective_at(pieces2, c)
+        v = _objective(combiners, columns, c)
         if v > best:
             best = v
     return best
@@ -170,15 +182,21 @@ def _vertices(g2, combiner, d_eff, tol):
                     yield c
 
 
-def _max_ball_sup(pieces, inverse, mode):
+def _max_ball_sup(combiners, columns, inverse, mode):
     """sup over {|G c|_inf <= 1} for a square G with inverse: per objective
-    row r the l1 norm of r G^-1, combined per piece (exact for max pieces,
-    an upper bound for sum pieces), max over pieces."""
-    columns = [_nonzeros(c) for c in zip(*inverse)]
+    row r the l1 norm of r G^-1, its terms in column order, combined per
+    piece in row order (exact for max pieces, an upper bound for sum pieces),
+    max over pieces."""
+    norms = {}
+    for c in zip(*inverse):
+        for key, v in _row_values(columns, c).items():
+            norms.setdefault(key, []).append(abs(v))
+    per_piece = {}
+    for (p, _), norm in sorted(norms.items()):
+        per_piece.setdefault(p, []).append(sum(norm))
     best = zero(mode)
-    for rows, combiner in pieces:
-        at_columns = [[abs(x) for x in _row_values(rows, col)] for col in columns]
-        best = max(best, _combine((sum(norm) for norm in zip(*at_columns)), combiner))
+    for p, sums in per_piece.items():
+        best = max(best, _combine(sums, combiners[p]))
     return best
 
 

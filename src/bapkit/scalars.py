@@ -59,7 +59,11 @@ def _as_float(value) -> float:
     elif isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise ModeError(f"float mode needs a real number, got {type(value).__name__}")
     else:
-        out = float(value)
+        try:
+            out = float(value)
+        except OverflowError:
+            kind = type(value).__name__
+            raise ModeError(f"float mode needs a number within the float range, got a {kind} beyond it")
     if not math.isfinite(out):
         raise ModeError(f"float mode needs a finite number, got {out!r}")
     return out

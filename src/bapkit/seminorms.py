@@ -5,9 +5,11 @@ seminorms.  A level is a set of groups (level_groups), each of finitely many
 coordinate functionals combined either as an absolute sum or as a max, and
 its value is the max over the groups.  That shared shape is what makes
 kernels computable exactly: value(k, x) = 0 iff every constituent
-functional kills x.  SeminormSystem derives value from the groups; Vogt and
-sup-partial systems keep their own, whose float sums run in an order that
-documents pin bit for bit.  Vogt states its split once, in _split, keyed by
+functional kills x.  Every level is read through one method, values(levels,
+x), which reads x once for all the levels asked; value(k, x) is its one-level
+case.  SeminormSystem derives values from the groups; Vogt and sup-partial
+systems keep their own, whose float sums run in an order that documents pin
+bit for bit.  Vogt states its split once, in _split, keyed by
 (base, threshold); split_value walks it over a vector's site table (value and
 primed_value), and split_groups reads it as functionals (level_groups and
 the primed levels).  The site table holds what no split changes: the
@@ -194,10 +196,12 @@ class SeminormSystem:
 
     @cached_property
     def _level_index(self):
-        """Per level, (combiner, units, weights, wide) for each group, built once:
-        a one-pair functional c x_i enters as the weight |c| at i, since
+        """Per level, (combiner, units, weights, wide, scale) for each group, built
+        once: a one-pair functional c x_i enters as the weight |c| at i, since
         |c x_i| = |c| |x_i|, and units lists a MAX group's unit weights, which
-        do not multiply.  wide keeps the others, a second one at i included."""
+        do not multiply.  wide keeps the others, a second one at i included.  In
+        rational mode a SUM group's weights are integers over scale, the lcm of
+        their denominators; elsewhere scale is None."""
         index = []
         for k in range(1, self.level_count + 1):
             index.append([])
@@ -209,29 +213,65 @@ class SeminormSystem:
                     else:
                         wide.append(pairs)
                 units = {i for i, w in weights.items() if w == 1 and combiner == MAX}
-                index[-1].append((combiner, units, weights, wide))
+                scale = None
+                if combiner == SUM and self.mode == RATIONAL:
+                    scale = math.lcm(*[w.denominator for w in weights.values()])
+                    weights = {i: w.numerator * (scale // w.denominator) for i, w in weights.items()}
+                index[-1].append((combiner, units, weights, wide, scale))
         return index
 
     def value(self, k: int, x: TruncatedVector) -> Scalar:
-        """The max over level k's groups, walking the support of x (see _level_index)."""
-        self.check_level(k)
+        """The value of level k at x, values((k,), x)[0]."""
+        return self.values((k,), x)[0]
+
+    def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """value(k, x) for each k in levels, x's entries read once for all of them.
+
+        Each level is the max over its groups (see _level_index).  A SUM group
+        sums its weights against x's magnitudes, then its wide functionals: in
+        rational mode the magnitudes are integers over one common denominator,
+        so the weights' part is one integer sum and one Fraction, and in float
+        mode they are x's absolute values, added left to right from 0.0, as
+        sum_products adds them.  A MAX group walks x's entries.
+        """
+        for k in levels:
+            self.check_level(k)
         self.check_vector(x)
-        best = None
-        for combiner, units, weights, wide in self._level_index[k - 1]:
-            if combiner == SUM:
-                terms = ((weights[i], v) for i, v in x.entries if i in weights)
-                if wide:
-                    terms = itertools.chain(terms, ((1, apply_functional(f, x)) for f in wide))
-                found = [sum_products(terms, self.mode, absolute=True)]
-            else:
-                found = [abs(apply_functional(f, x)) for f in wide] if wide else []
-                for i, v in x.entries:
-                    if i in weights:
-                        found.append(abs(v) if i in units else weights[i] * abs(v))
-            for v in found:
-                if best is None or v > best:
-                    best = v
-        return zero(self.mode) if best is None else best
+        if self.mode == RATIONAL:
+            denominators = [v.denominator for _, v in x.entries]
+            common = math.lcm(*denominators)
+            magnitudes = [
+                (i, abs(v.numerator) * (common // q)) for (i, v), q in zip(x.entries, denominators)
+            ]
+        else:
+            magnitudes = [(i, abs(v)) for i, v in x.entries]
+        out = []
+        for k in levels:
+            best = None
+            for combiner, units, weights, wide, scale in self._level_index[k - 1]:
+                if combiner == MAX:
+                    found = [abs(apply_functional(f, x)) for f in wide]
+                    for i, v in x.entries:
+                        if i in weights:
+                            found.append(abs(v) if i in units else weights[i] * abs(v))
+                elif scale is None:
+                    total = 0.0
+                    for i, m in magnitudes:
+                        if i in weights:
+                            total += weights[i] * m
+                    for f in wide:
+                        total += abs(apply_functional(f, x))
+                    found = [total]
+                else:
+                    total = Fraction(
+                        sum(weights[i] * m for i, m in magnitudes if i in weights), scale * common
+                    )
+                    found = [sum((abs(apply_functional(f, x)) for f in wide), total)] if wide else [total]
+                for v in found:
+                    if best is None or v > best:
+                        best = v
+            out.append(zero(self.mode) if best is None else best)
+        return tuple(out)
 
 
 class _SiteTable:
@@ -413,9 +453,11 @@ class VogtSeminorms(SeminormSystem):
             self._functionals[key] = tuple(out)
         return self._functionals[key]
 
-    def value(self, k: int, x: TruncatedVector) -> Scalar:
-        self.check_level(k)
-        return self.split_value(x, k, k)
+    def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """Each level's split of x, the splits sharing x's site table."""
+        for k in levels:
+            self.check_level(k)
+        return tuple([self.split_value(x, k, k) for k in levels])
 
     def primed_value(self, p: int, x: TruncatedVector) -> Scalar:
         """Comparison partner: twice the split with threshold pushed to p+1.
@@ -544,11 +586,15 @@ class SupPartialSumSeminorms(SeminormSystem):
         self.mode = base.mode
         self.level_count = base.level_count
 
-    def value(self, k: int, x: TruncatedVector) -> Scalar:
-        self.check_level(k)
+    def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """Per level the max over the partial sums, each partial sum built and
+        read once for every level."""
+        for k in levels:
+            self.check_level(k)
         self.check_vector(x)
         partials = itertools.accumulate(op.apply(x) for op in self.operators)
-        return reduce(max, (self.base.value(k, p) for p in partials), zero(self.mode))
+        reads = [self.base.values(levels, p) for p in partials]
+        return tuple(reduce(max, column, zero(self.mode)) for column in zip(*reads))
 
     def level_groups(self, k: int):
         """Base groups composed with every partial sum, zero functionals left out:

@@ -94,27 +94,28 @@ def comparison_inequality_check(
 
     value(p, x) <= primed(p, x), primed(p, x) <= 2 * value(p+1, x), and
     the plain monotonicity value(p, x) <= value(p+1, x); all hold exactly
-    in rational mode.  Each level is evaluated once per sample: value(p+1, x)
-    serves as nxt at p and as v at p+1.
+    in rational mode.  Each sample's levels are read once, in one values
+    call: value(p+1, x) serves as nxt at p and as v at p+1.
     """
     system = instance.system()
     rng = rng or random.Random(0)
     mode = instance.mode
+    levels = range(1, instance.level_count + 1)
     passed = True
     for _ in range(sample_count):
         x = _random_sparse(instance, rng)
-        v = system.value(1, x)
-        for p in range(1, instance.level_count + 1):
+        read = system.values(levels, x)
+        for p in levels:
+            v = read[p - 1]
             vp = system.primed_value(p, x)
             if not leq(v, vp, mode):
                 passed = False
             if p < instance.level_count:
-                nxt = system.value(p + 1, x)
+                nxt = read[p]
                 if not leq(vp, 2 * nxt, mode):
                     passed = False
                 if not leq(v, nxt, mode):
                     passed = False
-                v = nxt
     return ComparisonReport(passed, sample_count, instance.level_count)
 
 
@@ -318,9 +319,9 @@ def bap_failure_witness(
         entries = {(n, mu, nu): rho**n for n in range(1, m + 1)}
         vectors.append(TruncatedVector.create(instance.box, mode, entries))
     vectors = tuple(vectors)
-    # each member read at the vanishing and the floor level in turn, so both
-    # reads share its sites
-    decay_trace, floor_trace = zip(*[(system.value(p0, x), system.value(p, x)) for x in vectors])
+    # each member read at the vanishing and the floor level in one values call,
+    # so both reads share its sites
+    decay_trace, floor_trace = zip(*[system.values((p0, p), x) for x in vectors])
     # vanishing level: only the last difference site survives
     decay_scale = as_scalar(p0 ** (mu + p - 1), mode)
     decay_form = GeometricForm(scale=decay_scale, ratio=rho * p0, shift=1)

@@ -238,6 +238,37 @@ def test_a_rho_record_with_a_string_for_a_sequence_exits_two(tmp_path, capsys):
     assert not (tmp_path / "doc.json").exists()
 
 
+# a float-mode decay table whose rows 2 and 3 are 1/10**400: positive, but 0.0 as floats
+SUB_FLOAT_RHO = {"suite": "vogt", "mode": "float", "vogt": {"rho": {
+    "kind": "rho", "table_kind": "table", "mu_limit": 3, "nu_limit": 4,
+    "values": [[mu, nu, {"num": 1, "den": 2 if mu == 1 else 10**400}]
+               for mu in range(1, 4) for nu in range(1, 5)],
+}}}
+
+
+def test_a_decay_entry_below_the_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SUB_FLOAT_RHO))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "doc.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: vogt.rho entry (2,1) is below the normal float range")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "doc.json").exists()
+    # the same table is exact in rational mode
+    assert cli.main(["run", "--config", str(path), "--mode", "rational"]) == 0
+    # a normal float, however small, is accepted
+    smallest = {**SUB_FLOAT_RHO["vogt"]["rho"], "values": [
+        [mu, nu, {"num": 1, "den": 2 if mu == 1 else 2**1022}]
+        for mu in range(1, 4) for nu in range(1, 5)
+    ]}
+    assert cli._decode_rho(smallest, "float").values[-1][2] == Fraction(1, 2**1022)
+    with pytest.raises(cli.ConfigError, match="below the normal float range"):
+        cli._decode_rho({**smallest, "values": [
+            [mu, nu, {"num": 1, "den": 2 if mu == 1 else 2**1023}]
+            for mu in range(1, 4) for nu in range(1, 5)
+        ]}, "float")
+
+
 def test_decode_rho_rejects_garbage():
     with pytest.raises(cli.ConfigError, match="does not decode"):
         cli._decode_rho({"kind": "rho"})
@@ -297,13 +328,13 @@ def test_slow_decay_table_fails_the_vogt_suite(tmp_path, capsys):
 # per check: the class, the method it loses, and the broken method built from the original
 BROKEN_CHECKS = {
     "pelczynski/reconstruction": (
-        SeminormSystem, "value", lambda value: lambda self, k, x: Fraction(1)
+        SeminormSystem, "values", lambda values: lambda self, levels, x: (Fraction(1),) * len(levels)
     ),
     "pelczynski/projection-idempotent": (
         BasisSpaceElement, "total", lambda total: lambda self: total(self).scale(2)
     ),
     "normability/sup-norm-upgrade": (
-        SupPartialSumSeminorms, "value", lambda value: lambda self, k, x: 0
+        SupPartialSumSeminorms, "values", lambda values: lambda self, levels, x: (0,) * len(levels)
     ),
     # each level loses its last functional, so its rank over the box is d - 1
     "vogt/norm-positivity": (
@@ -351,15 +382,15 @@ def assert_fails_on_its_own(monkeypatch, check, mode):
     assert failing() == {check}
 
 
-def seeded_random_values(_value):
+def seeded_random_values(_values):
     rng = random.Random(0)
-    return lambda self, k, x: rng.randint(-9, 9)
+    return lambda self, levels, x: tuple(rng.randint(-9, 9) for _ in levels)
 
 
 # checks that write `passed: True` and fail by raising: the method a patch breaks, the
 # patches, and the error type the suite documents for that failure
 BROKEN_VALUES = {
-    "doubled": lambda value: lambda self, k, x: 2 * value(self, k, x),
+    "doubled": lambda values: lambda self, levels, x: tuple(2 * v for v in values(self, levels, x)),
     "random": seeded_random_values,
 }
 def tenth_of_constant(comparison_level):
@@ -372,14 +403,14 @@ def tenth_of_constant(comparison_level):
 RAISING_CHECKS = {
     # doubling every value keeps the prefix bound's ratio, so "doubled" cannot fail it
     "pelczynski/schedule": (
-        KoetheSeminorms, "value", {"random": seeded_random_values}, ConstructionSoundnessError
+        KoetheSeminorms, "values", {"random": seeded_random_values}, ConstructionSoundnessError
     ),
     # M_k / 10 passes the schedule and fails the certificate's upper bound
     "pelczynski/equicontinuity": (
         embedding, "comparison_level", {"tenth": tenth_of_constant}, CertificateFailureError
     ),
     "normability/clean-system-consistent": (
-        MaxPrefixSeminorms, "value", BROKEN_VALUES, CertificateFailureError
+        MaxPrefixSeminorms, "values", BROKEN_VALUES, CertificateFailureError
     ),
     # the suite re-verifies the witness's own floor on the raw trace, so only a broken
     # re-verification reaches this check: the witness certified that floor just before
@@ -389,10 +420,10 @@ RAISING_CHECKS = {
     ),
     # both suites build the Vogt witness family, which checks its traces on construction
     "normability/witness-violation": (
-        VogtSeminorms, "value", BROKEN_VALUES, CertificateFailureError
+        VogtSeminorms, "values", BROKEN_VALUES, CertificateFailureError
     ),
     "vogt/failure-witness": (
-        VogtSeminorms, "value", BROKEN_VALUES, CertificateFailureError
+        VogtSeminorms, "values", BROKEN_VALUES, CertificateFailureError
     ),
 }
 
@@ -591,6 +622,7 @@ CONFIGS = mostly(section({
 @given(config=CONFIGS)
 @example(config=UNDECLARED_RHO_FIELDS)
 @example(config=STRING_RHO_VALUES)
+@example(config=SUB_FLOAT_RHO)
 def test_generated_configs_exit_zero_one_or_two_without_a_traceback(tmp_path, config):
     path, out = tmp_path / "cfg.json", tmp_path / "doc.json"
     path.write_text(json.dumps(config))

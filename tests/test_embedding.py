@@ -244,13 +244,15 @@ def test_certificate_failure_on_a_false_factor():
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_certificate_lower_bound_fails_when_the_graded_value_reads_zero(monkeypatch, mode):
     # the graded value is the largest partial-sum value and the last partial sum is the
-    # total, so only a broken e0_value, or float rounding past tol, falls below it
+    # total, so only a broken e0_values, or float rounding past tol, falls below it
     box = SingleBox(3)
     system = KoetheSeminorms(tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, mode)
     schedule = build_schedule(
         coordinate_family(box, mode), system, rng=random.Random(0), prefix_samples=10
     )
-    monkeypatch.setattr(embedding, "e0_value", lambda system, element, position: zero(mode))
+    monkeypatch.setattr(
+        embedding, "e0_values", lambda system, element: (zero(mode),) * element.schedule.grading_depth
+    )
     with pytest.raises(CertificateFailureError, match="lower bound failed at position 1"):
         certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
 
@@ -316,7 +318,9 @@ def test_basis_criterion_fails_when_the_values_break_the_triangle_inequality(mon
     system = KoetheSeminorms(tuple((k,) * 4 for k in range(1, 5)), box, "rational")
     schedule = build_schedule(coordinate_family(box), system, rng=random.Random(0), prefix_samples=5)
     values = random.Random(seed)
-    monkeypatch.setattr(KoetheSeminorms, "value", lambda self, k, x: values.randint(-9, 9))
+    monkeypatch.setattr(
+        KoetheSeminorms, "values", lambda self, levels, x: tuple(values.randint(-9, 9) for _ in levels)
+    )
     report = basis_criterion_check(system, schedule, rng=random.Random(3), sample_count=10)
     assert not report.passed
 

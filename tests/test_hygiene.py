@@ -15,7 +15,8 @@ exempt) is read somewhere in the package, in an expression or an
 annotation, because an alias or constant that nothing reads is dead code,
 and each seminorm kind states its levels once, in `level_groups`: in
 `seminorms`, no class defines `combiner`, and a seminorm system defines
-`value` only on the base class, which derives it from the groups, and on
+`value` only on the base class, as the one-level case of `values`, and
+`values` only on the base class, which derives it from the groups, and on
 the Vogt and sup-partial kinds, whose float sums keep their own order,
 and the Vogt kind states its split once: one function compares a site's
 `nu` with the threshold, `split_value` and `split_groups` both read it, and
@@ -222,7 +223,7 @@ def test_every_member_is_read_in_the_package():
 
 
 def test_each_seminorm_level_is_defined_once():
-    """No kind restates its levels.  Vogt keeps its own value only for the float
+    """No kind restates its levels.  Vogt keeps its own values only for the float
     summation order that documents pin, not for a second statement of the split,
     which test_the_vogt_split_is_stated_once checks."""
     tree = ast.parse((PACKAGE / "seminorms.py").read_text(encoding="utf-8"))
@@ -241,7 +242,8 @@ def test_each_seminorm_level_is_defined_once():
         }
 
     assert owners("combiner", {c.name for c in classes}) == set()
-    assert owners("value", systems) <= {"SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"}
+    assert owners("value", systems) == {"SeminormSystem"}
+    assert owners("values", systems) <= {"SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"}
     assert {"KoetheSeminorms", "MaxPrefixSeminorms", "CustomSeminorms"} <= owners("level_groups", systems)
 
 

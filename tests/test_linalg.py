@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bapkit.linalg import (
     column_space_basis,
     dense_rows,
+    echelon_inverse,
     in_span,
     independent,
     invert,
@@ -264,3 +265,47 @@ def test_dense_rows_fill_typed_zeros():
     assert dense_rows([{1: F(2)}, {}], 3, "rational") == [[F(0), F(2), F(0)], [F(0)] * 3]
     got = dense_rows([{0: 1.5}], 2, "float")
     assert got == [[1.5, 0.0]] and type(got[0][1]) is float
+
+
+def bits(m):
+    """A matrix spelled out entry by entry, a float bit for bit (-0.0 included)."""
+    return [[repr(x) for x in row] for row in m]
+
+
+near_tolerance_floats = st.one_of(
+    st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-10, -2e-9, 1e-9, 3.0000000001])
+)
+
+
+def eliminated_inverse(rows, tol):
+    """invert as it was before echelon_inverse: row_echelon of [rows | I] with pivots in
+    any column, the inverse read off when they are the first n."""
+    n = len(rows)
+    one, zero = (F(1), F(0)) if tol is None else (1.0, 0.0)
+    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
+    ech, pivots = row_echelon(aug, tol)
+    return [row[n:] for row in ech[:n]] if pivots[:n] == list(range(n)) else None
+
+
+@pytest.mark.parametrize("values, tol", [
+    (sparse_fractions, None), (near_tolerance_floats, DEFAULT_TOLERANCES.rank)
+])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_echelon_inverse_is_row_echelon_then_invert(values, tol, data):
+    # the one elimination of [G | I] against the two it replaces, value for value
+    rows = data.draw(matrices(values))
+    rows = rows[: len(rows[0])]  # no more rows than columns
+    ech, pivots, inverse = echelon_inverse(rows, tol)
+    expected_ech, expected_pivots = row_echelon(rows, tol)
+    assert pivots == expected_pivots
+    assert bits(ech) == bits(expected_ech)
+    if len(pivots) < len(rows):
+        assert inverse is None
+    else:
+        square = [[r[j] for j in pivots] for r in rows]
+        assert bits(inverse) == bits(eliminated_inverse(square, tol)) == bits(invert(square, tol))
+
+
+def test_echelon_inverse_of_no_rows():
+    assert echelon_inverse([]) == ([], [], [])

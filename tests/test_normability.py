@@ -152,14 +152,14 @@ def test_family_round_trips_before_and_after_its_modulus_is_read(mode):
 
 def test_an_unread_family_measures_no_pair(monkeypatch):
     system = prefix_system()
-    value = MaxPrefixSeminorms.value
+    values = MaxPrefixSeminorms.values
     calls = []
 
-    def counting(self, k, x):
-        calls.append((k, x))
-        return value(self, k, x)
+    def counting(self, levels, x):
+        calls.extend((k, x) for k in levels)
+        return values(self, levels, x)
 
-    monkeypatch.setattr(MaxPrefixSeminorms, "value", counting)
+    monkeypatch.setattr(MaxPrefixSeminorms, "values", counting)
     fam = geometric_family(system, 2, members=5)
     assert calls == []
     assert len(fam.modulus) == 4

@@ -504,7 +504,9 @@ def test_prefix_bound_message_states_the_compared_values(monkeypatch):
     # seeded random level values: the message must report the values that were
     # compared, not a second measurement, so the inequality it states holds
     rng = random.Random(0)
-    monkeypatch.setattr(KoetheSeminorms, "value", lambda self, k, x: rng.randint(-9, 9))
+    monkeypatch.setattr(
+        KoetheSeminorms, "values", lambda self, levels, x: tuple(rng.randint(-9, 9) for _ in levels)
+    )
     box = SingleBox(4)
     system = KoetheSeminorms(tuple((k,) * 4 for k in range(1, 5)), box, "rational")
     family = [

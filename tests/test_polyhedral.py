@@ -30,9 +30,11 @@ from bapkit import (
     rank_one_family_constant,
     vector_from_dense,
 )
-from bapkit.linalg import mat_mul, mat_vec, nullspace, rank, solve, transpose
-from bapkit.polyhedral import DEFAULT_CAP, _objective_at, comparison_level
-from bapkit.scalars import approx_equal, as_scalar, leq, negligible, random_scalar, rank_tol
+from bapkit.linalg import invert, mat_mul, mat_vec, nullspace, rank, solve, transpose
+from bapkit.polyhedral import (
+    DEFAULT_CAP, _by_column, _max_ball_sup, _objective, comparison_level
+)
+from bapkit.scalars import approx_equal, as_scalar, leq, negligible, random_scalar, rank_tol, zero
 from bapkit.seminorms import level_matrix
 from bapkit.spaces import unit_vector
 
@@ -471,6 +473,38 @@ def test_polyhedral_sup_does_not_depend_on_the_kernel_complement(mode, seed):
 # against a test-local vertex enumeration over dense rows
 
 
+def _objective_at(pieces, c):
+    """The objective at c as scored before the rows were transposed: per piece,
+    per row, one sum over the row's columns that are live in c."""
+    live = {j: x for j, x in enumerate(c) if x}
+    best = None
+    for rows, combiner in pieces:
+        values = [abs(sum(x * live[j] for j, x in row.items() if j in live)) for row in rows]
+        v = (sum(values) if combiner == "sum" else max(values)) if values else 0
+        best = v if best is None else max(best, v)
+    return 0 if best is None else best
+
+
+def max_ball_sup_by_rows(pieces, inverse, mode):
+    """_max_ball_sup as it was before the rows were transposed: per row, the
+    l1 norm of its values at the columns of the inverse."""
+    columns = list(zip(*inverse))
+    best = zero(mode)
+    for rows, combiner in pieces:
+        norms = [sum(abs(_objective_at([([row], "sum")], c)) for c in columns) for row in rows]
+        best = max(best, (sum(norms) if combiner == "sum" else max(norms)) if norms else 0)
+    return best
+
+
+def scored_by_column(pieces, c):
+    return _objective([comb for _, comb in pieces], _by_column(pieces), c)
+
+
+def same_scalar(got, expected):
+    """Equal, and bit-equal unless both are zero (a piece that a vertex misses is an int 0)."""
+    return got == expected and (got == 0 or repr(got) == repr(expected))
+
+
 def dense_objective(pieces, c):
     best = []
     for rows, combiner in pieces:
@@ -622,3 +656,30 @@ def test_sparse_objective_matches_dense_rows(mode, seed):
     # zeros in c as well: vertices of square balls are often sparse
     c = [random_scalar(rng, mode) if rng.random() < 0.7 else as_scalar(0, mode) for _ in range(dim)]
     assert _objective_at(sparse_pieces(pieces), c) == dense_objective(pieces, c)
+    assert same_scalar(scored_by_column(sparse_pieces(pieces), c), _objective_at(sparse_pieces(pieces), c))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_column_scoring_matches_the_row_oracle_at_the_columns_of_an_inverse(mode, seed):
+    # the vertices of a square sum ball, and the l1 norms of a max ball, bit-equal in float
+    rng = random.Random(seed)
+    dim = rng.randint(1, 6)
+
+    def entry():
+        return as_scalar(rng.choice((0, 0, 1, -2, 3, 5)), mode) / as_scalar(rng.randint(1, 7), mode)
+
+    g = [[entry() for _ in range(dim)] for _ in range(dim)]
+    inverse = invert(g, rank_tol(mode))
+    if inverse is None:
+        return
+    pieces = sparse_pieces([
+        ([[entry() for _ in range(dim)] for _ in range(rng.randint(0, 4))], rng.choice(("sum", "max")))
+        for _ in range(rng.randint(1, 3))
+    ])
+    columns, combiners = _by_column(pieces), [comb for _, comb in pieces]
+    for c in zip(*inverse):
+        assert same_scalar(_objective(combiners, columns, c), _objective_at(pieces, c))
+    got = _max_ball_sup(combiners, columns, inverse, mode)
+    assert same_scalar(got, max_ball_sup_by_rows(pieces, inverse, mode))

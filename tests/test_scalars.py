@@ -140,7 +140,15 @@ def test_geometric_sum_matches_term_by_term(ratio, first, length):
     assert geometric_sum(ratio, first, last) == expected
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"), float("inf"), float("-inf"),
+        # beyond the float range: float() raises OverflowError, which must not escape
+        pytest.param(10**400, id="int-10**400"),
+        pytest.param(Fraction(10**400), id="Fraction-10**400"),
+    ],
+)
 def test_as_scalar_float_rejects_non_finite(value):
     with pytest.raises(ModeError):
         as_scalar(value, "float")

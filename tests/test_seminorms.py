@@ -935,3 +935,90 @@ def test_rho_table_rejects_repeated_entries():
     }
     with pytest.raises(InputError):
         decode(data)
+
+
+# ---------------------------------------------------------------------------
+# values against the per-level walk that it replaced
+
+
+def walked_value(system, k, x):
+    """value(k, x) as each level read x before values: the level's groups walked over
+    x's entries, a SUM group summed through sum_products, one level per walk."""
+    mode = system.mode
+    if isinstance(system, VogtSeminorms):
+        return summing_split_value(system, x, k, k)
+    if isinstance(system, SupPartialSumSeminorms):
+        best = zero(mode)
+        partial = None
+        for op in system.operators:
+            partial = op.apply(x) if partial is None else partial + op.apply(x)
+            best = max(best, walked_value(system.base, k, partial))
+        return best
+    best = None
+    for combiner, functionals in system.level_groups(k):
+        weights, wide = {}, []
+        for pairs in functionals:
+            if len(pairs) == 1 and pairs[0][0] not in weights:
+                weights[pairs[0][0]] = abs(as_scalar(pairs[0][1], mode))
+            else:
+                wide.append(pairs)
+        if combiner == "sum":
+            terms = [(weights[i], v) for i, v in x.entries if i in weights]
+            terms += [(1, apply_functional(f, x)) for f in wide]
+            found = [sum_products(terms, mode, absolute=True)]
+        else:
+            found = [abs(apply_functional(f, x)) for f in wide]
+            found += [weights[i] * abs(v) for i, v in x.entries if i in weights]
+        for v in found:
+            if best is None or v > best:
+                best = v
+    return zero(mode) if best is None else best
+
+
+def fraction_weight_systems(mode, rng):
+    """Koethe with Fraction weights, and a custom system with Fraction coefficients,
+    repeated indices and wide functionals, in both combiners."""
+    box = SingleBox(rng.randint(1, 6))
+    rows, row = [], [0] * box.d
+    for _ in range(rng.randint(1, 3)):
+        row = [w + rng.choice((0, 1, F(1, 3), F(7, 2), F(5, 6))) for w in row]
+        rows.append(tuple(as_scalar(w, mode) for w in row))
+    custom = random_custom_system(rng.choice([box, TripleBox(2, 2, 2)]), mode, rng)
+    return [KoetheSeminorms(tuple(rows), box, mode), custom]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_values_equal_the_per_level_walk(mode, seed):
+    # Koethe, max-prefix, custom, sup-partial and Vogt; floats bit for bit
+    rng = random.Random(seed)
+    systems = oracle_systems(mode) + sup_partial_systems(mode) + fraction_weight_systems(mode, rng)
+    for system in systems:
+        for _ in range(3):
+            x = random_vector(system.box, mode, rng)
+            # any levels, in any order, repeats included, or none
+            levels = [rng.randint(1, system.level_count) for _ in range(rng.randint(0, 4))]
+            got = system.values(levels, x)
+            assert type(got) is tuple and len(got) == len(levels)
+            for k, value in zip(levels, got):
+                assert scalar_bits(value) == scalar_bits(walked_value(system, k, x))
+                assert scalar_bits(system.value(k, x)) == scalar_bits(value)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_values_check_every_level_and_the_vector(mode):
+    box = SingleBox(3)
+    for system in oracle_systems(mode) + sup_partial_systems(mode):
+        x = random_vector(system.box, mode, random.Random(0))
+        with pytest.raises(LevelError):
+            system.values([1, system.level_count + 1], x)
+        with pytest.raises(LevelError):
+            system.values([0], x)
+        other = "float" if mode == "rational" else "rational"
+        with pytest.raises(ModeError):
+            system.values([1], TruncatedVector.create(system.box, other, ()))
+        if system.box != box:
+            with pytest.raises(DomainError):
+                system.values([1], TruncatedVector.create(box, mode, ()))
+        assert system.values((), x) == ()

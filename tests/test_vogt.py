@@ -100,17 +100,18 @@ def test_random_sparse_draws_as_the_create_loop(mode, box):
 #   value<=next     value(1) = primed(1) and value(2) = primed(1) / 2, so
 #                   value(2) <= value(2) <= primed(2) and primed(1) = 2 value(2)
 BROKEN_COMPARISONS = {
-    "value<=primed": lambda value, primed: {
-        "primed_value": lambda self, p, x: value(self, p, x) / 2,
+    "value<=primed": lambda values, primed: {
+        "primed_value": lambda self, p, x: values(self, (p,), x)[0] / 2,
     },
-    "primed<=2*next": lambda value, primed: {
+    "primed<=2*next": lambda values, primed: {
         "primed_value": lambda self, p, x: (
-            2 * value(self, p + 1, x) + 1 if p < self.level_count else primed(self, p, x)
+            2 * values(self, (p + 1,), x)[0] + 1 if p < self.level_count else primed(self, p, x)
         ),
     },
-    "value<=next": lambda value, primed: {
-        "value": lambda self, k, x: (
-            primed(self, 1, x) if k == 1 else primed(self, 1, x) / 2 if k == 2 else value(self, k, x)
+    "value<=next": lambda values, primed: {
+        "values": lambda self, levels, x: tuple(
+            primed(self, 1, x) if k == 1 else primed(self, 1, x) / 2 if k == 2 else v
+            for k, v in zip(levels, values(self, levels, x))
         ),
     },
 }
@@ -138,7 +139,7 @@ def failing_comparisons(instance, sample_count):
 def test_each_comparison_inequality_can_fail(monkeypatch, broken):
     inst = dyadic_instance()
     assert failing_comparisons(inst, 15) == set()
-    patches = BROKEN_COMPARISONS[broken](VogtSeminorms.value, VogtSeminorms.primed_value)
+    patches = BROKEN_COMPARISONS[broken](VogtSeminorms.values, VogtSeminorms.primed_value)
     for name, method in patches.items():
         monkeypatch.setattr(VogtSeminorms, name, method)
     assert failing_comparisons(inst, 15) == {broken}
@@ -420,11 +421,13 @@ def test_a_value_wrong_at_one_witness_level_fails_the_witness(monkeypatch, mode,
     inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
     bap_failure_witness(inst)
     level, message = WRONG_WITNESS_LEVELS[wrong]
-    value = VogtSeminorms.value
+    values = VogtSeminorms.values
     monkeypatch.setattr(
         VogtSeminorms,
-        "value",
-        lambda self, k, x: 2 * value(self, k, x) if k == level else value(self, k, x),
+        "values",
+        lambda self, levels, x: tuple(
+            2 * v if k == level else v for k, v in zip(levels, values(self, levels, x))
+        ),
     )
     with pytest.raises(CertificateFailureError, match=message):
         bap_failure_witness(inst)
@@ -434,14 +437,14 @@ def test_a_value_wrong_at_one_witness_level_fails_the_witness(monkeypatch, mode,
 @pytest.mark.parametrize("box, members", [((5, 3, 4), 4), ((51, 6, 6), 50)])
 def test_the_witness_measures_each_cauchy_pair_once(monkeypatch, mode, box, members):
     inst = VogtInstance(RhoTable.dyadic(), TripleBox(*box), mode, 4)
-    value = VogtSeminorms.value
+    values = VogtSeminorms.values
     levels = []
 
-    def counting(self, k, x):
-        levels.append(k)
-        return value(self, k, x)
+    def counting(self, read, x):
+        levels.extend(read)
+        return values(self, read, x)
 
-    monkeypatch.setattr(VogtSeminorms, "value", counting)
+    monkeypatch.setattr(VogtSeminorms, "values", counting)
     witness = bap_failure_witness(inst)
     assert len(witness.vectors) == members
     pairs = members * (members - 1) // 2  # 6 at the default box, 1,225 for 50 members
