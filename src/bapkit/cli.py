@@ -129,7 +129,7 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("normability.families must be an integer in 1..500")
 
 
-def _decode_rho(spec, mode: str = RATIONAL):
+def _decode_rho(spec, mode: str):
     """The config's decay table; in float mode every entry must be a normal float,
     whose reciprocal is then finite too, since the checks divide by it."""
     if spec == "dyadic":

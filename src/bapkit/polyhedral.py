@@ -118,8 +118,9 @@ def polyhedral_sup(
     d_eff = len(pivots)
     if d_eff == 0:
         return zero(mode)
+    # every row keeps a non-negligible entry in some pivot column: a row with
+    # none would reach its own such column unchanged and pivot there
     g2 = [[r[j] for j in pivots] for r in rows]
-    g2 = [r for r in g2 if any(not negligible(x, ftol) for x in r)]
     columns = {k: columns[j] for k, j in enumerate(pivots) if j in columns}
     combiners = [comb for _, comb in objective_pieces]
     m = len(g2)
@@ -137,13 +138,8 @@ def polyhedral_sup(
             raise ComputationCapError(f"{count} vertex candidates exceed cap {cap} in {mode} mode")
         if constraint_combiner == MAX:
             return _max_ball_sup(combiners, columns, inverse, mode)
-    elif constraint_combiner == SUM and m == d_eff:
-        if inverse is None:  # G's rows were dependent, and float rounding left g2 square
-            inverse = invert(g2, ftol)
-    else:
-        inverse = None
-    # a square sum ball's vertices are the columns of G^-1; every other ball,
-    # and a float G that its inversion finds singular, enumerates them
+    # a square sum ball's vertices are the columns of G^-1, which echelon_inverse
+    # gives exactly when every row of G holds a pivot; every other ball enumerates them
     if inverse is None:
         vertices = _vertices(g2, constraint_combiner, d_eff, ftol)
     else:

@@ -205,9 +205,9 @@ def test_a_loaded_config_shares_no_section_with_the_next_load(tmp_path, override
 
 
 def test_decode_rho_accepts_dyadic_and_encoded_tables():
-    assert cli._decode_rho("dyadic") == RhoTable.dyadic()
+    assert cli._decode_rho("dyadic", "rational") == RhoTable.dyadic()
     table = RhoTable.from_grid({(1, 1): Fraction(1, 2), (2, 1): Fraction(1, 4)})
-    assert cli._decode_rho(jsonio.encode(table)) == table
+    assert cli._decode_rho(jsonio.encode(table), "rational") == table
 
 
 # a dyadic rho record with a grid and a field that no record declares
@@ -271,9 +271,9 @@ def test_a_decay_entry_below_the_float_range_exits_two(tmp_path, capsys):
 
 def test_decode_rho_rejects_garbage():
     with pytest.raises(cli.ConfigError, match="does not decode"):
-        cli._decode_rho({"kind": "rho"})
+        cli._decode_rho({"kind": "rho"}, "rational")
     with pytest.raises(cli.ConfigError, match="decay table"):
-        cli._decode_rho(jsonio.encode(SingleBox(3)))
+        cli._decode_rho(jsonio.encode(SingleBox(3)), "rational")
 
 
 def deep_list_config():

@@ -309,3 +309,18 @@ def test_echelon_inverse_is_row_echelon_then_invert(values, tol, data):
 
 def test_echelon_inverse_of_no_rows():
     assert echelon_inverse([]) == ([], [], [])
+
+
+@pytest.mark.parametrize("values, tol", [
+    (sparse_fractions, None), (near_tolerance_floats, DEFAULT_TOLERANCES.rank)
+])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_row_meets_a_pivot_column(values, tol, data):
+    # polyhedral_sup restricts G to its pivot columns and keeps every row: a row
+    # negligible on all of them would reach its own column unchanged and pivot there
+    rows = data.draw(matrices(values))
+    _, pivots = row_echelon(rows, tol)
+    for row in rows:
+        if any(not negligible(x, tol) for x in row):
+            assert any(not negligible(row[j], tol) for j in pivots)
