@@ -25,7 +25,6 @@ objects produce identical text.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -102,12 +101,12 @@ class Record:
 
 
 def _operator(get) -> FiniteRankOperator:
-    """from_matrix checks the matrix; the declared range basis is kept, not re-derived."""
+    """from_matrix checks the matrix; a declared range basis must be its pivot columns."""
     box, mode, basis = get("box"), get("mode"), get("range_basis")
-    if not all((v.box, v.mode) == (box, mode) for v in basis):
-        raise InputError("range basis vectors must live on the operator's box and mode")
     op = FiniteRankOperator.from_matrix(box, mode, get("matrix"), get("label"))
-    return dataclasses.replace(op, range_basis=basis)
+    if basis != op.range_basis:
+        raise InputError("range basis must be the pivot columns of the operator matrix")
+    return op
 
 
 def _rho(get) -> RhoTable:

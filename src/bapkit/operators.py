@@ -16,7 +16,8 @@ graded seminorm system:
      schedule whose total equals the total of the original family.
 
 An operator stores its columns, the sparse images of the unit vectors, and
-works column by column; FiniteRankOperator.matrix is a derived dense view.
+works column by column; FiniteRankOperator.matrix is a derived dense view,
+and range_basis the pivot columns, derived on first read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import (
     ConstructionSoundnessError,
@@ -57,25 +58,28 @@ from .spaces import Box, TruncatedVector, linear_combination, vector_from_dense,
 
 @dataclass(frozen=True)
 class FiniteRankOperator:
-    """Sparse columns on a box (for g (x) f, the columns f_c * g) plus a range basis.
+    """Sparse columns on a box (for g (x) f, the columns f_c * g).
 
-    range_basis is derived deterministically (pivot columns) by the public
-    constructors, so span(range_basis) always equals the column space and
-    rank == len(range_basis).
+    range_basis is derived from the columns on first read: the pivot columns,
+    so span(range_basis) equals the column space and rank == len(range_basis).
     """
 
     box: Box
     mode: str
     columns: tuple  # one TruncatedVector per box coordinate, in box order
-    range_basis: tuple = ()
     label: str = ""
 
-    @staticmethod
-    def _of_columns(box: Box, mode: str, columns, label: str = "") -> "FiniteRankOperator":
-        """Operator from columns that are already vectors on box in mode; trusted."""
-        columns = tuple(columns)
-        pivots = column_space_basis(list(zip(*(c.dense() for c in columns))), rank_tol(mode))
-        return FiniteRankOperator(box, mode, columns, tuple(columns[c] for c in pivots), label)
+    def __post_init__(self) -> None:
+        check_mode(self.mode)
+        columns = tuple(self.columns)
+        object.__setattr__(self, "columns", columns)
+        if len(columns) != self.box.dimension:
+            raise InputError(f"expected {self.box.dimension} columns, got {len(columns)}")
+        for c in columns:
+            if not isinstance(c, TruncatedVector) or c.box != self.box:
+                raise DomainError("operator columns must be vectors on the operator box")
+            if c.mode != self.mode:
+                raise ModeError("operator columns must be in the operator mode")
 
     @staticmethod
     def from_matrix(box: Box, mode: str, rows, label: str = "") -> "FiniteRankOperator":
@@ -84,7 +88,7 @@ class FiniteRankOperator:
         if len(rows) != d or any(len(r) != d for r in rows):
             raise InputError(f"matrix must be {d}x{d} for this box")
         columns = [vector_from_dense(box, mode, [r[c] for r in rows]) for c in range(d)]
-        return FiniteRankOperator._of_columns(box, mode, columns, label)
+        return FiniteRankOperator(box, mode, columns, label)
 
     @staticmethod
     def identity(box: Box, mode: str) -> "FiniteRankOperator":
@@ -100,19 +104,22 @@ class FiniteRankOperator:
         if len(functional_row) != output.box.dimension:
             raise InputError("functional row length must match the box dimension")
         columns = [output.scale(f) for f in functional_row]
-        return FiniteRankOperator._of_columns(output.box, output.mode, columns, label)
+        return FiniteRankOperator(output.box, output.mode, columns, label)
 
     @property
     def matrix(self) -> tuple:
         """Dense row-major view of the columns."""
         return tuple(zip(*(c.dense() for c in self.columns)))
 
+    @cached_property
+    def range_basis(self) -> tuple:
+        """The pivot columns, a basis of the column space."""
+        pivots = column_space_basis(self.matrix, rank_tol(self.mode))
+        return tuple(self.columns[c] for c in pivots)
+
     @property
     def rank(self) -> int:
         return len(self.range_basis)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.columns)
 
     def _check_peer(self, other: "FiniteRankOperator") -> None:
         if self.box != other.box:
@@ -132,12 +139,12 @@ class FiniteRankOperator:
     def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         self._check_peer(other)
         columns = [self.apply(c) for c in other.columns]
-        return FiniteRankOperator._of_columns(self.box, self.mode, columns)
+        return FiniteRankOperator(self.box, self.mode, columns)
 
     def _columnwise(self, other: "FiniteRankOperator", combine) -> "FiniteRankOperator":
         self._check_peer(other)
         columns = [combine(a, b) for a, b in zip(self.columns, other.columns)]
-        return FiniteRankOperator._of_columns(self.box, self.mode, columns)
+        return FiniteRankOperator(self.box, self.mode, columns)
 
     def __add__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         return self._columnwise(other, operator.add)
@@ -148,7 +155,7 @@ class FiniteRankOperator:
     def scale(self, factor, label: str = "") -> "FiniteRankOperator":
         c = as_scalar(factor, self.mode)
         columns = [col.scale(c) for col in self.columns]
-        return FiniteRankOperator._of_columns(self.box, self.mode, columns, label)
+        return FiniteRankOperator(self.box, self.mode, columns, label)
 
     def approx_equal(
         self, other: "FiniteRankOperator", tol: Tolerances = DEFAULT_TOLERANCES
@@ -335,7 +342,7 @@ def rank_one_split(
     control_levels=None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RankOneSplit:
-    if op.rank == 0 or op.is_zero():
+    if op.rank == 0:
         raise ZeroOperatorError("cannot split a zero operator")
     if op.box != system.box or op.mode != system.mode:
         raise DomainError("operator and system live on different boxes or modes")
@@ -524,7 +531,7 @@ def flatten_schedule(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> ScheduledF
         for i, c_op in enumerate(block.operators, start=1):
             b_vec = adapted[(i - 1) % m]
             columns = tuple(c_op.apply(col) for col in source.columns)
-            composed = FiniteRankOperator(box, mode, columns, (b_vec,), f"schedule:p{p}:i{i}")
+            composed = FiniteRankOperator(box, mode, columns, f"schedule:p{p}:i{i}")
             operators.append(composed)
             structure.append((p, i))
             lead = b_vec.entries[0][1]
@@ -565,7 +572,7 @@ def build_schedule(
         raise DegenerateInputError("build_schedule needs a nonempty family")
     working = []
     for p, op in enumerate(ops, start=1):
-        if op.rank == 0 or op.is_zero():
+        if op.rank == 0:
             raise ZeroOperatorError(f"family member {p} is the zero operator")
         working.append(smallest_norm_level(op, system, working[-1] if working else 0, tol))
     rng = rng or random.Random(0)

@@ -149,6 +149,6 @@ def test_every_report_survives_decode_and_encode(documents, case):
         for result in suite["checks"].values()
         if result.get("report") is not None
     ]
-    assert len(reports) >= 10
+    assert len(reports) == 13
     for report in reports:
         assert jsonio.encode(jsonio.decode(report)) == report

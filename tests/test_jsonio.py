@@ -99,16 +99,26 @@ def test_sup_partial_system_roundtrip():
     assert decoded.value(1, y) == sup.value(1, y)
 
 
-def test_operator_roundtrip_preserves_declared_range_basis():
+def test_operator_roundtrip_keeps_the_pivot_columns():
     box = SingleBox(2)
     op = FiniteRankOperator.from_matrix(box, "rational", [[1, 1], [0, 2]], "a")
     assert roundtrip(op) == op
-    # a schedule operator carries a range basis that from_matrix would not pick
-    override = FiniteRankOperator(
-        box, "rational", op.columns, (vector_from_dense(box, "rational", [F(1), F(2)]),), "b"
-    )
-    decoded = roundtrip(override)
-    assert decoded.range_basis == override.range_basis
+    # an operator built on its columns derives the same pivots and round-trips with them
+    direct = FiniteRankOperator(box, "rational", op.columns[:1] * 2, "b")
+    assert direct.rank == 1
+    decoded = roundtrip(direct)
+    assert decoded == direct and decoded.range_basis == direct.range_basis
+
+
+def test_operator_decoding_rejects_a_basis_other_than_the_pivot_columns():
+    box = SingleBox(2)
+    op = FiniteRankOperator.from_matrix(box, "rational", [[1, 1], [0, 2]], "a")
+    # the same plane, spanned by the unit vectors and by the pivots in reverse order
+    units = [vector_from_dense(box, "rational", row) for row in ([1, 0], [0, 1])]
+    for basis in (units, op.range_basis[::-1]):
+        data = {**jsonio.encode(op), "range_basis": [jsonio.encode(v) for v in basis]}
+        with pytest.raises(InputError):
+            jsonio.decode(data)
 
 
 def test_schedule_and_derived_objects():
@@ -311,6 +321,10 @@ MALFORMED = [
      _operator_data([[1, 0], [0, 0]], basis_box={"kind": "single-box", "d": 3}), InputError),
     ("operator-range-basis-in-another-mode",
      _operator_data([[1, 0], [0, 0]], basis_mode="float"), InputError),
+    # the declared basis is e1, the only pivot column is e2
+    ("operator-range-basis-not-the-pivot-columns", _operator_data([[0, 0], [0, 1]]), InputError),
+    ("operator-empty-range-basis-of-a-nonzero-matrix",
+     {**_operator_data([[1, 0], [0, 0]]), "range_basis": []}, InputError),
     ("vector-box-of-another-kind",
      {**_vector_data([[1, 1]]), "box": {"kind": "rho", "table_kind": "dyadic"}}, InputError),
     ("operator-box-of-another-kind",

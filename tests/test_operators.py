@@ -90,7 +90,7 @@ def test_identity_zero_and_apply():
     x = vector_from_dense(BOX2, "rational", [F(3), F(-1)])
     assert eye.apply(x) == x
     assert z.apply(x).is_zero()
-    assert z.is_zero() and z.rank == 0
+    assert z.rank == 0
     assert eye.rank == 2
 
 
@@ -114,7 +114,7 @@ def test_algebra_and_equality():
     a = op2([[1, 0], [0, 1]])
     b = op2([[0, 1], [0, 0]])
     assert (a + b).matrix == ((F(1), F(1)), (F(0), F(1)))
-    assert (a - a).is_zero()
+    assert (a - a).matrix == ((F(0), F(0)), (F(0), F(0)))
     assert a.scale(3).matrix == ((F(3), F(0)), (F(0), F(3)))
     assert a.approx_equal(FiniteRankOperator.identity(BOX2, "rational"))
 
@@ -127,6 +127,69 @@ def test_rank_one_constructor():
     assert p.rank == 1
     with pytest.raises(InputError):
         FiniteRankOperator.rank_one(out, [F(1)])
+
+
+def test_constructor_keeps_its_columns_as_a_tuple():
+    columns = list(op2([[1, 0], [0, 2]]).columns)
+    op = FiniteRankOperator(BOX2, "rational", columns)
+    assert type(op.columns) is tuple and op.columns == tuple(columns)
+    assert hash(op) == hash(FiniteRankOperator(BOX2, "rational", tuple(columns)))
+
+
+E1 = vector_from_dense(BOX2, "rational", [1, 0])
+# columns that no operator on BOX2 in rational mode may hold, each with the error it raises
+BAD_COLUMNS = {
+    "unknown-mode": (BOX2, "complex", (E1, E1), ModeError),
+    # apply would read a missing column and raise a bare IndexError
+    "one-column-short": (BOX2, "rational", (E1,), InputError),
+    "one-column-long": (BOX2, "rational", (E1, E1, E1), InputError),
+    "column-on-another-box": (
+        BOX2, "rational", (E1, vector_from_dense(SingleBox(3), "rational", [1, 0, 0])), DomainError
+    ),
+    "column-not-a-vector": (BOX2, "rational", (E1, [F(1), F(0)]), DomainError),
+    # apply would return a "rational" vector holding the float 2.0
+    "float-column-in-a-rational-operator": (
+        BOX2, "rational", (E1, vector_from_dense(BOX2, "float", [0, 2])), ModeError
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COLUMNS))
+def test_constructor_rejects_columns_that_do_not_fit(case):
+    box, mode, columns, error = BAD_COLUMNS[case]
+    with pytest.raises(error) as info:
+        FiniteRankOperator(box, mode, columns)
+    assert type(info.value) is error
+
+
+def test_an_operator_built_from_its_columns_has_the_rank_of_its_pivots():
+    op = FiniteRankOperator(BOX2, "rational", op2([[1, 0], [0, 0]]).columns, "a")
+    assert op.rank == 1 and op.range_basis == (E1,)
+    split = rank_one_split(op, flat_system())
+    assert split.piece_count == 1 and split.pieces[0].approx_equal(op)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_the_range_basis_is_derived_once_on_first_read(monkeypatch, mode):
+    calls = []
+    pivots = operators.column_space_basis
+
+    def counted(rows, tol):
+        calls.append(rows)
+        return pivots(rows, tol)
+
+    monkeypatch.setattr(operators, "column_space_basis", counted)
+    a = FiniteRankOperator.from_matrix(BOX2, mode, [[1, 1], [0, 2]])
+    b = FiniteRankOperator.from_matrix(BOX2, mode, [[0, 1], [1, 0]])
+    out = vector_from_dense(BOX2, mode, [1, 2])
+    built = [a, b, FiniteRankOperator.rank_one(out, [1, 0]), a.compose(b), a + b, a - b, a.scale(3)]
+    assert calls == []
+    for n, op in enumerate(built, start=1):
+        first, second = ("rank", "range_basis") if n % 2 else ("range_basis", "rank")
+        getattr(op, first)
+        assert len(calls) == n
+        getattr(op, second), getattr(op, first)
+        assert len(calls) == n
 
 
 # ---------------------------------------------------------------------------
