@@ -25,7 +25,7 @@ from .errors import (
     UnboundedSeminormError,
     ZeroOperatorError,
 )
-from .scalars import FLOAT, RATIONAL, Tolerances, DEFAULT_TOLERANCES
+from .scalars import FLOAT, RATIONAL
 from .spaces import (
     SingleBox,
     TripleBox,

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
-from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, is_zero, leq, random_scalar, zero
+from .scalars import as_scalar, is_zero, leq, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
 
@@ -93,12 +93,10 @@ def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
     return e0_values(system, element)[position - 1]
 
 
-def embed(
-    schedule: ScheduledFamily, x: TruncatedVector, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BasisSpaceElement:
+def embed(schedule: ScheduledFamily, x: TruncatedVector) -> BasisSpaceElement:
     """I(x): one coefficient per slot, read off the generator's lead entry.
 
-    Each slot's image must lie on its generator line under tol.
+    Each slot's image must lie on its generator line.
     """
     if x.box != schedule.box or x.mode != schedule.mode:
         raise InputError("vector does not live on the schedule's box and mode")
@@ -108,18 +106,16 @@ def embed(
         lead_index = gen.entries[0][0]
         c = img.get(lead_index)
         coeffs.append(c)
-        if not img.approx_equal(gen.scale(c), tol):
+        if not img.approx_equal(gen.scale(c)):
             raise ConstructionSoundnessError(
                 f"image of {op.label} left the generator line"
             )
     return BasisSpaceElement(schedule, tuple(coeffs))
 
 
-def project(
-    element: BasisSpaceElement, *, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BasisSpaceElement:
+def project(element: BasisSpaceElement) -> BasisSpaceElement:
     """L(y): resum the components and embed again; idempotent."""
-    return embed(element.schedule, element.total(), tol=tol)
+    return embed(element.schedule, element.total())
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,6 @@ def certify_equicontinuity(
     rng: random.Random | None = None,
     sample_count: int = 25,
     factor: int = 5,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> EquicontinuityCertificate:
     """Exact M_k per position, then a sampled check of the two-sided bound.
 
@@ -155,17 +150,13 @@ def certify_equicontinuity(
     family has a finite graded norm; M_k is the max of those norms.  The
     sampled check enforces value(k, total x) <= |||I(x)|||_k and
     |||I(x)|||_k <= factor * M_k * value(l, x), failing loudly otherwise.
-    tol governs the comparison levels, M_k, the embedding and the sampled
-    comparisons.
     """
     rng = rng or random.Random(0)
     prefix_sums = accumulate(schedule.source_family)
     entries = []
     for position in range(1, schedule.grading_depth + 1):
         base_level = schedule.original_level(position)
-        entries.append(
-            (position, base_level, *comparison_level(system, base_level, prefix_sums, tol))
-        )
+        entries.append((position, base_level, *comparison_level(system, base_level, prefix_sums)))
     cert = EquicontinuityCertificate(
         factor=factor, entries=tuple(entries), sample_count=sample_count
     )
@@ -173,7 +164,7 @@ def certify_equicontinuity(
     comp_levels = [comp_level for _, _, comp_level, _ in entries]
     for trial in range(sample_count):
         x = _random_vector(schedule.box, schedule.mode, rng)
-        y = embed(schedule, x, tol=tol)
+        y = embed(schedule, x)
         total_x = total_op.apply(x)
         bounds = zip(
             entries,
@@ -183,12 +174,12 @@ def certify_equicontinuity(
         )
         for (position, _, _, m_val), e0, lower, comp_value in bounds:
             upper = factor * m_val * comp_value
-            if not leq(lower, e0, schedule.mode, tol):
+            if not leq(lower, e0, schedule.mode):
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "
                     f"{lower} > {e0}"
                 )
-            if not leq(e0, upper, schedule.mode, tol):
+            if not leq(e0, upper, schedule.mode):
                 raise CertificateFailureError(
                     f"upper bound failed at position {position}, sample {trial}: "
                     f"{e0} > {upper}"
@@ -211,16 +202,15 @@ def verify_reconstruction(
     *,
     rng: random.Random | None = None,
     sample_count: int = 10,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ReconstructionReport:
     """Check the schedule resums sampled vectors exactly.
 
     Requires the source family to sum to the identity; the residual
     value(k, x - sum of the first t slots) must reach 0 at the final slot
-    for every working level.  Both comparisons are made under tol.
+    for every working level.
     """
     total = reduce(operator.add, schedule.source_family)
-    if not total.approx_equal(FiniteRankOperator.identity(schedule.box, schedule.mode), tol):
+    if not total.approx_equal(FiniteRankOperator.identity(schedule.box, schedule.mode)):
         raise InputError("reconstruction needs a family summing to the identity")
     rng = rng or random.Random(0)
     vectors = [_random_vector(schedule.box, schedule.mode, rng) for _ in range(sample_count)]
@@ -237,7 +227,7 @@ def verify_reconstruction(
         all_traces.append(per_position)
         finals.append(worst)
         top_value = per_position[-1][0]  # the first residual is x itself
-        passed = passed and is_zero(worst / max(1, top_value), schedule.mode, tol)
+        passed = passed and is_zero(worst / max(1, top_value), schedule.mode)
     return ReconstructionReport(
         passed=passed, traces=tuple(all_traces), final_residuals=tuple(finals)
     )

@@ -19,13 +19,12 @@ shapes are:
              is a Record in KINDS
 
 Floats travel as plain numbers (repr round-trips them exactly), triple
-indices as three-element lists.  Serialization always sorts keys, so equal
-objects produce identical text.
+indices as three-element lists.  `bapkit run` writes a document with sorted
+keys, so equal objects produce identical text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -334,11 +333,3 @@ def decode(data):
         return _in(KINDS[kind], {name: field for name, field in data.items() if name != "kind"})
     except KeyError as exc:
         raise InputError(f"missing field {exc.args[0]!r} in {kind!r}")
-
-
-def dumps(obj, indent: int | None = 2) -> str:
-    return json.dumps(encode(obj), sort_keys=True, indent=indent)
-
-
-def loads(text: str):
-    return decode(json.loads(text))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .operators import accumulate
 from .polyhedral import comparison_level
-from .scalars import DEFAULT_TOLERANCES, Tolerances, as_scalar, leq, random_scalar, zero
+from .scalars import DECAY, as_scalar, leq, random_scalar, zero
 from .seminorms import SeminormSystem, SupPartialSumSeminorms
 from .spaces import vector_from_dense
 
@@ -133,7 +132,7 @@ class CauchyFamily:
             for li, worst in _pair_modulus(system, self.level, self.vectors)
         )
 
-    def modulus_decays(self, system: SeminormSystem, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    def modulus_decays(self, system: SeminormSystem) -> bool:
         """Closed form wins when present; otherwise a tail threshold."""
         bounds = [b for _, b in self.modulus]
         if not bounds:
@@ -146,8 +145,7 @@ class CauchyFamily:
         first, last = bounds[0], bounds[-1]
         if first == 0:
             return all(b == 0 for b in bounds)
-        # repr is the float's shortest decimal, so the default 1e-6 is exactly 1/10**6
-        return last <= first * as_scalar(Fraction(repr(tol.decay)), system.mode)
+        return last <= first * as_scalar(DECAY, system.mode)
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,6 @@ def injective_extension_test(
     decay_level: int,
     decay_form: GeometricForm,
     floor: FloorCertificate | None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiagnosticVerdict:
     """Detect a Cauchy-and-vanishing sequence pinned above a floor.
 
@@ -208,7 +205,7 @@ def injective_extension_test(
         )
     if not family.verify_modulus(system):
         raise CertificateFailureError("Cauchy modulus does not match the raw pair traces")
-    if not family.modulus_decays(system, tol):
+    if not family.modulus_decays(system):
         return DiagnosticVerdict(
             "consistent", f"tail modulus at level {family.level} not certified decaying"
         )
@@ -248,7 +245,6 @@ def dv_condition_check(
     comparison_levels,
     base_level: int,
     evidence,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiagnosticVerdict:
     """Check the level-comparison condition against observed families.
 
@@ -285,9 +281,7 @@ def dv_condition_check(
             raise InputError(
                 f"evidence family sits at level {item.family.level}, expected j({k})={j}"
             )
-        sub = injective_extension_test(
-            system, item.family, base_level, item.decay_form, item.floor, tol
-        )
+        sub = injective_extension_test(system, item.family, base_level, item.decay_form, item.floor)
         if sub.violated:
             return DiagnosticVerdict(
                 "violated",
@@ -311,12 +305,12 @@ class NormedBasisReport:
     passed: bool
 
 
-def _biorthogonal(operators, tol: Tolerances) -> bool:
+def _biorthogonal(operators) -> bool:
     for i, a in enumerate(operators):
         for j, b in enumerate(operators):
             prod = a.compose(b)
             target = a if i == j else a.scale(0)
-            if not prod.approx_equal(target, tol):
+            if not prod.approx_equal(target):
                 return False
     return True
 
@@ -326,7 +320,6 @@ def basis_sup_norms(
     operators,
     rng: random.Random | None = None,
     sample_count: int = 20,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> NormedBasisReport:
     """Upgrade a graded system along a basis-like family of projections.
 
@@ -343,15 +336,12 @@ def basis_sup_norms(
     for op in ops:
         if op.rank != 1:
             raise InputError(f"operator {op.label or '?'} must have rank one")
-    if not _biorthogonal(ops, tol):
+    if not _biorthogonal(ops):
         raise InputError("family is not biorthogonal")
     sup_system = SupPartialSumSeminorms(base, ops)
     prefix = accumulate(ops)
     total = prefix[-1]
-    comparisons = [
-        (k, *comparison_level(base, k, prefix, tol=tol))
-        for k in range(1, base.level_count + 1)
-    ]
+    comparisons = [(k, *comparison_level(base, k, prefix)) for k in range(1, base.level_count + 1)]
     rng = rng or random.Random(0)
     mode = base.mode
     passed = True
@@ -361,14 +351,14 @@ def basis_sup_norms(
         for k, l, c in comparisons:
             sup_val = sup_system.value(k, y)
             base_total = base.value(k, total.apply(y))
-            if not leq(base_total, sup_val, mode, tol):
+            if not leq(base_total, sup_val, mode):
                 passed = False
-            if not leq(sup_val, c * base.value(l, y), mode, tol):
+            if not leq(sup_val, c * base.value(l, y), mode):
                 passed = False
             for op in ops:
-                if not leq(base.value(k, op.apply(y)), 2 * sup_val, mode, tol):
+                if not leq(base.value(k, op.apply(y)), 2 * sup_val, mode):
                     passed = False
-        if not leq(base.value(1, ops[0].apply(y)), sup_system.value(1, y), mode, tol):
+        if not leq(base.value(1, ops[0].apply(y)), sup_system.value(1, y), mode):
             passed = False
     return NormedBasisReport(
         system=sup_system,

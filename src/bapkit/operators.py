@@ -43,8 +43,6 @@ from .errors import (
 from .linalg import column_space_basis, in_span, invert, mat_mul, rank
 from .polyhedral import rank_one_family_constant
 from .scalars import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
     all_approx_equal,
     as_scalar,
     check_mode,
@@ -54,6 +52,9 @@ from .scalars import (
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
 from .spaces import Box, TruncatedVector, linear_combination, vector_from_dense, zero_vector
+
+# every prefix of a damped block stays within this multiple of its input's seminorm
+PREFIX_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class FiniteRankOperator:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.box, Box):
+            raise DomainError(f"an operator lives on a box, got {type(self.box).__name__}")
         check_mode(self.mode)
         columns = tuple(self.columns)
         object.__setattr__(self, "columns", columns)
@@ -157,12 +160,10 @@ class FiniteRankOperator:
         columns = [col.scale(c) for col in self.columns]
         return FiniteRankOperator(self.box, self.mode, columns, label)
 
-    def approx_equal(
-        self, other: "FiniteRankOperator", tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> bool:
+    def approx_equal(self, other: "FiniteRankOperator") -> bool:
         self._check_peer(other)
         pairs = [(a, b) for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)]
-        return all_approx_equal(pairs, self.mode, tol)
+        return all_approx_equal(pairs, self.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +194,10 @@ def smallest_norm_level(
     op: FiniteRankOperator,
     system: SeminormSystem,
     above: int = 0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> int:
     """First level above `above` whose restriction to range(op) has trivial kernel."""
     for k in range(above + 1, system.level_count + 1):
-        if not seminorm_kernel_basis(system, k, op.range_basis, tol):
+        if not seminorm_kernel_basis(system, k, op.range_basis):
             return k
     raise ContinuousNormError(
         f"no level above {above} is a norm on range({op.label or 'operator'})"
@@ -208,7 +208,6 @@ def kernel_filtration(
     op: FiniteRankOperator,
     system: SeminormSystem,
     levels=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ):
     """Bases of Ker(value(j, .)) intersected with range(op), nested decreasing.
 
@@ -218,15 +217,15 @@ def kernel_filtration(
     if op.rank == 0:
         raise ZeroOperatorError("kernel filtration of a zero operator is undefined")
     if levels is None:
-        levels = list(range(1, smallest_norm_level(op, system, tol=tol)))
+        levels = list(range(1, smallest_norm_level(op, system)))
     out = []
     for j in levels:
         system.check_level(j)
-        out.append(tuple(seminorm_kernel_basis(system, j, op.range_basis, tol)))
+        out.append(tuple(seminorm_kernel_basis(system, j, op.range_basis)))
     for finer_level_basis, coarser in zip(out[1:], out):
         span = [v.dense() for v in coarser]
         for v in finer_level_basis:
-            if not in_span(span, v.dense(), rank_tol(system.mode, tol)):
+            if not in_span(span, v.dense(), rank_tol(system.mode)):
                 raise ConstructionSoundnessError("kernel filtration is not nested")
     return out
 
@@ -265,9 +264,7 @@ def _orthogonalize(vectors):
     return out
 
 
-def select_complements(
-    range_basis, filtration, tol: Tolerances = DEFAULT_TOLERANCES
-) -> ComplementDecomposition:
+def select_complements(range_basis, filtration) -> ComplementDecomposition:
     """Split span(range_basis) along the filtration into orthogonal blocks.
 
     Block l is the orthogonal complement (standard coordinate inner
@@ -278,7 +275,7 @@ def select_complements(
     chain = [tuple(range_basis)] + [tuple(f) for f in filtration]
     if not chain[0]:
         raise ZeroOperatorError("cannot decompose an empty range")
-    ftol = rank_tol(chain[0][0].mode, tol)
+    ftol = rank_tol(chain[0][0].mode)
     blocks = []
     for l in range(len(chain) - 1):
         inner_orth = _orthogonalize(chain[l + 1])
@@ -340,14 +337,13 @@ def rank_one_split(
     op: FiniteRankOperator,
     system: SeminormSystem,
     control_levels=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> RankOneSplit:
     if op.rank == 0:
         raise ZeroOperatorError("cannot split a zero operator")
     if op.box != system.box or op.mode != system.mode:
         raise DomainError("operator and system live on different boxes or modes")
     if control_levels is None:
-        control_levels = list(range(1, smallest_norm_level(op, system, tol=tol) + 1))
+        control_levels = list(range(1, smallest_norm_level(op, system) + 1))
     control_levels = list(control_levels)
     if not control_levels:
         raise LevelError("need at least one control level")
@@ -356,18 +352,18 @@ def rank_one_split(
             raise LevelError("control levels must be strictly increasing")
     for k in control_levels:
         system.check_level(k)
-    if seminorm_kernel_basis(system, control_levels[-1], op.range_basis, tol):
+    if seminorm_kernel_basis(system, control_levels[-1], op.range_basis):
         raise ContinuousNormError(
             f"level {control_levels[-1]} is not a norm on the operator range"
         )
-    filtration = kernel_filtration(op, system, control_levels[:-1], tol)
-    decomp = select_complements(op.range_basis, filtration, tol)
+    filtration = kernel_filtration(op, system, control_levels[:-1])
+    decomp = select_complements(op.range_basis, filtration)
     adapted = decomp.adapted_basis
     m = len(adapted)
     d = op.box.dimension
     vt = [v.dense() for v in adapted]  # m x d, rows are basis vectors
     gram = [[adapted[a].dot(adapted[b]) for b in range(m)] for a in range(m)]
-    ginv = invert(gram, rank_tol(op.mode, tol))
+    ginv = invert(gram, rank_tol(op.mode))
     if ginv is None:
         raise ConstructionSoundnessError("adapted basis Gram matrix is singular")
     phi = mat_mul(ginv, vt)  # m x d, biorthogonal coefficient functionals
@@ -378,13 +374,13 @@ def rank_one_split(
     zero_vec = zero_vector(op.box, op.mode)
     piece_images = [[adapted[j] if i == j else zero_vec for i in range(m)] for j in range(m)]
     constants = [
-        rank_one_family_constant(system, level, adapted, piece_images, tol)
+        rank_one_family_constant(system, level, adapted, piece_images)
         for level in control_levels
     ]
     control = max(constants)
     for v in adapted:
         total = reduce(operator.add, (piece.apply(v) for piece in pieces), zero_vec)
-        if not total.approx_equal(v, tol):
+        if not total.approx_equal(v):
             raise ConstructionSoundnessError("pieces do not sum to the identity on the range")
     return RankOneSplit(
         source=op,
@@ -418,13 +414,12 @@ def scale_and_replicate(
     system: SeminormSystem,
     rng: random.Random | None = None,
     sample_count: int = 50,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScheduleBlock:
     """Damp by N = ceil(m * R) and lay out N copies of the m pieces.
 
     Verifies the identity on the range exactly and the prefix bound
-    value(k, prefix) <= 2 * value(k, e) on sampled range elements for every
-    control level, comparing under tol.
+    value(k, prefix) <= PREFIX_FACTOR * value(k, e) on sampled range elements
+    for every control level.
     """
     m = split.piece_count
     n_rep = max(1, math.ceil(m * split.control_constant))
@@ -434,7 +429,7 @@ def scale_and_replicate(
     )
     operators = tuple(scaled[j] for _ in range(n_rep) for j in range(m))
     block = ScheduleBlock(split=split, operators=operators, replication=n_rep)
-    _verify_prefix_bound(block, system, rng or random.Random(0), sample_count, tol)
+    _verify_prefix_bound(block, system, rng or random.Random(0), sample_count)
     return block
 
 
@@ -443,14 +438,13 @@ def _verify_prefix_bound(
     system: SeminormSystem,
     rng: random.Random,
     sample_count: int,
-    tol: Tolerances,
 ) -> None:
     split = block.split
     adapted = split.decomposition.adapted_basis
     m = split.piece_count
     n_rep = block.replication
     mode = split.source.mode
-    two = as_scalar(2, mode)
+    factor = as_scalar(PREFIX_FACTOR, mode)
     share = as_scalar(Fraction(1, n_rep), mode)
     for _ in range(sample_count):
         coeffs = [random_scalar(rng, mode) for _ in range(m)]
@@ -465,13 +459,13 @@ def _verify_prefix_bound(
         levels = split.norm_grading
         reads = [system.values(levels, q_vec) for _, _, q_vec in prefixes]
         for i, (level, e_value) in enumerate(zip(levels, system.values(levels, e))):
-            bound = two * e_value
+            bound = factor * e_value
             for (r, w, _), read in zip(prefixes, reads):
                 val = read[i]
-                if not leq(val, bound, mode, tol):
+                if not leq(val, bound, mode):
                     raise ConstructionSoundnessError(
                         f"prefix bound failed at level {level}, copy {r}, piece {w}: "
-                        f"{val} > 2 * {e_value}"
+                        f"{val} > {PREFIX_FACTOR} * {e_value}"
                     )
 
 
@@ -509,10 +503,10 @@ class ScheduledFamily:
         return self.working_levels[grading_position - 1]
 
 
-def flatten_schedule(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> ScheduledFamily:
+def flatten_schedule(blocks) -> ScheduledFamily:
     """Concatenate blocks, composing each damped piece with its source.
 
-    The schedule total must equal the family total under tol.
+    The schedule total must equal the family total.
     """
     blocks = list(blocks)
     if not blocks:
@@ -538,7 +532,7 @@ def flatten_schedule(blocks, tol: Tolerances = DEFAULT_TOLERANCES) -> ScheduledF
             generators.append(b_vec.scale(1 / lead))
     total = reduce(operator.add, operators)
     family_total = reduce(operator.add, (block.split.source for block in blocks))
-    if not total.approx_equal(family_total, tol):
+    if not total.approx_equal(family_total):
         raise ConstructionSoundnessError("schedule total differs from the family total")
     return ScheduledFamily(
         box=box,
@@ -560,13 +554,8 @@ def build_schedule(
     system: SeminormSystem,
     rng: random.Random | None = None,
     prefix_samples: int = 50,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ScheduledFamily:
-    """Full pipeline: renumber, split, damp, replicate, flatten.
-
-    tol governs the kernel, rank and control-constant decisions of the
-    renumbering and the splits, the prefix bounds and the total check.
-    """
+    """Full pipeline: renumber, split, damp, replicate, flatten."""
     ops = list(family)
     if not ops:
         raise DegenerateInputError("build_schedule needs a nonempty family")
@@ -574,10 +563,10 @@ def build_schedule(
     for p, op in enumerate(ops, start=1):
         if op.rank == 0:
             raise ZeroOperatorError(f"family member {p} is the zero operator")
-        working.append(smallest_norm_level(op, system, working[-1] if working else 0, tol))
+        working.append(smallest_norm_level(op, system, working[-1] if working else 0))
     rng = rng or random.Random(0)
     blocks = []
     for p, op in enumerate(ops, start=1):
-        split = rank_one_split(op, system, control_levels=working[:p], tol=tol)
-        blocks.append(scale_and_replicate(split, system, rng, prefix_samples, tol))
-    return flatten_schedule(blocks, tol)
+        split = rank_one_split(op, system, control_levels=working[:p])
+        blocks.append(scale_and_replicate(split, system, rng, prefix_samples))
+    return flatten_schedule(blocks)

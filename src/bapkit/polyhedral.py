@@ -41,7 +41,7 @@ from .linalg import (
     column_space_basis, dense_rows, echelon_inverse, echelon_nullspace, invert, mat_vec,
     nullspace, rank, row_echelon, solve, transpose
 )
-from .scalars import DEFAULT_TOLERANCES, RATIONAL, Tolerances, negligible, rank_tol, zero
+from .scalars import RATIONAL, negligible, rank_tol, zero
 from .seminorms import MAX, SUM, SeminormSystem, basis_rows, functional_rows
 
 DEFAULT_CAP = 200_000
@@ -92,7 +92,6 @@ def polyhedral_sup(
     constraint_combiner: str,
     objective_pieces,
     mode: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     cap: int = DEFAULT_CAP,
 ):
     """sup of max_i combiner_i|R_i c| over {c : combiner|G c| <= 1}.
@@ -103,7 +102,7 @@ def polyhedral_sup(
     constraint family's kernel (the sup is then infinite on the box), and
     ComputationCapError above cap unless a float bound's G_P inverts.
     """
-    ftol = rank_tol(mode, tol)
+    ftol = rank_tol(mode)
     rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r.values())]
     rows = dense_rows(rows, dim, mode)
     if constraint_combiner == SUM and len(rows) <= dim:
@@ -196,7 +195,7 @@ def _max_ball_sup(combiners, columns, inverse, mode):
     return best
 
 
-def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, cap=DEFAULT_CAP):
+def _graded_sup(system, to_level, from_level, domain_basis, image_lists, cap=DEFAULT_CAP):
     """One ball, one sup: the max over image lists of the sup of
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
 
@@ -210,12 +209,12 @@ def _graded_sup(system, to_level, from_level, domain_basis, image_lists, tol, ca
     combiner, functionals = ball[0] if ball else (SUM, ())
     groups = system.level_groups(to_level)
     pieces = [
-        (functional_rows(fs, images, system.mode, tol), comb)
+        (functional_rows(fs, images, system.mode), comb)
         for images in image_lists for comb, fs in groups
     ]
-    rows = basis_rows(system, functionals, domain_basis, tol)
+    rows = basis_rows(system, functionals, domain_basis)
     dim = system.box.dimension if domain_basis is None else len(domain_basis)
-    return polyhedral_sup(dim, rows, combiner, pieces, system.mode, tol=tol, cap=cap)
+    return polyhedral_sup(dim, rows, combiner, pieces, system.mode, cap=cap)
 
 
 def _check_operators(system, operators):
@@ -232,7 +231,6 @@ def graded_operator_norm(
     from_level: int,
     operator,
     domain_basis=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     cap: int = DEFAULT_CAP,
 ):
     """Exact sup of value(to_level, T x) over {x in domain : value(from_level, x) <= 1}.
@@ -246,14 +244,13 @@ def graded_operator_norm(
     images = operator.columns
     if domain_basis is not None:
         images = [operator.apply(v) for v in domain_basis]
-    return _graded_sup(system, to_level, from_level, domain_basis, [images], tol, cap)
+    return _graded_sup(system, to_level, from_level, domain_basis, [images], cap)
 
 
 def comparison_level(
     system: SeminormSystem,
     level: int,
     operators,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     cap: int = DEFAULT_CAP,
 ):
     """Smallest comparison level for a family of operators, with its constant.
@@ -268,7 +265,7 @@ def comparison_level(
     image_lists = [op.columns for op in operators]
     for l in range(level, system.level_count + 1):
         try:
-            return l, _graded_sup(system, level, l, None, image_lists, tol, cap)
+            return l, _graded_sup(system, level, l, None, image_lists, cap)
         except UnboundedSeminormError:
             continue
     raise UnboundedSeminormError(
@@ -281,7 +278,6 @@ def rank_one_family_constant(
     level: int,
     adapted_basis,
     piece_images,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ):
     """Smallest C with max_j value(level, B_j e) <= C * value(level, e) on the span.
 
@@ -289,4 +285,4 @@ def rank_one_family_constant(
     to each adapted basis vector (for coordinate projections that is zero
     except at position j).
     """
-    return _graded_sup(system, level, level, adapted_basis, piece_images, tol)
+    return _graded_sup(system, level, level, adapted_basis, piece_images)

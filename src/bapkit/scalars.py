@@ -7,18 +7,19 @@ mixing modes raises ModeError.
 
 This module is the one place that decides what a comparison means in each
 mode; other modules call its helpers instead of branching on the mode.
-The Tolerances fields govern these kinds of decision:
+Three constants state the whole numerical policy; no public function takes
+a tolerance:
 
-  eq             equalities and inequalities of computed values
+  EQ             equalities and inequalities of computed values
                  (approx_equal, is_zero, leq), relative to max(1, |a|, |b|),
                  or to the largest value of a whole object (all_approx_equal);
                  rational mode decides them exactly
-  rank           zero tests inside elimination: rank, span, kernel and
+  RANK           zero tests inside elimination: rank, span, kernel and
                  pivot decisions (rank_tol gives None, exact, in rational mode)
-  decay          the last/first ratio at which a tail modulus counts as
-                 reached zero, in both modes
+  DECAY          the last/first ratio at which a tail modulus counts as
+                 reached zero, in both modes; an exact Fraction
 
-No field inflates an operator norm: above the enumeration cap, float mode
+No constant inflates an operator norm: above the enumeration cap, float mode
 bounds a polyhedral sup from above through the inverse of its pivot rows G_P,
 and nothing is sampled (see polyhedral).
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModeError
@@ -37,6 +37,10 @@ FLOAT = "float"
 MODES = (RATIONAL, FLOAT)
 
 Scalar = Fraction | float
+
+EQ = 1e-12                    # relative equality slack, float mode
+RANK = 1e-9                   # pivot threshold for rank decisions, float mode
+DECAY = Fraction(1, 10**6)    # last/first ratio that counts as "reached zero"
 
 
 def check_mode(mode: str) -> str:
@@ -140,51 +144,39 @@ def random_scalar(rng: random.Random, mode: str) -> Scalar:
     return rng.gauss(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical policy knobs; rational mode uses decay alone (see the module docstring)."""
-
-    eq: float = 1e-12        # relative equality slack, float mode
-    rank: float = 1e-9       # pivot threshold for rank decisions, float mode
-    decay: float = 1e-6      # last/first ratio that counts as "reached zero"
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-def approx_equal(a: Scalar, b: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def approx_equal(a: Scalar, b: Scalar, mode: str) -> bool:
     if mode == RATIONAL:
         return a == b
     scale = max(1.0, abs(a), abs(b))
-    return abs(a - b) <= tol.eq * scale
+    return abs(a - b) <= EQ * scale
 
 
-def all_approx_equal(pairs, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def all_approx_equal(pairs, mode: str) -> bool:
     """a == b for every pair (a, b) of one object's values, exact in rational mode;
-    float mode allows tol.eq * max(1, largest |value| of the object)."""
+    float mode allows EQ * max(1, largest |value| of the object)."""
     pairs = list(pairs)
     if mode == RATIONAL:
         return all(a == b for a, b in pairs)
     scale = max([1.0] + [abs(x) for pair in pairs for x in pair])
-    return all(abs(a - b) <= tol.eq * scale for a, b in pairs)
+    return all(abs(a - b) <= EQ * scale for a, b in pairs)
 
 
-def is_zero(a: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+def is_zero(a: Scalar, mode: str) -> bool:
     if mode == RATIONAL:
         return a == 0
-    return abs(a) <= tol.eq
+    return abs(a) <= EQ
 
 
-def leq(a: Scalar, b: Scalar, mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """a <= b, exact in rational mode; float mode allows tol.eq * max(1, |a|, |b|)."""
+def leq(a: Scalar, b: Scalar, mode: str) -> bool:
+    """a <= b, exact in rational mode; float mode allows EQ * max(1, |a|, |b|)."""
     if mode == RATIONAL:
         return a <= b
-    return a <= b + tol.eq * max(1.0, abs(a), abs(b))
+    return a <= b + EQ * max(1.0, abs(a), abs(b))
 
 
-def rank_tol(mode: str, tol: Tolerances = DEFAULT_TOLERANCES) -> float | None:
+def rank_tol(mode: str) -> float | None:
     """Zero threshold of the elimination routines: None (exact) in rational mode."""
-    return None if mode == RATIONAL else tol.rank
+    return None if mode == RATIONAL else RANK
 
 
 def geometric_sum(ratio: Scalar, first: int, last: int) -> Scalar:

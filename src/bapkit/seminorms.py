@@ -51,10 +51,8 @@ from .errors import (
 )
 from .linalg import dense_rows, independent, nullspace
 from .scalars import (
-    DEFAULT_TOLERANCES,
     RATIONAL,
     Scalar,
-    Tolerances,
     as_scalar,
     check_mode,
     negligible,
@@ -626,7 +624,6 @@ def seminorm_kernel_basis(
     system: SeminormSystem,
     k: int,
     subspace: Sequence[TruncatedVector],
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ):
     """Basis of {v in span(subspace) : value(k, v) = 0}.
 
@@ -641,23 +638,19 @@ def seminorm_kernel_basis(
         return []
     for v in vectors:
         system.check_vector(v)
-    ftol = rank_tol(system.mode, tol)
+    ftol = rank_tol(system.mode)
     if not independent([v.dense() for v in vectors], ftol):
         raise InputError("subspace basis is linearly dependent")
-    coeffs = nullspace(level_matrix(system, k, vectors, tol), len(vectors), ftol)
+    coeffs = nullspace(level_matrix(system, k, vectors), len(vectors), ftol)
     return [linear_combination(system.box, system.mode, zip(cs, vectors)) for cs in coeffs]
 
 
-def level_rows(
-    system: SeminormSystem, k: int, basis=None, tol: Tolerances = DEFAULT_TOLERANCES
-):
+def level_rows(system: SeminormSystem, k: int, basis=None):
     """basis_rows of level k's functionals, its level_terms."""
-    return basis_rows(system, system.level_terms(k), basis, tol)
+    return basis_rows(system, system.level_terms(k), basis)
 
 
-def basis_rows(
-    system: SeminormSystem, functionals, basis=None, tol: Tolerances = DEFAULT_TOLERANCES
-):
+def basis_rows(system: SeminormSystem, functionals, basis=None):
     """functional_rows of the functionals over basis, in the system's box and mode.
 
     basis None is the box's unit basis in box order, as graded_operator_norm's
@@ -668,7 +661,7 @@ def basis_rows(
     pruned and columns sorted.  A one-pair functional is its row.
     """
     if basis is not None:
-        return functional_rows(functionals, basis, system.mode, tol)
+        return functional_rows(functionals, basis, system.mode)
     coerce, position = scalar_coercer(system.mode), system.box.position
     rows = []
     for pairs in functionals:
@@ -681,17 +674,17 @@ def basis_rows(
             j = position(idx)
             row[j] = row[j] + coerce(coeff) if j in row else coerce(coeff)
         rows.append(row)
-    return _kept_rows(rows, system.mode, tol)
+    return _kept_rows(rows, system.mode)
 
 
-def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str, tol: Tolerances):
+def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str):
     """Rows f_i(v_j) as sparse dicts {j: value}, zero rows pruned.
 
     An index -> [(j, entry)] map over the basis supports means each
     functional touches only the basis vectors that meet it, so the cost
     follows the nonzeros.  Every f_i(v_j) is summed in functional order from
     zero(mode), exactly as apply_functional does, and exact zeros are left
-    out.  A row is kept when one entry is nonzero, beyond tol.rank in float
+    out.  A row is kept when one entry is nonzero, beyond RANK in float
     mode, and lists its columns j in increasing order (linalg's sparse row).
     """
     z = zero(mode)
@@ -706,13 +699,13 @@ def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str, to
             for j, val in meets.get(idx, ()):
                 row[j] = row.get(j, z) + coeff * val
         rows.append(row)
-    return _kept_rows(rows, mode, tol)
+    return _kept_rows(rows, mode)
 
 
-def _kept_rows(rows, mode: str, tol: Tolerances):
-    """The rows with an entry beyond tol.rank (nonzero in rational mode), each
+def _kept_rows(rows, mode: str):
+    """The rows with an entry beyond RANK (nonzero in rational mode), each
     without its exact zeros and with its columns in increasing order."""
-    ftol = rank_tol(mode, tol)
+    ftol = rank_tol(mode)
     if ftol is None:
         kept = ({j: row[j] for j in sorted(row) if row[j]} for row in rows)
         return [row for row in kept if row]
@@ -723,6 +716,6 @@ def _kept_rows(rows, mode: str, tol: Tolerances):
     ]
 
 
-def level_matrix(system: SeminormSystem, k: int, basis, tol: Tolerances = DEFAULT_TOLERANCES):
+def level_matrix(system: SeminormSystem, k: int, basis):
     """level_rows as dense rows, for dense elimination."""
-    return dense_rows(level_rows(system, k, basis, tol), len(basis), system.mode)
+    return dense_rows(level_rows(system, k, basis), len(basis), system.mode)

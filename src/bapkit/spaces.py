@@ -19,9 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ModeError
 from .scalars import (
-    DEFAULT_TOLERANCES,
     Scalar,
-    Tolerances,
     all_approx_equal,
     as_scalar,
     check_mode,
@@ -206,12 +204,10 @@ class TruncatedVector:
             out[self.box.position(idx)] = val
         return out
 
-    def approx_equal(
-        self, other: "TruncatedVector", tol: Tolerances = DEFAULT_TOLERANCES
-    ) -> bool:
+    def approx_equal(self, other: "TruncatedVector") -> bool:
         self._check_peer(other)
         keys = set(self.support) | set(other.support)
-        return all_approx_equal([(self.get(k), other.get(k)) for k in keys], self.mode, tol)
+        return all_approx_equal([(self.get(k), other.get(k)) for k in keys], self.mode)
 
 
 def linear_combination(box: Box, mode: str, terms: Iterable) -> TruncatedVector:

@@ -15,7 +15,6 @@ from bapkit import (
     InputError,
     KoetheSeminorms,
     SingleBox,
-    Tolerances,
     basis_criterion_check,
     build_schedule,
     certify_equicontinuity,
@@ -115,16 +114,11 @@ def test_embed_box_check():
         embed(schedule, vector_from_dense(SingleBox(3), "rational", [1, 0, 0]))
 
 
-def test_embed_and_project_take_the_tolerance_by_keyword_only():
+def test_embed_takes_no_seminorm_system():
     schedule = skewed_schedule()
     x = vector_from_dense(BOX2, "rational", [F(3), F(6)])
-    y = embed(schedule, x)
     with pytest.raises(TypeError):
         embed(flat_system(), schedule, x)  # a seminorm system cannot bind to schedule
-    with pytest.raises(TypeError):
-        embed(schedule, x, Tolerances())
-    with pytest.raises(TypeError):
-        project(y, Tolerances())
 
 
 def test_embed_detects_off_line_images():
@@ -137,7 +131,7 @@ def test_embed_detects_off_line_images():
         embed(tampered, vector_from_dense(BOX2, "rational", [F(1), F(1)]))
 
 
-def test_embed_compares_the_generator_line_under_the_given_tolerance():
+def test_embed_and_project_reject_a_generator_line_tilted_by_1e_9():
     system = KoetheSeminorms(((1, 1),), BOX2, "float")
     a = FiniteRankOperator.from_matrix(BOX2, "float", [[1, 1], [0, 2]], "a")
     schedule = build_schedule([a], system, rng=random.Random(0), prefix_samples=10)
@@ -149,12 +143,9 @@ def test_embed_compares_the_generator_line_under_the_given_tolerance():
     x = vector_from_dense(BOX2, "float", [1.0, 1.0])
     with pytest.raises(ConstructionSoundnessError):
         embed(tampered, x)
-    loose = Tolerances(eq=1e-6)
-    y = embed(tampered, x, tol=loose)
-    assert y.coefficients == embed(schedule, x).coefficients
+    y = dataclasses.replace(embed(schedule, x), schedule=tampered)
     with pytest.raises(ConstructionSoundnessError):
         project(y)
-    assert project(y, tol=loose).coefficients == embed(schedule, y.total()).coefficients
 
 
 def test_project_is_idempotent_when_the_family_resums_the_identity():
@@ -244,7 +235,7 @@ def test_certificate_failure_on_a_false_factor():
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_certificate_lower_bound_fails_when_the_graded_value_reads_zero(monkeypatch, mode):
     # the graded value is the largest partial-sum value and the last partial sum is the
-    # total, so only a broken e0_values, or float rounding past tol, falls below it
+    # total, so only a broken e0_values, or float rounding past EQ, falls below it
     box = SingleBox(3)
     system = KoetheSeminorms(tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, mode)
     schedule = build_schedule(
@@ -285,7 +276,7 @@ def test_reconstruction_requires_an_identity_family():
         verify_reconstruction(flat_system(), schedule)
 
 
-def test_reconstruction_compares_under_the_given_tolerance():
+def test_reconstruction_rejects_a_family_off_the_identity_by_1e_9():
     # the family sums to the identity plus 1e-9 in one off-diagonal entry
     system = KoetheSeminorms(((1, 1), (2, 2)), BOX2, "float")
     family = [
@@ -295,9 +286,6 @@ def test_reconstruction_compares_under_the_given_tolerance():
     schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=10)
     with pytest.raises(InputError):
         verify_reconstruction(system, schedule, sample_count=3)
-    report = verify_reconstruction(system, schedule, sample_count=3, tol=Tolerances(eq=1e-6))
-    assert report.passed
-    assert all(0 < r < 1e-6 for r in report.final_residuals)
 
 
 def test_basis_criterion_constant_one():
@@ -346,18 +334,14 @@ def test_embed_accepts_large_float_inputs():
             embed(schedule, x)
 
 
-def test_certificate_prunes_at_the_given_rank_tolerance():
-    # level 1 weighs e2 by 1e-10: at the default rank tolerance of 1e-9 it
+def test_certificate_prunes_a_1e_10_weight_at_the_rank_threshold():
+    # level 1 weighs e2 by 1e-10: at the rank threshold RANK = 1e-9 it
     # sees only x1, where the image (x1 + x2, 0) is uncontrolled
     system = KoetheSeminorms(((1, 1e-10), (1, 1)), BOX2, "float")
     a = FiniteRankOperator.from_matrix(BOX2, "float", [[1, 1], [0, 0]])
     schedule = build_schedule([a], system, rng=random.Random(0), prefix_samples=10)
     cert = certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=10)
     assert cert.entries[0][2:] == (2, pytest.approx(1.0))
-    fine = certify_equicontinuity(
-        system, schedule, rng=random.Random(1), sample_count=10, tol=Tolerances(rank=1e-12)
-    )
-    assert fine.entries[0][2:] == (1, pytest.approx(1e10))
 
 
 # ---------------------------------------------------------------------------

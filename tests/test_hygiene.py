@@ -4,8 +4,8 @@ Eleven rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
-because float-mode comparisons take their slack from `scalars.Tolerances`
-through the helpers there, every private module-level function or class
+because the numerical policy is the three constants `scalars.EQ`,
+`scalars.RANK` and `scalars.DECAY`, read through the helpers there, every private module-level function or class
 is used in its own module outside its own body, because no other module may
 call it and an unused one is dead code, and no module outside `operators`
 reads a `.matrix` attribute, because an operator stores its columns and its
@@ -131,7 +131,7 @@ def test_no_float_slack_literals_outside_scalars(path):
             text = ast.get_source_segment(source, node)
             if SLACK_LITERAL.search(text):
                 found.append(f"{path.name}:{node.lineno} {text}")
-    assert not found, f"slack literals belong in scalars.Tolerances: {found}"
+    assert not found, f"slack literals belong in scalars.EQ/RANK/DECAY: {found}"
 
 
 def _name_counts(node):

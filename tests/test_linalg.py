@@ -24,7 +24,7 @@ from bapkit.linalg import (
     sparse_rank,
     transpose,
 )
-from bapkit.scalars import DEFAULT_TOLERANCES, negligible
+from bapkit.scalars import RANK, negligible
 
 F = Fraction
 
@@ -99,7 +99,7 @@ float_entry = st.one_of(
 def test_solve_solves_every_sign_pattern_of_square_rows_of_full_rank(matrices):
     # polyhedral's max-ball vertices solve such rows against each sign pattern, unchecked:
     # solve eliminates the same columns that rank does, so it finds every pivot again
-    for rows, tol in zip(matrices, (None, DEFAULT_TOLERANCES.rank)):
+    for rows, tol in zip(matrices, (None, RANK)):
         if rank(rows, tol) == len(rows):
             for tail in itertools.product((1, -1), repeat=len(rows) - 1):
                 assert solve(rows, [1, *tail], tol) is not None
@@ -167,7 +167,7 @@ def test_sparse_rank_matches_dense_rank_exactly(rows):
 @settings(max_examples=200, deadline=None)
 @given(matrices(st.integers(-3, 3).map(float)))
 def test_sparse_rank_matches_dense_rank_on_integer_floats(rows):
-    tol = DEFAULT_TOLERANCES.rank
+    tol = RANK
     assert sparse_rank(sparse(rows), tol) == rank(rows, tol)
 
 
@@ -223,7 +223,7 @@ def test_sparse_rank_equals_the_dense_rank_and_the_normalising_loop(seed):
     exact, ncols = random_sparse_rows(rng, lambda: F(rng.randint(-3, 3), rng.randint(1, 3)))
     assert sparse_rank(exact) == loop_sparse_rank(exact)
     assert sparse_rank(exact) == rank(dense_rows(exact, ncols, "rational"))
-    tol = DEFAULT_TOLERANCES.rank
+    tol = RANK
     floats, ncols = random_sparse_rows(rng, lambda: float(rng.randint(-3, 3)))
     assert sparse_rank(floats, tol) == rank(dense_rows(floats, ncols, "float"), tol)
     noisy, _ = random_sparse_rows(rng, lambda: rng.choice((rng.gauss(0.0, 1.0), 1e-10, 0.0)))
@@ -288,7 +288,7 @@ def eliminated_inverse(rows, tol):
 
 
 @pytest.mark.parametrize("values, tol", [
-    (sparse_fractions, None), (near_tolerance_floats, DEFAULT_TOLERANCES.rank)
+    (sparse_fractions, None), (near_tolerance_floats, RANK)
 ])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
@@ -312,7 +312,7 @@ def test_echelon_inverse_of_no_rows():
 
 
 @pytest.mark.parametrize("values, tol", [
-    (sparse_fractions, None), (near_tolerance_floats, DEFAULT_TOLERANCES.rank)
+    (sparse_fractions, None), (near_tolerance_floats, RANK)
 ])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())

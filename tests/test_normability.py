@@ -20,7 +20,6 @@ from bapkit import (
     MaxPrefixSeminorms,
     ModeError,
     SingleBox,
-    Tolerances,
     VanishingEvidence,
     bap_failure_witness,
     basis_sup_norms,
@@ -219,13 +218,23 @@ def test_modulus_decay_raw_threshold():
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
-def test_modulus_decay_threshold_follows_tolerances(mode):
+def test_modulus_decay_threshold_rejects_a_tail_ratio_of_9_999(mode):
     system = MaxPrefixSeminorms(SingleBox(2), mode, 2)
     vectors = [vector_from_dense(system.box, mode, [F(1, 10) ** i, 0]) for i in range(1, 5)]
     fam = CauchyFamily.from_vectors(system, 2, vectors)
-    # four members of decimal decay: last/first bound is 9/999, inside 1/100 but not 1e-6
-    assert fam.modulus_decays(system, Tolerances(decay=1e-2))
+    # four members of decimal decay: last/first bound is 9/999, far above DECAY = 1/10**6
     assert not fam.modulus_decays(system)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_modulus_decay_threshold_is_exactly_one_millionth(mode):
+    system = MaxPrefixSeminorms(SingleBox(2), mode, 2)
+
+    def family(last):
+        return CauchyFamily(1, (), ((0, as_scalar(1, mode)), (1, as_scalar(last, mode))))
+
+    assert family(F(1, 10**6)).modulus_decays(system)
+    assert not family(F(1, 10**6) + F(1, 10**18)).modulus_decays(system)
 
 
 def test_verdict_flag():
@@ -458,11 +467,8 @@ def test_basis_sup_norms_requires_biorthogonality():
         basis_sup_norms(base, [p1, shift])
 
 
-def test_basis_sup_norms_comparisons_use_the_given_tolerances():
+def test_basis_sup_norms_comparisons_prune_a_1e_10_weight():
     box = SingleBox(2)
     base = KoetheSeminorms(((1, 1e-10), (1, 1)), box, "float")
     a1 = FiniteRankOperator.from_matrix(box, "float", [[1, 1], [0, 0]], label="a1")
     assert basis_sup_norms(base, [a1]).comparisons[0] == (1, 2, 1.0)
-    k, l, c = basis_sup_norms(base, [a1], tol=Tolerances(rank=1e-12)).comparisons[0]
-    assert (k, l) == (1, 1)
-    assert c == pytest.approx(1e10)

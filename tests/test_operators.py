@@ -21,7 +21,6 @@ from bapkit import (
     MaxPrefixSeminorms,
     ModeError,
     SingleBox,
-    Tolerances,
     ZeroOperatorError,
     accumulate,
     build_schedule,
@@ -139,6 +138,9 @@ def test_constructor_keeps_its_columns_as_a_tuple():
 E1 = vector_from_dense(BOX2, "rational", [1, 0])
 # columns that no operator on BOX2 in rational mode may hold, each with the error it raises
 BAD_COLUMNS = {
+    # the box's dimension would be read off a non-box, a bare AttributeError
+    "no-box": (None, "rational", (), DomainError),
+    "string-box": ("SingleBox(2)", "rational", (E1, E1), DomainError),
     "unknown-mode": (BOX2, "complex", (E1, E1), ModeError),
     # apply would read a missing column and raise a bare IndexError
     "one-column-short": (BOX2, "rational", (E1,), InputError),
@@ -592,40 +594,32 @@ def test_tag_bookkeeping_of_decompositions():
 
 
 # ---------------------------------------------------------------------------
-# a custom Tolerances reaches every kernel and constant decision of the pipeline
-
-FINE = Tolerances(rank=1e-12)
+# the rank threshold RANK reaches every kernel and constant decision of the pipeline
 
 
 def faint_system():
-    # level 1 weighs e2 by 1e-10, under the default rank tolerance of 1e-9
+    # level 1 weighs e2 by 1e-10, under the rank threshold RANK = 1e-9
     return KoetheSeminorms(((1, 1e-10), (1, 1)), BOX2, "float")
 
 
-def test_smallest_norm_level_prunes_at_the_given_rank_tolerance():
+def test_smallest_norm_level_prunes_a_1e_10_weight():
     eye = FiniteRankOperator.identity(BOX2, "float")
     assert smallest_norm_level(eye, faint_system()) == 2
-    assert smallest_norm_level(eye, faint_system(), tol=FINE) == 1
 
 
-def test_kernel_filtration_prunes_at_the_given_rank_tolerance():
+def test_kernel_filtration_prunes_a_1e_10_weight():
     eye = FiniteRankOperator.identity(BOX2, "float")
     assert [len(b) for b in kernel_filtration(eye, faint_system(), [1])] == [1]
-    assert [len(b) for b in kernel_filtration(eye, faint_system(), [1], tol=FINE)] == [0]
 
 
-def test_rank_one_split_prunes_at_the_given_rank_tolerance():
+def test_rank_one_split_prunes_a_1e_10_weight():
     eye = FiniteRankOperator.identity(BOX2, "float")
     assert rank_one_split(eye, faint_system()).norm_grading == (1, 2)
-    split = rank_one_split(eye, faint_system(), tol=FINE)
-    assert split.norm_grading == (1,)
-    assert split.control_constant == pytest.approx(1.0)
 
 
-def test_build_schedule_prunes_at_the_given_rank_tolerance():
+def test_build_schedule_prunes_a_1e_10_weight():
     eye = FiniteRankOperator.identity(BOX2, "float")
     assert build_schedule([eye], faint_system()).working_levels == (2,)
-    assert build_schedule([eye], faint_system(), tol=FINE).working_levels == (1,)
 
 
 # ---------------------------------------------------------------------------

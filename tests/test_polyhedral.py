@@ -21,7 +21,6 @@ from bapkit import (
     ModeError,
     SingleBox,
     SupPartialSumSeminorms,
-    Tolerances,
     TruncatedVector,
     UnboundedSeminormError,
     graded_operator_norm,
@@ -173,15 +172,13 @@ def test_rank_one_family_constant_degenerate_level_is_zero():
     assert constant == 0
 
 
-def test_graded_operator_norm_prunes_at_the_given_rank_tolerance():
-    # level 1 weighs e2 by 1e-10, under the default rank tolerance of 1e-9
+def test_graded_operator_norm_prunes_a_1e_10_weight():
+    # level 1 weighs e2 by 1e-10, under the rank threshold RANK = 1e-9
     box = SingleBox(2)
     base = KoetheSeminorms(((1, 1e-10), (1, 1)), box, "float")
     a1 = FiniteRankOperator.from_matrix(box, "float", [[1, 1], [0, 0]])
     with pytest.raises(UnboundedSeminormError):
         graded_operator_norm(base, 1, 1, a1)
-    norm = graded_operator_norm(base, 1, 1, a1, tol=Tolerances(rank=1e-12))
-    assert norm == pytest.approx(1e10)
 
 
 def sup_partial(base):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from bapkit import ModeError
 from bapkit.scalars import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    EQ,
+    RANK,
     all_approx_equal,
     approx_equal,
     as_scalar,
@@ -73,39 +73,36 @@ def test_leq_exact_in_rational_mode():
 
 
 @pytest.mark.parametrize(
-    "b, tol",
+    "b",
     [
-        (0.25, Tolerances(eq=1e-3)),  # |a|, |b| < 1: absolute slack tol.eq
-        (-0.25, Tolerances(eq=1e-3)),
-        (4096.0, Tolerances(eq=1e-3)),  # relative slack tol.eq * max(|a|, |b|)
-        (-4096.0, Tolerances(eq=1e-3)),
-        (0.5, DEFAULT_TOLERANCES),
-        (1e6, DEFAULT_TOLERANCES),
+        0.25,  # |a|, |b| < 1: absolute slack EQ
+        -0.25,
+        0.5,
+        4096.0,  # relative slack EQ * max(|a|, |b|)
+        -4096.0,
+        1e6,
     ],
 )
-def test_leq_slack_boundary_in_float_mode(b, tol):
-    slack = tol.eq * max(1.0, abs(b))
-    assert leq(b + 0.9 * slack, b, "float", tol)
-    assert not leq(b + 1.1 * slack, b, "float", tol)
-    assert leq(b - slack, b, "float", tol)
+def test_leq_slack_boundary_in_float_mode(b):
+    slack = EQ * max(1.0, abs(b))
+    assert leq(b + 0.9 * slack, b, "float")
+    assert not leq(b + 1.1 * slack, b, "float")
+    assert leq(b - slack, b, "float")
 
 
 
 def test_all_approx_equal_scales_with_the_largest_value_of_the_object():
     assert all_approx_equal([(Fraction(1, 3), Fraction(1, 3)), (Fraction(2), Fraction(2))], "rational")
     assert not all_approx_equal([(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30))], "rational")
-    tol = Tolerances(eq=1e-3)
-    # a small coordinate may be off by tol.eq times the object's largest value
-    assert all_approx_equal([(0.0, 0.9), (1000.0, 1000.0)], "float", tol)
-    assert not all_approx_equal([(0.0, 1.1), (1000.0, 1000.0)], "float", tol)
-    assert not all_approx_equal([(0.0, 1.1e-3)], "float", tol)
+    # a small coordinate may be off by EQ times the object's largest value
+    assert all_approx_equal([(0.0, 0.9 * 1000 * EQ), (1000.0, 1000.0)], "float")
+    assert not all_approx_equal([(0.0, 1.1 * 1000 * EQ), (1000.0, 1000.0)], "float")
+    assert not all_approx_equal([(0.0, 1.1 * EQ)], "float")
     assert all_approx_equal([], "float")
 
 def test_rank_tol_per_mode():
     assert rank_tol("rational") is None
-    assert rank_tol("rational", Tolerances(rank=1e-3)) is None
-    assert rank_tol("float") == DEFAULT_TOLERANCES.rank
-    assert rank_tol("float", Tolerances(rank=1e-3)) == 1e-3
+    assert rank_tol("float") == RANK
 
 
 wide_fractions = st.fractions(

@@ -32,8 +32,7 @@ from bapkit import (
 from bapkit.linalg import independent, nullspace
 from bapkit.jsonio import decode, encode
 from bapkit.scalars import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
+    RANK,
     approx_equal,
     as_scalar,
     scalar_coercer,
@@ -393,7 +392,7 @@ def test_empty_subspace_has_empty_kernel():
 
 def per_cell_level_matrix(system, k, basis):
     """level_matrix as built before level_rows: one apply_functional per cell."""
-    ftol = None if system.mode == "rational" else DEFAULT_TOLERANCES.rank
+    ftol = None if system.mode == "rational" else RANK
     rows = []
     for pairs in system.level_terms(k):
         row = [apply_functional(pairs, v) for v in basis]
@@ -459,7 +458,7 @@ def test_level_matrix_matches_the_per_cell_construction(mode, seed):
 
 def per_cell_kernel_basis(system, k, basis):
     """seminorm_kernel_basis as built before it used level_matrix."""
-    ftol = None if system.mode == "rational" else DEFAULT_TOLERANCES.rank
+    ftol = None if system.mode == "rational" else RANK
     out = []
     for cs in nullspace(per_cell_level_matrix(system, k, basis), len(basis), ftol):
         acc = None
@@ -475,7 +474,7 @@ def per_cell_kernel_basis(system, k, basis):
 @given(seed=st.integers(0, 2**32))
 def test_seminorm_kernel_basis_matches_the_per_cell_construction(mode, seed):
     rng = random.Random(seed)
-    ftol = None if mode == "rational" else DEFAULT_TOLERANCES.rank
+    ftol = None if mode == "rational" else RANK
     for system in oracle_systems(mode):
         basis = []
         for v in random_basis(system.box, mode, rng):
@@ -556,11 +555,6 @@ def test_unit_basis_rows_prune_a_negligible_float_row():
     system = CustomSeminorms((level,), SingleBox(3), "float")
     basis = unit_basis(system.box, "float")
     assert level_rows(system, 1) == level_rows(system, 1, basis) == [{2: 0.5}]
-    # below a finer rank tolerance the first row is no longer negligible
-    fine = Tolerances(rank=1e-13)
-    kept = level_rows(system, 1, tol=fine)
-    assert row_bits(kept) == row_bits(level_rows(system, 1, basis, fine))
-    assert kept == [{0: 1e-12, 1: -3e-11}, {2: 0.5}]
 
 
 # ---------------------------------------------------------------------------
