@@ -9,16 +9,13 @@ functional kills x.  Every level is read through one method, values(levels,
 x), which reads x once for all the levels asked; value(k, x) is its one-level
 case.  SeminormSystem derives values from the groups; Vogt and sup-partial
 systems keep their own, whose float sums run in an order that documents pin
-bit for bit.  Vogt states its split once, in _split, keyed by
-(base, threshold); split_value walks it over a vector's site table (value and
-primed_value), and split_groups reads it as functionals (level_groups and
-the primed levels).  The site table holds what no split changes: the
-vector's entries and, computed when a split first reads them, its
-difference terms rho * here - above, so the splits of one vector share
-them.  A split sums the plain terms in entry order, then the difference
-sites in box order: in rational mode as one integer sum over the table's
-common denominator, normalised once, and in float mode through
-sum_products, left to right from 0.0.
+bit for bit.  Vogt states its split once, in _split, keyed by (base,
+threshold), and two methods read it: split_values sums any splits of one
+vector from one read of its entries (values and primed_values), and
+split_groups gives a split as functionals (level_groups and the primed
+levels).  A rational reader sums integers over the lcm of x's denominators
+(_integer_entries) and normalises once; a float one adds left to right from
+0.0.
 
 Kinds:
   * vogt        triple-indexed; below the level threshold a coordinate enters
@@ -69,6 +66,14 @@ MAX = "max"
 
 def apply_functional(pairs, vec: TruncatedVector) -> Scalar:
     return sum_products(((coeff, vec.get(idx)) for idx, coeff in pairs), vec.mode)
+
+
+def _integer_entries(x: TruncatedVector):
+    """A rational x's entries as (index, integer y) pairs over D, the lcm of their
+    denominators, and D: the integer view that the rational readers sum over."""
+    denominators = [v.denominator for _, v in x.entries]
+    common = math.lcm(*denominators)
+    return [(i, v.numerator * (common // q)) for (i, v), q in zip(x.entries, denominators)], common
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +241,8 @@ class SeminormSystem:
             self.check_level(k)
         self.check_vector(x)
         if self.mode == RATIONAL:
-            denominators = [v.denominator for _, v in x.entries]
-            common = math.lcm(*denominators)
-            magnitudes = [
-                (i, abs(v.numerator) * (common // q)) for (i, v), q in zip(x.entries, denominators)
-            ]
+            numerators, common = _integer_entries(x)
+            magnitudes = [(i, abs(y)) for i, y in numerators]
         else:
             magnitudes = [(i, abs(v)) for i, v in x.entries]
         out = []
@@ -270,61 +272,6 @@ class SeminormSystem:
                         best = v
             out.append(zero(self.mode) if best is None else best)
         return tuple(out)
-
-
-class _SiteTable:
-    """What the Vogt splits read of one vector x, the same under every split.
-
-    plain lists each entry as (site, s, (mu, nu), value) in entry order, s
-    being n + mu + nu.  The difference sites, x's support and its n - 1
-    shift, and their terms |rho x[n] - x[n+1]| fill on first use, each term
-    when a split first reads its site as a difference, so a vector read once
-    pays only for what its one split reads.  In rational mode each value is
-    an integer numerator over scale, the lcm of x's denominators times the
-    system's rho_scale, and so is each term; in float mode scale is None and
-    the values are x's floats.
-    """
-
-    __slots__ = ("scale", "plain", "_rho_scale", "_sites", "_terms", "_lookup")
-
-    def __init__(self, x: TruncatedVector, rho_scale: int | None) -> None:
-        self._rho_scale, self._sites = rho_scale, None
-        if rho_scale is None:
-            self.scale = None
-            self.plain = [((n, mu, nu), n + mu + nu, (mu, nu), v) for (n, mu, nu), v in x.entries]
-            return
-        denominators = [v.denominator for _, v in x.entries]
-        self.scale = scale = math.lcm(*denominators) * rho_scale
-        self.plain = [
-            ((n, mu, nu), n + mu + nu, (mu, nu), v.numerator * (scale // q))
-            for ((n, mu, nu), v), q in zip(x.entries, denominators)
-        ]
-
-    def differences(self, damps, weights):
-        """(s, term) for each difference site in box order whose column damps
-        reads as a difference; weights[(mu, nu)] = (a, b) gives the term as
-        |a x[n] - b x[n+1]| over the entries' lookup (see _difference_weights)."""
-        if self._sites is None:
-            rho_scale = self._rho_scale
-            if rho_scale is None:
-                self._lookup = {site: v for site, _, _, v in self.plain}
-            else:  # numerators over the lcm of x's denominators alone
-                self._lookup = {site: v // rho_scale for site, _, _, v in self.plain}
-            support = set(self._lookup)
-            below = {(n - 1, mu, nu) for n, mu, nu in support if n > 1}
-            self._sites = [
-                ((n, mu, nu), (n + 1, mu, nu), n + mu + nu, (mu, nu))
-                for n, mu, nu in sorted(support | below)
-            ]
-            self._terms = [None] * len(self._sites)
-        known, lookup = self._terms, self._lookup
-        for i, (site, above, s, column) in enumerate(self._sites):
-            if damps[column] is not None:
-                term = known[i]
-                if term is None:
-                    a, b = weights[column]
-                    term = known[i] = abs(a * lookup.get(site, 0) - b * lookup.get(above, 0))
-                yield s, term
 
 
 @dataclass(frozen=True)
@@ -379,56 +326,65 @@ class VogtSeminorms(SeminormSystem):
         return rule
 
     @cached_property
-    def _last_sites(self) -> list:
-        """The one-slot cache of split_value: [the last vector split, its _SiteTable]."""
-        return [None, None]
-
-    @cached_property
-    def _rho_scale(self) -> int | None:
-        """The lcm of rho's denominators over the box, a factor of every rational
-        site table's scale; None in float mode."""
+    def _rho_integers(self) -> tuple:
+        """(b, a) with rho = a / b over the box: b the lcm of rho's denominators and
+        a[mu, nu] = rho(mu, nu) * b, integers; in float mode b = 1, a the float grid."""
+        grid = self._rho_grid
         if self.mode != RATIONAL:
-            return None
-        return math.lcm(*[r.denominator for r in self._rho_grid.values()])
+            return 1, grid
+        b = math.lcm(*[r.denominator for r in grid.values()])
+        return b, {column: int(r * b) for column, r in grid.items()}
 
-    @cached_property
-    def _difference_weights(self) -> dict:
-        """(mu, nu) -> (a, b) with a x[n] - b x[n+1] the difference term
-        rho x[n] - x[n+1] over a site table's scale, x's entries taken over the
-        lcm of their denominators: (rho * rho_scale, rho_scale) in rational
-        mode, where both are integers, and (rho, 1) in float mode."""
-        scale = self._rho_scale
-        if scale is None:
-            return {column: (r, 1) for column, r in self._rho_grid.items()}
-        return {column: (int(r * scale), scale) for column, r in self._rho_grid.items()}
+    def split_values(self, x: TruncatedVector, splits) -> tuple:
+        """Each (base, threshold) split of x (see _split), x checked and read once.
 
-    def split_value(self, x: TruncatedVector, base: int, threshold: int) -> Scalar:
-        """The (base, threshold) split of x: its plain and its difference terms,
-        each with its weight, read off x's site table.
-
-        Runs over the support and its n-shift only, never the whole box.  The
-        sum takes the plain terms first, in entry order, then the difference
-        sites in box order; documents pin this order in float mode.  Above the
-        top row the neighbour x[n+1] is 0, as no entry of x lies there.  In
-        rational mode the sum is one integer sum over the table's common
-        denominator, normalised once.
+        x's entries are integers y over D, the lcm of their denominators, in
+        rational mode, and as they are (D = 1) in float mode.  A split sums
+        base**s |b y| over the plain entries in entry order, then base**s
+        |a y[n] - b y[n+1]| over the difference sites in box order, (b, a)
+        from _rho_integers and y = 0 off the support.  The sites, the support
+        and its n - 1 shift, are listed only once an entry is not plain, and
+        each term is computed when a split first reads it.  A rational sum is
+        one integer over D b, normalised once; a float sum runs left to right
+        from 0.0, as documents pin its bits.
         """
         self.check_vector(x)
-        powers, damps = self._split(base, threshold)
-        slot = self._last_sites
-        if slot[0] is not x:
-            slot[:] = x, _SiteTable(x, self._rho_scale)
-        table = slot[1]
-        plain, weights = table.plain, self._difference_weights
-        if table.scale is None:
-            terms = [(powers[s], v) for _, s, column, v in plain if damps[column] is None]
-            if len(terms) < len(plain):
-                terms += [(powers[s], term) for s, term in table.differences(damps, weights)]
-            return sum_products(terms, self.mode, absolute=True)
-        products = [powers[s] * abs(v) for _, s, column, v in plain if damps[column] is None]
-        if len(products) < len(plain):
-            products += [powers[s] * term for s, term in table.differences(damps, weights)]
-        return Fraction(sum(products), table.scale)
+        b, a = self._rho_integers
+        if self.mode == RATIONAL:
+            ys, common = _integer_entries(x)
+            scale = common * b
+        else:
+            ys, scale = x.entries, None
+        plain = [(n + mu + nu, (mu, nu), abs(b * y)) for (n, mu, nu), y in ys]
+        sites = None
+        out = []
+        for base, threshold in splits:
+            powers, damps = self._split(base, threshold)
+            products = [powers[s] * m for s, column, m in plain if damps[column] is None]
+            if len(products) < len(plain):
+                if sites is None:
+                    lookup = dict(ys)
+                    below = {(n - 1, mu, nu) for n, mu, nu in lookup if n > 1}
+                    sites = [
+                        ((n, mu, nu), (n + 1, mu, nu), n + mu + nu, (mu, nu))
+                        for n, mu, nu in sorted(below.union(lookup))
+                    ]
+                    terms = [None] * len(sites)
+                for i, (site, above, s, column) in enumerate(sites):
+                    if damps[column] is not None:
+                        term = terms[i]
+                        if term is None:
+                            here, up = lookup.get(site, 0), lookup.get(above, 0)
+                            term = terms[i] = abs(a[column] * here - b * up)
+                        products.append(powers[s] * term)
+            if scale is None:
+                total = 0.0
+                for product in products:
+                    total += product
+                out.append(total)
+            else:
+                out.append(Fraction(sum(products), scale))
+        return tuple(out)
 
     def split_groups(self, base: int, threshold: int) -> tuple:
         """The (base, threshold) split as functionals, one per site in box order,
@@ -452,18 +408,22 @@ class VogtSeminorms(SeminormSystem):
         return self._functionals[key]
 
     def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
-        """Each level's split of x, the splits sharing x's site table."""
+        """Each level k's (k, k) split of x, from one split_values read."""
         for k in levels:
             self.check_level(k)
-        return tuple([self.split_value(x, k, k) for k in levels])
+        return self.split_values(x, [(k, k) for k in levels])
 
-    def primed_value(self, p: int, x: TruncatedVector) -> Scalar:
-        """Comparison partner: twice the split with threshold pushed to p+1.
+    def primed_values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """(values(levels, x), the primed values), from one split_values read of x.
 
-        Dominates value(p, .) termwise, which the comparison check verifies.
+        Level p's primed value is twice its split with the threshold pushed to
+        p+1, which dominates value(p, .) termwise; the comparison check verifies it.
         """
-        self.check_level(p)
-        return 2 * self.split_value(x, p, p + 1)
+        levels = tuple(levels)
+        for k in levels:
+            self.check_level(k)
+        read = self.split_values(x, [(k, k) for k in levels] + [(p, p + 1) for p in levels])
+        return read[: len(levels)], tuple([2 * v for v in read[len(levels) :]])
 
     def level_groups(self, k: int):
         self.check_level(k)

@@ -94,7 +94,7 @@ def comparison_inequality_check(
 
     value(p, x) <= primed(p, x), primed(p, x) <= 2 * value(p+1, x), and
     the plain monotonicity value(p, x) <= value(p+1, x); all hold exactly
-    in rational mode.  Each sample's levels are read once, in one values
+    in rational mode.  Each sample is read once, in one primed_values
     call: value(p+1, x) serves as nxt at p and as v at p+1.
     """
     system = instance.system()
@@ -104,10 +104,9 @@ def comparison_inequality_check(
     passed = True
     for _ in range(sample_count):
         x = _random_sparse(instance, rng)
-        read = system.values(levels, x)
+        read, primed = system.primed_values(levels, x)
         for p in levels:
-            v = read[p - 1]
-            vp = system.primed_value(p, x)
+            v, vp = read[p - 1], primed[p - 1]
             if not leq(v, vp, mode):
                 passed = False
             if p < instance.level_count:

@@ -16,6 +16,7 @@ here as a hash mismatch.
 import argparse
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -152,3 +153,63 @@ def test_every_report_survives_decode_and_encode(documents, case):
     assert len(reports) == 13
     for report in reports:
         assert jsonio.encode(jsonio.decode(report)) == report
+
+
+# Vogt suite configs built in both modes and walked together: the dyadic and the table rho
+# at the default box, the benchmark box and the largest scaled box
+VOGT_TWINS = {
+    "dyadic-default": {"suite": "vogt", "vogt": {"rho": "dyadic"}},
+    "table-default": {"suite": "vogt", "vogt": {"rho": THIRD_TABLE}},
+    "dyadic-8x4x6": {"suite": "vogt", "vogt": {"n_max": 8, "mu_max": 4, "nu_max": 6}},
+    "dyadic-12x6x8": {"suite": "vogt", "vogt": {"n_max": 12, "mu_max": 6, "nu_max": 8}},
+}
+
+# the float number within this relative distance of its rational twin
+TWIN_RELATIVE = 1e-9
+
+# the only fields where the two documents may differ, each with its reason
+TWIN_EXEMPT = {
+    ("mode",): "each document, and each vector in a report, names its own mode",
+    ("injective-extension", "report", "reason"): (
+        "the text prints the floor as a scalar of the mode, 8 or 8.0; the report's details"
+        " compare that floor as a number"
+    ),
+}
+
+
+def _number(node):
+    """node as a number: the codec's {"num", "den"} pair as a Fraction, an int or a float as
+    it is; None for anything else."""
+    if isinstance(node, dict) and set(node) == {"num", "den"}:
+        return Fraction(node["num"], node["den"])
+    return node if type(node) in (int, float) else None
+
+
+def _twin_differences(rational, floating, path=()):
+    """(path, rational, float) for each place where the float document is not the
+    rational one's twin, outside TWIN_EXEMPT."""
+    if any(path[-len(key):] == key for key in TWIN_EXEMPT):
+        return
+    exact, rounded = _number(rational), _number(floating)
+    if exact is not None:
+        if rounded is None or abs(rounded - exact) > TWIN_RELATIVE * abs(exact):
+            yield path, rational, floating
+    elif isinstance(rational, dict) and isinstance(floating, dict) and set(rational) == set(floating):
+        for key in rational:
+            yield from _twin_differences(rational[key], floating[key], (*path, key))
+    elif isinstance(rational, list) and isinstance(floating, list) and len(rational) == len(floating):
+        for i, (r, f) in enumerate(zip(rational, floating)):
+            yield from _twin_differences(r, f, (*path, i))
+    elif type(rational) is not type(floating) or rational != floating:
+        yield path, rational, floating
+
+
+@pytest.mark.parametrize("case", sorted(VOGT_TWINS))
+def test_the_float_vogt_suite_is_the_rational_one_within_a_relative_tolerance(case):
+    docs = {}
+    for mode in ("rational", "float"):
+        doc = cli.build_document(_config({**VOGT_TWINS[case], "mode": mode}))
+        del doc["generated_at"]
+        docs[mode] = doc
+    assert docs["rational"]["passed"] and docs["float"]["passed"]
+    assert list(_twin_differences(docs["rational"], docs["float"])) == []

@@ -19,7 +19,7 @@ and each seminorm kind states its levels once, in `level_groups`: in
 `values` only on the base class, which derives it from the groups, and on
 the Vogt and sup-partial kinds, whose float sums keep their own order,
 and the Vogt kind states its split once: one function compares a site's
-`nu` with the threshold, `split_value` and `split_groups` both read it, and
+`nu` with the threshold, `split_values` and `split_groups` both read it, and
 `nuclearity_certificate` reads the split's functionals, so it compares no
 `nu` and calls no `rho.value` of its own,
 and every function reads each of its parameters, `*args` and `**kwargs`
@@ -270,7 +270,7 @@ def test_the_vogt_split_is_stated_once():
     rules = [name for name, node in methods.items() if _compares_nu(node)]
     assert len(rules) == 1, f"VogtSeminorms compares nu in {rules}"
     rule = rules[0]
-    for reader in ("split_value", "split_groups"):
+    for reader in ("split_values", "split_groups"):
         assert rule in _attribute_reads(methods[reader]), f"{reader} does not read {rule}"
     vogt = ast.parse((PACKAGE / "vogt.py").read_text(encoding="utf-8"))
     certificate = _functions(vogt)["nuclearity_certificate"]

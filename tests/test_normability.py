@@ -292,10 +292,12 @@ def test_injective_extension_rejects_a_false_floor():
 
 
 def test_injective_extension_rejects_a_false_decay_form():
+    # the witness's own form equals its trace, so 20/21 of it falls short by under 10%
     w = witness()
     system = w.instance.system()
-    too_small = GeometricForm(scale=F(1, 10**6), ratio=F(1, 4), shift=1)
-    with pytest.raises(CertificateFailureError):
+    form = w.decay_form
+    too_small = GeometricForm(scale=form.scale * F(20, 21), ratio=form.ratio, shift=form.shift)
+    with pytest.raises(CertificateFailureError, match="decay form does not dominate"):
         injective_extension_test(system, w.cauchy, w.vanishing_level, too_small, w.floor)
 
 

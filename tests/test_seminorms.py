@@ -1,5 +1,6 @@
 """Graded systems: decay tables, the four built-in kinds, kernels."""
 
+import math
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -146,7 +147,7 @@ def test_primed_value_oracle():
     system = small_instance()
     e = unit_vector(system.box, "rational", (1, 1, 2))
     # threshold pushed to 2 turns the difference term into a plain one
-    assert system.primed_value(1, e) == 2 * 1**4
+    assert system.primed_values((1,), e) == ((F(1, 2),), (2 * 1**4,))
     assert system.value(1, e) == F(1, 2)
 
 
@@ -186,9 +187,9 @@ def test_vogt_levels_are_monotone(x):
 @given(sparse_vectors(TripleBox(3, 2, 3)))
 def test_primed_value_sits_between_adjacent_levels(x):
     system = small_instance()
-    for p in (1, 2):
-        assert system.value(p, x) <= system.primed_value(p, x)
-        assert system.primed_value(p, x) <= 2 * system.value(p + 1, x)
+    (v1, v2, v3), primed = system.primed_values((1, 2, 3), x)
+    assert v1 <= primed[0] <= 2 * v2
+    assert v2 <= primed[1] <= 2 * v3
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +730,8 @@ def test_derived_value_equals_the_replaced_loops(mode, seed):
             assert type(got) is type(expected) and approx_equal(got, expected, mode)
 
 
-def loop_split_value(system, x, base, threshold):
-    """VogtSeminorms.split_value as the term-by-term loop that it replaced."""
+def termwise_split(system, x, base, threshold):
+    """One split of VogtSeminorms.split_values as the term-by-term loop that it replaced."""
     mode = system.mode
     total = zero(mode)
     diff_sites = set()
@@ -749,13 +750,11 @@ def loop_split_value(system, x, base, threshold):
     return total
 
 
-def assert_split_value_equals_the_loop(system, x):
-    # value uses (k, k), primed_value (p, p + 1)
-    for k in range(1, system.level_count + 1):
-        for base, threshold in ((k, k), (k, k + 1)):
-            got = system.split_value(x, base, threshold)
-            expected = loop_split_value(system, x, base, threshold)
-            assert scalar_bits(got) == scalar_bits(expected)
+def assert_split_values_equal_the_loop(system, x):
+    # values reads (k, k), primed_values (p, p + 1), all of them here in one read
+    splits = [(k, t) for k in range(1, system.level_count + 1) for t in (k, k + 1)]
+    for split, got in zip(splits, system.split_values(x, splits)):
+        assert scalar_bits(got) == scalar_bits(termwise_split(system, x, *split))
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -764,7 +763,7 @@ def assert_split_value_equals_the_loop(system, x):
 def test_split_value_equals_the_termwise_loop(mode, data):
     # the dyadic and the table rho systems
     for system in oracle_systems(mode)[:2]:
-        assert_split_value_equals_the_loop(system, data.draw(sparse_vectors(system.box, mode)))
+        assert_split_values_equal_the_loop(system, data.draw(sparse_vectors(system.box, mode)))
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -781,18 +780,18 @@ def test_split_value_equals_the_termwise_loop_at_coprime_denominators(mode):
         (2, 2, 2): F(9, 8), (3, 2, 2): F(2, 13),  # rho 5/7
         (2, 2, 3): F(-7, 5), (3, 2, 3): F(-6, 17),  # rho 2/3
     }
-    assert_split_value_equals_the_loop(system, TruncatedVector.create(system.box, mode, entries))
+    assert_split_values_equal_the_loop(system, TruncatedVector.create(system.box, mode, entries))
 
 
-# an unnormalised integer ratio, the form of a rational difference term in summing_split_value
+# an unnormalised integer ratio, the form of a rational difference term in recomputing_split
 Ratio = namedtuple("Ratio", "numerator denominator")
 
 
-def summing_split_value(system, x, base, threshold):
-    """VogtSeminorms.split_value as it was before the site table: each split
-    recomputes every difference term, a rational one as one unnormalised
-    Ratio, and sums the plain terms in entry order, then the difference sites
-    in box order, through sum_products."""
+def recomputing_split(system, x, base, threshold):
+    """One split of VogtSeminorms.split_values as it was before its splits shared
+    their difference terms: each split recomputes every difference term, a
+    rational one as one unnormalised Ratio, and sums the plain terms in entry
+    order, then the difference sites in box order, through sum_products."""
     mode = system.mode
     z = zero(mode)
     lookup = dict(x.entries)
@@ -818,29 +817,92 @@ def summing_split_value(system, x, base, threshold):
     return sum_products(terms, mode, absolute=True)
 
 
-def assert_levels_equal_the_summing_loop(system, x):
-    for k in range(1, system.level_count + 1):
-        expected = summing_split_value(system, x, k, k)
+def assert_levels_equal_the_recomputing_loop(system, x):
+    levels = range(1, system.level_count + 1)
+    read, primed = system.primed_values(levels, x)
+    for k in levels:
+        expected = recomputing_split(system, x, k, k)
         assert scalar_bits(system.value(k, x)) == scalar_bits(expected)
-        expected = 2 * summing_split_value(system, x, k, k + 1)
-        assert scalar_bits(system.primed_value(k, x)) == scalar_bits(expected)
+        assert scalar_bits(read[k - 1]) == scalar_bits(expected)
+        expected = 2 * recomputing_split(system, x, k, k + 1)
+        assert scalar_bits(primed[k - 1]) == scalar_bits(expected)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32))
-def test_vogt_levels_equal_the_summing_loop_across_the_site_cache(mode, seed):
-    # the dyadic and the table rho systems, and one with difference sites at every level;
+def test_vogt_levels_and_primed_values_equal_the_recomputing_loop(mode, seed):
     # interleaved vectors (x, y, x), repeated calls on one vector, and a vector equal to
-    # the cached one that is another object
+    # an earlier one that is another object: no read depends on the one before it
     rng = random.Random(seed)
-    wide = VogtSeminorms(RhoTable.dyadic(), TripleBox(4, 3, 5), mode, 4)
-    for system in oracle_systems(mode)[:2] + [wide]:
+    for system in vogt_systems(mode):
         x, y = (random_vector(system.box, mode, rng, max_support=10) for _ in range(2))
         twin = TruncatedVector(x.box, x.mode, x.entries)
         assert twin == x and twin is not x
         for v in (x, y, x, x, twin, y, twin):
-            assert_levels_equal_the_summing_loop(system, v)
+            assert_levels_equal_the_recomputing_loop(system, v)
+
+
+def vogt_systems(mode):
+    """The dyadic and the table rho systems, and one with difference sites at every level."""
+    return oracle_systems(mode)[:2] + [VogtSeminorms(RhoTable.dyadic(), TripleBox(4, 3, 5), mode, 4)]
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_split_values_equal_the_one_split_reads(mode, seed):
+    # any splits, in any order, repeats included, or none; weight bases past the level
+    # count and thresholds past nu_max read as any other
+    rng = random.Random(seed)
+    for system in vogt_systems(mode):
+        x = random_vector(system.box, mode, rng, max_support=10)
+        top = system.level_count + 2
+        splits = [(rng.randint(1, top), rng.randint(0, top)) for _ in range(rng.randint(0, 8))]
+        got = system.split_values(x, splits)
+        assert type(got) is tuple and len(got) == len(splits)
+        for split, value in zip(splits, got):
+            assert scalar_bits(value) == scalar_bits(system.split_values(x, [split])[0])
+        assert system.split_values(x, ()) == ()
+
+
+def held_objects(value, seen=None):
+    """Every object that value holds, through dicts, lists, tuples and sets, value included."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    yield value
+    items = value.items() if isinstance(value, dict) else ()
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = value
+    for item in items:
+        yield from held_objects(item, seen)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_no_read_leaves_the_vector_on_the_system(mode):
+    rng = random.Random(3)
+    for system in vogt_systems(mode):
+        x = random_vector(system.box, mode, rng, max_support=10)
+        levels = range(1, system.level_count + 1)
+        system.values(levels, x)
+        system.primed_values(levels, x)
+        system.split_values(x, [(2, 1), (1, 5)])
+        system.value(1, x)
+        held = list(held_objects(vars(system)))
+        assert not any(obj is x or obj is x.entries for obj in held)
+
+
+def test_a_float_split_adds_left_to_right():
+    # the level-1 plain terms are 2**53, 1, 1 in entry order: each 1 rounds away, to even,
+    # where a compensated sum (math.fsum, or Python 3.12's sum of floats) gives 2**53 + 2
+    system = VogtSeminorms(RhoTable.dyadic(), TripleBox(3, 1, 1), "float", 2)
+    entries = {(1, 1, 1): 2.0**53, (2, 1, 1): 1.0, (3, 1, 1): 1.0}
+    x = TruncatedVector.create(system.box, "float", entries)
+    assert system.value(1, x) == 2.0**53
+    assert system.split_values(x, [(1, 1)]) == (2.0**53,)
+    assert math.fsum([2.0**53, 1.0, 1.0]) == 2.0**53 + 2
 
 
 def loop_vogt_level_groups(system, k):
@@ -869,9 +931,7 @@ def coefficient_bits(groups):
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_vogt_level_groups_equal_the_box_loop(mode):
-    # the dyadic and the table rho systems, and one with difference sites at every level
-    wide = VogtSeminorms(RhoTable.dyadic(), TripleBox(4, 3, 5), mode, 4)
-    for system in oracle_systems(mode)[:2] + [wide]:
+    for system in vogt_systems(mode):
         for k in range(1, system.level_count + 1):
             expected = loop_vogt_level_groups(system, k)
             assert system.split_groups(k, k) == expected[0][1]
@@ -940,7 +1000,7 @@ def walked_value(system, k, x):
     x's entries, a SUM group summed through sum_products, one level per walk."""
     mode = system.mode
     if isinstance(system, VogtSeminorms):
-        return summing_split_value(system, x, k, k)
+        return recomputing_split(system, x, k, k)
     if isinstance(system, SupPartialSumSeminorms):
         best = zero(mode)
         partial = None
@@ -1016,3 +1076,6 @@ def test_values_check_every_level_and_the_vector(mode):
             with pytest.raises(DomainError):
                 system.values([1], TruncatedVector.create(box, mode, ()))
         assert system.values((), x) == ()
+        # no levels asked still checks the vector
+        with pytest.raises(ModeError):
+            system.values((), TruncatedVector.create(system.box, other, ()))
