@@ -38,6 +38,8 @@ def dense_rows(rows, ncols: int, mode: str) -> list[list]:
 def row_echelon(rows, tol=None, pivot_columns=None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form and the pivot column list.
 
+    A zero entry of the pivot row is neither divided nor subtracted: it leaves
+    its column as it was, exactly (in float mode a zero may change sign).
     pivot_columns, when given, confines the pivots to the columns before it;
     the later columns only follow the row operations.
     """
@@ -66,11 +68,11 @@ def row_echelon(rows, tol=None, pivot_columns=None) -> tuple[list[list], list[in
             continue
         m[lead], m[pick] = m[pick], m[lead]
         inv = m[lead][col]
-        m[lead] = [v / inv for v in m[lead]]
+        m[lead] = [v / inv if v else v for v in m[lead]]
         for r in range(len(m)):
             if r != lead and not negligible(m[r][col], tol):
                 factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[lead])]
+                m[r] = [a - factor * b if b else a for a, b in zip(m[r], m[lead])]
         pivots.append(col)
         lead += 1
     return m, pivots

@@ -62,10 +62,6 @@ class FloorCertificate:
         """The bound is positive and no value of the trace falls below it."""
         return self.bound > 0 and all(leq(self.bound, v, mode) for v in trace)
 
-    def verify(self, system: SeminormSystem, vectors) -> bool:
-        """holds_on the trace at this level, measured only when the bound is positive."""
-        return self.holds_on((system.value(self.level, x) for x in vectors), system.mode)
-
 
 def _pair_modulus(system: SeminormSystem, level: int, vectors) -> tuple:
     """(l, max over later members m of value(level, x_m - x_l)) for each member l but the last."""
@@ -162,11 +158,10 @@ class DiagnosticVerdict:
 
 
 def _check_decay_form(
-    system: SeminormSystem, vectors, decay_level: int, decay_form: GeometricForm
+    system: SeminormSystem, decay_trace, decay_level: int, decay_form: GeometricForm
 ) -> None:
     """Raise unless decay_form dominates the raw trace at decay_level, member m at index m."""
-    decay_trace = measure_trace(system, decay_level, vectors)
-    indices = range(1, len(vectors) + 1)
+    indices = range(1, len(decay_trace) + 1)
     if not decay_form.dominates_trace(decay_trace, indices, system.mode):
         raise CertificateFailureError(
             f"decay form does not dominate the raw trace at level {decay_level}"
@@ -213,8 +208,12 @@ def injective_extension_test(
         return DiagnosticVerdict(
             "consistent", f"decay form at level {decay_level} has ratio >= 1"
         )
-    _check_decay_form(system, family.vectors, decay_level, decay_form)
-    if not floor.verify(system, family.vectors):
+    # each member read once, at the decay and the floor level
+    decay_trace, floor_trace = zip(
+        *[system.values((decay_level, floor.level), x) for x in family.vectors]
+    )
+    _check_decay_form(system, decay_trace, decay_level, decay_form)
+    if not floor.holds_on(floor_trace, system.mode):
         raise CertificateFailureError(
             f"floor {floor.bound} fails against the raw trace at level {floor.level}"
         )
@@ -271,7 +270,8 @@ def dv_condition_check(
         return DiagnosticVerdict("consistent", "no evidence", details=(("evidence", 0),))
     for item in items:
         if item.floor is None:
-            _check_decay_form(system, item.family.vectors, base_level, item.decay_form)
+            decay_trace = measure_trace(system, base_level, item.family.vectors)
+            _check_decay_form(system, decay_trace, base_level, item.decay_form)
             continue
         k = item.floor.level
         if k not in comparison_levels:

@@ -450,17 +450,22 @@ def _verify_prefix_bound(
         coeffs = [random_scalar(rng, mode) for _ in range(m)]
         partial_piece = list(itertools.accumulate(v.scale(c) for c, v in zip(coeffs, adapted)))
         e = partial_piece[-1]
-        shares = [p.scale(share) for p in partial_piece]
-        # prefix q = r*m + w ends inside copy r after w pieces; built once for every level
-        copies = [e.scale(Fraction(r, n_rep)) for r in range(n_rep)]
-        prefixes = [
-            (r, w, copies[r] + piece) for r in range(n_rep) for w, piece in enumerate(shares, 1)
-        ]
+        # prefix q = r*m + w ends inside copy r after w pieces: r/N * e plus the share
+        # partial_piece[w] / N.  Copy 0's prefixes are the shares, and the last prefix
+        # (r = N-1, w = m) is e, so e's one read serves that prefix and the bound.
+        order = [(r, w) for r in range(n_rep) for w in range(1, m + 1)]
+        shares = {w: partial_piece[w - 1].scale(share) for w in {w for _, w in order[:-1]}}
+        copies = {r: e.scale(Fraction(r, n_rep)) for r in {r for r, _ in order[:-1]} - {0}}
         levels = split.norm_grading
-        reads = [system.values(levels, q_vec) for _, _, q_vec in prefixes]
-        for i, (level, e_value) in enumerate(zip(levels, system.values(levels, e))):
+        reads = [
+            system.values(levels, copies[r] + shares[w] if r else shares[w])
+            for r, w in order[:-1]
+        ]
+        e_read = system.values(levels, e)
+        reads.append(e_read)
+        for i, (level, e_value) in enumerate(zip(levels, e_read)):
             bound = factor * e_value
-            for (r, w, _), read in zip(prefixes, reads):
+            for (r, w), read in zip(order, reads):
                 val = read[i]
                 if not leq(val, bound, mode):
                     raise ConstructionSoundnessError(

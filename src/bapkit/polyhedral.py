@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from functools import reduce
 
 from .errors import ComputationCapError, DomainError, InputError, ModeError, UnboundedSeminormError
 from .linalg import (
@@ -48,7 +50,7 @@ DEFAULT_CAP = 200_000
 
 
 def _combine(values, combiner):
-    return sum(values) if combiner == SUM else max(values)
+    return reduce(operator.add, values) if combiner == SUM else max(values)
 
 
 def _by_column(pieces):
@@ -66,15 +68,16 @@ def _row_values(columns, c):
     """{(piece, row): R c} over the objective rows that meet c's nonzeros.
 
     Each row's products are summed in increasing column order, as its sparse
-    dict lists them; every term left out is an exact zero, so float sums are
-    bit-equal to the dense products, and a row left out is 0.
+    dict lists them, from the first; every term left out is an exact zero, so
+    float sums equal the dense products, up to the sign of a zero, and a row
+    left out is 0.
     """
     products = {}
     for j, cj in enumerate(c):
         if cj:
             for p, i, x in columns.get(j, ()):
                 products.setdefault((p, i), []).append(x * cj)
-    return {key: sum(terms) for key, terms in products.items()}
+    return {key: reduce(operator.add, terms) for key, terms in products.items()}
 
 
 def _objective(combiners, columns, c):

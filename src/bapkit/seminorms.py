@@ -643,11 +643,11 @@ def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str):
     An index -> [(j, entry)] map over the basis supports means each
     functional touches only the basis vectors that meet it, so the cost
     follows the nonzeros.  Every f_i(v_j) is summed in functional order from
-    zero(mode), exactly as apply_functional does, and exact zeros are left
-    out.  A row is kept when one entry is nonzero, beyond RANK in float
-    mode, and lists its columns j in increasing order (linalg's sparse row).
+    its first term, the value apply_functional gives up to the sign of a zero,
+    and exact zeros are left out.  A row is kept when one entry is nonzero,
+    beyond RANK in float mode, and lists its columns j in increasing order
+    (linalg's sparse row).
     """
-    z = zero(mode)
     meets: dict = {}
     for j, v in enumerate(basis):
         for idx, val in v.entries:
@@ -657,7 +657,8 @@ def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str):
         row: dict = {}
         for idx, coeff in pairs:
             for j, val in meets.get(idx, ()):
-                row[j] = row.get(j, z) + coeff * val
+                term = coeff * val
+                row[j] = row[j] + term if j in row else term
         rows.append(row)
     return _kept_rows(rows, mode)
 

@@ -149,9 +149,10 @@ class TruncatedVector:
     def _merge(self, other: "TruncatedVector", subtract: bool) -> "TruncatedVector":
         """self + other, or self - other, in one walk over both sorted entry tuples.
 
-        Shared indices give a + b or a - b, dropped when zero; a lone entry
-        of other is negated when subtracting.  In IEEE arithmetic a - b
-        equals a + (-1.0 * b), so this matches adding other.scale(-1).
+        Shared indices give a + b or a - b, dropped when zero; when
+        subtracting, a == b is dropped without computing a - b, and a lone
+        entry of other is negated.  In IEEE arithmetic a - b equals
+        a + (-1.0 * b), so this matches adding other.scale(-1).
         """
         self._check_peer(other)
         left, right = self.entries, other.entries
@@ -166,9 +167,10 @@ class TruncatedVector:
                 out.append((ib, -b) if subtract else right[j])
                 j += 1
             else:
-                total = a - b if subtract else a + b
-                if total != 0:
-                    out.append((ia, total))
+                if not (subtract and a == b):
+                    total = a - b if subtract else a + b
+                    if total != 0:
+                        out.append((ia, total))
                 i += 1
                 j += 1
         out.extend(left[i:])
@@ -206,6 +208,8 @@ class TruncatedVector:
 
     def approx_equal(self, other: "TruncatedVector") -> bool:
         self._check_peer(other)
+        if self.entries == other.entries:
+            return True
         keys = set(self.support) | set(other.support)
         return all_approx_equal([(self.get(k), other.get(k)) for k in keys], self.mode)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -83,6 +84,34 @@ def test_document_deterministic_modulo_timestamp():
     doc1.pop("generated_at")
     doc2.pop("generated_at")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+def test_a_rational_schedule_build_skips_the_arithmetic_whose_result_it_knows(monkeypatch):
+    # the rational Pelczynski suite at dimension 10, seed 0: the last prefix of a block is
+    # e, zero entries are not eliminated, sums start from their first term and a - a is not
+    # computed
+    counts = dict.fromkeys(("division", "addition", "subtraction", "read"), 0)
+
+    def counted(method, kind):
+        def counting(*args):
+            counts[kind] += 1
+            return method(*args)
+        return counting
+
+    for kind, names in (
+        ("division", ("__truediv__", "__rtruediv__")),
+        ("addition", ("__add__", "__radd__")),
+        ("subtraction", ("__sub__", "__rsub__")),
+    ):
+        for name in names:
+            monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name), kind))
+    monkeypatch.setattr(SeminormSystem, "values", counted(SeminormSystem.values, "read"))
+    cfg = cli.load_config(None, namespace(suite="pelczynski", mode="rational", seed=0))
+    cfg["pelczynski"]["dimension"] = 10
+    passed, _ = cli.run_suite_pelczynski(cfg)
+    assert passed
+    assert counts["division"] <= 518 and counts["addition"] <= 100
+    assert counts["subtraction"] == 0 and counts["read"] == 718
 
 
 def test_invalid_json_config_reports_byte_position(tmp_path, capsys):
@@ -400,6 +429,14 @@ def tenth_of_constant(comparison_level):
     return patched
 
 
+def doubled_floor(bap_failure_witness):
+    def patched(*args, **kwargs):
+        witness = bap_failure_witness(*args, **kwargs)
+        floor = FloorCertificate(witness.floor.level, 2 * witness.floor.bound)
+        return dataclasses.replace(witness, floor=floor)
+    return patched
+
+
 RAISING_CHECKS = {
     # doubling every value keeps the prefix bound's ratio, so "doubled" cannot fail it
     "pelczynski/schedule": (
@@ -412,11 +449,10 @@ RAISING_CHECKS = {
     "normability/clean-system-consistent": (
         MaxPrefixSeminorms, "values", BROKEN_VALUES, CertificateFailureError
     ),
-    # the suite re-verifies the witness's own floor on the raw trace, so only a broken
-    # re-verification reaches this check: the witness certified that floor just before
+    # the witness certifies its own floor, so only a floor it did not certify reaches this
+    # check: twice the certified bound, which the suite's re-verification on the raw trace fails
     "vogt/injective-extension": (
-        FloorCertificate, "verify", {"false": lambda verify: lambda self, system, vectors: False},
-        CertificateFailureError,
+        cli, "bap_failure_witness", {"false": doubled_floor}, CertificateFailureError,
     ),
     # both suites build the Vogt witness family, which checks its traces on construction
     "normability/witness-violation": (

@@ -324,3 +324,81 @@ def test_every_row_meets_a_pivot_column(values, tol, data):
     for row in rows:
         if any(not negligible(x, tol) for x in row):
             assert any(not negligible(row[j], tol) for j in pivots)
+
+
+# ---------------------------------------------------------------------------
+# row_echelon skips the zero entries of its pivot row; the dense elimination is its oracle
+
+
+def dense_row_echelon(rows, tol=None, pivot_columns=None):
+    """row_echelon as it was before it skipped zero entries: every entry of the pivot row
+    divided by the pivot, every entry of a reduced row updated."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0]) if pivot_columns is None else pivot_columns
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        if lead >= len(m):
+            break
+        pick = None
+        if tol is None:
+            for r in range(lead, len(m)):
+                if m[r][col] != 0:
+                    pick = r
+                    break
+        else:
+            best = tol
+            for r in range(lead, len(m)):
+                if abs(m[r][col]) > best:
+                    best = abs(m[r][col])
+                    pick = r
+        if pick is None:
+            continue
+        m[lead], m[pick] = m[pick], m[lead]
+        inv = m[lead][col]
+        m[lead] = [v / inv for v in m[lead]]
+        for r in range(len(m)):
+            if r != lead and not negligible(m[r][col], tol):
+                factor = m[r][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[lead])]
+        pivots.append(col)
+        lead += 1
+    return m, pivots
+
+
+ZERO_HEAVY = {
+    "rational": (st.one_of(st.just(F(0)), st.just(F(0)), small_fractions), None, F(0), F(1)),
+    "float": (
+        st.one_of(st.just(0.0), st.just(-0.0), st.integers(-3, 3).map(float), st.floats(-3, 3)),
+        RANK, 0.0, 1.0,
+    ),
+}
+
+
+@st.composite
+def zero_heavy_eliminations(draw, mode):
+    """(rows, pivot_columns): mostly zero entries, a dependent row appended, and as often
+    [G | I] with its pivots confined to G's columns, as echelon_inverse eliminates it."""
+    values, _, zero, one = ZERO_HEAVY[mode]
+    rows = draw(matrices(values))
+    a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(values)
+    rows.append([x + c * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        return rows, None
+    ncols, n = len(rows[0]), len(rows)
+    eye = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return [r + e for r, e in zip(rows, eye)], ncols
+
+
+@pytest.mark.parametrize("mode", sorted(ZERO_HEAVY))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_echelon_equals_the_dense_elimination_on_zero_heavy_rows(mode, data):
+    rows, pivot_columns = data.draw(zero_heavy_eliminations(mode))
+    tol = ZERO_HEAVY[mode][1]
+    ech, pivots = row_echelon(rows, tol, pivot_columns)
+    expected, expected_pivots = dense_row_echelon(rows, tol, pivot_columns)
+    assert pivots == expected_pivots
+    assert ech == expected

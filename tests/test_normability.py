@@ -21,6 +21,7 @@ from bapkit import (
     ModeError,
     SingleBox,
     VanishingEvidence,
+    VogtSeminorms,
     bap_failure_witness,
     basis_sup_norms,
     dv_condition_check,
@@ -89,12 +90,12 @@ def test_geometric_form():
     assert not form.dominates_trace([F(1)], [3], "rational")
 
 
-def test_floor_certificate_verify():
+def test_floor_certificate_holds_on():
     system = prefix_system()
-    fam = geometric_family(system, 2)
-    assert FloorCertificate(level=1, bound=F(1, 3) ** 5).verify(system, fam.vectors)
-    assert not FloorCertificate(level=1, bound=F(1, 2)).verify(system, fam.vectors)
-    assert not FloorCertificate(level=1, bound=F(0)).verify(system, fam.vectors)
+    trace = measure_trace(system, 1, geometric_family(system, 2).vectors)
+    assert FloorCertificate(level=1, bound=F(1, 3) ** 5).holds_on(trace, "rational")
+    assert not FloorCertificate(level=1, bound=F(1, 2)).holds_on(trace, "rational")
+    assert not FloorCertificate(level=1, bound=F(0)).holds_on(trace, "rational")
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -281,6 +282,29 @@ def test_injective_extension_level_ordering():
     bad_floor = FloorCertificate(level=1, bound=F(8))  # not strictly above decay
     with pytest.raises(InputError):
         injective_extension_test(system, w.cauchy, 1, w.decay_form, bad_floor)
+
+
+def test_injective_extension_reads_each_member_once(monkeypatch):
+    w = witness()
+    system = w.instance.system()
+    split_values = VogtSeminorms.split_values
+    reads = []
+
+    def counting(self, x, splits):
+        reads.append((x, tuple(splits)))
+        return split_values(self, x, splits)
+
+    monkeypatch.setattr(VogtSeminorms, "split_values", counting)
+    verdict = injective_extension_test(system, w.cauchy, w.vanishing_level, w.decay_form, w.floor)
+    assert verdict.violated
+    members = w.cauchy.vectors
+    assert len(members) == 4
+    # one read per member at both levels, and the six pairs l < m of the modulus re-check
+    both = ((w.vanishing_level, w.vanishing_level), (w.floor_level, w.floor_level))
+    assert [(x, s) for x, s in reads if any(x is m for m in members)] == [
+        (m, both) for m in members
+    ]
+    assert len(reads) == 4 + 6
 
 
 def test_injective_extension_rejects_a_false_floor():

@@ -1,6 +1,7 @@
 """Finite-rank operators and the schedule pipeline."""
 
 import dataclasses
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -37,7 +38,7 @@ from bapkit import (
 from bapkit import operators
 from bapkit.linalg import column_space_basis, in_span, mat_mul, mat_vec, rank
 from bapkit.operators import ComplementDecomposition
-from bapkit.scalars import as_scalar, rank_tol
+from bapkit.scalars import as_scalar, leq, random_scalar, rank_tol
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -563,6 +564,105 @@ def test_prefix_bound_check_rejects_an_undamped_block():
     undamped = dataclasses.replace(split, control_constant=0)
     with pytest.raises(ConstructionSoundnessError, match="level 1, copy 0, piece 1: 2 > 2 \\* 2/3"):
         scale_and_replicate(undamped, flat_system(), rng=random.Random(3), sample_count=40)
+
+
+def dense_prefix_bound(block, system, rng, sample_count):
+    """The prefix check as it was before copy 0 and the last prefix were read off the
+    shares and e: every prefix built as copy + share and read, then e: the oracle."""
+    split = block.split
+    adapted = split.decomposition.adapted_basis
+    m = split.piece_count
+    n_rep = block.replication
+    mode = split.source.mode
+    factor = as_scalar(operators.PREFIX_FACTOR, mode)
+    share = as_scalar(Fraction(1, n_rep), mode)
+    for _ in range(sample_count):
+        coeffs = [random_scalar(rng, mode) for _ in range(m)]
+        partial_piece = list(itertools.accumulate(v.scale(c) for c, v in zip(coeffs, adapted)))
+        e = partial_piece[-1]
+        shares = [p.scale(share) for p in partial_piece]
+        copies = [e.scale(Fraction(r, n_rep)) for r in range(n_rep)]
+        prefixes = [
+            (r, w, copies[r] + piece) for r in range(n_rep) for w, piece in enumerate(shares, 1)
+        ]
+        levels = split.norm_grading
+        reads = [system.values(levels, q_vec) for _, _, q_vec in prefixes]
+        for i, (level, e_value) in enumerate(zip(levels, system.values(levels, e))):
+            bound = factor * e_value
+            for (r, w, _), read in zip(prefixes, reads):
+                val = read[i]
+                if not leq(val, bound, mode):
+                    raise ConstructionSoundnessError(
+                        f"prefix bound failed at level {level}, copy {r}, piece {w}: "
+                        f"{val} > {operators.PREFIX_FACTOR} * {e_value}"
+                    )
+
+
+def recorded_prefix_check(monkeypatch, check, block, system, sample_count):
+    """The graded reads check makes, as (vector, values) pairs, and its error message or None."""
+    values = type(system).values
+    reads = []
+
+    def recording(self, levels, x):
+        got = values(self, levels, x)
+        reads.append((x, got))
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(type(system), "values", recording)
+        try:
+            check(block, system, random.Random(3), sample_count)
+        except ConstructionSoundnessError as error:
+            return reads, str(error)
+    return reads, None
+
+
+def replicating_split():
+    return rank_one_split(op2([[1, 5], [0, 1]]), flat_system())
+
+
+@pytest.mark.parametrize("damped", [True, False])
+def test_prefix_bound_reads_the_prefixes_of_the_dense_oracle(monkeypatch, damped):
+    # N = 12 copies of m = 2 pieces when damped; one undamped copy fails at copy 0
+    split = replicating_split()
+    if not damped:
+        split = dataclasses.replace(split, control_constant=0)
+    block = scale_and_replicate(split, flat_system(), sample_count=0)
+    assert (block.piece_count, block.replication) == ((2, 12) if damped else (2, 1))
+    system = flat_system()
+    got, message = recorded_prefix_check(
+        monkeypatch, operators._verify_prefix_bound, block, system, 40
+    )
+    want, want_message = recorded_prefix_check(monkeypatch, dense_prefix_bound, block, system, 40)
+    assert message == want_message and (message is None) == damped
+    # per sample the oracle reads its N*m prefixes, then e; the last prefix is e, read once
+    per_sample = block.replication * block.piece_count
+    samples = len(want) // (per_sample + 1)
+    assert len(want) == samples * (per_sample + 1) and len(got) == samples * per_sample
+    for s in range(samples):
+        dense = want[s * (per_sample + 1) : (s + 1) * (per_sample + 1)]
+        read = got[s * per_sample : (s + 1) * per_sample]
+        assert read[:-1] == dense[:-2]
+        assert read[-1] == dense[-1]
+        assert dense[-2] == dense[-1]  # the last prefix equals e, vector and read
+
+
+def test_a_coordinate_projection_block_makes_one_read_and_one_scale_per_sample(monkeypatch):
+    split = rank_one_split(op2([[1, 0], [0, 0]]), flat_system())
+    system = flat_system()
+    calls = []
+    values, scale = KoetheSeminorms.values, operators.TruncatedVector.scale
+    monkeypatch.setattr(
+        KoetheSeminorms, "values", lambda self, *a: calls.append("read") or values(self, *a)
+    )
+    monkeypatch.setattr(
+        operators.TruncatedVector, "scale", lambda self, c: calls.append("scale") or scale(self, c)
+    )
+    block = scale_and_replicate(split, system, rng=random.Random(0), sample_count=0)
+    assert (block.piece_count, block.replication) == (1, 1)
+    calls.clear()
+    operators._verify_prefix_bound(block, system, random.Random(0), 25)
+    assert calls == ["scale", "read"] * 25
 
 
 def test_prefix_bound_message_states_the_compared_values(monkeypatch):
