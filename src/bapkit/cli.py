@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import BapkitError, ConfigError
 from .embedding import (
+    EQUICONTINUITY_FACTOR,
     basis_criterion_check,
     certify_equicontinuity,
     embed,
@@ -363,7 +364,7 @@ _STATEMENTS = (
     ),
     (
         "schedule-sandwich",
-        "value(k, x) <= |||I(x)|||_k <= 5 * M_k * value(l(k), x)",
+        f"value(k, x) <= |||I(x)|||_k <= {EQUICONTINUITY_FACTOR} * M_k * value(l(k), x)",
         "bapkit.embedding.certify_equicontinuity",
     ),
     (

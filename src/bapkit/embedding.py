@@ -6,8 +6,9 @@ components.  An element builds its partial sums once, on first use, in slot
 order; its total and its graded value at every position read them.  The
 embedding I sends x to (schedule operator applied to x) per slot, the
 projection L resums and re-embeds.  The certificate couples the two
-gradings: value(k, x) <= |||I(x)|||_k <= 5 * M_k * value(l(k), x) with M_k
-an exact graded operator norm over the family's partial sums.
+gradings: value(k, x) <= |||I(x)|||_k <= EQUICONTINUITY_FACTOR * M_k *
+value(l(k), x) with M_k an exact graded operator norm over the family's
+partial sums.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .polyhedral import comparison_level
 from .scalars import as_scalar, is_zero, leq, random_scalar, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
+
+# the embedded value at a position stays within this multiple of M_k * value(l(k), x)
+EQUICONTINUITY_FACTOR = 5
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,6 @@ def certify_equicontinuity(
     schedule: ScheduledFamily,
     rng: random.Random | None = None,
     sample_count: int = 25,
-    factor: int = 5,
 ) -> EquicontinuityCertificate:
     """Exact M_k per position, then a sampled check of the two-sided bound.
 
@@ -149,7 +152,8 @@ def certify_equicontinuity(
     above its working level against which every partial sum of the source
     family has a finite graded norm; M_k is the max of those norms.  The
     sampled check enforces value(k, total x) <= |||I(x)|||_k and
-    |||I(x)|||_k <= factor * M_k * value(l, x), failing loudly otherwise.
+    |||I(x)|||_k <= EQUICONTINUITY_FACTOR * M_k * value(l, x), failing loudly
+    otherwise; the certificate records the factor.
     """
     rng = rng or random.Random(0)
     prefix_sums = accumulate(schedule.source_family)
@@ -158,7 +162,7 @@ def certify_equicontinuity(
         base_level = schedule.original_level(position)
         entries.append((position, base_level, *comparison_level(system, base_level, prefix_sums)))
     cert = EquicontinuityCertificate(
-        factor=factor, entries=tuple(entries), sample_count=sample_count
+        factor=EQUICONTINUITY_FACTOR, entries=tuple(entries), sample_count=sample_count
     )
     total_op = prefix_sums[-1]
     comp_levels = [comp_level for _, _, comp_level, _ in entries]
@@ -173,7 +177,7 @@ def certify_equicontinuity(
             system.values(comp_levels, x),
         )
         for (position, _, _, m_val), e0, lower, comp_value in bounds:
-            upper = factor * m_val * comp_value
+            upper = EQUICONTINUITY_FACTOR * m_val * comp_value
             if not leq(lower, e0, schedule.mode):
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "

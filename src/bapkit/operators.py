@@ -48,7 +48,6 @@ from .scalars import (
     check_mode,
     leq,
     random_scalar,
-    rank_tol,
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
 from .spaces import Box, TruncatedVector, linear_combination, vector_from_dense, zero_vector
@@ -117,7 +116,7 @@ class FiniteRankOperator:
     @cached_property
     def range_basis(self) -> tuple:
         """The pivot columns, a basis of the column space."""
-        pivots = column_space_basis(self.matrix, rank_tol(self.mode))
+        pivots = column_space_basis(self.matrix, self.mode)
         return tuple(self.columns[c] for c in pivots)
 
     @property
@@ -225,7 +224,7 @@ def kernel_filtration(
     for finer_level_basis, coarser in zip(out[1:], out):
         span = [v.dense() for v in coarser]
         for v in finer_level_basis:
-            if not in_span(span, v.dense(), rank_tol(system.mode)):
+            if not in_span(span, v.dense(), system.mode):
                 raise ConstructionSoundnessError("kernel filtration is not nested")
     return out
 
@@ -275,7 +274,7 @@ def select_complements(range_basis, filtration) -> ComplementDecomposition:
     chain = [tuple(range_basis)] + [tuple(f) for f in filtration]
     if not chain[0]:
         raise ZeroOperatorError("cannot decompose an empty range")
-    ftol = rank_tol(chain[0][0].mode)
+    mode = chain[0][0].mode
     blocks = []
     for l in range(len(chain) - 1):
         inner_orth = _orthogonalize(chain[l + 1])
@@ -288,7 +287,7 @@ def select_complements(range_basis, filtration) -> ComplementDecomposition:
                 break
             if w.is_zero():
                 continue
-            if kept_dense and in_span(kept_dense, w.dense(), ftol):
+            if kept_dense and in_span(kept_dense, w.dense(), mode):
                 continue
             kept.append(w)
             kept_dense.append(w.dense())
@@ -304,7 +303,7 @@ def select_complements(range_basis, filtration) -> ComplementDecomposition:
     # block l holds len(chain[l]) - len(chain[l + 1]) vectors: the sizes sum to len(chain[0])
     decomp = ComplementDecomposition(tuple(blocks))
     dense = [v.dense() for v in decomp.adapted_basis]
-    if rank(dense, ftol) != len(chain[0]):
+    if rank(dense, mode) != len(chain[0]):
         raise ConstructionSoundnessError("adapted basis is dependent")
     return decomp
 
@@ -363,7 +362,7 @@ def rank_one_split(
     d = op.box.dimension
     vt = [v.dense() for v in adapted]  # m x d, rows are basis vectors
     gram = [[adapted[a].dot(adapted[b]) for b in range(m)] for a in range(m)]
-    ginv = invert(gram, rank_tol(op.mode))
+    ginv = invert(gram, op.mode)
     if ginv is None:
         raise ConstructionSoundnessError("adapted basis Gram matrix is singular")
     phi = mat_mul(ginv, vt)  # m x d, biorthogonal coefficient functionals

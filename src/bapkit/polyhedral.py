@@ -25,10 +25,11 @@ rows are made dense once for the elimination.  Objective rows are transposed onc
 column -> the rows that hold it, so a vertex costs only the entries its nonzeros meet, and
 each row's products are summed in column order, so float sums are bit-equal to the dense
 products.
-Dimension and row counts are desk-scale; a combinatorics cap guards the
-enumeration.  Above it float mode returns, with nothing sampled, the sup over
-the larger ball of G_P, the d_eff independent rows of G, from one inversion
-of G_P: a sound upper bound, exact for square sum balls.
+Dimension and row counts are desk-scale; the combinatorics cap CAP guards
+the enumeration, in both modes, and no caller sets another.  Above it float
+mode returns, with nothing sampled, the sup over the larger ball of G_P, the
+d_eff independent rows of G, from one inversion of G_P: a sound upper bound,
+exact for square sum balls.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .linalg import (
 from .scalars import RATIONAL, negligible, rank_tol, zero
 from .seminorms import MAX, SUM, SeminormSystem, basis_rows, functional_rows
 
-DEFAULT_CAP = 200_000
+# vertex candidates a sup may enumerate
+CAP = 200_000
 
 
 def _combine(values, combiner):
@@ -90,12 +92,7 @@ def _objective(combiners, columns, c):
 
 
 def polyhedral_sup(
-    dim: int,
-    constraint_rows,
-    constraint_combiner: str,
-    objective_pieces,
-    mode: str,
-    cap: int = DEFAULT_CAP,
+    dim: int, constraint_rows, constraint_combiner: str, objective_pieces, mode: str
 ):
     """sup of max_i combiner_i|R_i c| over {c : combiner|G c| <= 1}.
 
@@ -103,19 +100,18 @@ def polyhedral_sup(
     increasing order; objective_pieces is a list of (R_i, combiner_i).
     Raises UnboundedSeminormError when the objective does not vanish on the
     constraint family's kernel (the sup is then infinite on the box), and
-    ComputationCapError above cap unless a float bound's G_P inverts.
+    ComputationCapError above CAP unless a float bound's G_P inverts.
     """
-    ftol = rank_tol(mode)
-    rows = [r for r in constraint_rows if any(not negligible(x, ftol) for x in r.values())]
+    rows = [r for r in constraint_rows if any(not negligible(x, mode) for x in r.values())]
     rows = dense_rows(rows, dim, mode)
     if constraint_combiner == SUM and len(rows) <= dim:
         # independent rows invert on their pivot columns, from the same elimination
-        ech, pivots, inverse = echelon_inverse(rows, ftol)
+        ech, pivots, inverse = echelon_inverse(rows, mode)
     else:
-        (ech, pivots), inverse = row_echelon(rows, ftol), None
+        (ech, pivots), inverse = row_echelon(rows, mode), None
     columns = _by_column(objective_pieces)
-    for kv in echelon_nullspace(ech, pivots, dim, ftol):
-        if any(not negligible(x, ftol) for x in _row_values(columns, kv).values()):
+    for kv in echelon_nullspace(ech, pivots, dim, mode):
+        if any(not negligible(x, mode) for x in _row_values(columns, kv).values()):
             raise UnboundedSeminormError("objective does not vanish on the constraint kernel")
     d_eff = len(pivots)
     if d_eff == 0:
@@ -130,20 +126,20 @@ def polyhedral_sup(
         count = math.comb(m, d_eff - 1) if m >= d_eff - 1 else 0
     else:
         count = math.comb(m, d_eff) * 2 ** (d_eff - 1) if m >= d_eff else 0
-    if count > cap:
+    if count > CAP:
         inverse = None
         # float mode takes the larger ball of the d_eff independent rows G_P
         if mode != RATIONAL:
-            g2 = [g2[i] for i in column_space_basis(transpose(g2), ftol)]
-            inverse = invert(g2, ftol) if len(g2) == d_eff else None
+            g2 = [g2[i] for i in column_space_basis(transpose(g2), mode)]
+            inverse = invert(g2, mode) if len(g2) == d_eff else None
         if inverse is None:
-            raise ComputationCapError(f"{count} vertex candidates exceed cap {cap} in {mode} mode")
+            raise ComputationCapError(f"{count} vertex candidates exceed cap {CAP} in {mode} mode")
         if constraint_combiner == MAX:
             return _max_ball_sup(combiners, columns, inverse, mode)
     # a square sum ball's vertices are the columns of G^-1, which echelon_inverse
     # gives exactly when every row of G holds a pivot; every other ball enumerates them
     if inverse is None:
-        vertices = _vertices(g2, constraint_combiner, d_eff, ftol)
+        vertices = _vertices(g2, constraint_combiner, d_eff, mode)
     else:
         vertices = zip(*inverse)
     best = zero(mode)
@@ -154,28 +150,28 @@ def polyhedral_sup(
     return best
 
 
-def _vertices(g2, combiner, d_eff, tol):
+def _vertices(g2, combiner, d_eff, mode):
     m = len(g2)
     if combiner == SUM:
         for subset in itertools.combinations(range(m), d_eff - 1):
             sub = [g2[i] for i in subset]
-            lines = nullspace(sub, d_eff, tol)
+            lines = nullspace(sub, d_eff, mode)
             if len(lines) != 1:
                 continue
             v = lines[0]
             total = sum(abs(x) for x in mat_vec(g2, v))
-            if negligible(total, tol):
+            if negligible(total, mode):
                 continue
             yield [x / total for x in v]
     else:
-        slack = tol or 0
+        slack = rank_tol(mode) or 0
         for subset in itertools.combinations(range(m), d_eff):
             sub = [g2[i] for i in subset]
-            if rank(sub, tol) < d_eff:
+            if rank(sub, mode) < d_eff:
                 continue
             # solve repeats rank's elimination of these full-rank square rows: never None
             for tail in itertools.product((1, -1), repeat=d_eff - 1):
-                c = solve(sub, [1, *tail], tol)
+                c = solve(sub, [1, *tail], mode)
                 if all(abs(x) <= 1 + slack for x in mat_vec(g2, c)):
                     yield c
 
@@ -198,7 +194,7 @@ def _max_ball_sup(combiners, columns, inverse, mode):
     return best
 
 
-def _graded_sup(system, to_level, from_level, domain_basis, image_lists, cap=DEFAULT_CAP):
+def _graded_sup(system, to_level, from_level, domain_basis, image_lists):
     """One ball, one sup: the max over image lists of the sup of
     value(to_level, sum_j c_j images[j]) over value(from_level, sum_j c_j domain_basis[j]) <= 1.
 
@@ -217,7 +213,7 @@ def _graded_sup(system, to_level, from_level, domain_basis, image_lists, cap=DEF
     ]
     rows = basis_rows(system, functionals, domain_basis)
     dim = system.box.dimension if domain_basis is None else len(domain_basis)
-    return polyhedral_sup(dim, rows, combiner, pieces, system.mode, cap=cap)
+    return polyhedral_sup(dim, rows, combiner, pieces, system.mode)
 
 
 def _check_operators(system, operators):
@@ -229,12 +225,7 @@ def _check_operators(system, operators):
 
 
 def graded_operator_norm(
-    system: SeminormSystem,
-    to_level: int,
-    from_level: int,
-    operator,
-    domain_basis=None,
-    cap: int = DEFAULT_CAP,
+    system: SeminormSystem, to_level: int, from_level: int, operator, domain_basis=None
 ):
     """Exact sup of value(to_level, T x) over {x in domain : value(from_level, x) <= 1}.
 
@@ -247,15 +238,10 @@ def graded_operator_norm(
     images = operator.columns
     if domain_basis is not None:
         images = [operator.apply(v) for v in domain_basis]
-    return _graded_sup(system, to_level, from_level, domain_basis, [images], cap)
+    return _graded_sup(system, to_level, from_level, domain_basis, [images])
 
 
-def comparison_level(
-    system: SeminormSystem,
-    level: int,
-    operators,
-    cap: int = DEFAULT_CAP,
-):
+def comparison_level(system: SeminormSystem, level: int, operators):
     """Smallest comparison level for a family of operators, with its constant.
 
     Returns (l, M): l is the smallest level >= level at which every operator
@@ -268,7 +254,7 @@ def comparison_level(
     image_lists = [op.columns for op in operators]
     for l in range(level, system.level_count + 1):
         try:
-            return l, _graded_sup(system, level, l, None, image_lists, cap)
+            return l, _graded_sup(system, level, l, None, image_lists)
         except UnboundedSeminormError:
             continue
     raise UnboundedSeminormError(

@@ -6,22 +6,23 @@ with the documented tolerances.  Mode is fixed per object at construction,
 mixing modes raises ModeError.
 
 This module is the one place that decides what a comparison means in each
-mode; other modules call its helpers instead of branching on the mode.
-Three constants state the whole numerical policy; no public function takes
-a tolerance:
+mode; other modules call its helpers instead of branching on the mode.  The
+mode is the only numerical setting: three constants state the whole policy,
+and no function takes a tolerance:
 
   EQ             equalities and inequalities of computed values
                  (approx_equal, is_zero, leq), relative to max(1, |a|, |b|),
                  or to the largest value of a whole object (all_approx_equal);
                  rational mode decides them exactly
   RANK           zero tests inside elimination: rank, span, kernel and
-                 pivot decisions (rank_tol gives None, exact, in rational mode)
+                 pivot decisions (negligible; rank_tol gives None, exact, in
+                 rational mode); the linalg routines take the mode
   DECAY          the last/first ratio at which a tail modulus counts as
                  reached zero, in both modes; an exact Fraction
 
-No constant inflates an operator norm: above the enumeration cap, float mode
-bounds a polyhedral sup from above through the inverse of its pivot rows G_P,
-and nothing is sampled (see polyhedral).
+No constant inflates an operator norm: above the enumeration cap
+polyhedral.CAP, float mode bounds a polyhedral sup from above through the
+inverse of its pivot rows G_P, and nothing is sampled (see polyhedral).
 """
 
 from __future__ import annotations
@@ -96,15 +97,15 @@ def one(mode: str) -> Scalar:
     return Fraction(1) if mode == RATIONAL else 1.0
 
 
-def negligible(value: Scalar, tol: float | None) -> bool:
-    """Zero test of the elimination routines: exact when tol is None, else |value| <= tol."""
-    if tol is None:
+def negligible(value: Scalar, mode: str) -> bool:
+    """The elimination routines' zero test: exact in rational mode, |value| <= RANK in float."""
+    if mode == RATIONAL:
         return value == 0
-    return abs(value) <= tol
+    return abs(value) <= RANK
 
 
-def sum_products(pairs, mode: str, absolute: bool = False) -> Scalar:
-    """sum a * b over the (a, b) pairs, in order, from zero(mode); a * |b| when absolute.
+def sum_products(pairs, mode: str) -> Scalar:
+    """sum a * b over the (a, b) pairs, in order, from zero(mode).
 
     Rational mode keeps the sum as one integer numerator and one integer
     denominator and normalises once, with Fraction(num, den) at the end,
@@ -117,11 +118,11 @@ def sum_products(pairs, mode: str, absolute: bool = False) -> Scalar:
     if mode != RATIONAL:
         total = 0.0
         for a, b in pairs:
-            total += a * abs(b) if absolute else a * b
+            total += a * b
         return total
     num, den = 0, 1
     for a, b in pairs:
-        n = a.numerator * (abs(b.numerator) if absolute else b.numerator)
+        n = a.numerator * b.numerator
         if n:
             d = a.denominator * b.denominator
             if d == den:

@@ -53,7 +53,6 @@ from .scalars import (
     as_scalar,
     check_mode,
     negligible,
-    rank_tol,
     scalar_coercer,
     sum_products,
     zero,
@@ -598,10 +597,9 @@ def seminorm_kernel_basis(
         return []
     for v in vectors:
         system.check_vector(v)
-    ftol = rank_tol(system.mode)
-    if not independent([v.dense() for v in vectors], ftol):
+    if not independent([v.dense() for v in vectors], system.mode):
         raise InputError("subspace basis is linearly dependent")
-    coeffs = nullspace(level_matrix(system, k, vectors), len(vectors), ftol)
+    coeffs = nullspace(level_matrix(system, k, vectors), len(vectors), system.mode)
     return [linear_combination(system.box, system.mode, zip(cs, vectors)) for cs in coeffs]
 
 
@@ -666,14 +664,13 @@ def functional_rows(functionals, basis: Sequence[TruncatedVector], mode: str):
 def _kept_rows(rows, mode: str):
     """The rows with an entry beyond RANK (nonzero in rational mode), each
     without its exact zeros and with its columns in increasing order."""
-    ftol = rank_tol(mode)
-    if ftol is None:
+    if mode == RATIONAL:
         kept = ({j: row[j] for j in sorted(row) if row[j]} for row in rows)
         return [row for row in kept if row]
     return [
         {j: row[j] for j in sorted(row) if row[j] != 0}
         for row in rows
-        if any(not negligible(c, ftol) for c in row.values())
+        if any(not negligible(c, mode) for c in row.values())
     ]
 
 

@@ -34,7 +34,6 @@ from .scalars import (
     as_scalar,
     geometric_sum,
     leq,
-    rank_tol,
     sum_products,
     zero,
 )
@@ -219,7 +218,7 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     passed = True
     for k in range(1, instance.level_count + 1):
         # the rows over the box's unit basis: each functional's own coefficients
-        rk = sparse_rank(level_rows(system, k), rank_tol(instance.mode))
+        rk = sparse_rank(level_rows(system, k), instance.mode)
         ranks.append((k, rk, d))
         if rk != d:
             passed = False

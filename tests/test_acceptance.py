@@ -167,7 +167,7 @@ def three_scheduled_instances():
         i, j = rng.randrange(d), rng.randrange(d)
         if i != j:
             V[i][j] += F(rng.choice([-1, 1]), 8)
-    Vinv = invert(V, None)
+    Vinv = invert(V, "rational")
     box_c = SingleBox(d)
     weights = tuple(
         tuple(F((1 + (j % 3)) * k) for j in range(d)) for k in range(1, members + 1)

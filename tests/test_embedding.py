@@ -218,7 +218,7 @@ def test_certificate_searches_past_uncontrolled_levels():
     assert cert.entries[0][2] == 2  # comparison level
 
 
-def test_certificate_failure_on_a_false_factor():
+def test_certificate_failure_on_a_false_factor(monkeypatch):
     box = SingleBox(3)
     system = KoetheSeminorms(
         tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, "rational"
@@ -226,10 +226,9 @@ def test_certificate_failure_on_a_false_factor():
     schedule = build_schedule(
         coordinate_family(box), system, rng=random.Random(0), prefix_samples=10
     )
+    monkeypatch.setattr(embedding, "EQUICONTINUITY_FACTOR", 0)
     with pytest.raises(CertificateFailureError):
-        certify_equicontinuity(
-            system, schedule, rng=random.Random(1), sample_count=20, factor=0
-        )
+        certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=20)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])

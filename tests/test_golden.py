@@ -155,13 +155,24 @@ def test_every_report_survives_decode_and_encode(documents, case):
         assert jsonio.encode(jsonio.decode(report)) == report
 
 
-# Vogt suite configs built in both modes and walked together: the dyadic and the table rho
-# at the default box, the benchmark box and the largest scaled box
+# configs built in both modes and walked together.  Vogt suite: the dyadic and the table
+# rho at the default box, the benchmark box and the largest scaled box
 VOGT_TWINS = {
     "dyadic-default": {"suite": "vogt", "vogt": {"rho": "dyadic"}},
     "table-default": {"suite": "vogt", "vogt": {"rho": THIRD_TABLE}},
     "dyadic-8x4x6": {"suite": "vogt", "vogt": {"n_max": 8, "mu_max": 4, "nu_max": 6}},
     "dyadic-12x6x8": {"suite": "vogt", "vogt": {"n_max": 12, "mu_max": 6, "nu_max": 8}},
+}
+
+# every suite: the GOLDEN configs, and the SCALED Pelczynski and normability configs
+SUITE_TWINS = {
+    "all-dyadic": {"suite": "all", "vogt": {"rho": "dyadic"}},
+    "all-table": {"suite": "all", "vogt": {"rho": THIRD_TABLE}},
+    "pelczynski-10": {"suite": "pelczynski", "pelczynski": {"dimension": 10}},
+    "pelczynski-12": {"suite": "pelczynski", "pelczynski": {"dimension": 12}},
+    "normability-12": {
+        "suite": "normability", "normability": {"dimension": 12, "families": 500}
+    },
 }
 
 # the float number within this relative distance of its rational twin
@@ -173,6 +184,13 @@ TWIN_EXEMPT = {
     ("injective-extension", "report", "reason"): (
         "the text prints the floor as a scalar of the mode, 8 or 8.0; the report's details"
         " compare that floor as a number"
+    ),
+    ("normability", "checks", "witness-violation", "report", "reason"): (
+        "the text prints the floor as a scalar of the mode, 8 or 8.0"
+    ),
+    ("pelczynski", "checks", "reconstruction", "report", "traces"): (
+        "the residual traces are read at vectors that each mode samples from its own draws"
+        " (128, 800 and 1,152 numbers at dimension 4, 10 and 12)"
     ),
 }
 
@@ -204,12 +222,23 @@ def _twin_differences(rational, floating, path=()):
         yield path, rational, floating
 
 
-@pytest.mark.parametrize("case", sorted(VOGT_TWINS))
-def test_the_float_vogt_suite_is_the_rational_one_within_a_relative_tolerance(case):
+def assert_twins(override):
+    """The config built in both modes: both documents pass, and they are twins."""
     docs = {}
     for mode in ("rational", "float"):
-        doc = cli.build_document(_config({**VOGT_TWINS[case], "mode": mode}))
+        doc = cli.build_document(_config({**override, "mode": mode}))
         del doc["generated_at"]
         docs[mode] = doc
     assert docs["rational"]["passed"] and docs["float"]["passed"]
     assert list(_twin_differences(docs["rational"], docs["float"])) == []
+
+
+@pytest.mark.parametrize("case", sorted(VOGT_TWINS))
+def test_the_float_vogt_suite_is_the_rational_one_within_a_relative_tolerance(case):
+    assert_twins(VOGT_TWINS[case])
+
+
+@pytest.mark.parametrize("case", sorted(SUITE_TWINS))
+def test_the_float_document_is_the_rational_one_within_a_relative_tolerance(case):
+    # the float zero thresholds decide the same ranks, kernels and levels as exact arithmetic
+    assert_twins(SUITE_TWINS[case])

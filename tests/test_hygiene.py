@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Eleven rules: no module imports a name it never uses (`__init__` exists to
+Twelve rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -27,7 +27,12 @@ included, in its body (`self`, `cls`, `_`-names and bodies that only raise
 are exempt), because an input that the function ignores tells its callers
 that it matters, and every method or property of a class (dunders exempt)
 is read by name somewhere in the package outside its own body, because a
-member that only its own tests call is dead code, and a row reaches every
+member that only its own tests call is dead code, and the mode is the only
+numerical setting: no function has a parameter named `tol` or `cap`, and only
+`scalars`, `linalg` and the vertex slack of `polyhedral._vertices` call
+`rank_tol`, because a threshold or a cap that each caller passes is one more
+statement of the policy that `scalars` and `polyhedral.CAP` state once (one
+test calls the knobs that are gone and sees TypeError), and a row reaches every
 failure branch of the package (a raise of CertificateFailureError or
 ConstructionSoundnessError, a verdict set to False, a failed report
 returned), or BRANCH_ALLOWLIST names it with its reason, because a branch
@@ -48,6 +53,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+from bapkit.embedding import certify_equicontinuity
+from bapkit.scalars import sum_products
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "bapkit"
@@ -331,6 +339,71 @@ def helper(_unused, cls, *parts):
 """
     found = [(fn, arg) for _, fn, arg in _unread_parameters(ast.parse(source))]
     assert found == [("embed", "system"), ("embed", "args"), ("embed", "kwargs")]
+
+
+# parameters that would restate the numerical policy at each call
+KNOBS = {"tol", "cap"}
+# who turns a mode into the float zero threshold, "*" for any function: scalars, which
+# defines it, linalg, which eliminates with it, and polyhedral's vertex slack
+RANK_TOL_CALLERS = {("scalars", "*"), ("linalg", "*"), ("polyhedral", "_vertices")}
+
+
+def _setting_violations(tree, module):
+    """(line, what) for each parameter named as a knob, and each call of rank_tol, by name
+    or as an attribute, outside RANK_TOL_CALLERS."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = getattr(child, "name", scope)
+                knobs = [arg.arg for arg in _parameters(child.args) if arg.arg in KNOBS]
+                found.extend((child.lineno, f"parameter {knob}") for knob in knobs)
+            elif isinstance(child, ast.Call) and "rank_tol" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                if not {(module, "*"), (module, scope)} & RANK_TOL_CALLERS:
+                    found.append((child.lineno, f"rank_tol call in {scope}"))
+            visit(child, inner)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_mode_is_the_only_numerical_setting(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"{path.name}:{line} {what}" for line, what in _setting_violations(tree, path.stem)]
+    assert not found, f"pass the mode; the policy is stated in scalars and polyhedral.CAP: {found}"
+
+
+def test_the_setting_rule_flags_a_knob_and_a_threshold():
+    source = """
+def sup(rows, mode, cap=10):
+    return rows, mode, cap
+def rank(rows, *, tol):
+    return rows, tol, lambda tol: tol
+def level(system):
+    return rank_tol(system.mode), scalars.rank_tol(system.mode)
+def _vertices(mode):
+    return rank_tol(mode)
+"""
+    tree = ast.parse(source)
+    knobs = [(2, "parameter cap"), (4, "parameter tol"), (5, "parameter tol")]
+    level = [(7, "rank_tol call in level")] * 2
+    assert _setting_violations(tree, "vogt") == knobs + level + [(9, "rank_tol call in _vertices")]
+    assert _setting_violations(tree, "polyhedral") == knobs + level
+    assert _setting_violations(tree, "linalg") == knobs
+
+
+@pytest.mark.parametrize("call", [
+    lambda: certify_equicontinuity(None, None, factor=5),
+    lambda: sum_products([], "rational", absolute=True),
+], ids=["factor", "absolute"])
+def test_a_removed_knob_raises_type_error(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        call()
 
 
 # ---------------------------------------------------------------------------

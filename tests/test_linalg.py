@@ -24,7 +24,7 @@ from bapkit.linalg import (
     sparse_rank,
     transpose,
 )
-from bapkit.scalars import RANK, negligible
+from bapkit.scalars import negligible, rank_tol
 
 F = Fraction
 
@@ -99,10 +99,10 @@ float_entry = st.one_of(
 def test_solve_solves_every_sign_pattern_of_square_rows_of_full_rank(matrices):
     # polyhedral's max-ball vertices solve such rows against each sign pattern, unchecked:
     # solve eliminates the same columns that rank does, so it finds every pivot again
-    for rows, tol in zip(matrices, (None, RANK)):
-        if rank(rows, tol) == len(rows):
+    for rows, mode in zip(matrices, ("rational", "float")):
+        if rank(rows, mode) == len(rows):
             for tail in itertools.product((1, -1), repeat=len(rows) - 1):
-                assert solve(rows, [1, *tail], tol) is not None
+                assert solve(rows, [1, *tail], mode) is not None
 
 
 def test_in_span():
@@ -130,8 +130,8 @@ def test_transpose():
 
 def test_float_tolerance_treats_noise_as_zero():
     rows = [[1.0, 2.0], [2.0, 4.0 + 1e-13]]
-    assert rank(rows, 1e-9) == 1
-    assert rank(rows, None) == 2
+    assert rank(rows, "float") == 1
+    assert rank(rows, "rational") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +167,7 @@ def test_sparse_rank_matches_dense_rank_exactly(rows):
 @settings(max_examples=200, deadline=None)
 @given(matrices(st.integers(-3, 3).map(float)))
 def test_sparse_rank_matches_dense_rank_on_integer_floats(rows):
-    tol = RANK
-    assert sparse_rank(sparse(rows), tol) == rank(rows, tol)
+    assert sparse_rank(sparse(rows), "float") == rank(rows, "float")
 
 
 def test_sparse_rank_oracles():
@@ -183,12 +182,12 @@ def test_sparse_rank_oracles():
     assert rows == [{0: F(1), 1: F(1)}]  # input rows are left alone
 
 
-def loop_sparse_rank(rows, tol=None):
+def loop_sparse_rank(rows, mode="rational"):
     """sparse_rank as it was: each pivot row stored divided by its lead, every
     entry passed through negligible, in both modes."""
     pivots = {}
     for row in rows:
-        live = {c: v for c, v in row.items() if not negligible(v, tol)}
+        live = {c: v for c, v in row.items() if not negligible(v, mode)}
         while live:
             col = min(live)
             factor = live.pop(col)
@@ -198,7 +197,7 @@ def loop_sparse_rank(rows, tol=None):
                 break
             for c, v in pivot.items():
                 value = live[c] - factor * v if c in live else -factor * v
-                if negligible(value, tol):
+                if negligible(value, mode):
                     live.pop(c, None)
                 else:
                     live[c] = value
@@ -223,11 +222,10 @@ def test_sparse_rank_equals_the_dense_rank_and_the_normalising_loop(seed):
     exact, ncols = random_sparse_rows(rng, lambda: F(rng.randint(-3, 3), rng.randint(1, 3)))
     assert sparse_rank(exact) == loop_sparse_rank(exact)
     assert sparse_rank(exact) == rank(dense_rows(exact, ncols, "rational"))
-    tol = RANK
     floats, ncols = random_sparse_rows(rng, lambda: float(rng.randint(-3, 3)))
-    assert sparse_rank(floats, tol) == rank(dense_rows(floats, ncols, "float"), tol)
+    assert sparse_rank(floats, "float") == rank(dense_rows(floats, ncols, "float"), "float")
     noisy, _ = random_sparse_rows(rng, lambda: rng.choice((rng.gauss(0.0, 1.0), 1e-10, 0.0)))
-    assert sparse_rank(noisy, tol) == loop_sparse_rank(noisy, tol)
+    assert sparse_rank(noisy, "float") == loop_sparse_rank(noisy, "float")
 
 
 class Undividable(Fraction):
@@ -250,9 +248,9 @@ def test_exact_rows_that_never_meet_a_pivot_make_no_division():
 
 def test_sparse_rank_float_tolerance_treats_noise_as_zero():
     rows = [{0: 1.0, 1: 2.0}, {0: 2.0, 1: 4.0 + 1e-13}]
-    assert sparse_rank(rows, 1e-9) == 1
-    assert sparse_rank(rows, None) == 2
-    assert sparse_rank([{0: 1e-12}], 1e-9) == 0
+    assert sparse_rank(rows, "float") == 1
+    assert sparse_rank(rows, "rational") == 2
+    assert sparse_rank([{0: 1e-12}], "float") == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,65 +275,66 @@ near_tolerance_floats = st.one_of(
 )
 
 
-def eliminated_inverse(rows, tol):
+def eliminated_inverse(rows, mode):
     """invert as it was before echelon_inverse: row_echelon of [rows | I] with pivots in
     any column, the inverse read off when they are the first n."""
     n = len(rows)
-    one, zero = (F(1), F(0)) if tol is None else (1.0, 0.0)
+    one, zero = (F(1), F(0)) if mode == "rational" else (1.0, 0.0)
     aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    ech, pivots = row_echelon(aug, tol)
+    ech, pivots = row_echelon(aug, mode)
     return [row[n:] for row in ech[:n]] if pivots[:n] == list(range(n)) else None
 
 
-@pytest.mark.parametrize("values, tol", [
-    (sparse_fractions, None), (near_tolerance_floats, RANK)
+@pytest.mark.parametrize("values, mode", [
+    (sparse_fractions, "rational"), (near_tolerance_floats, "float")
 ])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_echelon_inverse_is_row_echelon_then_invert(values, tol, data):
+def test_echelon_inverse_is_row_echelon_then_invert(values, mode, data):
     # the one elimination of [G | I] against the two it replaces, value for value
     rows = data.draw(matrices(values))
     rows = rows[: len(rows[0])]  # no more rows than columns
-    ech, pivots, inverse = echelon_inverse(rows, tol)
-    expected_ech, expected_pivots = row_echelon(rows, tol)
+    ech, pivots, inverse = echelon_inverse(rows, mode)
+    expected_ech, expected_pivots = row_echelon(rows, mode)
     assert pivots == expected_pivots
     assert bits(ech) == bits(expected_ech)
     if len(pivots) < len(rows):
         assert inverse is None
     else:
         square = [[r[j] for j in pivots] for r in rows]
-        assert bits(inverse) == bits(eliminated_inverse(square, tol)) == bits(invert(square, tol))
+        assert bits(inverse) == bits(eliminated_inverse(square, mode)) == bits(invert(square, mode))
 
 
 def test_echelon_inverse_of_no_rows():
     assert echelon_inverse([]) == ([], [], [])
 
 
-@pytest.mark.parametrize("values, tol", [
-    (sparse_fractions, None), (near_tolerance_floats, RANK)
+@pytest.mark.parametrize("values, mode", [
+    (sparse_fractions, "rational"), (near_tolerance_floats, "float")
 ])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_every_row_meets_a_pivot_column(values, tol, data):
+def test_every_row_meets_a_pivot_column(values, mode, data):
     # polyhedral_sup restricts G to its pivot columns and keeps every row: a row
     # negligible on all of them would reach its own column unchanged and pivot there
     rows = data.draw(matrices(values))
-    _, pivots = row_echelon(rows, tol)
+    _, pivots = row_echelon(rows, mode)
     for row in rows:
-        if any(not negligible(x, tol) for x in row):
-            assert any(not negligible(row[j], tol) for j in pivots)
+        if any(not negligible(x, mode) for x in row):
+            assert any(not negligible(row[j], mode) for j in pivots)
 
 
 # ---------------------------------------------------------------------------
 # row_echelon skips the zero entries of its pivot row; the dense elimination is its oracle
 
 
-def dense_row_echelon(rows, tol=None, pivot_columns=None):
+def dense_row_echelon(rows, mode="rational", pivot_columns=None):
     """row_echelon as it was before it skipped zero entries: every entry of the pivot row
-    divided by the pivot, every entry of a reduced row updated."""
+    divided by the pivot, the pivot itself included, every entry of a reduced row updated."""
     m = [list(r) for r in rows]
     if not m:
         return m, []
+    tol = rank_tol(mode)
     ncols = len(m[0]) if pivot_columns is None else pivot_columns
     pivots = []
     lead = 0
@@ -360,7 +359,7 @@ def dense_row_echelon(rows, tol=None, pivot_columns=None):
         inv = m[lead][col]
         m[lead] = [v / inv for v in m[lead]]
         for r in range(len(m)):
-            if r != lead and not negligible(m[r][col], tol):
+            if r != lead and not negligible(m[r][col], mode):
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[lead])]
         pivots.append(col)
@@ -369,10 +368,10 @@ def dense_row_echelon(rows, tol=None, pivot_columns=None):
 
 
 ZERO_HEAVY = {
-    "rational": (st.one_of(st.just(F(0)), st.just(F(0)), small_fractions), None, F(0), F(1)),
+    "rational": (st.one_of(st.just(F(0)), st.just(F(0)), small_fractions), F(0), F(1)),
     "float": (
         st.one_of(st.just(0.0), st.just(-0.0), st.integers(-3, 3).map(float), st.floats(-3, 3)),
-        RANK, 0.0, 1.0,
+        0.0, 1.0,
     ),
 }
 
@@ -381,7 +380,7 @@ ZERO_HEAVY = {
 def zero_heavy_eliminations(draw, mode):
     """(rows, pivot_columns): mostly zero entries, a dependent row appended, and as often
     [G | I] with its pivots confined to G's columns, as echelon_inverse eliminates it."""
-    values, _, zero, one = ZERO_HEAVY[mode]
+    values, zero, one = ZERO_HEAVY[mode]
     rows = draw(matrices(values))
     a, b, c = draw(st.sampled_from(rows)), draw(st.sampled_from(rows)), draw(values)
     rows.append([x + c * y for x, y in zip(a, b)])
@@ -397,8 +396,7 @@ def zero_heavy_eliminations(draw, mode):
 @given(data=st.data())
 def test_row_echelon_equals_the_dense_elimination_on_zero_heavy_rows(mode, data):
     rows, pivot_columns = data.draw(zero_heavy_eliminations(mode))
-    tol = ZERO_HEAVY[mode][1]
-    ech, pivots = row_echelon(rows, tol, pivot_columns)
-    expected, expected_pivots = dense_row_echelon(rows, tol, pivot_columns)
+    ech, pivots = row_echelon(rows, mode, pivot_columns)
+    expected, expected_pivots = dense_row_echelon(rows, mode, pivot_columns)
     assert pivots == expected_pivots
     assert ech == expected

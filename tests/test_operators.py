@@ -38,7 +38,7 @@ from bapkit import (
 from bapkit import operators
 from bapkit.linalg import column_space_basis, in_span, mat_mul, mat_vec, rank
 from bapkit.operators import ComplementDecomposition
-from bapkit.scalars import as_scalar, leq, random_scalar, rank_tol
+from bapkit.scalars import as_scalar, leq, random_scalar
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -54,13 +54,12 @@ def flat_system():
 
 def spans_the_column_space(op):
     """Oracle: the range basis is as long as the rank and spans exactly the columns."""
-    ftol = rank_tol(op.mode)
     cols = [c.dense() for c in op.columns]
     basis = [v.dense() for v in op.range_basis]
     return (
-        rank(cols, ftol) == len(basis)
-        and all(in_span(basis, col, ftol) for col in cols)
-        and all(in_span(cols, b, ftol) for b in basis)
+        rank(cols, op.mode) == len(basis)
+        and all(in_span(basis, col, op.mode) for col in cols)
+        and all(in_span(cols, b, op.mode) for b in basis)
     )
 
 
@@ -248,7 +247,7 @@ def test_column_operations_equal_the_dense_formulas(case):
     assert dense(one) == [[as_scalar(gr * fj, mode) for fj in f] for gr in g]
     for op in (a, b, a.compose(b), a + b, a.scale(factor), one):
         m = dense(op)
-        pivots = column_space_basis(m, rank_tol(mode))
+        pivots = column_space_basis(m, mode)
         assert op.range_basis == tuple(
             vector_from_dense(box, mode, [r[j] for r in m]) for j in pivots
         )
@@ -728,9 +727,9 @@ def test_build_schedule_prunes_a_1e_10_weight():
 
 # the Gram inversion finds no inverse, or a wrong one, so the pieces do not resum
 BROKEN_INVERSES = {
-    "none": (lambda invert: lambda rows, tol: None, "Gram matrix is singular"),
+    "none": (lambda invert: lambda rows, mode: None, "Gram matrix is singular"),
     "doubled": (
-        lambda invert: lambda rows, tol: [[2 * x for x in row] for row in invert(rows, tol)],
+        lambda invert: lambda rows, mode: [[2 * x for x in row] for row in invert(rows, mode)],
         "pieces do not sum to the identity",
     ),
 }

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from bapkit import (
 )
 from bapkit.linalg import invert, mat_mul, mat_vec, nullspace, rank, solve, transpose
 from bapkit.polyhedral import (
-    DEFAULT_CAP, _by_column, _max_ball_sup, _objective, comparison_level
+    CAP, _by_column, _max_ball_sup, _objective, comparison_level
 )
 from bapkit.scalars import approx_equal, as_scalar, leq, negligible, random_scalar, rank_tol, zero
 from bapkit.seminorms import level_matrix
@@ -96,17 +97,19 @@ def test_zero_constraints_with_zero_objective():
     assert sup == 0
 
 
-def test_cap_guards_rational_enumeration():
+def test_cap_guards_rational_enumeration(monkeypatch):
+    monkeypatch.setattr(polyhedral, "CAP", 3)
     g = rows((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))
     with pytest.raises(ComputationCapError):
-        polyhedral_sup(2, g, "max", [(rows((1, 1)), "sum")], "rational", cap=3)
+        polyhedral_sup(2, g, "max", [(rows((1, 1)), "sum")], "rational")
 
 
 def test_float_bound_above_the_cap_raises_when_the_pivot_rows_do_not_invert(monkeypatch):
-    monkeypatch.setattr(polyhedral, "invert", lambda rows, tol=None: None)
+    monkeypatch.setattr(polyhedral, "invert", lambda rows, mode="rational": None)
+    monkeypatch.setattr(polyhedral, "CAP", 0)
     g = sparse([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ComputationCapError):
-        polyhedral_sup(2, g, "max", [(sparse([[1.0, 1.0]]), "sum")], "float", cap=0)
+        polyhedral_sup(2, g, "max", [(sparse([[1.0, 1.0]]), "sum")], "float")
 
 
 def test_graded_operator_norm_between_koethe_levels():
@@ -260,10 +263,10 @@ def random_family(mode, rng):
     ]
 
 
-def per_operator_comparison_level(system, level, ops, cap):
+def per_operator_comparison_level(system, level, ops):
     for l in range(level, system.level_count + 1):
         try:
-            return l, max(graded_operator_norm(system, level, l, op, cap=cap) for op in ops)
+            return l, max(graded_operator_norm(system, level, l, op) for op in ops)
         except UnboundedSeminormError:
             continue
     return None
@@ -274,12 +277,14 @@ def check_comparison_level(kind, mode, seed, cap):
     system = random_system(kind, mode, rng)
     ops = random_family(mode, rng)
     level = rng.randint(1, system.level_count)
-    expected = per_operator_comparison_level(system, level, ops, cap)
-    if expected is None:
-        with pytest.raises(UnboundedSeminormError):
-            comparison_level(system, level, ops, cap=cap)
-    else:
-        assert comparison_level(system, level, ops, cap=cap) == expected
+    # a Hypothesis body takes no function-scoped fixture: patch the cap by hand
+    with patch.object(polyhedral, "CAP", cap):
+        expected = per_operator_comparison_level(system, level, ops)
+        if expected is None:
+            with pytest.raises(UnboundedSeminormError):
+                comparison_level(system, level, ops)
+        else:
+            assert comparison_level(system, level, ops) == expected
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -287,7 +292,7 @@ def check_comparison_level(kind, mode, seed, cap):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_comparison_level_matches_one_norm_per_operator(kind, mode, seed):
-    check_comparison_level(kind, mode, seed, DEFAULT_CAP)
+    check_comparison_level(kind, mode, seed, CAP)
 
 
 @pytest.mark.parametrize("kind", ["koethe", "max-prefix", "custom"])
@@ -421,18 +426,17 @@ def random_ball(mode, rng):
 def sup_through_complement(dim, g, combiner, pieces, mode, rng):
     """The sup parameterized by random integer vectors C completing the kernel:
     polyhedral_sup(len(C), G C, combiner, [(R C, c), ...])."""
-    tol = rank_tol(mode)
-    kernel = nullspace(g, dim, tol)
+    kernel = nullspace(g, dim, mode)
     for kv in kernel:
         for orows, _ in pieces:
-            if any(not negligible(x, tol) for x in mat_vec(orows, kv)):
+            if any(not negligible(x, mode) for x in mat_vec(orows, kv)):
                 raise UnboundedSeminormError("objective does not vanish on the kernel")
     for _ in range(100):
         comp = [
             [as_scalar(rng.randint(-3, 3), mode) for _ in range(dim)]
             for _ in range(dim - len(kernel))
         ]
-        if rank(kernel + comp, tol) == dim:
+        if rank(kernel + comp, mode) == dim:
             break
     else:
         pytest.fail("no random complement of the kernel found")
@@ -518,32 +522,32 @@ def enumerated_sup(dim, g, combiner, pieces, mode):
     rank r and sign pattern, kept when every row stays within 1.  The
     objective vanishes on ker G, so any representative of a vertex will do.
     """
-    tol = rank_tol(mode)
-    kernel = nullspace(g, dim, tol)
+    kernel = nullspace(g, dim, mode)
     for kv in kernel:
         for orows, _ in pieces:
-            if any(not negligible(x, tol) for x in mat_vec(orows, kv)):
+            if any(not negligible(x, mode) for x in mat_vec(orows, kv)):
                 raise UnboundedSeminormError("objective does not vanish on the kernel")
     r = dim - len(kernel)
     candidates = []
     if combiner == "sum":
         for subset in itertools.combinations(range(len(g)), r - 1) if r else ():
-            line = nullspace([g[i] for i in subset], dim, tol)
+            line = nullspace([g[i] for i in subset], dim, mode)
             if len(line) != len(kernel) + 1:
                 continue
             for v in line:
                 total = sum(abs(x) for x in mat_vec(g, v))
-                if not negligible(total, tol):
+                if not negligible(total, mode):
                     candidates.append([x / total for x in v])
                     break
     else:
+        slack = rank_tol(mode) or 0
         for subset in itertools.combinations(range(len(g)), r):
             sub = [g[i] for i in subset]
-            if rank(sub, tol) < r:
+            if rank(sub, mode) < r:
                 continue
             for signs in itertools.product((1, -1), repeat=r):
-                c = solve(sub, [as_scalar(s, mode) for s in signs], tol)
-                if c is not None and all(abs(x) <= 1 + (tol or 0) for x in mat_vec(g, c)):
+                c = solve(sub, [as_scalar(s, mode) for s in signs], mode)
+                if c is not None and all(abs(x) <= 1 + slack for x in mat_vec(g, c)):
                     candidates.append(c)
     return max((dense_objective(pieces, c) for c in candidates), default=as_scalar(0, mode))
 
@@ -597,13 +601,14 @@ def test_sum_ball_sup_matches_vertex_enumeration(square, mode, seed):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_float_bound_above_the_cap_is_an_upper_bound(square, ball, objective, seed):
-    # cap=0 sends every float ball to the sup over the larger ball of its
+    # a cap of 0 sends every float ball to the sup over the larger ball of its
     # pivot rows G_P: exact when G_P is the whole ball and the closed form is
     # exact, which leaves out square max balls under sum-combined objectives
     dim, g, pieces = random_rank_ball("float", random.Random(seed), square)
     pieces = [(rs, objective) for rs, _ in pieces]
     exact = enumerated_sup(dim, g, ball, pieces, "float")
-    bound = polyhedral_sup(dim, sparse(g), ball, sparse_pieces(pieces), "float", cap=0)
+    with patch.object(polyhedral, "CAP", 0):
+        bound = polyhedral_sup(dim, sparse(g), ball, sparse_pieces(pieces), "float")
     assert leq(exact, bound, "float")
     if square and (ball == "sum" or objective == "max"):
         assert approx_equal(bound, exact, "float")
@@ -668,7 +673,7 @@ def test_column_scoring_matches_the_row_oracle_at_the_columns_of_an_inverse(mode
         return as_scalar(rng.choice((0, 0, 1, -2, 3, 5)), mode) / as_scalar(rng.randint(1, 7), mode)
 
     g = [[entry() for _ in range(dim)] for _ in range(dim)]
-    inverse = invert(g, rank_tol(mode))
+    inverse = invert(g, mode)
     if inverse is None:
         return
     pieces = sparse_pieces([

@@ -158,12 +158,17 @@ def test_float_vectors_reject_nan_coordinates():
         vector_from_dense(SingleBox(2), "float", [float("nan"), 1.0])
 
 
-def loop_sum(pairs, mode, absolute=False):
+def loop_sum(pairs, mode):
     """sum_products as a loop that adds one product at a time."""
     total = zero(mode)
     for a, b in pairs:
-        total += a * abs(b) if absolute else a * b
+        total += a * b
     return total
+
+
+def magnitudes(pairs):
+    """The pairs (a, |b|), as a caller that sums a * |b| passes them."""
+    return [(a, abs(b)) for a, b in pairs]
 
 
 # denominators up to 12 make every branch of the integer accumulation run:
@@ -177,15 +182,17 @@ float_terms = st.tuples(st.one_of(term_floats, term_fractions, term_ints), term_
 
 @given(st.lists(rational_terms), st.booleans())
 def test_sum_products_is_exact_in_rational_mode(pairs, absolute):
-    got = sum_products(pairs, "rational", absolute)
+    pairs = magnitudes(pairs) if absolute else pairs
+    got = sum_products(pairs, "rational")
     assert type(got) is Fraction
-    assert got == loop_sum(pairs, "rational", absolute)
+    assert got == loop_sum(pairs, "rational")
 
 
 @given(st.lists(float_terms), st.booleans())
 def test_sum_products_is_bit_equal_to_the_loop_in_float_mode(pairs, absolute):
-    got = sum_products(pairs, "float", absolute)
-    expected = loop_sum(pairs, "float", absolute)
+    pairs = magnitudes(pairs) if absolute else pairs
+    got = sum_products(pairs, "float")
+    expected = loop_sum(pairs, "float")
     assert type(got) is float and got.hex() == expected.hex()
 
 
@@ -203,14 +210,16 @@ ratio_terms = st.builds(
 
 @given(st.lists(st.tuples(st.one_of(term_fractions, term_ints), ratio_terms)), st.booleans())
 def test_sum_products_adds_ratio_pairs_exactly(pairs, absolute):
-    got = sum_products(pairs, "rational", absolute)
+    pairs = [(a, Ratio(abs(b.numerator), b.denominator)) for a, b in pairs] if absolute else pairs
+    got = sum_products(pairs, "rational")
     as_fractions = [(a, Fraction(b.numerator, b.denominator)) for a, b in pairs]
     assert type(got) is Fraction
-    assert got == loop_sum(as_fractions, "rational", absolute)
+    assert got == loop_sum(as_fractions, "rational")
 
 
 def test_sum_products_of_ratio_pairs_with_a_zero_numerator():
     pairs = [(3, Ratio(0, 35)), (Fraction(1, 2), Ratio(-6, 14)), (4, Ratio(10, 4)), (1, Ratio(0, 1))]
     assert sum_products(pairs, "rational") == Fraction(-3, 14) + 10
-    assert sum_products(pairs, "rational", absolute=True) == Fraction(3, 14) + 10
+    positive = [(a, Ratio(abs(b.numerator), b.denominator)) for a, b in pairs]
+    assert sum_products(positive, "rational") == Fraction(3, 14) + 10
     assert sum_products([(5, Ratio(0, 9))], "rational") == 0

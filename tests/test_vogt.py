@@ -351,9 +351,9 @@ def test_norm_positivity_reads_its_rows_off_the_functionals(monkeypatch, mode):
         monkeypatch.setattr(module, "functional_rows", forbidden, raising=False)
     ranked = []
 
-    def counting(rows, tol):
+    def counting(rows, mode):
         ranked.append(rows)
-        return sparse_rank(rows, tol)
+        return sparse_rank(rows, mode)
 
     monkeypatch.setattr(bapkit.vogt, "sparse_rank", counting)
     inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
