@@ -119,6 +119,12 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("vogt.n_max must be >= 4 for the witness family")
     if v["nu_max"] < 2:
         raise ConfigError("vogt.nu_max must be >= 2 for the witness family")
+    # the 12 x 6 x 8 box and 12 levels, the largest Vogt config that CI runs
+    size = v["n_max"] * v["mu_max"] * v["nu_max"]
+    if size > 576:
+        raise ConfigError(f"the vogt box has {size} coordinates; at most 576, as 12 x 6 x 8")
+    if v["level_count"] > 12:
+        raise ConfigError("vogt.level_count must be at most 12")
     if v["rho"] != "dyadic" and not isinstance(v["rho"], dict):
         raise ConfigError("vogt.rho must be 'dyadic' or an encoded decay table")
     _decode_rho(v["rho"], cfg["mode"])
@@ -243,7 +249,8 @@ def run_suite_normability(cfg: dict):
     )
     checks["witness-violation"] = {"passed": verdict.violated, "report": encode(verdict)}
     # leg 2: a plain prefix system with decaying families stays consistent, and each
-    # family's decay form must dominate its raw trace at level 1
+    # family's decay form must dominate its raw trace at level 1; an unfloored family
+    # claims no modulus, since dv_condition_check reads only its vectors
     d = cfg["normability"]["dimension"]
     box = SingleBox(d)
     prefix = MaxPrefixSeminorms(box, mode, d)
@@ -258,8 +265,8 @@ def run_suite_normability(cfg: dict):
             ratio = 1.0 / rng.randint(2, 4)
         level = rng.randint(2, d)
         x0 = vector_from_dense(box, mode, base_vec)
-        vectors = [x0.scale(ratio**i) for i in range(1, 6)]
-        family = CauchyFamily.from_vectors(prefix, level, vectors)
+        vectors = tuple(x0.scale(ratio**i) for i in range(1, 6))
+        family = CauchyFamily(level, vectors, ())
         scale = max([abs(c) for c in base_vec] + [1 if mode == RATIONAL else 1.0])
         evidence.append(
             VanishingEvidence(

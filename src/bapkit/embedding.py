@@ -186,7 +186,7 @@ def certify_equicontinuity(
             if not leq(e0, upper, schedule.mode):
                 raise CertificateFailureError(
                     f"upper bound failed at position {position}, sample {trial}: "
-                    f"{e0} > {upper}"
+                    f"{e0} > {EQUICONTINUITY_FACTOR} * {m_val} * {comp_value}"
                 )
     return cert
 

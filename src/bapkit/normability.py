@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import (
     CertificateFailureError,
@@ -76,36 +75,18 @@ def _pair_modulus(system: SeminormSystem, level: int, vectors) -> tuple:
     return tuple(modulus)
 
 
-class _MeasuredOnRead:
-    """CauchyFamily.modulus: the constructor stores a tuple, or a zero-argument
-    measurement that runs on the first read and whose tuple is then kept."""
-
-    def __get__(self, family, _owner=None):
-        if family is None:
-            raise AttributeError("modulus has no default")
-        stored = family.__dict__["modulus"]
-        if callable(stored):
-            stored = family.__dict__["modulus"] = stored()
-        return stored
-
-    def __set__(self, family, value) -> None:
-        family.__dict__["modulus"] = value
-
-
 @dataclass(frozen=True)
 class CauchyFamily:
     """Vector sequence with a tail modulus at one level.
 
     modulus[i] = (l, bound) claims value(level, x_m - x_l) <= bound for
     every later member m; modulus_form, when present, is a decaying closed
-    form dominating those bounds.  from_vectors measures the modulus on the
-    first read of .modulus (equality, hashing and the codec read it), not
-    at construction.
+    form dominating those bounds.  from_vectors measures the modulus.
     """
 
     level: int
     vectors: tuple
-    modulus: tuple = _MeasuredOnRead()  # a required field; the descriptor gives no default
+    modulus: tuple
     modulus_form: GeometricForm | None = None
 
     @staticmethod
@@ -116,9 +97,7 @@ class CauchyFamily:
         system.check_level(level)
         for x in vectors:
             system.check_vector(x)
-        return CauchyFamily(
-            level, vectors, partial(_pair_modulus, system, level, vectors), modulus_form
-        )
+        return CauchyFamily(level, vectors, _pair_modulus(system, level, vectors), modulus_form)
 
     def verify_modulus(self, system: SeminormSystem) -> bool:
         """Re-measure every pair against the stored bounds."""

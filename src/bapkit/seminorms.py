@@ -527,21 +527,33 @@ class CustomSeminorms(SeminormSystem):
         return ((lvl.combiner, tuple(lvl.functionals)),)
 
 
+@dataclass(frozen=True)
 class SupPartialSumSeminorms(SeminormSystem):
     """Derived grading |y|_k = max_n value(k, sum_{i<=n} ops[i] y).
 
     ops are applied left to right; the derived family inherits the base
-    levels and is monotone whenever the base is.
+    box, mode and levels and is monotone whenever the base is.
     """
 
-    def __init__(self, base: SeminormSystem, operators: Sequence) -> None:
-        if not operators:
+    base: SeminormSystem
+    operators: tuple  # of FiniteRankOperator, at least one
+
+    def __post_init__(self) -> None:
+        if not self.operators:
             raise DegenerateInputError("need at least one operator")
-        self.base = base
-        self.operators = tuple(operators)
-        self.box = base.box
-        self.mode = base.mode
-        self.level_count = base.level_count
+        object.__setattr__(self, "operators", tuple(self.operators))
+
+    @property
+    def box(self) -> Box:  # type: ignore[override]
+        return self.base.box
+
+    @property
+    def mode(self) -> str:  # type: ignore[override]
+        return self.base.mode
+
+    @property
+    def level_count(self) -> int:  # type: ignore[override]
+        return self.base.level_count
 
     def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
         """Per level the max over the partial sums, each partial sum built and

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError, ModeError
+from .errors import DomainError, InputError, ModeError
 from .scalars import (
     Scalar,
     all_approx_equal,
@@ -100,7 +100,20 @@ def _canonical(box: Box, mode: str, pairs: Iterable) -> "TruncatedVector":
     for idx, val in pairs:
         merged[idx] = merged[idx] + val if idx in merged else val
     cleaned = tuple((idx, val) for idx, val in sorted(merged.items()) if val != 0)
-    return TruncatedVector(box, mode, cleaned)
+    return _trusted(box, mode, cleaned)
+
+
+def _trusted(box: Box, mode: str, entries: tuple) -> "TruncatedVector":
+    """The vector with these entries, which the caller has built in canonical form:
+    indices in the box and increasing, no zero value.  Unlike the public
+    constructor it checks nothing, as the package's own builders keep that form.
+    It sets the fields one by one, as the dataclass constructor does, so that
+    vectors keep sharing one key table for their attributes."""
+    vector = object.__new__(TruncatedVector)
+    object.__setattr__(vector, "box", box)
+    object.__setattr__(vector, "mode", mode)
+    object.__setattr__(vector, "entries", entries)
+    return vector
 
 
 @dataclass(frozen=True)
@@ -108,12 +121,23 @@ class TruncatedVector:
     """Immutable sparse vector on a box; zero entries are never stored.
 
     The entries tuple is kept sorted by index, which makes equality,
-    hashing and serialization canonical.
+    hashing and serialization canonical.  The constructor takes entries in
+    that form only; create sorts, merges and drops zeros for a caller.
     """
 
     box: Box
     mode: str
     entries: tuple = ()
+
+    def __post_init__(self) -> None:
+        previous = None
+        for idx, value in self.entries:
+            _require_index(self.box, idx)
+            if previous is not None and not previous < idx:
+                raise InputError(f"entry index {idx!r} does not follow {previous!r} in box order")
+            if value == 0:
+                raise InputError(f"entry at {idx!r} is zero; a vector stores no zero")
+            previous = idx
 
     @staticmethod
     def create(box: Box, mode: str, values: Mapping | Iterable = ()) -> "TruncatedVector":
@@ -175,7 +199,7 @@ class TruncatedVector:
                 j += 1
         out.extend(left[i:])
         out.extend(((ib, -b) for ib, b in right[j:]) if subtract else right[j:])
-        return TruncatedVector(self.box, self.mode, tuple(out))
+        return _trusted(self.box, self.mode, tuple(out))
 
     def __add__(self, other: "TruncatedVector") -> "TruncatedVector":
         return self._merge(other, subtract=False)
@@ -186,7 +210,7 @@ class TruncatedVector:
     def scale(self, factor) -> "TruncatedVector":
         c = as_scalar(factor, self.mode)
         products = ((idx, c * val) for idx, val in self.entries)
-        return TruncatedVector(self.box, self.mode, tuple(p for p in products if p[1] != 0))
+        return _trusted(self.box, self.mode, tuple(p for p in products if p[1] != 0))
 
     def __neg__(self) -> "TruncatedVector":
         return self.scale(-1)
@@ -223,7 +247,7 @@ def linear_combination(box: Box, mode: str, terms: Iterable) -> TruncatedVector:
 
 def zero_vector(box: Box, mode: str) -> TruncatedVector:
     check_mode(mode)
-    return TruncatedVector(box, mode, ())
+    return _trusted(box, mode, ())
 
 
 def unit_vector(box: Box, mode: str, idx) -> TruncatedVector:
@@ -236,4 +260,4 @@ def vector_from_dense(box: Box, mode: str, coords: Iterable) -> TruncatedVector:
         raise DomainError(f"expected {box.dimension} coordinates, got {len(coords)}")
     coerce = scalar_coercer(mode)
     pairs = zip(box.indices(), map(coerce, coords))
-    return TruncatedVector(box, mode, tuple((idx, x) for idx, x in pairs if x != 0))
+    return _trusted(box, mode, tuple((idx, x) for idx, x in pairs if x != 0))

@@ -66,7 +66,7 @@ class VogtInstance:
 
 def _random_sparse(instance: VogtInstance, rng: random.Random) -> TruncatedVector:
     """A random vector on up to ten distinct sites of the box, its entries
-    sorted and its zero values left out, as TruncatedVector.create leaves them."""
+    sorted and its zero values left out, the form the constructor checks."""
     indices = instance._indices
     picked = rng.sample(indices, rng.randint(1, min(10, len(indices))))
     if instance.mode == RATIONAL:

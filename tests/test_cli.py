@@ -159,6 +159,9 @@ def test_nested_key_must_be_an_object(tmp_path, capsys):
         ({"mode": "decimal"}, "mode"),
         ({"seed": -1}, "seed"),
         ({"suite": "everything"}, "suite"),
+        # the Vogt sizes are bounded by the 12 x 6 x 8 box and 12 levels
+        ({"vogt": {"n_max": 13, "mu_max": 6, "nu_max": 8}}, "the vogt box has 624 coordinates"),
+        ({"vogt": {"level_count": 13}}, "vogt.level_count must be at most 12"),
     ],
 )
 def test_config_validation_bounds(tmp_path, capsys, override, fragment):
@@ -565,7 +568,8 @@ def test_out_path_check_keeps_an_existing_file_until_the_run_ends(tmp_path, monk
 # ---------------------------------------------------------------------------
 # generated configs: every one exits 0, 1 or 2, and none with a traceback
 
-# sizes come only from small sets: the config bounds no Vogt size from above
+# sizes come from small sets, so that each config runs fast; the config bounds them
+# above by the 12 x 6 x 8 box and 12 levels, which test_config_validation_bounds pins
 JSON_SCALARS = (
     st.none()
     | st.booleans()

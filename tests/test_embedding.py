@@ -231,6 +231,22 @@ def test_certificate_failure_on_a_false_factor(monkeypatch):
         certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=20)
 
 
+def test_certificate_failure_prints_the_factor_it_compared(monkeypatch):
+    # on the coordinate family |||I(x)|||_k equals M_k * value(l, x) with M_k = 1, so a
+    # factor 19/20 fails by under 10%, and the message formats the factor in use
+    box = SingleBox(3)
+    system = KoetheSeminorms(
+        tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, "rational"
+    )
+    schedule = build_schedule(
+        coordinate_family(box), system, rng=random.Random(0), prefix_samples=10
+    )
+    monkeypatch.setattr(embedding, "EQUICONTINUITY_FACTOR", F(19, 20))
+    printed = r"upper bound .*: 25/4 > 19/20 \* 1 \* 25/4$"
+    with pytest.raises(CertificateFailureError, match=printed):
+        certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=20)
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_certificate_lower_bound_fails_when_the_graded_value_reads_zero(monkeypatch, mode):
     # the graded value is the largest partial-sum value and the last partial sum is the

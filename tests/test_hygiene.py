@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Twelve rules: no module imports a name it never uses (`__init__` exists to
+Thirteen rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -32,7 +32,11 @@ numerical setting: no function has a parameter named `tol` or `cap`, and only
 `scalars`, `linalg` and the vertex slack of `polyhedral._vertices` call
 `rank_tol`, because a threshold or a cap that each caller passes is one more
 statement of the policy that `scalars` and `polyhedral.CAP` state once (one
-test calls the knobs that are gone and sees TypeError), and a row reaches every
+test calls the knobs that are gone and sees TypeError), and every codec
+record is a plain value: each class in `jsonio.KINDS` is a frozen dataclass,
+and no class in the package defines `__get__`, because a record that compares
+by identity, or a field that measures when it is read, breaks
+decode(encode(x)) == x or makes `==` do work, and a row reaches every
 failure branch of the package (a raise of CertificateFailureError or
 ConstructionSoundnessError, a verdict set to False, a failed report
 returned), or BRANCH_ALLOWLIST names it with its reason, because a branch
@@ -42,6 +46,7 @@ branch, never the whole suite.
 """
 
 import ast
+import dataclasses
 import functools
 import json
 import os
@@ -54,6 +59,7 @@ from pathlib import Path
 
 import pytest
 
+from bapkit import jsonio
 from bapkit.embedding import certify_equicontinuity
 from bapkit.scalars import sum_products
 
@@ -207,6 +213,9 @@ READ_OUTSIDE = {
     ("RhoTable", "from_grid"),
     # the truncation P_t y that the basis criterion is stated with
     ("BasisSpaceElement", "prefix"),
+    # a Cauchy family with its modulus measured on a system; the CLI's unfloored
+    # families claim no modulus, so they are built without it
+    ("CauchyFamily", "from_vectors"),
 }
 
 
@@ -404,6 +413,60 @@ def _vertices(mode):
 def test_a_removed_knob_raises_type_error(call):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
+
+
+def _plain_value_violations(classes, trees):
+    """Each class that is not a frozen dataclass, and each class in the (name, tree)
+    pairs that defines __get__, so that reading its attribute runs code."""
+    found = [
+        f"{cls.__name__} is not a frozen dataclass"
+        for cls in classes
+        if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+    ]
+    found += [
+        f"{name}:{node.lineno} {node.name} defines __get__"
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(m, ast.FunctionDef) and m.name == "__get__" for m in node.body)
+    ]
+    return found
+
+
+def test_every_codec_record_is_a_plain_value():
+    classes = [record.cls for record in jsonio.KINDS.values()]
+    trees = [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in MODULES]
+    found = _plain_value_violations(classes, trees)
+    assert not found, f"records compare by value and read no field lazily: {found}"
+
+
+def test_the_plain_value_rule_flags_an_identity_record_and_a_descriptor():
+    class Table:
+        def __init__(self, rows):
+            self.rows = rows
+
+    @dataclasses.dataclass
+    class Mutable:
+        rows: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class Plain:
+        rows: tuple
+
+    source = """
+class MeasuredOnRead:
+    def __get__(self, obj, owner=None):
+        return obj
+class Reader:
+    def get(self):
+        return self
+"""
+    found = _plain_value_violations([Table, Mutable, Plain], [("m.py", ast.parse(source))])
+    assert found == [
+        "Table is not a frozen dataclass",
+        "Mutable is not a frozen dataclass",
+        "m.py:2 MeasuredOnRead defines __get__",
+    ]
 
 
 # ---------------------------------------------------------------------------

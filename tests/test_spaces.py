@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bapkit import (
     DomainError,
+    InputError,
     ModeError,
     SingleBox,
     TripleBox,
@@ -74,6 +75,41 @@ def test_create_merges_duplicates_and_drops_zeros():
 def test_create_rejects_out_of_box_indices():
     with pytest.raises(DomainError):
         TruncatedVector.create(SingleBox(2), "rational", [(3, 1)])
+
+
+# entries the public constructor refuses: it takes canonical form only, so two vectors
+# are equal exactly when their coordinates are
+MALFORMED_ENTRIES = [
+    # the stored zero would overwrite x_1 in dense(), which read [0, 1]
+    ("unsorted-with-a-zero", SingleBox(2), ((2, 1), (1, 1), (1, 0)), InputError),
+    ("unsorted", SingleBox(2), ((2, 1), (1, 1)), InputError),
+    ("repeated-index", SingleBox(2), ((1, 1), (1, 2)), InputError),
+    ("repeated-triple-index", TripleBox(2, 2, 2), (((1, 2, 1), 1), ((1, 2, 1), 1)), InputError),
+    ("zero-value", SingleBox(2), ((1, Fraction(0)),), InputError),
+    ("index-outside-the-box", SingleBox(2), ((1, 1), (3, 1)), DomainError),
+    ("triple-index-outside-the-box", TripleBox(2, 2, 2), (((1, 1, 3), 1),), DomainError),
+    ("boolean-index", SingleBox(2), ((True, 1),), DomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "box, entries, error", [m[1:] for m in MALFORMED_ENTRIES], ids=[m[0] for m in MALFORMED_ENTRIES]
+)
+def test_the_constructor_rejects_entries_out_of_canonical_form(box, entries, error):
+    with pytest.raises(error) as info:
+        TruncatedVector(box, "rational", entries)
+    assert type(info.value) is error
+
+
+def test_the_constructor_accepts_canonical_entries():
+    box = TripleBox(2, 2, 2)
+    entries = (((1, 1, 2), Fraction(1, 3)), ((1, 2, 1), Fraction(-2)), ((2, 1, 1), Fraction(1, 2)))
+    v = TruncatedVector(box, "rational", entries)
+    assert v.entries == entries
+    assert v == TruncatedVector.create(box, "rational", reversed(entries))
+    # create puts pairs in canonical form: it sorts, sums a repeated index and drops zeros
+    found = TruncatedVector.create(SingleBox(2), "rational", ((2, 1), (1, 1), (1, 0)))
+    assert found.entries == ((1, 1), (2, 1)) and found.dense() == [1, 1]
 
 
 def test_entries_are_sorted_by_position():
