@@ -232,7 +232,10 @@ def dv_condition_check(
     verified floor at k.  A family without a floor must still vanish as
     claimed: its decay form has to dominate its raw trace at the base
     level, or CertificateFailureError is raised, as for a floored family.
-    Empty evidence is vacuously consistent and flagged as such.
+    Empty evidence is vacuously consistent and flagged as such.  evidence
+    may be any iterable: it is read once, in order, and only the family
+    being checked is held, so a generator never has every family alive at
+    once.
     """
     system.check_level(base_level)
     if not isinstance(comparison_levels, Mapping):
@@ -244,10 +247,8 @@ def dv_condition_check(
                 f"comparison levels must satisfy j(k) > k >= {base_level},"
                 f" got j({k})={j}"
             )
-    items = list(evidence)
-    if not items:
-        return DiagnosticVerdict("consistent", "no evidence", details=(("evidence", 0),))
-    for item in items:
+    count = 0
+    for count, item in enumerate(evidence, start=1):
         if item.floor is None:
             decay_trace = measure_trace(system, base_level, item.family.vectors)
             _check_decay_form(system, decay_trace, base_level, item.decay_form)
@@ -267,10 +268,12 @@ def dv_condition_check(
                 f"level {k} with comparison level {j}: " + sub.reason,
                 details=sub.details + (("tested_level", k), ("comparison_level", j)),
             )
+    if not count:
+        return DiagnosticVerdict("consistent", "no evidence", details=(("evidence", 0),))
     return DiagnosticVerdict(
         "consistent",
-        f"no certified violation among {len(items)} families",
-        details=(("evidence", len(items)),),
+        f"no certified violation among {count} families",
+        details=(("evidence", count),),
     )
 
 

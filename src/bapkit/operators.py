@@ -50,7 +50,14 @@ from .scalars import (
     random_scalar,
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
-from .spaces import Box, TruncatedVector, linear_combination, vector_from_dense, zero_vector
+from .spaces import (
+    Box,
+    TruncatedVector,
+    check_parts,
+    linear_combination,
+    vector_from_dense,
+    zero_vector,
+)
 
 # every prefix of a damped block stays within this multiple of its input's seminorm
 PREFIX_FACTOR = 2
@@ -479,7 +486,8 @@ class ScheduledFamily:
 
     operators[s] acts as C_i of block p composed with that block's source
     operator; block_structure[s] = (p, i) with 1-based p and i.  generators
-    are the range lines normalized to leading coordinate 1.
+    are the range lines normalized to leading coordinate 1.  Every operator,
+    generator, split source and source-family member lives on box, in mode.
     """
 
     box: Box
@@ -491,6 +499,13 @@ class ScheduledFamily:
     splits: tuple
     working_levels: tuple
     generators: tuple
+
+    def __post_init__(self) -> None:
+        check_mode(self.mode)
+        check_parts(self.box, self.mode, self.operators, "operator")
+        check_parts(self.box, self.mode, self.generators, "generator")
+        check_parts(self.box, self.mode, (split.source for split in self.splits), "split source")
+        check_parts(self.box, self.mode, self.source_family, "source family member")
 
     def __len__(self) -> int:
         return len(self.operators)

@@ -57,7 +57,7 @@ from .scalars import (
     sum_products,
     zero,
 )
-from .spaces import Box, SingleBox, TripleBox, TruncatedVector, linear_combination
+from .spaces import Box, SingleBox, TripleBox, TruncatedVector, check_parts, linear_combination
 
 SUM = "sum"
 MAX = "max"
@@ -532,7 +532,8 @@ class SupPartialSumSeminorms(SeminormSystem):
     """Derived grading |y|_k = max_n value(k, sum_{i<=n} ops[i] y).
 
     ops are applied left to right; the derived family inherits the base
-    box, mode and levels and is monotone whenever the base is.
+    box, mode and levels and is monotone whenever the base is.  Every
+    operator must live on the base box, in the base mode.
     """
 
     base: SeminormSystem
@@ -542,6 +543,7 @@ class SupPartialSumSeminorms(SeminormSystem):
         if not self.operators:
             raise DegenerateInputError("need at least one operator")
         object.__setattr__(self, "operators", tuple(self.operators))
+        check_parts(self.base.box, self.base.mode, self.operators, "operator")
 
     @property
     def box(self) -> Box:  # type: ignore[override]

@@ -94,6 +94,16 @@ def _require_index(box: Box, idx) -> None:
         raise DomainError(f"index {idx!r} outside box {box}")
 
 
+def check_parts(box: Box, mode: str, parts: Iterable, what: str) -> None:
+    """Raise DomainError for a part (a vector or an operator) on another box than
+    box, and ModeError for one in another mode than mode."""
+    for part in parts:
+        if part.box is not box and part.box != box:
+            raise DomainError(f"{what} box {part.box} does not match {box}")
+        if part.mode != mode:
+            raise ModeError(f"{what} mode {part.mode} does not match {mode}")
+
+
 def _canonical(box: Box, mode: str, pairs: Iterable) -> "TruncatedVector":
     """The vector summing the (index, value) pairs: entries in index order, zeros dropped."""
     merged: dict = {}

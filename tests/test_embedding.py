@@ -263,6 +263,28 @@ def test_certificate_lower_bound_fails_when_the_graded_value_reads_zero(monkeypa
         certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_certificate_lower_bound_fails_when_the_graded_value_reads_20_21_of_itself(
+    monkeypatch, mode
+):
+    # on the coordinate family the lower bound holds with equality, so a graded value under
+    # 10% short of the truth must already fail it: a bound loosened to 9/10 would pass
+    box = SingleBox(3)
+    system = KoetheSeminorms(tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, mode)
+    schedule = build_schedule(
+        coordinate_family(box, mode), system, rng=random.Random(0), prefix_samples=10
+    )
+    true_values = embedding.e0_values
+    short = Fraction(20, 21) if mode == "rational" else 20 / 21
+    monkeypatch.setattr(
+        embedding,
+        "e0_values",
+        lambda system, element: tuple(short * v for v in true_values(system, element)),
+    )
+    with pytest.raises(CertificateFailureError, match="lower bound failed"):
+        certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction and the basis criterion
 

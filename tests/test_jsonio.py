@@ -133,6 +133,43 @@ def test_schedule_and_derived_objects():
     assert roundtrip(y) == y
 
 
+def _schedule_data():
+    box = SingleBox(2)
+    system = KoetheSeminorms(((1, 1),), box, "rational")
+    a = FiniteRankOperator.from_matrix(box, "rational", [[1, 1], [0, 2]], "a")
+    return jsonio.encode(build_schedule([a], system, rng=random.Random(0), prefix_samples=5))
+
+
+def _misplace(data, field, op, vec):
+    """Replace the last part of a schedule record's field by op, or by vec for a generator."""
+    if field == "splits":
+        data["splits"][-1]["source"] = op
+    else:
+        data[field][-1] = vec if field == "generators" else op
+
+
+@pytest.mark.parametrize("kind, error", [("box", DomainError), ("mode", ModeError)])
+@pytest.mark.parametrize("field", ["generators", "operators", "source_family", "splits"])
+def test_a_schedule_record_with_a_part_on_another_box_or_mode_is_refused(field, kind, error):
+    box, mode = (SingleBox(3), "rational") if kind == "box" else (SingleBox(2), "float")
+    op = jsonio.encode(FiniteRankOperator.identity(box, mode))
+    vec = jsonio.encode(vector_from_dense(box, mode, [1] + [0] * (box.d - 1)))
+    data = _schedule_data()
+    _misplace(data, field, op, vec)
+    with pytest.raises(error) as info:
+        jsonio.decode(data)
+    assert type(info.value) is error
+
+
+def test_a_schedule_record_on_another_box_and_mode_than_its_parts_is_refused():
+    # a rational schedule on a d = 2 box, declared float on a d = 3 box: the boxes differ first
+    data = {**_schedule_data(), "box": {"kind": "single-box", "d": 3}, "mode": "float"}
+    with pytest.raises(DomainError):
+        jsonio.decode(data)
+    with pytest.raises(ModeError):
+        jsonio.decode({**_schedule_data(), "mode": "complex"})
+
+
 def test_report_roundtrips():
     box = SingleBox(3)
     system = KoetheSeminorms(

@@ -419,6 +419,61 @@ def test_dv_condition_rejects_mismatched_family_levels():
         dv_condition_check(system, {2: 4}, 1, [witness_evidence(w)])
 
 
+def stream_cases():
+    """name -> (system, comparison levels, base level, evidence list, families read)."""
+    system = prefix_system()
+    honest = [
+        VanishingEvidence(geometric_family(system, 3, ratio=r), GeometricForm(F(1), r), floor=None)
+        for r in (F(1, 2), F(1, 3), F(1, 4))
+    ]
+    # the trace at level 1 is 2**-m for member m; a form of scale 1/2 sits below it
+    too_small = VanishingEvidence(honest[0].family, GeometricForm(F(1, 2), F(1, 2)), floor=None)
+    w = witness()
+    # the witness family without its floor vanishes as claimed and proves nothing
+    unfloored = VanishingEvidence(w.cauchy, w.decay_form, floor=None)
+    levels = {k: k + 1 for k in (1, 2, 3)}
+    witness_args = (w.instance.system(), {w.floor_level: w.cauchy_level}, w.vanishing_level)
+    return {
+        "consistent": (system, levels, 1, honest, 3),
+        "violated": (*witness_args, [unfloored, witness_evidence(w), unfloored], 2),
+        "empty": (system, levels, 1, [], 0),
+        "error": (system, levels, 1, [honest[0], too_small, honest[1]], 2),
+    }
+
+
+def streamed(items, read):
+    """The items as a generator, which appends each to read as it hands it out."""
+    for item in items:
+        read.append(item)
+        yield item
+
+
+def outcome(check):
+    """check's verdict, or the type and message of what it raised."""
+    try:
+        return check()
+    except Exception as exc:  # the list is the oracle for whatever is raised
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", ["consistent", "violated", "empty", "error"])
+def test_dv_condition_reads_a_generator_as_it_reads_the_equal_list(case):
+    system, levels, base, items, read_count = stream_cases()[case]
+    read = []
+    from_list = outcome(lambda: dv_condition_check(system, levels, base, items))
+    from_stream = outcome(lambda: dv_condition_check(system, levels, base, streamed(items, read)))
+    assert from_stream == from_list
+    # read once, in order, and no further than the family that decides the verdict
+    assert read == items[:read_count]
+    if case == "error":
+        assert from_list[0] is CertificateFailureError
+    else:
+        assert isinstance(from_list, DiagnosticVerdict)
+        assert from_list.violated == (case == "violated")
+        if case != "violated":
+            assert from_list.details == (("evidence", read_count),)
+
+
 # ---------------------------------------------------------------------------
 # sup-norm upgrade
 

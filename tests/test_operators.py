@@ -509,6 +509,43 @@ def test_flatten_schedule_rejects_blocks_on_different_boxes():
         flatten_schedule([block, other])
 
 
+def flat_schedule():
+    a = op2([[1, 1], [0, 2]], label="a")
+    return flatten_schedule([scale_and_replicate(rank_one_split(a, flat_system()), flat_system())])
+
+
+def misplaced_parts(kind):
+    """An operator and a vector on a d = 3 box, or on BOX2 in float mode."""
+    box, mode = (SingleBox(3), "rational") if kind == "box" else (BOX2, "float")
+    return FiniteRankOperator.identity(box, mode), unit_vector(box, mode, 1)
+
+
+# each field of a schedule that holds parts, with one part replaced by op or vec; the last
+# operator and generator are replaced, so every part is checked, not only the first
+MISPLACED_FIELDS = {
+    "operators": lambda s, op, vec: {"operators": s.operators[:-1] + (op,)},
+    "generators": lambda s, op, vec: {"generators": s.generators[:-1] + (vec,)},
+    "split-source": lambda s, op, vec: {"splits": (dataclasses.replace(s.splits[0], source=op),)},
+    "source-family": lambda s, op, vec: {"source_family": (op,)},
+}
+
+
+@pytest.mark.parametrize("kind, error", [("box", DomainError), ("mode", ModeError)])
+@pytest.mark.parametrize("field", sorted(MISPLACED_FIELDS))
+def test_a_schedule_rejects_a_part_on_another_box_or_mode(field, kind, error):
+    schedule = flat_schedule()
+    assert dataclasses.replace(schedule) == schedule
+    changes = MISPLACED_FIELDS[field](schedule, *misplaced_parts(kind))
+    with pytest.raises(error) as info:
+        dataclasses.replace(schedule, **changes)
+    assert type(info.value) is error
+
+
+def test_a_schedule_rejects_an_unknown_mode():
+    with pytest.raises(ModeError):
+        dataclasses.replace(flat_schedule(), mode="complex")
+
+
 def test_schedule_level_bookkeeping():
     a = op2([[1, 1], [0, 2]], label="a")
     split = rank_one_split(a, flat_system())

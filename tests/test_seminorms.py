@@ -305,6 +305,33 @@ def test_sup_partial_needs_operators():
         SupPartialSumSeminorms(base, [])
 
 
+# (base box, base mode, operator box, operator mode, error); the first is a float operator
+# on a d = 2 box under a rational base on a d = 3 box, whose box is checked first
+MISPLACED_OPERATORS = {
+    "another-box-and-mode": (3, "rational", 2, "float", DomainError),
+    "another-box": (2, "rational", 3, "rational", DomainError),
+    "another-mode": (2, "rational", 2, "float", ModeError),
+    "another-mode-under-a-float-base": (2, "float", 2, "rational", ModeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED_OPERATORS))
+def test_sup_partial_rejects_an_operator_on_another_box_or_mode(case):
+    d, mode, op_d, op_mode, error = MISPLACED_OPERATORS[case]
+    base = KoetheSeminorms((tuple(1 for _ in range(d)),), SingleBox(d), mode)
+    good = prefix_projections(SingleBox(d), mode)
+    bad = FiniteRankOperator.identity(SingleBox(op_d), op_mode)
+    # at the end of the family as well as alone: every operator is checked
+    for ops in ([bad], [*good, bad]):
+        with pytest.raises(error) as info:
+            SupPartialSumSeminorms(base, ops)
+        assert type(info.value) is error
+        record = {**encode(SupPartialSumSeminorms(base, good)), "operators": list(map(encode, ops))}
+        with pytest.raises(error) as info:
+            decode(record)
+        assert type(info.value) is error
+
+
 def test_sup_partial_kernel_is_exact():
     box = SingleBox(2)
     base = KoetheSeminorms(((0, 1),), box, "rational")
