@@ -36,10 +36,15 @@ EQUICONTINUITY_FACTOR = 5
 
 @dataclass(frozen=True)
 class BasisSpaceElement:
-    """Coefficient sequence along the schedule's generator lines."""
+    """Coefficient sequence along the schedule's generator lines, one per slot."""
 
     schedule: ScheduledFamily
     coefficients: tuple
+
+    def __post_init__(self) -> None:
+        slots = len(self.schedule)
+        if len(self.coefficients) != slots:
+            raise InputError(f"need {slots} coefficients, got {len(self.coefficients)}")
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -74,12 +79,7 @@ class BasisSpaceElement:
 
 
 def element_from_components(schedule: ScheduledFamily, coefficients) -> BasisSpaceElement:
-    coeffs = tuple(as_scalar(c, schedule.mode) for c in coefficients)
-    if len(coeffs) != len(schedule.operators):
-        raise InputError(
-            f"need {len(schedule.operators)} coefficients, got {len(coeffs)}"
-        )
-    return BasisSpaceElement(schedule, coeffs)
+    return BasisSpaceElement(schedule, tuple(as_scalar(c, schedule.mode) for c in coefficients))
 
 
 def e0_values(system: SeminormSystem, element: BasisSpaceElement) -> tuple:

@@ -23,7 +23,7 @@ from .operators import accumulate
 from .polyhedral import comparison_level
 from .scalars import DECAY, as_scalar, leq, random_scalar, zero
 from .seminorms import SeminormSystem, SupPartialSumSeminorms
-from .spaces import vector_from_dense
+from .spaces import check_parts, vector_from_dense
 
 
 def measure_trace(system: SeminormSystem, level: int, vectors) -> tuple:
@@ -81,13 +81,19 @@ class CauchyFamily:
 
     modulus[i] = (l, bound) claims value(level, x_m - x_l) <= bound for
     every later member m; modulus_form, when present, is a decaying closed
-    form dominating those bounds.  from_vectors measures the modulus.
+    form dominating those bounds.  from_vectors measures the modulus.  Every
+    member lives on the first member's box, in its mode.
     """
 
     level: int
     vectors: tuple
     modulus: tuple
     modulus_form: GeometricForm | None = None
+
+    def __post_init__(self) -> None:
+        if self.vectors:
+            first = self.vectors[0]
+            check_parts(first.box, first.mode, self.vectors[1:], "family member")
 
     @staticmethod
     def from_vectors(

@@ -325,6 +325,7 @@ class RankOneSplit:
 
     control_constant bounds max_j value(k, B_j e) / value(k, e) for every
     control level k; level_constants records the exact per-level optimum.
+    Every piece and decomposition vector lives on the source's box, in its mode.
     """
 
     source: FiniteRankOperator
@@ -333,6 +334,11 @@ class RankOneSplit:
     control_constant: object
     level_constants: tuple
     decomposition: ComplementDecomposition
+
+    def __post_init__(self) -> None:
+        box, mode = self.source.box, self.source.mode
+        check_parts(box, mode, self.pieces, "piece")
+        check_parts(box, mode, self.decomposition.adapted_basis, "decomposition vector")
 
     @property
     def piece_count(self) -> int:

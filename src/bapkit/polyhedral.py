@@ -25,11 +25,10 @@ rows are made dense once for the elimination.  Objective rows are transposed onc
 column -> the rows that hold it, so a vertex costs only the entries its nonzeros meet, and
 each row's products are summed in column order, so float sums are bit-equal to the dense
 products.
-Dimension and row counts are desk-scale; the combinatorics cap CAP guards
-the enumeration, in both modes, and no caller sets another.  Above it float
-mode returns, with nothing sampled, the sup over the larger ball of G_P, the
-d_eff independent rows of G, from one inversion of G_P: a sound upper bound,
-exact for square sum balls.
+Dimension and row counts are desk-scale: at the config's bounds a ball has at
+most 12 coordinates and 12 rows, so at most C(12, 8) * 2^7 = 63,360 vertex
+candidates.  The cap CAP guards the enumeration: above it both modes raise
+ComputationCapError, no caller sets another cap, and nothing is sampled.
 """
 
 from __future__ import annotations
@@ -41,11 +40,10 @@ from functools import reduce
 
 from .errors import ComputationCapError, DomainError, InputError, ModeError, UnboundedSeminormError
 from .linalg import (
-    column_space_basis, dense_rows, echelon_inverse, echelon_nullspace, invert, mat_vec,
-    nullspace, rank, row_echelon, solve, transpose
+    dense_rows, echelon_inverse, echelon_nullspace, mat_vec, nullspace, rank, row_echelon, solve
 )
-from .scalars import RATIONAL, negligible, rank_tol, zero
-from .seminorms import MAX, SUM, SeminormSystem, basis_rows, functional_rows
+from .scalars import negligible, rank_tol, zero
+from .seminorms import SUM, SeminormSystem, basis_rows, functional_rows
 
 # vertex candidates a sup may enumerate
 CAP = 200_000
@@ -100,7 +98,8 @@ def polyhedral_sup(
     increasing order; objective_pieces is a list of (R_i, combiner_i).
     Raises UnboundedSeminormError when the objective does not vanish on the
     constraint family's kernel (the sup is then infinite on the box), and
-    ComputationCapError above CAP unless a float bound's G_P inverts.
+    ComputationCapError, in either mode, when the ball has more than CAP
+    vertex candidates.
     """
     rows = [r for r in constraint_rows if any(not negligible(x, mode) for x in r.values())]
     rows = dense_rows(rows, dim, mode)
@@ -127,15 +126,7 @@ def polyhedral_sup(
     else:
         count = math.comb(m, d_eff) * 2 ** (d_eff - 1) if m >= d_eff else 0
     if count > CAP:
-        inverse = None
-        # float mode takes the larger ball of the d_eff independent rows G_P
-        if mode != RATIONAL:
-            g2 = [g2[i] for i in column_space_basis(transpose(g2), mode)]
-            inverse = invert(g2, mode) if len(g2) == d_eff else None
-        if inverse is None:
-            raise ComputationCapError(f"{count} vertex candidates exceed cap {CAP} in {mode} mode")
-        if constraint_combiner == MAX:
-            return _max_ball_sup(combiners, columns, inverse, mode)
+        raise ComputationCapError(f"{count} vertex candidates exceed cap {CAP} in {mode} mode")
     # a square sum ball's vertices are the columns of G^-1, which echelon_inverse
     # gives exactly when every row of G holds a pivot; every other ball enumerates them
     if inverse is None:
@@ -174,24 +165,6 @@ def _vertices(g2, combiner, d_eff, mode):
                 c = solve(sub, [1, *tail], mode)
                 if all(abs(x) <= 1 + slack for x in mat_vec(g2, c)):
                     yield c
-
-
-def _max_ball_sup(combiners, columns, inverse, mode):
-    """sup over {|G c|_inf <= 1} for a square G with inverse: per objective
-    row r the l1 norm of r G^-1, its terms in column order, combined per
-    piece in row order (exact for max pieces, an upper bound for sum pieces),
-    max over pieces."""
-    norms = {}
-    for c in zip(*inverse):
-        for key, v in _row_values(columns, c).items():
-            norms.setdefault(key, []).append(abs(v))
-    per_piece = {}
-    for (p, _), norm in sorted(norms.items()):
-        per_piece.setdefault(p, []).append(sum(norm))
-    best = zero(mode)
-    for p, sums in per_piece.items():
-        best = max(best, _combine(sums, combiners[p]))
-    return best
 
 
 def _graded_sup(system, to_level, from_level, domain_basis, image_lists):

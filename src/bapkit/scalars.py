@@ -20,9 +20,9 @@ and no function takes a tolerance:
   DECAY          the last/first ratio at which a tail modulus counts as
                  reached zero, in both modes; an exact Fraction
 
-No constant inflates an operator norm: above the enumeration cap
-polyhedral.CAP, float mode bounds a polyhedral sup from above through the
-inverse of its pivot rows G_P, and nothing is sampled (see polyhedral).
+No constant inflates an operator norm, and no norm is sampled: every
+polyhedral sup is found at a vertex in both modes, and above the enumeration
+cap polyhedral.CAP both modes raise ComputationCapError (see polyhedral).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from bapkit import (
     vector_from_dense,
     verify_reconstruction,
 )
-from bapkit import embedding
+from bapkit import embedding, jsonio
 from bapkit.scalars import zero
 from bapkit.seminorms import SupPartialSumSeminorms, apply_functional
 from bapkit.spaces import zero_vector
@@ -60,6 +60,22 @@ def test_element_length_check():
     schedule = skewed_schedule()
     with pytest.raises(InputError):
         element_from_components(schedule, [1, 2, 3])
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_a_basis_element_holds_one_coefficient_per_slot(count):
+    a = FiniteRankOperator.from_matrix(BOX2, "rational", [[1, 0], [0, 0]], "a")
+    schedule = build_schedule([a], flat_system(), rng=random.Random(0), prefix_samples=3)
+    assert len(schedule) == 1
+    # of mixed modes, as a decoded record may hold them: only the count is refused
+    coefficients = (F(1), 2.5, F(3, 2))[:count]
+    with pytest.raises(InputError, match=f"need 1 coefficients, got {count}"):
+        embedding.BasisSpaceElement(schedule, coefficients)
+    good = embedding.BasisSpaceElement(schedule, (F(1),))
+    encoded = [{"num": 1, "den": 1}, 2.5, {"num": 3, "den": 2}][:count]
+    record = {**jsonio.encode(good), "coefficients": encoded}
+    with pytest.raises(InputError, match=f"need 1 coefficients, got {count}"):
+        jsonio.decode(record)
 
 
 def test_components_and_totals():

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Thirteen rules: no module imports a name it never uses (`__init__` exists to
+Fourteen rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -40,14 +40,23 @@ decode(encode(x)) == x or makes `==` do work, and a row reaches every
 failure branch of the package (a raise of CertificateFailureError or
 ConstructionSoundnessError, a verdict set to False, a failed report
 returned), or BRANCH_ALLOWLIST names it with its reason, because a branch
-that cannot fire certifies nothing.  That rule runs the rows in a fresh
-interpreter under a tracer that looks only inside the functions holding a
-branch, never the whole suite.
+that cannot fire certifies nothing, and a document enters every function and
+method of the package, or API_ALLOWLIST names it with its reason, because code
+that no `bapkit run` reaches is dead or is public API that says so.  The
+branch rule runs the rows in a fresh interpreter under a tracer that looks
+only inside the functions holding a branch, never the whole suite; the
+function rule runs every GOLDEN and SCALED config, and the failing short
+decay table, through the command line in a fresh interpreter under a call
+hook that notes each code object entered.  Each of the two has a self-check
+on one copy of the package, which adds an unreachable raise and an uncalled
+public function.
 """
 
 import ast
+import contextlib
 import dataclasses
 import functools
+import io
 import json
 import os
 import re
@@ -59,9 +68,10 @@ from pathlib import Path
 
 import pytest
 
-from bapkit import jsonio
+from bapkit import cli, jsonio
 from bapkit.embedding import certify_equicontinuity
 from bapkit.scalars import sum_products
+from test_golden import GOLDEN, SCALED, THIRD_TABLE
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "bapkit"
@@ -579,7 +589,7 @@ def _failure_branches(package):
 def _trace_rows(out, *rows):
     """Run the rows with pytest under a tracer that looks only inside the functions that hold a
     failure branch, and write to the JSON file out the lines it saw run there, the rows that
-    turned it off, and pytest's exit code.  _start_run calls this in a fresh interpreter."""
+    turned it off, and pytest's exit code.  _gate_runs starts this in a fresh interpreter."""
     branches = _failure_branches(PACKAGE)
     # by file and bare name, as a code object names itself on every supported Python
     watched = {(os.path.realpath(path), key[1].rpartition(".")[2]) for key, (path, _) in branches.items()}
@@ -615,44 +625,48 @@ def _trace_rows(out, *rows):
     Path(out).write_text(json.dumps({"exit": int(code), "lines": ran, "lost": lost}))
 
 
-def _start_run(root, scratch):
-    """Start BRANCH_ROWS on the checkout at root in a fresh interpreter, with its files in scratch."""
+def _start(root, scratch, script, *args):
+    """Start script on the checkout at root in a fresh interpreter, with the checkout's tests
+    first on its path and sys.argv[2] the JSON file that it writes its result to, in scratch."""
     scratch.mkdir()
-    script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import test_hygiene; "
-        "test_hygiene._trace_rows(*sys.argv[2:])"
-    )
     with open(scratch / "output.txt", "w") as output:
         process = subprocess.Popen(
-            [sys.executable, "-c", script, str(root / "tests"), str(scratch / "trace.json"),
-             *BRANCH_ROWS],
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, sys.argv[1]); {script}",
+             str(root / "tests"), str(scratch / "result.json"), *args],
             cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
             stdout=output, stderr=subprocess.STDOUT,
         )
     return root, scratch, process
 
 
+def _wait(scratch, process, missing):
+    """A started run's result, or missing when it wrote none, and its output."""
+    process.wait(timeout=300)  # each run takes seconds; _gate_runs kills a run that hangs
+    result = scratch / "result.json"
+    output = (scratch / "output.txt").read_text()
+    return (json.loads(result.read_text()) if result.exists() else missing), output
+
+
 def _finish_run(root, scratch, process):
-    """A started run's result: the checkout's failure branches, the keys of those that the rows
-    reach, the rows that turned the tracer off, and pytest's exit code and output."""
-    process.wait(timeout=300)  # the rows take seconds; _branch_runs kills a run that hangs
-    trace = scratch / "trace.json"
-    traced = json.loads(trace.read_text()) if trace.exists() else {"exit": None, "lines": [], "lost": []}
+    """A started BRANCH_ROWS run's result: the checkout's failure branches, the keys of those
+    that the rows reach, the rows that turned the tracer off, and pytest's exit code and output."""
+    traced, output = _wait(scratch, process, {"exit": None, "lines": [], "lost": []})
     ran = {tuple(pair) for pair in traced["lines"]}
     branches = _failure_branches(root / "src" / "bapkit")
     reached = {key for key, (path, line) in branches.items() if (os.path.realpath(path), line) in ran}
-    output = (scratch / "output.txt").read_text()
     return branches, reached, traced["lost"], traced["exit"], output
 
 
 INJECTED_KEY = ("vogt", "bap_failure_witness", "decay entry is not a number")
+INJECTED_FUNCTION = ("vogt", "witness_summary")
 
 
 @functools.cache
-def _branch_runs():
-    """The gate's two runs, started together so that they overlap: BRANCH_ROWS on this
-    checkout, and on a copy of it whose witness construction has one more raise, which nothing
-    reaches, since a float decay entry is never NaN."""
+def _gate_runs():
+    """The two gates' four runs, started together so that they overlap: BRANCH_ROWS and the
+    REACH_CONFIGS documents on this checkout, and both on one copy of it, whose witness
+    construction has one more raise, which nothing reaches, since a float decay entry is never
+    NaN, and whose vogt module ends in one more public function, which nothing calls."""
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "copy"
         skip = shutil.ignore_patterns("__pycache__")
@@ -664,28 +678,33 @@ def _branch_runs():
         source = vogt.read_text(encoding="utf-8")
         assert source.count(anchor) == 1
         injected = f'    if rho != rho:\n        raise CertificateFailureError("{INJECTED_KEY[2]}")\n'
-        vogt.write_text(source.replace(anchor, anchor + injected), encoding="utf-8")
+        added = f"\n\ndef {INJECTED_FUNCTION[1]}(witness):\n    return witness.floor\n"
+        vogt.write_text(source.replace(anchor, anchor + injected) + added, encoding="utf-8")
+        rows = ("import test_hygiene; test_hygiene._trace_rows(*sys.argv[2:])", *BRANCH_ROWS)
         started = {
-            "checkout": _start_run(TESTS.parent, Path(scratch) / "checkout-run"),
-            "copy": _start_run(copy, Path(scratch) / "copy-run"),
+            (gate, name): (finish, _start(root, Path(scratch) / f"{name}-{gate}", *script))
+            for name, root in (("checkout", TESTS.parent), ("copy", copy))
+            for gate, finish, script in (
+                ("branch", _finish_run, rows), ("reach", _finish_reach, (REACH_SCRIPT,))
+            )
         }
         try:
-            return {name: _finish_run(*run) for name, run in started.items()}
+            return {key: finish(*run) for key, (finish, run) in started.items()}
         finally:
-            for _, _, process in started.values():
+            for _, (_, _, process) in started.values():
                 process.kill()  # nothing to do for a run that has exited
 
 
-def _gate_failures(branches, reached, allowlist):
-    """The branches neither reached nor allowlisted, and the allowlist entries that name no
-    unreached branch."""
-    unreached = sorted(set(branches) - reached - set(allowlist))
-    stale = sorted(set(allowlist) - (set(branches) - reached))
+def _gate_failures(keys, reached, allowlist):
+    """The keys, of failure branches or of functions, neither reached nor allowlisted, and the
+    allowlist entries that name no unreached key."""
+    unreached = sorted(set(keys) - reached - set(allowlist))
+    stale = sorted(set(allowlist) - (set(keys) - reached))
     return unreached, stale
 
 
 def test_every_failure_branch_is_reached_by_a_row_or_allowlisted():
-    branches, reached, lost, code, output = _branch_runs()["checkout"]
+    branches, reached, lost, code, output = _gate_runs()["branch", "checkout"]
     assert code == 0, output
     assert lost == [], f"rows that turned the tracer off: {lost}"
     unreached, stale = _gate_failures(branches, reached, BRANCH_ALLOWLIST)
@@ -699,7 +718,7 @@ def test_every_failure_branch_is_reached_by_a_row_or_allowlisted():
 
 
 def test_the_branch_gate_flags_a_stale_allowlist_entry():
-    branches, reached, *_ = _branch_runs()["checkout"]
+    branches, reached, *_ = _gate_runs()["branch", "checkout"]
     gone = ("vogt", "bap_failure_witness", "no such message")
     reachable = min(reached)
     _, stale = _gate_failures(branches, reached, {**BRANCH_ALLOWLIST, gone: "", reachable: ""})
@@ -707,10 +726,185 @@ def test_the_branch_gate_flags_a_stale_allowlist_entry():
 
 
 def test_the_branch_gate_fails_on_a_copy_with_an_unreachable_raise():
-    branches, reached, lost, code, output = _branch_runs()["copy"]
+    branches, reached, lost, code, output = _gate_runs()["branch", "copy"]
     assert code == 0 and lost == [], output
     assert INJECTED_KEY in branches
     assert _gate_failures(branches, reached, BRANCH_ALLOWLIST) == ([INJECTED_KEY], [])
+
+
+# ---------------------------------------------------------------------------
+# reached functions
+
+
+# the documents whose calls count: every GOLDEN and SCALED config, and the decay table too short
+# for its witness, which fails, in both modes; each is written by `bapkit run`
+REACH_CONFIGS = (
+    *(
+        {"mode": mode, "vogt": {"rho": rho if rho == "dyadic" else THIRD_TABLE}}
+        for rho, mode in GOLDEN
+    ),
+    *(override for override, _ in SCALED.values()),
+    *({"suite": "vogt", "mode": mode, "vogt": {"mu_max": 1}} for mode in ("rational", "float")),
+)
+# `bapkit explain`, then each document's exit code
+REACH_EXITS = [0] * (1 + len(GOLDEN) + len(SCALED)) + [1, 1]
+
+# the call hook goes in before bapkit is imported, since its codec runs code at import.  A
+# tracer that returns None sees each call of Python code and no line; a profile hook would
+# also see each call of a builtin.  On a 2-vCPU host the documents took 4.0 s under it against
+# 4.9 s under sys.setprofile on Python 3.11, and 7.9 s against 14.6 s on 3.10
+REACH_SCRIPT = (
+    "entered = set(); sys.settrace(lambda frame, _event, _arg: entered.add(frame.f_code)); "
+    "import test_hygiene; test_hygiene._run_documents(sys.argv[2], entered)"
+)
+
+
+def _run_documents(out, entered):
+    """Run `bapkit explain` and `bapkit run` on each of REACH_CONFIGS, decode and re-encode every
+    report, as CI's smoke step does, then write to the JSON file out the exit codes and the
+    (file, first line) of each code object in entered, which the call hook that REACH_SCRIPT
+    installs fills.  _gate_runs starts this in a fresh interpreter."""
+    exits = []
+    with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stdout(io.StringIO()):
+        exits.append(cli.main(["explain"]))
+        for n, config in enumerate(REACH_CONFIGS):
+            path, doc = Path(scratch) / f"config-{n}.json", Path(scratch) / f"doc-{n}.json"
+            path.write_text(json.dumps(config))
+            exits.append(cli.main(["run", "--config", str(path), "--out", str(doc)]))
+            for suite in json.loads(doc.read_text())["suites"].values():
+                for result in suite["checks"].values():
+                    report = result.get("report")
+                    if report is not None:
+                        assert jsonio.encode(jsonio.decode(report)) == report
+    sys.settrace(None)
+    lines = sorted({(os.path.realpath(code.co_filename), code.co_firstlineno) for code in entered})
+    Path(out).write_text(json.dumps({"exits": exits, "lines": lines}))
+
+
+def _package_functions(package):
+    """{(module, name): (path, lines)} for every function and method in package, name dotted
+    with the classes and functions around it, and lines the def's line and its first
+    decorator's: a code object's first line is one of the two, depending on the Python."""
+    functions = {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = (path.stem, inner)
+                assert key not in functions, f"two functions share the key {key}"
+                lines = {child.lineno, *(d.lineno for d in child.decorator_list[:1])}
+                functions[key] = (os.path.realpath(path), lines)
+            visit(child, path, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return functions
+
+
+def _finish_reach(root, scratch, process):
+    """A started REACH_SCRIPT run's result: the checkout's functions, the keys of those that a
+    document enters, the exit codes, and the run's output."""
+    entered, output = _wait(scratch, process, {"exits": None, "lines": []})
+    lines = {tuple(pair) for pair in entered["lines"]}
+    functions = _package_functions(root / "src" / "bapkit")
+    reached = {
+        key for key, (path, starts) in functions.items() if any((path, s) in lines for s in starts)
+    }
+    return functions, reached, entered["exits"], output
+
+
+# the rows of item 17's block family, which reach these functions while no document does
+BLOCK_ROWS = "tests/test_operators.py::test_the_conjugated_block_family_schedules_in_both_modes"
+CUSTOM = "the general seminorm kind, which the property tests build and the codec decodes"
+
+# functions that no document enters, each with the reason it stays
+API_ALLOWLIST = {
+    ("embedding", "BasisSpaceElement.prefix"): "the truncation P_t y of the basis criterion",
+    ("embedding", "e0_value"): "the graded value at one position; documents read all at once",
+    ("linalg", "in_span"): f"the kernel filtration's nesting check; {BLOCK_ROWS}",
+    ("linalg", "mat_vec"): f"the vertex check of a max ball; {BLOCK_ROWS}",
+    ("linalg", "solve"): f"a max ball's vertices and in_span; {BLOCK_ROWS}",
+    ("linalg", "transpose"): f"the columns that in_span solves for; {BLOCK_ROWS}",
+    ("normability", "CauchyFamily.from_vectors"): "a family with its modulus measured",
+    ("operators", "FiniteRankOperator.__sub__"): "operator difference, beside __add__",
+    ("operators", "telescope"): "the inverse of accumulate: a sequence as its increments",
+    ("polyhedral", "_vertices"): f"vertex enumeration of balls that are not square; {BLOCK_ROWS}",
+    ("polyhedral", "graded_operator_norm"): "the public one-operator norm; suites score families",
+    ("seminorms", "apply_functional"): "a functional's value at a vector",
+    ("seminorms", "RhoTable.from_grid"): "a table-kind decay table built from a full grid",
+    ("seminorms", "SeminormSystem.level_groups"): "the abstract method each kind overrides",
+    ("seminorms", "CustomLevel.__post_init__"): CUSTOM,
+    ("seminorms", "CustomSeminorms.__post_init__"): CUSTOM,
+    ("seminorms", "CustomSeminorms.level_count"): CUSTOM,
+    ("seminorms", "CustomSeminorms.level_groups"): CUSTOM,
+    ("seminorms", "SupPartialSumSeminorms.level_groups"): (
+        "the sup-partial levels as balls; the normability suite reads their values only"
+    ),
+    ("spaces", "TruncatedVector.support"): "the indices a vector holds",
+    ("spaces", "TruncatedVector.__neg__"): "vector negation, beside __sub__",
+    ("spaces", "unit_vector"): "the unit vector e_idx",
+}
+
+
+def test_every_function_is_reached_by_a_document_or_allowlisted():
+    functions, reached, exits, output = _gate_runs()["reach", "checkout"]
+    assert exits == REACH_EXITS, output
+    unreached, stale = _gate_failures(functions, reached, API_ALLOWLIST)
+    assert unreached == [], (
+        "functions that no document enters: delete each, or add an entry with its reason to"
+        f" API_ALLOWLIST: {unreached}"
+    )
+    assert stale == [], f"allowlist entries that name no unreached function: {stale}"
+    assert all(reason and "\n" not in reason for reason in API_ALLOWLIST.values())
+    # the functions that no document entered when the gate came in; the list only shrinks
+    assert len(API_ALLOWLIST) <= 22
+
+
+def test_the_reach_gate_flags_a_stale_allowlist_entry():
+    functions, reached, *_ = _gate_runs()["reach", "checkout"]
+    gone = ("polyhedral", "_max_ball_sup")
+    reachable = min(reached)
+    _, stale = _gate_failures(functions, reached, {**API_ALLOWLIST, gone: "", reachable: ""})
+    assert stale == sorted([gone, reachable])
+
+
+def test_the_reach_gate_fails_on_a_copy_with_an_unreached_public_function():
+    functions, reached, exits, output = _gate_runs()["reach", "copy"]
+    assert exits == REACH_EXITS, output
+    assert INJECTED_FUNCTION in functions
+    assert _gate_failures(functions, reached, API_ALLOWLIST) == ([INJECTED_FUNCTION], [])
+
+
+def test_a_code_object_starts_at_its_def_or_its_first_decorator(tmp_path):
+    source = """
+import functools
+
+class Table:
+    @property
+    @functools.cache
+    def rows(self):
+        def row():
+            return 1
+        return row
+
+def width():
+    return 2
+"""
+    path = tmp_path / "table.py"
+    path.write_text(source)
+    functions = _package_functions(tmp_path)
+    namespace = {}
+    exec(compile(source, str(path), "exec"), namespace)
+    rows = namespace["Table"].rows.fget.__wrapped__.__code__
+    (row,) = [c for c in rows.co_consts if isinstance(c, type(rows))]
+    codes = {"Table.rows": rows, "Table.rows.row": row, "width": namespace["width"].__code__}
+    assert set(functions) == {("table", name) for name in codes}
+    for name, code in codes.items():
+        path, starts = functions["table", name]
+        assert (os.path.realpath(code.co_filename), code.co_firstlineno) in {(path, s) for s in starts}
 
 
 def test_the_rules_see_the_package():

@@ -34,6 +34,7 @@ from bapkit import (
     injective_extension_test,
     norm_positivity_check,
     nuclearity_certificate,
+    rank_one_split,
     vector_from_dense,
     verify_reconstruction,
     witness_evidence,
@@ -140,22 +141,22 @@ def _schedule_data():
     return jsonio.encode(build_schedule([a], system, rng=random.Random(0), prefix_samples=5))
 
 
-def _misplace(data, field, op, vec):
-    """Replace the last part of a schedule record's field by op, or by vec for a generator."""
-    if field == "splits":
-        data["splits"][-1]["source"] = op
-    else:
-        data[field][-1] = vec if field == "generators" else op
+def _misplace(data, field, op, vec, split):
+    """Replace the last part of a schedule record's field by op, by vec for a generator, or by
+    split, whose parts live on its source's box and mode, for a split."""
+    data[field][-1] = {"generators": vec, "splits": split}.get(field, op)
 
 
 @pytest.mark.parametrize("kind, error", [("box", DomainError), ("mode", ModeError)])
 @pytest.mark.parametrize("field", ["generators", "operators", "source_family", "splits"])
 def test_a_schedule_record_with_a_part_on_another_box_or_mode_is_refused(field, kind, error):
     box, mode = (SingleBox(3), "rational") if kind == "box" else (SingleBox(2), "float")
-    op = jsonio.encode(FiniteRankOperator.identity(box, mode))
+    identity = FiniteRankOperator.identity(box, mode)
+    op = jsonio.encode(identity)
     vec = jsonio.encode(vector_from_dense(box, mode, [1] + [0] * (box.d - 1)))
+    split = jsonio.encode(rank_one_split(identity, KoetheSeminorms(((1,) * box.d,), box, mode)))
     data = _schedule_data()
-    _misplace(data, field, op, vec)
+    _misplace(data, field, op, vec, split)
     with pytest.raises(error) as info:
         jsonio.decode(data)
     assert type(info.value) is error

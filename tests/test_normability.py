@@ -39,6 +39,33 @@ from bapkit.spaces import TripleBox
 F = Fraction
 
 
+# a family's members after a rational first member on SingleBox(3): the box or mode of a
+# later member, and the error it raises, box first
+MISPLACED_MEMBERS = {
+    "another-box": (SingleBox(2), "rational", DomainError),
+    "another-mode": (SingleBox(3), "float", ModeError),
+    "another-box-and-mode": (SingleBox(2), "float", DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISPLACED_MEMBERS))
+def test_a_cauchy_family_rejects_a_member_on_another_box_or_mode(case):
+    box, mode, error = MISPLACED_MEMBERS[case]
+    first = vector_from_dense(SingleBox(3), "rational", [1, 0, 0])
+    stray = vector_from_dense(box, mode, [1] + [0] * (box.d - 1))
+    good = CauchyFamily(1, (first, first), ())
+    assert jsonio.decode(jsonio.encode(good)) == good
+    # second and last as well: every member is checked
+    for vectors in ((first, stray), (first, first, stray)):
+        with pytest.raises(error) as info:
+            CauchyFamily(1, vectors, ())
+        assert type(info.value) is error
+        record = {**jsonio.encode(good), "vectors": list(map(jsonio.encode, vectors))}
+        with pytest.raises(error) as info:
+            jsonio.decode(record)
+        assert type(info.value) is error
+
+
 def witness():
     inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), "rational", 4)
     return bap_failure_witness(inst)

@@ -36,6 +36,7 @@ from bapkit import (
     vector_from_dense,
 )
 from bapkit import operators
+from bapkit.jsonio import decode, encode
 from bapkit.linalg import column_space_basis, in_span, mat_mul, mat_vec, rank
 from bapkit.operators import ComplementDecomposition
 from bapkit.scalars import as_scalar, leq, random_scalar
@@ -525,7 +526,10 @@ def misplaced_parts(kind):
 MISPLACED_FIELDS = {
     "operators": lambda s, op, vec: {"operators": s.operators[:-1] + (op,)},
     "generators": lambda s, op, vec: {"generators": s.generators[:-1] + (vec,)},
-    "split-source": lambda s, op, vec: {"splits": (dataclasses.replace(s.splits[0], source=op),)},
+    # a whole split on op's box and mode: a split refuses a source that its own parts miss
+    "split-source": lambda s, op, vec: {
+        "splits": (rank_one_split(op, KoetheSeminorms(((1,) * op.box.d,), op.box, op.mode)),)
+    },
     "source-family": lambda s, op, vec: {"source_family": (op,)},
 }
 
@@ -538,6 +542,32 @@ def test_a_schedule_rejects_a_part_on_another_box_or_mode(field, kind, error):
     changes = MISPLACED_FIELDS[field](schedule, *misplaced_parts(kind))
     with pytest.raises(error) as info:
         dataclasses.replace(schedule, **changes)
+    assert type(info.value) is error
+
+
+# each field of a rank-one split that holds parts, with its last piece, or the last vector of
+# its last decomposition block, replaced by op or vec
+MISPLACED_SPLIT_FIELDS = {
+    "pieces": lambda s, op, vec: {"pieces": s.pieces[:-1] + (op,)},
+    "decomposition": lambda s, op, vec: {"decomposition": ComplementDecomposition(
+        s.decomposition.blocks[:-1] + ((s.decomposition.blocks[-1][0], (vec,)),)
+    )},
+}
+
+
+@pytest.mark.parametrize("kind, error", [("box", DomainError), ("mode", ModeError)])
+@pytest.mark.parametrize("field", sorted(MISPLACED_SPLIT_FIELDS))
+def test_a_rank_one_split_rejects_a_part_on_another_box_or_mode(field, kind, error):
+    split = rank_one_split(op2([[1, 1], [0, 2]]), flat_system())
+    assert decode(encode(split)) == split
+    changes = MISPLACED_SPLIT_FIELDS[field](split, *misplaced_parts(kind))
+    with pytest.raises(error) as info:
+        dataclasses.replace(split, **changes)
+    assert type(info.value) is error
+    part = changes[field]
+    encoded = encode(part) if field == "decomposition" else list(map(encode, part))
+    with pytest.raises(error) as info:
+        decode({**encode(split), field: encoded})
     assert type(info.value) is error
 
 
@@ -756,6 +786,61 @@ def test_rank_one_split_prunes_a_1e_10_weight():
 def test_build_schedule_prunes_a_1e_10_weight():
     eye = FiniteRankOperator.identity(BOX2, "float")
     assert build_schedule([eye], faint_system()).working_levels == (2,)
+
+
+# ---------------------------------------------------------------------------
+# the rank-2 block family: block projections conjugated by U = I + c N
+
+
+def conjugated_blocks(d, c, mode):
+    """The d/2 projections U P_b U^-1, P_b onto coordinates 2b + 1 and 2b + 2, with U = I + c N
+    and N the upper shift, on the Koethe system with weights (k, ..., k) at levels k = 1..d.
+
+    They sum to the identity, and for c > 0 their entries reach c^(d-1), so the splits damp
+    and replicate (N_p > 1) and the kernel filtration and the vertex enumeration run.
+    """
+    box = SingleBox(d)
+    u = [[int(i == j) + c * int(j == i + 1) for j in range(d)] for i in range(d)]
+    u_inverse = [[(-c) ** (j - i) if j >= i else 0 for j in range(d)] for i in range(d)]
+    family = []
+    for b in range(d // 2):
+        p = [[int(i == j and i // 2 == b) for j in range(d)] for i in range(d)]
+        matrix = mat_mul(mat_mul(u, p), u_inverse)
+        family.append(FiniteRankOperator.from_matrix(box, mode, matrix, f"block{b + 1}"))
+    return family, KoetheSeminorms(tuple((k,) * d for k in range(1, d + 1)), box, mode)
+
+
+# (d, c) -> the N_p of each block's split, and the schedule length: each block's 2 rank-one
+# pieces, each replicated N_p times
+BLOCK_SCHEDULES = {(8, 3): ((2, 6, 6, 6), 40), (6, 3): ((2, 6, 6), 28), (8, 2): ((2, 4, 4, 4), 28)}
+
+FLOAT_BLOCK_REFUSAL = pytest.mark.xfail(
+    raises=ConstructionSoundnessError, strict=True,
+    reason="FOUND in CHANGES.md: float build_schedule compares the schedule total with the"
+    " identity within EQ, while the rounding of its summands, whose entries reach 3^7, is"
+    " larger (ROADMAP item 18)",
+)
+
+
+@pytest.mark.parametrize("d, c, mode", [
+    (8, 3, "rational"),
+    pytest.param(8, 3, "float", marks=FLOAT_BLOCK_REFUSAL),
+    (6, 3, "rational"),
+    (6, 3, "float"),
+    (8, 2, "rational"),
+    (8, 2, "float"),
+])
+def test_the_conjugated_block_family_schedules_in_both_modes(d, c, mode):
+    family, system = conjugated_blocks(d, c, mode)
+    assert [op.rank for op in family] == [2] * (d // 2)
+    schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=5)
+    replications, length = BLOCK_SCHEDULES[d, c]
+    assert schedule.replication_counts == tuple(enumerate(replications, start=1))
+    assert len(schedule) == length == 2 * sum(replications)
+    # every level is a norm, so each split has one complement block, the head block
+    tags = [[tag for tag, _ in split.decomposition.blocks] for split in schedule.splits]
+    assert tags == [[0]] * (d // 2)
+    assert schedule.working_levels == tuple(range(1, d // 2 + 1))
 
 
 # ---------------------------------------------------------------------------
