@@ -17,6 +17,7 @@ import itertools
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
-from .scalars import as_scalar, is_zero, leq, random_scalar, zero
+from .scalars import RATIONAL, is_zero, leq, random_scalar, scalar_coercer, zero
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, vector_from_dense, zero_vector
 
@@ -36,7 +37,13 @@ EQUICONTINUITY_FACTOR = 5
 
 @dataclass(frozen=True)
 class BasisSpaceElement:
-    """Coefficient sequence along the schedule's generator lines, one per slot."""
+    """Coefficient sequence along the schedule's generator lines, one per slot.
+
+    Every coefficient is a scalar of the schedule's mode.  One of another type
+    is coerced as as_scalar does (an int, or a Fraction in float mode), and
+    one that as_scalar refuses raises ModeError, as a float in rational mode
+    does.
+    """
 
     schedule: ScheduledFamily
     coefficients: tuple
@@ -45,6 +52,11 @@ class BasisSpaceElement:
         slots = len(self.schedule)
         if len(self.coefficients) != slots:
             raise InputError(f"need {slots} coefficients, got {len(self.coefficients)}")
+        mode = self.schedule.mode
+        scalar = Fraction if mode == RATIONAL else float
+        if any(type(c) is not scalar for c in self.coefficients):
+            coerce = scalar_coercer(mode)
+            object.__setattr__(self, "coefficients", tuple(map(coerce, self.coefficients)))
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -79,7 +91,7 @@ class BasisSpaceElement:
 
 
 def element_from_components(schedule: ScheduledFamily, coefficients) -> BasisSpaceElement:
-    return BasisSpaceElement(schedule, tuple(as_scalar(c, schedule.mode) for c in coefficients))
+    return BasisSpaceElement(schedule, tuple(coefficients))
 
 
 def e0_values(system: SeminormSystem, element: BasisSpaceElement) -> tuple:

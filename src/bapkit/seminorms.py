@@ -196,17 +196,28 @@ class SeminormSystem:
         """All functionals of level k, flat: the level vanishes where each one does."""
         return [pairs for _, functionals in self.level_groups(k) for pairs in functionals]
 
+    def _check_levels(self, levels: Sequence[int]) -> None:
+        """check_level for each of levels, with level_count read once: a plain int
+        in range passes on one test, and anything else goes to check_level, so
+        its message and its verdict on True or an int subclass stand."""
+        count = self.level_count
+        for k in levels:
+            if type(k) is not int or not 1 <= k <= count:
+                self.check_level(k)
+
     @cached_property
     def _level_index(self):
-        """Per level, (combiner, units, weights, wide, scale) for each group, built
-        once: a one-pair functional c x_i enters as the weight |c| at i, since
-        |c x_i| = |c| |x_i|, and units lists a MAX group's unit weights, which
-        do not multiply.  wide keeps the others, a second one at i included.  In
-        rational mode a SUM group's weights are integers over scale, the lcm of
-        their denominators; elsewhere scale is None."""
+        """Each level's read plan, built once: per group (combiner, units, weights,
+        wide, scale, top).  A one-pair functional c x_i enters as the weight |c|
+        at i, since |c x_i| = |c| |x_i|, and units lists a MAX group's unit
+        weights, which do not multiply.  wide keeps the others, a second one at i
+        included.  In rational mode a SUM group's weights are integers over
+        scale, the lcm of their denominators; elsewhere scale is None.  top is a
+        MAX group's largest weighted index, None for a SUM group or a MAX group
+        of wide functionals only: no entry past it has a weight."""
         index = []
         for k in range(1, self.level_count + 1):
-            index.append([])
+            plan = []
             for combiner, functionals in self.level_groups(k):
                 weights, wide = {}, []
                 for pairs in functionals:
@@ -215,11 +226,14 @@ class SeminormSystem:
                     else:
                         wide.append(pairs)
                 units = {i for i, w in weights.items() if w == 1 and combiner == MAX}
-                scale = None
-                if combiner == SUM and self.mode == RATIONAL:
+                scale = top = None
+                if combiner == MAX:
+                    top = max(weights, default=None)
+                elif self.mode == RATIONAL:
                     scale = math.lcm(*[w.denominator for w in weights.values()])
                     weights = {i: w.numerator * (scale // w.denominator) for i, w in weights.items()}
-                index[-1].append((combiner, units, weights, wide, scale))
+                plan.append((combiner, units, weights, wide, scale, top))
+            index.append(plan)
         return index
 
     def value(self, k: int, x: TruncatedVector) -> Scalar:
@@ -229,31 +243,36 @@ class SeminormSystem:
     def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
         """value(k, x) for each k in levels, x's entries read once for all of them.
 
-        Each level is the max over its groups (see _level_index).  A SUM group
-        sums its weights against x's magnitudes, then its wide functionals: in
-        rational mode the magnitudes are integers over one common denominator,
-        so the weights' part is one integer sum and one Fraction, and in float
-        mode they are x's absolute values, added left to right from 0.0, as
-        sum_products adds them.  A MAX group walks x's entries.
+        The levels are checked once (_check_levels), then x.  Each level runs
+        its plan (see _level_index) and is the max over its groups.  A SUM
+        group sums its weights against x's magnitudes, then its wide
+        functionals: in rational mode the magnitudes are integers over one
+        common denominator, so the weights' part is one integer sum and one
+        Fraction, and in float mode they are x's absolute values, added left to
+        right from 0.0, as sum_products adds them.  The magnitudes are built
+        when a SUM group first reads them, so levels of MAX groups alone build
+        none.  A MAX group walks x's entries, which are in box order, up to its
+        top and no further.
         """
-        for k in levels:
-            self.check_level(k)
+        self._check_levels(levels)
         self.check_vector(x)
-        if self.mode == RATIONAL:
-            numerators, common = _integer_entries(x)
-            magnitudes = [(i, abs(y)) for i, y in numerators]
-        else:
-            magnitudes = [(i, abs(v)) for i, v in x.entries]
+        index, entries = self._level_index, x.entries
+        magnitudes = None
         out = []
         for k in levels:
             best = None
-            for combiner, units, weights, wide, scale in self._level_index[k - 1]:
+            for combiner, units, weights, wide, scale, top in index[k - 1]:
                 if combiner == MAX:
                     found = [abs(apply_functional(f, x)) for f in wide]
-                    for i, v in x.entries:
-                        if i in weights:
-                            found.append(abs(v) if i in units else weights[i] * abs(v))
+                    if top is not None:
+                        for i, v in entries:
+                            if i > top:
+                                break
+                            if i in weights:
+                                found.append(abs(v) if i in units else weights[i] * abs(v))
                 elif scale is None:
+                    if magnitudes is None:
+                        magnitudes = [(i, abs(v)) for i, v in entries]
                     total = 0.0
                     for i, m in magnitudes:
                         if i in weights:
@@ -262,6 +281,9 @@ class SeminormSystem:
                         total += abs(apply_functional(f, x))
                     found = [total]
                 else:
+                    if magnitudes is None:
+                        numerators, common = _integer_entries(x)
+                        magnitudes = [(i, abs(y)) for i, y in numerators]
                     total = Fraction(
                         sum(weights[i] * m for i, m in magnitudes if i in weights), scale * common
                     )
@@ -408,8 +430,7 @@ class VogtSeminorms(SeminormSystem):
 
     def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
         """Each level k's (k, k) split of x, from one split_values read."""
-        for k in levels:
-            self.check_level(k)
+        self._check_levels(levels)
         return self.split_values(x, [(k, k) for k in levels])
 
     def primed_values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
@@ -419,8 +440,7 @@ class VogtSeminorms(SeminormSystem):
         p+1, which dominates value(p, .) termwise; the comparison check verifies it.
         """
         levels = tuple(levels)
-        for k in levels:
-            self.check_level(k)
+        self._check_levels(levels)
         read = self.split_values(x, [(k, k) for k in levels] + [(p, p + 1) for p in levels])
         return read[: len(levels)], tuple([2 * v for v in read[len(levels) :]])
 
@@ -560,8 +580,7 @@ class SupPartialSumSeminorms(SeminormSystem):
     def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
         """Per level the max over the partial sums, each partial sum built and
         read once for every level."""
-        for k in levels:
-            self.check_level(k)
+        self._check_levels(levels)
         self.check_vector(x)
         partials = itertools.accumulate(op.apply(x) for op in self.operators)
         reads = [self.base.values(levels, p) for p in partials]

@@ -219,8 +219,9 @@ class TruncatedVector:
 
     def scale(self, factor) -> "TruncatedVector":
         c = as_scalar(factor, self.mode)
-        products = ((idx, c * val) for idx, val in self.entries)
-        return _trusted(self.box, self.mode, tuple(p for p in products if p[1] != 0))
+        return _trusted(
+            self.box, self.mode, tuple([(idx, p) for idx, val in self.entries if (p := c * val) != 0])
+        )
 
     def __neg__(self) -> "TruncatedVector":
         return self.scale(-1)

@@ -14,6 +14,7 @@ from bapkit import (
     FiniteRankOperator,
     InputError,
     KoetheSeminorms,
+    ModeError,
     SingleBox,
     basis_criterion_check,
     build_schedule,
@@ -67,7 +68,7 @@ def test_a_basis_element_holds_one_coefficient_per_slot(count):
     a = FiniteRankOperator.from_matrix(BOX2, "rational", [[1, 0], [0, 0]], "a")
     schedule = build_schedule([a], flat_system(), rng=random.Random(0), prefix_samples=3)
     assert len(schedule) == 1
-    # of mixed modes, as a decoded record may hold them: only the count is refused
+    # of mixed modes, as a decoded record may hold them: the count is checked first
     coefficients = (F(1), 2.5, F(3, 2))[:count]
     with pytest.raises(InputError, match=f"need 1 coefficients, got {count}"):
         embedding.BasisSpaceElement(schedule, coefficients)
@@ -76,6 +77,47 @@ def test_a_basis_element_holds_one_coefficient_per_slot(count):
     record = {**jsonio.encode(good), "coefficients": encoded}
     with pytest.raises(InputError, match=f"need 1 coefficients, got {count}"):
         jsonio.decode(record)
+
+
+def one_slot_schedule(mode):
+    a = FiniteRankOperator.from_matrix(BOX2, mode, [[1, 0], [0, 0]], "a")
+    system = KoetheSeminorms(((1, 1),), BOX2, mode)
+    schedule = build_schedule([a], system, rng=random.Random(0), prefix_samples=3)
+    assert len(schedule) == 1
+    return schedule
+
+
+# per mode, a coefficient that is no scalar of the mode, as built and as encoded, and
+# the message that refuses it
+FOREIGN_COEFFICIENTS = {
+    "rational": (2.5, 2.5, "rational mode needs int or Fraction, got float"),
+    "float": (
+        F(10**400),
+        {"num": 10**400, "den": 1},
+        "float mode needs a number within the float range, got a Fraction beyond it",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FOREIGN_COEFFICIENTS))
+def test_a_basis_element_holds_scalars_of_its_schedules_mode(mode):
+    schedule = one_slot_schedule(mode)
+    built, encoded, message = FOREIGN_COEFFICIENTS[mode]
+    with pytest.raises(ModeError, match=message):
+        embedding.BasisSpaceElement(schedule, (built,))
+    good = embedding.BasisSpaceElement(schedule, (zero(mode),))
+    record = {**jsonio.encode(good), "coefficients": [encoded]}
+    with pytest.raises(ModeError, match=message):
+        jsonio.decode(record)
+    with pytest.raises(ModeError):
+        embedding.BasisSpaceElement(schedule, ("1",))
+    # an int, and a Fraction in float mode, are coerced as as_scalar coerces them
+    coerced = embedding.BasisSpaceElement(schedule, (2,)).coefficients
+    assert coerced == (2,) and type(coerced[0]) is type(zero(mode))
+    if mode == "float":
+        assert embedding.BasisSpaceElement(schedule, (F(1, 2),)).coefficients == (0.5,)
+    decoded = jsonio.decode({**record, "coefficients": [2]})
+    assert decoded.coefficients == coerced and decoded.total() == decoded.component(0)
 
 
 def test_components_and_totals():

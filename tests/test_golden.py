@@ -4,13 +4,12 @@ Each case builds the document for suite `all` at the default config, drops
 the `generated_at` stamp and compares the SHA-256 of its canonical text
 with a constant recorded from a known-good build.  Three larger cases pin
 the benchmark shapes at seed 0: a rational Vogt box 8 x 4 x 6, the rational
-Pelczynski schedule of dimension 10 and every suite in float mode.  Five more
+Pelczynski schedule of dimension 10 and every suite in float mode.  Six more
 pin tops of the scaled configs, which no benchmark workload runs: the
-Pelczynski schedule at dimension 12 and the dyadic Vogt box 12 x 6 x 8, each
-in both modes, and the rational normability suite at dimension 12 with 500
-families.  A change to any
-certificate, to the codec or to the sampled checks' random draws shows up
-here as a hash mismatch.
+Pelczynski schedule at dimension 12, the dyadic Vogt box 12 x 6 x 8 and the
+normability suite at dimension 12 with 500 families, each in both modes.  A
+change to any certificate, to the codec or to the sampled checks' random
+draws shows up here as a hash mismatch.
 """
 
 import argparse
@@ -39,8 +38,8 @@ GOLDEN = {
 }
 
 # the benchmark shapes, the dimension-12 schedules, the 12 x 6 x 8 Vogt box and the
-# rational normability suite at dimension 12 with 500 families at seed 0, merged over
-# the default config
+# normability suite at dimension 12 with 500 families, in both modes, at seed 0, merged
+# over the default config
 SCALED = {
     "vogt-8x4x6-rational": (
         {
@@ -85,6 +84,16 @@ SCALED = {
             "normability": {"dimension": 12, "families": 500},
         },
         "01f9361b9b70e03dfd41ac8641f602b077abd8b33ccdb3e3a07b2cd3687cf340",
+    ),
+    # float mode: every level-1 read of the 12-coordinate max-prefix system stops at
+    # the vector's first entry
+    "normability-12-float": (
+        {
+            "suite": "normability",
+            "mode": "float",
+            "normability": {"dimension": 12, "families": 500},
+        },
+        "8fa39be5c03a93a0739d55b550ff81757b8b93c072d052d8877ff42977201a54",
     ),
     "all-float": (
         {

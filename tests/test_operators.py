@@ -24,7 +24,9 @@ from bapkit import (
     SingleBox,
     ZeroOperatorError,
     accumulate,
+    basis_criterion_check,
     build_schedule,
+    certify_equicontinuity,
     flatten_schedule,
     kernel_filtration,
     rank_one_split,
@@ -34,6 +36,7 @@ from bapkit import (
     telescope,
     unit_vector,
     vector_from_dense,
+    verify_reconstruction,
 )
 from bapkit import operators
 from bapkit.jsonio import decode, encode
@@ -841,6 +844,61 @@ def test_the_conjugated_block_family_schedules_in_both_modes(d, c, mode):
     tags = [[tag for tag, _ in split.decomposition.blocks] for split in schedule.splits]
     assert tags == [[0]] * (d // 2)
     assert schedule.working_levels == tuple(range(1, d // 2 + 1))
+
+
+def staircase_system(d, mode):
+    """The Koethe system whose level k weighs coordinates 1..k by k and the rest by 0, so
+    that no level below the top is a norm."""
+    weights = tuple((k,) * k + (0,) * (d - k) for k in range(1, d + 1))
+    return KoetheSeminorms(weights, SingleBox(d), mode)
+
+
+# (d, c) -> under staircase weights, the N_p of each block's split, the schedule length,
+# the working levels and each split's complement block tags: the second split sees two
+STAIRCASE_SCHEDULES = {
+    (8, 3): ((2, 3, 8, 8), 42, (2, 3, 5, 7), [[0], [0, 1], [2], [3]]),
+    (6, 3): ((2, 3, 8), 26, (2, 3, 5), [[0], [0, 1], [2]]),
+    (8, 2): ((2, 3, 6, 6), 34, (2, 3, 5, 7), [[0], [0, 1], [2], [3]]),
+}
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("d, c", sorted(STAIRCASE_SCHEDULES))
+def test_the_conjugated_block_family_schedules_under_staircase_weights(d, c, mode):
+    family, _ = conjugated_blocks(d, c, mode)
+    system = staircase_system(d, mode)
+    schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=5)
+    replications, length, working_levels, tags = STAIRCASE_SCHEDULES[d, c]
+    assert schedule.replication_counts == tuple(enumerate(replications, start=1))
+    assert len(schedule) == length == 2 * sum(replications)
+    assert schedule.working_levels == working_levels
+    assert [[tag for tag, _ in split.decomposition.blocks] for split in schedule.splits] == tags
+
+
+@pytest.mark.parametrize("d, c, weights, mode", [
+    (8, 3, "constant", "rational"),
+    pytest.param(8, 3, "constant", "float", marks=FLOAT_BLOCK_REFUSAL),
+    (6, 3, "constant", "rational"),
+    (6, 3, "constant", "float"),
+    (8, 2, "constant", "rational"),
+    (8, 2, "constant", "float"),
+    *(
+        (d, c, "staircase", mode)
+        for d, c in sorted(STAIRCASE_SCHEDULES)
+        for mode in ("rational", "float")
+    ),
+])
+def test_the_conjugated_block_family_passes_the_embedding_checks(d, c, weights, mode):
+    family, constant = conjugated_blocks(d, c, mode)
+    system = constant if weights == "constant" else staircase_system(d, mode)
+    schedule = build_schedule(family, system, rng=random.Random(0), prefix_samples=5)
+    certificate = certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
+    # a position compares with its own working level under constant weights, and with the
+    # top level, the only norm, under staircase weights
+    top = schedule.working_levels if weights == "constant" else (d,) * len(schedule.working_levels)
+    assert tuple(level for _, _, level, _ in certificate.entries) == top
+    assert verify_reconstruction(system, schedule, rng=random.Random(2), sample_count=3).passed
+    assert basis_criterion_check(system, schedule, rng=random.Random(3), sample_count=5).passed
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import math
 import random
+import re
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -40,7 +42,7 @@ from bapkit.scalars import (
     sum_products,
     zero,
 )
-from bapkit.seminorms import apply_functional, level_matrix, level_rows
+from bapkit.seminorms import SeminormSystem, apply_functional, level_matrix, level_rows
 
 F = Fraction
 
@@ -1066,16 +1068,99 @@ def fraction_weight_systems(mode, rng):
     return [KoetheSeminorms(tuple(rows), box, mode), custom]
 
 
+@dataclass(frozen=True)
+class GroupedSeminorms(SeminormSystem):
+    """Levels given as their groups, several per level and of both combiners,
+    read through the base class's values."""
+
+    groups: tuple  # per level, a tuple of (combiner, functionals)
+    box: object
+    mode: str
+
+    @property
+    def level_count(self) -> int:
+        return len(self.groups)
+
+    def level_groups(self, k):
+        self.check_level(k)
+        return self.groups[k - 1]
+
+
+def read_plan_systems(mode):
+    """Systems whose plans take each path of values: a MAX group whose last weighted
+    index comes before the box's last coordinate, on a single and on a triple box; a
+    MAX group of several-pair functionals only; levels of MAX and SUM groups mixed, and
+    a sup-partial system's groups over such a base, one MAX group after SUM groups."""
+    coerce = scalar_coercer(mode)
+
+    def group(combiner, *functionals):
+        return combiner, tuple(tuple((i, coerce(c)) for i, c in f) for f in functionals)
+
+    single = SingleBox(5)
+    mixed = GroupedSeminorms(
+        (
+            # MAX, its last weight at 2
+            (group("max", [(1, 1)], [(2, F(3, 2))]),),
+            # MAX of several-pair functionals only
+            (group("max", [(1, 1), (2, -1)], [(3, F(1, 2)), (5, 1)]),),
+            # SUM and MAX; the MAX group's last weight at 4
+            (
+                group("sum", [(1, 2)], [(3, F(1, 3))], [(2, 1), (4, -2)]),
+                group("max", [(2, 1)], [(4, 2)], [(1, 1), (5, 1)], [(2, 3)]),
+            ),
+            # two SUM groups, then MAX with one weight at 1
+            (
+                group("sum", [(5, F(5, 2))]),
+                group("sum", [(1, 1)], [(2, 1)], [(3, 1)]),
+                group("max", [(1, F(7, 3))]),
+            ),
+        ),
+        single,
+        mode,
+    )
+    ops = [
+        FiniteRankOperator.from_matrix(single, mode, m)
+        for m in (
+            [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1]],
+            [[0, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 2, 1, 0], [0, 0, 0, 0, 0]],
+        )
+    ]
+    sup = SupPartialSumSeminorms(mixed, ops)
+    sup_groups = GroupedSeminorms(
+        tuple(sup.level_groups(k) for k in range(1, sup.level_count + 1)), single, mode
+    )
+    triple = TripleBox(2, 2, 2)
+    triple_levels = (
+        CustomLevel(((((1, 1, 1), 1),), (((1, 2, 1), F(1, 3)),), (((1, 1, 2), 1),)), "max"),
+        CustomLevel(((((1, 1, 2), 2),), (((2, 2, 2), F(1, 2)), ((1, 1, 1), -1))), "sum"),
+    )
+    return [
+        mixed,
+        sup_groups,
+        CustomSeminorms(triple_levels, triple, mode),
+        MaxPrefixSeminorms(single, mode, 3),
+    ]
+
+
+def full_vector(box, mode, rng):
+    """A vector with every coordinate of its box nonzero, so that each MAX group whose
+    last weight comes before the box's last coordinate stops early."""
+    values = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12)) for _ in box.indices()]
+    return vector_from_dense(box, mode, values)
+
+
 @pytest.mark.parametrize("mode", ["rational", "float"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_values_equal_the_per_level_walk(mode, seed):
-    # Koethe, max-prefix, custom, sup-partial and Vogt; floats bit for bit
+    # Koethe, max-prefix, custom, sup-partial and Vogt, and the read plans' paths;
+    # floats bit for bit
     rng = random.Random(seed)
     systems = oracle_systems(mode) + sup_partial_systems(mode) + fraction_weight_systems(mode, rng)
-    for system in systems:
-        for _ in range(3):
-            x = random_vector(system.box, mode, rng)
+    for system in systems + read_plan_systems(mode):
+        for x in [random_vector(system.box, mode, rng) for _ in range(3)] + [
+            full_vector(system.box, mode, rng)
+        ]:
             # any levels, in any order, repeats included, or none
             levels = [rng.randint(1, system.level_count) for _ in range(rng.randint(0, 4))]
             got = system.values(levels, x)
@@ -1083,6 +1168,21 @@ def test_values_equal_the_per_level_walk(mode, seed):
             for k, value in zip(levels, got):
                 assert scalar_bits(value) == scalar_bits(walked_value(system, k, x))
                 assert scalar_bits(system.value(k, x)) == scalar_bits(value)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_a_sum_level_after_max_levels_reads_the_walked_value(mode):
+    # the first two levels hold MAX groups only, so the third builds x's magnitudes
+    mixed = read_plan_systems(mode)[0]
+    x = full_vector(mixed.box, mode, random.Random(1))
+    for levels in ([1, 2, 4], [2, 1, 3, 4], [1, 1, 2, 3]):
+        got = mixed.values(levels, x)
+        assert [scalar_bits(v) for v in got] == [
+            scalar_bits(walked_value(mixed, k, x)) for k in levels
+        ]
+    # an entry past level 1's last weight counts for nothing there, and fully at level 2
+    y = vector_from_dense(mixed.box, mode, [0, 0, 0, 0, 1])
+    assert mixed.values([1, 2], y) == (zero(mode), as_scalar(1, mode))
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
@@ -1104,3 +1204,29 @@ def test_values_check_every_level_and_the_vector(mode):
         # no levels asked still checks the vector
         with pytest.raises(ModeError):
             system.values((), TruncatedVector.create(system.box, other, ()))
+
+
+class Level(int):
+    """An int subclass, which check_level accepts as the int it is."""
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_values_refuse_a_level_that_is_no_int_as_check_level_does(mode):
+    other = "float" if mode == "rational" else "rational"
+    for system in oracle_systems(mode) + sup_partial_systems(mode) + read_plan_systems(mode):
+        x = random_vector(system.box, mode, random.Random(2))
+        stray = TruncatedVector.create(system.box, other, ())
+        count = system.level_count
+        for level in (1.0, Fraction(1), None, "1"):
+            message = re.escape(f"level {level!r} outside 1..{count}")
+            with pytest.raises(LevelError, match=message):
+                system.values([1, level], x)
+            # the levels are checked before the vector
+            with pytest.raises(LevelError, match=message):
+                system.values([level], stray)
+        assert system.values([True], x) == system.values([1], x)
+        assert system.values([Level(count), 1], x) == system.values([count, 1], x)
+        with pytest.raises(LevelError, match=re.escape(f"level False outside 1..{count}")):
+            system.values([False], x)
+        with pytest.raises(ModeError):
+            system.values([], stray)
