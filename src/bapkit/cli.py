@@ -30,7 +30,7 @@ from .jsonio import decode, encode
 from .normability import basis_sup_norms, dv_condition_check, injective_extension_test
 from .normability import CauchyFamily, GeometricForm, VanishingEvidence
 from .operators import FiniteRankOperator, build_schedule
-from .scalars import FLOAT, RATIONAL
+from .scalars import FLOAT, RATIONAL, is_int
 from .seminorms import KoetheSeminorms, MaxPrefixSeminorms, RhoTable
 from .spaces import SingleBox, TripleBox, vector_from_dense
 from .vogt import (
@@ -97,21 +97,16 @@ def load_config(path: str | None, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: bool is an int subclass but never a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _validate_config(cfg: dict) -> None:
     if cfg["suite"] not in SUITES + ("all",):
         raise ConfigError(f"suite must be one of {SUITES + ('all',)}, got {cfg['suite']!r}")
     if cfg["mode"] not in (RATIONAL, FLOAT):
         raise ConfigError(f"mode must be {RATIONAL!r} or {FLOAT!r}, got {cfg['mode']!r}")
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+    if not is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']!r}")
     v = cfg["vogt"]
     for key in ("n_max", "mu_max", "nu_max", "level_count"):
-        if not _is_int(v[key]) or v[key] < 1:
+        if not is_int(v[key]) or v[key] < 1:
             raise ConfigError(f"vogt.{key} must be a positive integer, got {v[key]!r}")
     if v["level_count"] < 3:
         raise ConfigError("vogt.level_count must be >= 3 for the witness family")
@@ -129,10 +124,10 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("vogt.rho must be 'dyadic' or an encoded decay table")
     _decode_rho(v["rho"], cfg["mode"])
     for name in ("pelczynski", "normability"):
-        if not _is_int(cfg[name]["dimension"]) or not 2 <= cfg[name]["dimension"] <= 12:
+        if not is_int(cfg[name]["dimension"]) or not 2 <= cfg[name]["dimension"] <= 12:
             raise ConfigError(f"{name}.dimension must be an integer in 2..12")
     fam = cfg["normability"]["families"]
-    if not _is_int(fam) or not 1 <= fam <= 500:
+    if not is_int(fam) or not 1 <= fam <= 500:
         raise ConfigError("normability.families must be an integer in 1..500")
 
 

@@ -29,7 +29,7 @@ from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
 from .scalars import RATIONAL, is_zero, leq, random_scalar, scalar_coercer, zero
 from .seminorms import SeminormSystem
-from .spaces import TruncatedVector, vector_from_dense, zero_vector
+from .spaces import TruncatedVector, check_part, vector_from_dense, zero_vector
 
 # the embedded value at a position stays within this multiple of M_k * value(l(k), x)
 EQUICONTINUITY_FACTOR = 5
@@ -114,8 +114,7 @@ def embed(schedule: ScheduledFamily, x: TruncatedVector) -> BasisSpaceElement:
 
     Each slot's image must lie on its generator line.
     """
-    if x.box != schedule.box or x.mode != schedule.mode:
-        raise InputError("vector does not live on the schedule's box and mode")
+    check_part(schedule.box, schedule.mode, x, "vector")
     coeffs = []
     for op, gen in zip(schedule.operators, schedule.generators):
         img = op.apply(x)

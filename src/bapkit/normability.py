@@ -101,8 +101,7 @@ class CauchyFamily:
     ) -> "CauchyFamily":
         vectors = tuple(vectors)
         system.check_level(level)
-        for x in vectors:
-            system.check_vector(x)
+        check_parts(system.box, system.mode, vectors, "family member")
         return CauchyFamily(level, vectors, _pair_modulus(system, level, vectors), modulus_form)
 
     def verify_modulus(self, system: SeminormSystem) -> bool:

@@ -37,7 +37,6 @@ from .errors import (
     DomainError,
     InputError,
     LevelError,
-    ModeError,
     ZeroOperatorError,
 )
 from .linalg import column_space_basis, in_span, invert, mat_mul, rank
@@ -53,6 +52,7 @@ from .seminorms import SeminormSystem, seminorm_kernel_basis
 from .spaces import (
     Box,
     TruncatedVector,
+    check_part,
     check_parts,
     linear_combination,
     vector_from_dense,
@@ -85,10 +85,9 @@ class FiniteRankOperator:
         if len(columns) != self.box.dimension:
             raise InputError(f"expected {self.box.dimension} columns, got {len(columns)}")
         for c in columns:
-            if not isinstance(c, TruncatedVector) or c.box != self.box:
-                raise DomainError("operator columns must be vectors on the operator box")
-            if c.mode != self.mode:
-                raise ModeError("operator columns must be in the operator mode")
+            if not isinstance(c, TruncatedVector):
+                raise DomainError(f"operator columns must be vectors, got {type(c).__name__}")
+            check_part(self.box, self.mode, c, "column")
 
     @staticmethod
     def from_matrix(box: Box, mode: str, rows, label: str = "") -> "FiniteRankOperator":
@@ -130,28 +129,19 @@ class FiniteRankOperator:
     def rank(self) -> int:
         return len(self.range_basis)
 
-    def _check_peer(self, other: "FiniteRankOperator") -> None:
-        if self.box != other.box:
-            raise DomainError("operator boxes differ")
-        if self.mode != other.mode:
-            raise ModeError("operator modes differ")
-
     def apply(self, x: TruncatedVector) -> TruncatedVector:
-        if x.box != self.box:
-            raise DomainError("vector box does not match operator box")
-        if x.mode != self.mode:
-            raise ModeError("vector mode does not match operator mode")
+        check_part(self.box, self.mode, x, "vector")
         position = self.box.position
         terms = ((val, self.columns[position(idx)]) for idx, val in x.entries)
         return linear_combination(self.box, self.mode, terms)
 
     def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
-        self._check_peer(other)
+        check_part(self.box, self.mode, other, "operator")
         columns = [self.apply(c) for c in other.columns]
         return FiniteRankOperator(self.box, self.mode, columns)
 
     def _columnwise(self, other: "FiniteRankOperator", combine) -> "FiniteRankOperator":
-        self._check_peer(other)
+        check_part(self.box, self.mode, other, "operator")
         columns = [combine(a, b) for a, b in zip(self.columns, other.columns)]
         return FiniteRankOperator(self.box, self.mode, columns)
 
@@ -167,7 +157,7 @@ class FiniteRankOperator:
         return FiniteRankOperator(self.box, self.mode, columns, label)
 
     def approx_equal(self, other: "FiniteRankOperator") -> bool:
-        self._check_peer(other)
+        check_part(self.box, self.mode, other, "operator")
         pairs = [(a, b) for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)]
         return all_approx_equal(pairs, self.mode)
 
@@ -352,8 +342,7 @@ def rank_one_split(
 ) -> RankOneSplit:
     if op.rank == 0:
         raise ZeroOperatorError("cannot split a zero operator")
-    if op.box != system.box or op.mode != system.mode:
-        raise DomainError("operator and system live on different boxes or modes")
+    check_part(system.box, system.mode, op, "operator")
     if control_levels is None:
         control_levels = list(range(1, smallest_norm_level(op, system) + 1))
     control_levels = list(control_levels)
@@ -536,15 +525,13 @@ def flatten_schedule(blocks) -> ScheduledFamily:
     blocks = list(blocks)
     if not blocks:
         raise DegenerateInputError("flatten_schedule needs at least one block")
-    box = blocks[0].split.source.box
-    mode = blocks[0].split.source.mode
+    sources = tuple(block.split.source for block in blocks)
+    box, mode = sources[0].box, sources[0].mode
+    check_parts(box, mode, sources, "block source")
     operators = []
     structure = []
     generators = []
-    for p, block in enumerate(blocks, start=1):
-        source = block.split.source
-        if source.box != box or source.mode != mode:
-            raise DomainError("blocks live on different boxes or modes")
+    for p, (block, source) in enumerate(zip(blocks, sources), start=1):
         adapted = block.split.decomposition.adapted_basis
         m = block.piece_count
         for i, c_op in enumerate(block.operators, start=1):
@@ -556,7 +543,7 @@ def flatten_schedule(blocks) -> ScheduledFamily:
             lead = b_vec.entries[0][1]
             generators.append(b_vec.scale(1 / lead))
     total = reduce(operator.add, operators)
-    family_total = reduce(operator.add, (block.split.source for block in blocks))
+    family_total = reduce(operator.add, sources)
     if not total.approx_equal(family_total):
         raise ConstructionSoundnessError("schedule total differs from the family total")
     return ScheduledFamily(
@@ -567,7 +554,7 @@ def flatten_schedule(blocks) -> ScheduledFamily:
         replication_counts=tuple(
             (p, block.replication) for p, block in enumerate(blocks, start=1)
         ),
-        source_family=tuple(block.split.source for block in blocks),
+        source_family=sources,
         splits=tuple(block.split for block in blocks),
         working_levels=tuple(blocks[-1].split.norm_grading),
         generators=tuple(generators),

@@ -38,12 +38,13 @@ import math
 import operator
 from functools import reduce
 
-from .errors import ComputationCapError, DomainError, InputError, ModeError, UnboundedSeminormError
+from .errors import ComputationCapError, InputError, UnboundedSeminormError
 from .linalg import (
     dense_rows, echelon_inverse, echelon_nullspace, mat_vec, nullspace, rank, row_echelon, solve
 )
 from .scalars import negligible, rank_tol, zero
 from .seminorms import SUM, SeminormSystem, basis_rows, functional_rows
+from .spaces import check_part, check_parts
 
 # vertex candidates a sup may enumerate
 CAP = 200_000
@@ -189,14 +190,6 @@ def _graded_sup(system, to_level, from_level, domain_basis, image_lists):
     return polyhedral_sup(dim, rows, combiner, pieces, system.mode)
 
 
-def _check_operators(system, operators):
-    for op in operators:
-        if op.box != system.box:
-            raise DomainError(f"operator box {op.box} does not match system box {system.box}")
-        if op.mode != system.mode:
-            raise ModeError(f"operator mode {op.mode} does not match system mode {system.mode}")
-
-
 def graded_operator_norm(
     system: SeminormSystem, to_level: int, from_level: int, operator, domain_basis=None
 ):
@@ -207,7 +200,7 @@ def graded_operator_norm(
     from-level kernel is not annihilated at the to-level, which is how callers locate
     the smallest finite comparison level.
     """
-    _check_operators(system, [operator])
+    check_part(system.box, system.mode, operator, "operator")
     images = operator.columns
     if domain_basis is not None:
         images = [operator.apply(v) for v in domain_basis]
@@ -223,7 +216,7 @@ def comparison_level(system: SeminormSystem, level: int, operators):
     operator's columns as one objective piece.  Raises DomainError or ModeError as
     graded_operator_norm does, and UnboundedSeminormError when no level controls them all.
     """
-    _check_operators(system, operators)
+    check_parts(system.box, system.mode, operators, "operator")
     image_lists = [op.columns for op in operators]
     for l in range(level, system.level_count + 1):
         try:

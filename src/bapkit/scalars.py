@@ -44,6 +44,11 @@ RANK = 1e-9                   # pivot threshold for rank decisions, float mode
 DECAY = Fraction(1, 10**6)    # last/first ratio that counts as "reached zero"
 
 
+def is_int(value) -> bool:
+    """An int that is no bool: bool is an int subclass but never a count or a bound."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ModeError(f"unknown scalar mode {mode!r}; expected one of {MODES}")

@@ -39,25 +39,21 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Sequence
 
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    InputError,
-    LevelError,
-    ModeError,
-)
+from .errors import DegenerateInputError, DomainError, InputError, LevelError
 from .linalg import dense_rows, independent, nullspace
 from .scalars import (
     RATIONAL,
     Scalar,
     as_scalar,
     check_mode,
+    is_int,
     negligible,
     scalar_coercer,
     sum_products,
     zero,
 )
-from .spaces import Box, SingleBox, TripleBox, TruncatedVector, check_parts, linear_combination
+from .spaces import Box, SingleBox, TripleBox, TruncatedVector, linear_combination
+from .spaces import check_part, check_parts
 
 SUM = "sum"
 MAX = "max"
@@ -180,12 +176,6 @@ class SeminormSystem:
         if not (isinstance(k, int) and 1 <= k <= self.level_count):
             raise LevelError(f"level {k!r} outside 1..{self.level_count}")
 
-    def check_vector(self, x: TruncatedVector) -> None:
-        if x.box is not self.box and x.box != self.box:
-            raise DomainError(f"vector box {x.box} does not match system box {self.box}")
-        if x.mode != self.mode:
-            raise ModeError(f"vector mode {x.mode} does not match system mode {self.mode}")
-
     def level_groups(self, k: int):
         """Level k as a tuple of (combiner, functionals) groups, each functional
         a tuple of (index, coeff) pairs; value(k, x) is the max over the groups
@@ -255,7 +245,7 @@ class SeminormSystem:
         top and no further.
         """
         self._check_levels(levels)
-        self.check_vector(x)
+        check_part(self.box, self.mode, x, "vector")
         index, entries = self._level_index, x.entries
         magnitudes = None
         out = []
@@ -306,8 +296,8 @@ class VogtSeminorms(SeminormSystem):
         check_mode(self.mode)
         if not isinstance(self.box, TripleBox):
             raise InputError("vogt systems need a triple-indexed box")
-        if self.level_count < 1:
-            raise LevelError("need at least one level")
+        if not is_int(self.level_count) or self.level_count < 1:
+            raise LevelError(f"need an integer level count >= 1, got {self.level_count!r}")
         if self.rho.kind == "table" and (
             self.rho.mu_limit < self.box.mu_max or self.rho.nu_limit < self.box.nu_max
         ):
@@ -369,7 +359,7 @@ class VogtSeminorms(SeminormSystem):
         one integer over D b, normalised once; a float sum runs left to right
         from 0.0, as documents pin its bits.
         """
-        self.check_vector(x)
+        check_part(self.box, self.mode, x, "vector")
         b, a = self._rho_integers
         if self.mode == RATIONAL:
             ys, common = _integer_entries(x)
@@ -499,8 +489,8 @@ class MaxPrefixSeminorms(SeminormSystem):
         check_mode(self.mode)
         if not isinstance(self.box, SingleBox):
             raise InputError("max-prefix systems need a singly-indexed box")
-        if self.level_count < 1:
-            raise LevelError("need at least one level")
+        if not is_int(self.level_count) or self.level_count < 1:
+            raise LevelError(f"need an integer level count >= 1, got {self.level_count!r}")
 
     def level_groups(self, k: int):
         self.check_level(k)
@@ -581,7 +571,7 @@ class SupPartialSumSeminorms(SeminormSystem):
         """Per level the max over the partial sums, each partial sum built and
         read once for every level."""
         self._check_levels(levels)
-        self.check_vector(x)
+        check_part(self.box, self.mode, x, "vector")
         partials = itertools.accumulate(op.apply(x) for op in self.operators)
         reads = [self.base.values(levels, p) for p in partials]
         return tuple(reduce(max, column, zero(self.mode)) for column in zip(*reads))
@@ -628,8 +618,7 @@ def seminorm_kernel_basis(
     vectors = list(subspace)
     if not vectors:
         return []
-    for v in vectors:
-        system.check_vector(v)
+    check_parts(system.box, system.mode, vectors, "vector")
     if not independent([v.dense() for v in vectors], system.mode):
         raise InputError("subspace basis is linearly dependent")
     coeffs = nullspace(level_matrix(system, k, vectors), len(vectors), system.mode)

@@ -23,6 +23,7 @@ from .scalars import (
     all_approx_equal,
     as_scalar,
     check_mode,
+    is_int,
     scalar_coercer,
     sum_products,
     zero,
@@ -38,8 +39,9 @@ class TripleBox:
     nu_max: int
 
     def __post_init__(self) -> None:
-        if min(self.n_max, self.mu_max, self.nu_max) < 1:
-            raise DomainError(f"box bounds must be >= 1, got {self}")
+        bounds = (self.n_max, self.mu_max, self.nu_max)
+        if not all(map(is_int, bounds)) or min(bounds) < 1:
+            raise DomainError(f"box bounds must be integers >= 1, got {self}")
 
     @property
     def dimension(self) -> int:
@@ -69,8 +71,8 @@ class SingleBox:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DomainError(f"box dimension must be >= 1, got {self.d}")
+        if not is_int(self.d) or self.d < 1:
+            raise DomainError(f"box dimension must be an integer >= 1, got {self.d!r}")
 
     @property
     def dimension(self) -> int:
@@ -94,14 +96,20 @@ def _require_index(box: Box, idx) -> None:
         raise DomainError(f"index {idx!r} outside box {box}")
 
 
-def check_parts(box: Box, mode: str, parts: Iterable, what: str) -> None:
+def check_part(box: Box, mode: str, part, what: str) -> None:
     """Raise DomainError for a part (a vector or an operator) on another box than
-    box, and ModeError for one in another mode than mode."""
+    box, and ModeError for one in another mode than mode.  This is the package's
+    one comparison of a part's box and mode."""
+    if part.box is not box and part.box != box:
+        raise DomainError(f"{what} box {part.box} does not match {box}")
+    if part.mode != mode:
+        raise ModeError(f"{what} mode {part.mode} does not match {mode}")
+
+
+def check_parts(box: Box, mode: str, parts: Iterable, what: str) -> None:
+    """check_part for each of parts."""
     for part in parts:
-        if part.box is not box and part.box != box:
-            raise DomainError(f"{what} box {part.box} does not match {box}")
-        if part.mode != mode:
-            raise ModeError(f"{what} mode {part.mode} does not match {mode}")
+        check_part(box, mode, part, what)
 
 
 def _canonical(box: Box, mode: str, pairs: Iterable) -> "TruncatedVector":
@@ -174,12 +182,6 @@ class TruncatedVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def _check_peer(self, other: "TruncatedVector") -> None:
-        if self.box != other.box:
-            raise DomainError(f"box mismatch: {self.box} vs {other.box}")
-        if self.mode != other.mode:
-            raise ModeError(f"mode mismatch: {self.mode} vs {other.mode}")
-
     def _merge(self, other: "TruncatedVector", subtract: bool) -> "TruncatedVector":
         """self + other, or self - other, in one walk over both sorted entry tuples.
 
@@ -188,7 +190,7 @@ class TruncatedVector:
         entry of other is negated.  In IEEE arithmetic a - b equals
         a + (-1.0 * b), so this matches adding other.scale(-1).
         """
-        self._check_peer(other)
+        check_part(self.box, self.mode, other, "vector")
         left, right = self.entries, other.entries
         out = []
         i = j = 0
@@ -228,7 +230,7 @@ class TruncatedVector:
 
     def dot(self, other: "TruncatedVector") -> Scalar:
         """Standard coordinate inner product; drives orthogonal complements."""
-        self._check_peer(other)
+        check_part(self.box, self.mode, other, "vector")
         small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
         z = zero(self.mode)
         lookup = big._lookup
@@ -242,7 +244,7 @@ class TruncatedVector:
         return out
 
     def approx_equal(self, other: "TruncatedVector") -> bool:
-        self._check_peer(other)
+        check_part(self.box, self.mode, other, "vector")
         if self.entries == other.entries:
             return True
         keys = set(self.support) | set(other.support)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bapkit import (
     CertificateFailureError,
     ConstructionSoundnessError,
+    DomainError,
     FiniteRankOperator,
     InputError,
     KoetheSeminorms,
@@ -168,7 +169,7 @@ def test_embed_reads_generator_coefficients():
 
 def test_embed_box_check():
     schedule = skewed_schedule()
-    with pytest.raises(InputError):
+    with pytest.raises(DomainError):
         embed(schedule, vector_from_dense(SingleBox(3), "rational", [1, 0, 0]))
 
 

@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Fourteen rules: no module imports a name it never uses (`__init__` exists to
+Fifteen rules: no module imports a name it never uses (`__init__` exists to
 re-export and is exempt; the test modules follow this rule too), every
 import sits at module level, where a reader sees a module's dependencies at
 once, no module outside `scalars` spells a float slack literal such as 1e-9,
@@ -32,7 +32,11 @@ numerical setting: no function has a parameter named `tol` or `cap`, and only
 `scalars`, `linalg` and the vertex slack of `polyhedral._vertices` call
 `rank_tol`, because a threshold or a cap that each caller passes is one more
 statement of the policy that `scalars` and `polyhedral.CAP` state once (one
-test calls the knobs that are gone and sees TypeError), and every codec
+test calls the knobs that are gone and sees TypeError), and a part, a vector
+or an operator, meets the box and mode of what reads it in one place: outside
+`spaces.check_part`, no comparison puts a `.box` or `.mode` attribute against
+another one or against a name `box` or `mode`, because each copy of that rule
+drifts in its message and its exception type, and every codec
 record is a plain value: each class in `jsonio.KINDS` is a frozen dataclass,
 and no class in the package defines `__get__`, because a record that compares
 by identity, or a field that measures when it is read, breaks
@@ -423,6 +427,58 @@ def _vertices(mode):
 def test_a_removed_knob_raises_type_error(call):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         call()
+
+
+# the attributes that tie a part, a vector or an operator, to its space
+PART_FIELDS = {"box", "mode"}
+
+
+def _part_comparisons(tree, module):
+    """(line, comparison) for each comparison that puts a .box or .mode attribute against
+    another one or against a name box or mode, outside spaces.check_part."""
+    exempt = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and (module, node.name) == ("spaces", "check_part")
+        for sub in ast.walk(node)
+    }
+
+    def field(node):
+        return isinstance(node, ast.Attribute) and node.attr in PART_FIELDS
+
+    def peer(node):
+        return field(node) or isinstance(node, ast.Name) and node.id in PART_FIELDS
+
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in exempt
+        for left, right in zip([node.left, *node.comparators], node.comparators)
+        if field(left) and peer(right) or peer(left) and field(right)
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_check_part_compares_a_part_with_its_space(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"{path.name}:{line} {text}" for line, text in _part_comparisons(tree, path.stem)]
+    assert not found, f"call spaces.check_part or check_parts: {found}"
+
+
+def test_the_part_rule_flags_a_box_comparison():
+    source = """
+def check_part(box, mode, part, what):
+    return part.box is not box and part.mode != mode
+def add(self, x):
+    if x.box != self.box:
+        raise ValueError
+    return self.mode == RATIONAL or x.box is None or box == mode or mode < x.mode < 2
+"""
+    tree = ast.parse(source)
+    add = [(5, "x.box != self.box"), (7, "mode < x.mode < 2")]
+    assert _part_comparisons(tree, "spaces") == add
+    inside = [(3, "part.box is not box"), (3, "part.mode != mode")]
+    assert sorted(_part_comparisons(tree, "operators")) == sorted(inside + add)
 
 
 def _plain_value_violations(classes, trees):

@@ -40,7 +40,7 @@ from bapkit import (
     witness_evidence,
 )
 from bapkit import jsonio
-from bapkit.errors import BapkitError, DegenerateInputError, DomainError, ModeError
+from bapkit.errors import BapkitError, DegenerateInputError, DomainError, LevelError, ModeError
 
 F = Fraction
 
@@ -305,6 +305,9 @@ def _custom_data(levels):
     }
 
 
+MAX_PREFIX_DATA = jsonio.encode(MaxPrefixSeminorms(SingleBox(2), "rational", 2))
+VOGT_SYSTEM_DATA = jsonio.encode(VogtSeminorms(RhoTable.dyadic(), TripleBox(2, 1, 1), "rational", 2))
+
 MALFORMED = [
     ("null-required-object", _vogt_instance_data(rho=None), InputError),
     ("null-nested-box", _vogt_instance_data(box=None), InputError),
@@ -351,7 +354,19 @@ MALFORMED = [
     ("bad-combiner", _custom_data([{"combiner": "prod", "functionals": []}]), InputError),
     ("short-detail", {"kind": "diagnostic-verdict", "verdict": "v", "reason": "r",
                       "details": [["a"]]}, ValueError),
-    ("string-box-bound", {"kind": "single-box", "d": "x"}, TypeError),
+    # a box bound or a level count is an int, and no bool
+    ("string-box-bound", {"kind": "single-box", "d": "x"}, DomainError),
+    *(
+        (f"{name}-{kind}", data, error)
+        for name, bad in (("float", 2.5), ("boolean", True), ("numeral", "3"))
+        for kind, data, error in (
+            ("box-bound", {"kind": "single-box", "d": bad}, DomainError),
+            ("triple-box-bound", {"kind": "triple-box", "n_max": 2, "mu_max": bad, "nu_max": 1},
+             DomainError),
+            ("max-prefix-level-count", {**MAX_PREFIX_DATA, "level_count": bad}, LevelError),
+            ("vogt-level-count", {**VOGT_SYSTEM_DATA, "level_count": bad}, LevelError),
+        )
+    ),
     ("unhashable-kind", {"kind": []}, TypeError),
     ("operator-matrix-not-square-for-box", _operator_data([[1]]), InputError),
     ("operator-ragged-matrix", _operator_data([[1, 0], [1]]), InputError),

@@ -241,6 +241,7 @@ def test_custom_system_combiners():
         CustomSeminorms(levels, box, "rational", monotone_guaranteed=False)
 
 
+NON_INT_COUNTS = {"float": 2.5, "boolean": True, "numeral": "3"}
 SYSTEM_CONSTRUCTOR_CHECKS = {
     "vogt-without-levels": (
         lambda: VogtSeminorms(RhoTable.dyadic(), TripleBox(2, 2, 2), "rational", 0), LevelError
@@ -255,6 +256,20 @@ SYSTEM_CONSTRUCTOR_CHECKS = {
     "max-prefix-on-a-triple-box": (
         lambda: MaxPrefixSeminorms(TripleBox(2, 2, 2), "rational", 1), InputError
     ),
+    # a level count is an int, and no bool
+    **{
+        f"vogt-with-a-{name}-level-count": (
+            lambda bad=bad: VogtSeminorms(RhoTable.dyadic(), TripleBox(2, 2, 2), "rational", bad),
+            LevelError,
+        )
+        for name, bad in NON_INT_COUNTS.items()
+    },
+    **{
+        f"max-prefix-with-a-{name}-level-count": (
+            lambda bad=bad: MaxPrefixSeminorms(SingleBox(2), "rational", bad), LevelError
+        )
+        for name, bad in NON_INT_COUNTS.items()
+    },
 }
 
 

@@ -57,6 +57,18 @@ def test_box_bounds_must_be_positive():
         SingleBox(0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, "3"], ids=["float", "boolean", "numeral"])
+@pytest.mark.parametrize("build", [
+    SingleBox,
+    lambda bad: TripleBox(bad, 1, 1),
+    lambda bad: TripleBox(2, 1, bad),
+], ids=["single", "triple-n", "triple-nu"])
+def test_box_bounds_must_be_ints(build, bad):
+    with pytest.raises(DomainError) as info:
+        build(bad)
+    assert type(info.value) is DomainError
+
+
 def test_single_box_membership_rejects_bool():
     box = SingleBox(3)
     assert box.contains(2)
