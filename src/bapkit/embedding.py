@@ -27,7 +27,18 @@ from .errors import (
 )
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
-from .scalars import RATIONAL, is_zero, leq, random_scalar, scalar_coercer, zero
+from .scalars import (
+    RATIONAL,
+    is_zero,
+    random_scalar,
+    raw_leq,
+    raw_max,
+    raw_of,
+    raw_times,
+    scalar_coercer,
+    scalars_of,
+    zero,
+)
 from .seminorms import SeminormSystem
 from .spaces import TruncatedVector, check_part, vector_from_dense, zero_vector
 
@@ -96,11 +107,13 @@ def element_from_components(schedule: ScheduledFamily, coefficients) -> BasisSpa
 
 def e0_values(system: SeminormSystem, element: BasisSpaceElement) -> tuple:
     """Graded value at every working-level position, in position order: per
-    level the max over partial sums, each partial sum read once for all levels."""
+    level the max over partial sums, each partial sum read raw once for all
+    levels, and only the maxima turned into scalars."""
     levels = element.schedule.working_levels
-    reads = [system.values(levels, partial) for partial in element.partial_totals()]
-    z = zero(element.schedule.mode)
-    return tuple(reduce(max, (read[i] for read in reads), z) for i in range(len(levels)))
+    mode = element.schedule.mode
+    reads = [system.raw_values(levels, partial) for partial in element.partial_totals()]
+    maxima = [raw_max([read[i] for read in reads], mode) for i in range(len(levels))]
+    return scalars_of(maxima, mode)
 
 
 def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
@@ -176,25 +189,30 @@ def certify_equicontinuity(
         factor=EQUICONTINUITY_FACTOR, entries=tuple(entries), sample_count=sample_count
     )
     total_op = prefix_sums[-1]
+    mode = schedule.mode
     comp_levels = [comp_level for _, _, comp_level, _ in entries]
+    factors = [EQUICONTINUITY_FACTOR * m_val for _, _, _, m_val in entries]
     for trial in range(sample_count):
-        x = _random_vector(schedule.box, schedule.mode, rng)
+        x = _random_vector(schedule.box, mode, rng)
         y = embed(schedule, x)
         total_x = total_op.apply(x)
         bounds = zip(
             entries,
+            factors,
             e0_values(system, y),
-            system.values(schedule.working_levels, total_x),
-            system.values(comp_levels, x),
+            system.raw_values(schedule.working_levels, total_x),
+            system.raw_values(comp_levels, x),
         )
-        for (position, _, _, m_val), e0, lower, comp_value in bounds:
-            upper = EQUICONTINUITY_FACTOR * m_val * comp_value
-            if not leq(lower, e0, schedule.mode):
+        for (position, _, _, m_val), factor, e0, lower, comp_value in bounds:
+            e0_raw = raw_of(e0, mode)
+            if not raw_leq(lower, e0_raw, mode):
+                lower = scalars_of((lower,), mode)[0]
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "
                     f"{lower} > {e0}"
                 )
-            if not leq(e0, upper, schedule.mode):
+            if not raw_leq(e0_raw, raw_times(factor, comp_value, mode), mode):
+                comp_value = scalars_of((comp_value,), mode)[0]
                 raise CertificateFailureError(
                     f"upper bound failed at position {position}, sample {trial}: "
                     f"{e0} > {EQUICONTINUITY_FACTOR} * {m_val} * {comp_value}"
@@ -274,12 +292,13 @@ def basis_criterion_check(
     that bound on random coefficient sequences.
     """
     rng = rng or random.Random(0)
+    mode = schedule.mode
     for _ in range(sample_count):
-        coeffs = [random_scalar(rng, schedule.mode) for _ in schedule.operators]
+        coeffs = [random_scalar(rng, mode) for _ in schedule.operators]
         y = element_from_components(schedule, coeffs)
-        reads = [system.values(schedule.working_levels, y.component(t)) for t in range(len(y))]
+        reads = [system.raw_values(schedule.working_levels, y.component(t)) for t in range(len(y))]
         for i, e0 in enumerate(e0_values(system, y)):
-            bound = 2 * e0
-            if not all(leq(read[i], bound, schedule.mode) for read in reads):
+            bound = raw_times(2, raw_of(e0, mode), mode)
+            if not all(raw_leq(read[i], bound, mode) for read in reads):
                 return BasisCriterionReport(False, 1, sample_count)
     return BasisCriterionReport(True, 1, sample_count)

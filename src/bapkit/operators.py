@@ -45,8 +45,10 @@ from .scalars import (
     all_approx_equal,
     as_scalar,
     check_mode,
-    leq,
     random_scalar,
+    raw_leq,
+    raw_times,
+    scalars_of,
 )
 from .seminorms import SeminormSystem, seminorm_kernel_basis
 from .spaces import (
@@ -130,9 +132,15 @@ class FiniteRankOperator:
         return len(self.range_basis)
 
     def apply(self, x: TruncatedVector) -> TruncatedVector:
+        """sum x_c * column c over x's entries, an empty column left out: it adds
+        nothing, and most columns of a schedule operator are empty."""
         check_part(self.box, self.mode, x, "vector")
-        position = self.box.position
-        terms = ((val, self.columns[position(idx)]) for idx, val in x.entries)
+        columns, position = self.columns, self.box.position
+        terms = [
+            (val, column)
+            for idx, val in x.entries
+            if (column := columns[position(idx)]).entries
+        ]
         return linear_combination(self.box, self.mode, terms)
 
     def compose(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
@@ -459,16 +467,17 @@ def _verify_prefix_bound(
         copies = {r: e.scale(Fraction(r, n_rep)) for r in {r for r, _ in order[:-1]} - {0}}
         levels = split.norm_grading
         reads = [
-            system.values(levels, copies[r] + shares[w] if r else shares[w])
+            system.raw_values(levels, copies[r] + shares[w] if r else shares[w])
             for r, w in order[:-1]
         ]
-        e_read = system.values(levels, e)
+        e_read = system.raw_values(levels, e)
         reads.append(e_read)
         for i, (level, e_value) in enumerate(zip(levels, e_read)):
-            bound = factor * e_value
+            bound = raw_times(factor, e_value, mode)
             for (r, w), read in zip(order, reads):
                 val = read[i]
-                if not leq(val, bound, mode):
+                if not raw_leq(val, bound, mode):
+                    val, e_value = scalars_of((val, e_value), mode)
                     raise ConstructionSoundnessError(
                         f"prefix bound failed at level {level}, copy {r}, piece {w}: "
                         f"{val} > {PREFIX_FACTOR} * {e_value}"

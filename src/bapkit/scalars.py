@@ -23,6 +23,16 @@ and no function takes a tolerance:
 No constant inflates an operator norm, and no norm is sampled: every
 polyhedral sup is found at a vertex in both modes, and above the enumeration
 cap polyhedral.CAP both modes raise ComputationCapError (see polyhedral).
+
+Raw values.  A seminorm level is read raw (SeminormSystem.raw_values) and
+turned into a scalar only where it is reported (scalars_of).  In rational
+mode a raw value is an unreduced pair of ints (numerator, denominator), the
+denominator positive, so a read builds no Fraction and pays no gcd; in float
+mode it is the float itself.  The checks that only compare or scale reads do
+so raw: raw_leq, raw_max and raw_times are exact in rational mode, by
+cross-multiplication, and in float mode apply leq, max and the product to
+the same operands as on the scalars, so a float result is unchanged bit for
+bit.  raw_of is the cheap way back, a scalar's own numerator and denominator.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ModeError
 
@@ -178,6 +189,46 @@ def leq(a: Scalar, b: Scalar, mode: str) -> bool:
     if mode == RATIONAL:
         return a <= b
     return a <= b + EQ * max(1.0, abs(a), abs(b))
+
+
+def scalars_of(raws, mode: str) -> tuple:
+    """The raw values as the mode's scalars: Fraction(n, d) per pair in rational
+    mode, the floats as they are in float mode."""
+    if mode == RATIONAL:
+        return tuple([Fraction(n, d) for n, d in raws])
+    return tuple(raws)
+
+
+def raw_of(value: Scalar, mode: str):
+    """A scalar (or an int) as a raw value, building nothing."""
+    return (value.numerator, value.denominator) if mode == RATIONAL else value
+
+
+def raw_leq(a, b, mode: str) -> bool:
+    """a <= b for raw values: exact in rational mode, leq's EQ rule in float mode."""
+    if mode == RATIONAL:
+        return a[0] * b[1] <= b[0] * a[1]
+    return leq(a, b, mode)
+
+
+def raw_max(raws, mode: str):
+    """The largest of the raw values and zero, exact; in float mode the float that
+    reduce(max, raws, 0.0) gives."""
+    if mode != RATIONAL:
+        return reduce(max, raws, 0.0)
+    best_n, best_d = 0, 1
+    for n, d in raws:
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
+def raw_times(factor, raw, mode: str):
+    """factor * raw for an int or scalar factor: the pair scaled by the factor's
+    numerator and denominator in rational mode, factor * raw in float mode."""
+    if mode == RATIONAL:
+        return factor.numerator * raw[0], factor.denominator * raw[1]
+    return factor * raw
 
 
 def rank_tol(mode: str) -> float | None:

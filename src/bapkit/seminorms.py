@@ -5,17 +5,23 @@ seminorms.  A level is a set of groups (level_groups), each of finitely many
 coordinate functionals combined either as an absolute sum or as a max, and
 its value is the max over the groups.  That shared shape is what makes
 kernels computable exactly: value(k, x) = 0 iff every constituent
-functional kills x.  Every level is read through one method, values(levels,
-x), which reads x once for all the levels asked; value(k, x) is its one-level
-case.  SeminormSystem derives values from the groups; Vogt and sup-partial
-systems keep their own, whose float sums run in an order that documents pin
-bit for bit.  Vogt states its split once, in _split, keyed by (base,
-threshold), and two methods read it: split_values sums any splits of one
-vector from one read of its entries (values and primed_values), and
-split_groups gives a split as functionals (level_groups and the primed
-levels).  A rational reader sums integers over the lcm of x's denominators
-(_integer_entries) and normalises once; a float one adds left to right from
-0.0.
+functional kills x.  Every level is read raw through one method,
+raw_values(levels, x), which reads x once for all the levels asked, and
+values(levels, x), defined once on SeminormSystem, turns that read into
+scalars; value(k, x) is its one-level case.  A raw value (see scalars) is an
+unreduced pair of ints in rational mode and the float itself in float mode,
+so the checks that only compare or scale reads (the prefix bound, the
+graded values of the embedding, the equicontinuity bounds and the basis
+criterion) build no Fraction per level, and only a reported value becomes
+one.  SeminormSystem derives raw_values from the groups; Vogt and
+sup-partial systems keep their own, whose float sums run in an order that
+documents pin bit for bit.  Vogt states its split once, in _split, keyed by
+(base, threshold), and two methods read it: raw_splits sums any splits of
+one vector from one read of its entries (raw_values, and through
+split_values primed_values), and split_groups gives a split as functionals
+(level_groups and the primed levels).  A rational reader sums integers over
+the lcm of x's denominators (_integer_entries) and gives that sum over its
+denominator, unnormalised; a float one adds left to right from 0.0.
 
 Kinds:
   * vogt        triple-indexed; below the level threshold a coordinate enters
@@ -36,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DegenerateInputError, DomainError, InputError, LevelError
@@ -48,9 +54,11 @@ from .scalars import (
     check_mode,
     is_int,
     negligible,
+    raw_max,
+    raw_of,
     scalar_coercer,
+    scalars_of,
     sum_products,
-    zero,
 )
 from .spaces import Box, SingleBox, TripleBox, TruncatedVector, linear_combination
 from .spaces import check_part, check_parts
@@ -231,35 +239,46 @@ class SeminormSystem:
         return self.values((k,), x)[0]
 
     def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
-        """value(k, x) for each k in levels, x's entries read once for all of them.
+        """value(k, x) for each k in levels: raw_values as scalars, one Fraction per
+        level in rational mode and the floats as they are in float mode."""
+        return scalars_of(self.raw_values(levels, x), self.mode)
+
+    def raw_values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """Each level's value at x as a raw value (see scalars), x's entries read once
+        for all the levels.
 
         The levels are checked once (_check_levels), then x.  Each level runs
-        its plan (see _level_index) and is the max over its groups.  A SUM
+        its plan (see _level_index) and is the raw_max over its groups; a level
+        of one group is that group's value, which no raw_max changes, as no
+        group's value is negative.  A SUM
         group sums its weights against x's magnitudes, then its wide
         functionals: in rational mode the magnitudes are integers over one
-        common denominator, so the weights' part is one integer sum and one
-        Fraction, and in float mode they are x's absolute values, added left to
-        right from 0.0, as sum_products adds them.  The magnitudes are built
-        when a SUM group first reads them, so levels of MAX groups alone build
-        none.  A MAX group walks x's entries, which are in box order, up to its
-        top and no further.
+        common denominator, so the weights' part is one integer sum over
+        scale times that denominator, a raw pair, and in float mode they are
+        x's absolute values, added left to right from 0.0, as sum_products adds
+        them.  The magnitudes are built when a SUM group first reads them, so
+        levels of MAX groups alone build none.  A MAX group walks x's entries,
+        which are in box order, up to its top and no further, and gives its
+        largest scalar as a raw value.
         """
         self._check_levels(levels)
         check_part(self.box, self.mode, x, "vector")
-        index, entries = self._level_index, x.entries
+        index, entries, mode = self._level_index, x.entries, self.mode
         magnitudes = None
         out = []
         for k in levels:
-            best = None
+            found = []
             for combiner, units, weights, wide, scale, top in index[k - 1]:
                 if combiner == MAX:
-                    found = [abs(apply_functional(f, x)) for f in wide]
+                    group = [abs(apply_functional(f, x)) for f in wide]
                     if top is not None:
                         for i, v in entries:
                             if i > top:
                                 break
                             if i in weights:
-                                found.append(abs(v) if i in units else weights[i] * abs(v))
+                                group.append(abs(v) if i in units else weights[i] * abs(v))
+                    if group:
+                        found.append(raw_of(max(group), mode))
                 elif scale is None:
                     if magnitudes is None:
                         magnitudes = [(i, abs(v)) for i, v in entries]
@@ -269,19 +288,18 @@ class SeminormSystem:
                             total += weights[i] * m
                     for f in wide:
                         total += abs(apply_functional(f, x))
-                    found = [total]
+                    found.append(total)
                 else:
                     if magnitudes is None:
                         numerators, common = _integer_entries(x)
                         magnitudes = [(i, abs(y)) for i, y in numerators]
-                    total = Fraction(
-                        sum(weights[i] * m for i, m in magnitudes if i in weights), scale * common
-                    )
-                    found = [sum((abs(apply_functional(f, x)) for f in wide), total)] if wide else [total]
-                for v in found:
-                    if best is None or v > best:
-                        best = v
-            out.append(zero(self.mode) if best is None else best)
+                    weighted = sum(weights[i] * m for i, m in magnitudes if i in weights)
+                    raw = (weighted, scale * common)
+                    if wide:
+                        total = sum((abs(apply_functional(f, x)) for f in wide), Fraction(*raw))
+                        raw = raw_of(total, mode)
+                    found.append(raw)
+            out.append(found[0] if len(found) == 1 else raw_max(found, mode))
         return tuple(out)
 
 
@@ -347,7 +365,12 @@ class VogtSeminorms(SeminormSystem):
         return b, {column: int(r * b) for column, r in grid.items()}
 
     def split_values(self, x: TruncatedVector, splits) -> tuple:
-        """Each (base, threshold) split of x (see _split), x checked and read once.
+        """Each (base, threshold) split of x as a scalar: raw_splits as scalars."""
+        return scalars_of(self.raw_splits(x, splits), self.mode)
+
+    def raw_splits(self, x: TruncatedVector, splits) -> tuple:
+        """Each (base, threshold) split of x (see _split) as a raw value, x checked
+        and read once.
 
         x's entries are integers y over D, the lcm of their denominators, in
         rational mode, and as they are (D = 1) in float mode.  A split sums
@@ -356,8 +379,8 @@ class VogtSeminorms(SeminormSystem):
         from _rho_integers and y = 0 off the support.  The sites, the support
         and its n - 1 shift, are listed only once an entry is not plain, and
         each term is computed when a split first reads it.  A rational sum is
-        one integer over D b, normalised once; a float sum runs left to right
-        from 0.0, as documents pin its bits.
+        one integer over D b, the raw pair; a float sum runs left to right from
+        0.0, as documents pin its bits.
         """
         check_part(self.box, self.mode, x, "vector")
         b, a = self._rho_integers
@@ -394,7 +417,7 @@ class VogtSeminorms(SeminormSystem):
                     total += product
                 out.append(total)
             else:
-                out.append(Fraction(sum(products), scale))
+                out.append((sum(products), scale))
         return tuple(out)
 
     def split_groups(self, base: int, threshold: int) -> tuple:
@@ -418,10 +441,10 @@ class VogtSeminorms(SeminormSystem):
             self._functionals[key] = tuple(out)
         return self._functionals[key]
 
-    def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
-        """Each level k's (k, k) split of x, from one split_values read."""
+    def raw_values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """Each level k's (k, k) split of x, from one raw_splits read."""
         self._check_levels(levels)
-        return self.split_values(x, [(k, k) for k in levels])
+        return self.raw_splits(x, [(k, k) for k in levels])
 
     def primed_values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
         """(values(levels, x), the primed values), from one split_values read of x.
@@ -517,6 +540,8 @@ class CustomSeminorms(SeminormSystem):
     mode: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.box, Box):
+            raise DomainError(f"a custom system lives on a box, got {type(self.box).__name__}")
         check_mode(self.mode)
         if not self.levels:
             raise LevelError("need at least one level")
@@ -567,14 +592,14 @@ class SupPartialSumSeminorms(SeminormSystem):
     def level_count(self) -> int:  # type: ignore[override]
         return self.base.level_count
 
-    def values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
-        """Per level the max over the partial sums, each partial sum built and
-        read once for every level."""
+    def raw_values(self, levels: Sequence[int], x: TruncatedVector) -> tuple:
+        """Per level the raw_max over the partial sums, each partial sum built and
+        read raw once for every level."""
         self._check_levels(levels)
         check_part(self.box, self.mode, x, "vector")
         partials = itertools.accumulate(op.apply(x) for op in self.operators)
-        reads = [self.base.values(levels, p) for p in partials]
-        return tuple(reduce(max, column, zero(self.mode)) for column in zip(*reads))
+        reads = [self.base.raw_values(levels, p) for p in partials]
+        return tuple(raw_max(column, self.mode) for column in zip(*reads))
 
     def level_groups(self, k: int):
         """Base groups composed with every partial sum, zero functionals left out:

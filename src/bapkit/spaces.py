@@ -140,7 +140,8 @@ class TruncatedVector:
 
     The entries tuple is kept sorted by index, which makes equality,
     hashing and serialization canonical.  The constructor takes entries in
-    that form only; create sorts, merges and drops zeros for a caller.
+    that form only, on a box and in a known mode; create sorts, merges and
+    drops zeros for a caller.
     """
 
     box: Box
@@ -148,6 +149,9 @@ class TruncatedVector:
     entries: tuple = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.box, Box):
+            raise DomainError(f"a vector lives on a box, got {type(self.box).__name__}")
+        check_mode(self.mode)
         previous = None
         for idx, value in self.entries:
             _require_index(self.box, idx)

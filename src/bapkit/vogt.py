@@ -43,20 +43,25 @@ from .spaces import TripleBox, TruncatedVector
 
 @dataclass(frozen=True)
 class VogtInstance:
-    """One truncated space: decay table, index box, mode, level budget."""
+    """One truncated space: decay table, index box, mode, level budget.
+
+    The instance builds its system when it is built, so VogtSeminorms' checks
+    of the box, the mode, the level count and the decay table raise then, for
+    a decoded instance too.
+    """
 
     rho: RhoTable
     box: TripleBox
     mode: str
     level_count: int
 
+    def __post_init__(self) -> None:
+        system = VogtSeminorms(self.rho, self.box, self.mode, self.level_count)
+        object.__setattr__(self, "_system", system)
+
     def system(self) -> VogtSeminorms:
         """The instance's one system, so every check shares its cached splits."""
         return self._system
-
-    @cached_property
-    def _system(self) -> VogtSeminorms:
-        return VogtSeminorms(self.rho, self.box, self.mode, self.level_count)
 
     @cached_property
     def _indices(self) -> tuple:

@@ -35,6 +35,7 @@ from bapkit import (
 from bapkit import cli
 from bapkit import embedding
 from bapkit import jsonio
+from bapkit.scalars import raw_of
 
 
 def namespace(**kw):
@@ -91,29 +92,39 @@ def test_document_deterministic_modulo_timestamp():
 def test_a_rational_schedule_build_skips_the_arithmetic_whose_result_it_knows(monkeypatch):
     # the rational Pelczynski suite at dimension 10, seed 0: the last prefix of a block is
     # e, zero entries are not eliminated, sums start from their first term and a - a is not
-    # computed
-    counts = dict.fromkeys(("division", "addition", "subtraction", "read"), 0)
+    # computed.  The checks read the levels raw and compare them as integers, so only the
+    # reconstruction traces, which the document holds, turn reads into Fractions: 8 samples
+    # of 11 partial sums each.  The run makes 9,682 Fractions and 928 order comparisons of
+    # them; a Fraction per level of every read made 16,397 and 6,103
+    counts = dict.fromkeys(
+        ("division", "addition", "subtraction", "read", "scalars", "fraction", "order"), 0
+    )
 
     def counted(method, kind):
-        def counting(*args):
+        def counting(*args, **kwargs):
             counts[kind] += 1
-            return method(*args)
+            return method(*args, **kwargs)
         return counting
 
     for kind, names in (
         ("division", ("__truediv__", "__rtruediv__")),
         ("addition", ("__add__", "__radd__")),
         ("subtraction", ("__sub__", "__rsub__")),
+        ("order", ("__lt__", "__le__", "__gt__", "__ge__")),
     ):
         for name in names:
             monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name), kind))
-    monkeypatch.setattr(SeminormSystem, "values", counted(SeminormSystem.values, "read"))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted(Fraction.__new__, "fraction")))
+    monkeypatch.setattr(SeminormSystem, "raw_values", counted(SeminormSystem.raw_values, "read"))
+    monkeypatch.setattr(SeminormSystem, "values", counted(SeminormSystem.values, "scalars"))
     cfg = cli.load_config(None, namespace(suite="pelczynski", mode="rational", seed=0))
     cfg["pelczynski"]["dimension"] = 10
     passed, _ = cli.run_suite_pelczynski(cfg)
     assert passed
     assert counts["division"] <= 518 and counts["addition"] <= 100
     assert counts["subtraction"] == 0 and counts["read"] == 718
+    assert counts["scalars"] == 8 * 11
+    assert counts["fraction"] <= 10_500 and counts["order"] <= 1_000
 
 
 def traced_peak(run):
@@ -461,6 +472,12 @@ def seeded_random_values(_values):
     return lambda self, levels, x: tuple(rng.randint(-9, 9) for _ in levels)
 
 
+def seeded_random_raw_values(_raw_values):
+    """seeded_random_values as raw reads: each integer over 1 in rational mode."""
+    rng = random.Random(0)
+    return lambda self, levels, x: tuple(raw_of(rng.randint(-9, 9), self.mode) for _ in levels)
+
+
 # checks that write `passed: True` and fail by raising: the method a patch breaks, the
 # patches, and the error type the suite documents for that failure
 BROKEN_VALUES = {
@@ -485,7 +502,8 @@ def doubled_floor(bap_failure_witness):
 RAISING_CHECKS = {
     # doubling every value keeps the prefix bound's ratio, so "doubled" cannot fail it
     "pelczynski/schedule": (
-        KoetheSeminorms, "values", {"random": seeded_random_values}, ConstructionSoundnessError
+        KoetheSeminorms, "raw_values", {"random": seeded_random_raw_values},
+        ConstructionSoundnessError,
     ),
     # M_k / 10 passes the schedule and fails the certificate's upper bound
     "pelczynski/equicontinuity": (

@@ -397,13 +397,15 @@ def test_basis_criterion_constant_one():
 @pytest.mark.parametrize("seed", range(5))
 def test_basis_criterion_fails_when_the_values_break_the_triangle_inequality(monkeypatch, seed):
     # the coordinate schedule of the Pelczynski suite at d = 4, built honestly;
-    # seeded random integers in -9..9 then stand in for every Koethe value
+    # seeded random integers in -9..9 then stand in for every Koethe value, read raw
     box = SingleBox(4)
     system = KoetheSeminorms(tuple((k,) * 4 for k in range(1, 5)), box, "rational")
     schedule = build_schedule(coordinate_family(box), system, rng=random.Random(0), prefix_samples=5)
     values = random.Random(seed)
     monkeypatch.setattr(
-        KoetheSeminorms, "values", lambda self, levels, x: tuple(values.randint(-9, 9) for _ in levels)
+        KoetheSeminorms,
+        "raw_values",
+        lambda self, levels, x: tuple((values.randint(-9, 9), 1) for _ in levels),
     )
     report = basis_criterion_check(system, schedule, rng=random.Random(3), sample_count=10)
     assert not report.passed

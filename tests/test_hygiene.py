@@ -16,10 +16,11 @@ annotation, because an alias or constant that nothing reads is dead code,
 and each seminorm kind states its levels once, in `level_groups`: in
 `seminorms`, no class defines `combiner`, and a seminorm system defines
 `value` only on the base class, as the one-level case of `values`, and
-`values` only on the base class, which derives it from the groups, and on
+`values` only on the base class, which turns `raw_values` into scalars, and
+`raw_values` on the base class, which derives it from the groups, and on
 the Vogt and sup-partial kinds, whose float sums keep their own order,
 and the Vogt kind states its split once: one function compares a site's
-`nu` with the threshold, `split_values` and `split_groups` both read it, and
+`nu` with the threshold, `raw_splits` and `split_groups` both read it, and
 `nuclearity_certificate` reads the split's functionals, so it compares no
 `nu` and calls no `rho.value` of its own,
 and every function reads each of its parameters, `*args` and `**kwargs`
@@ -254,9 +255,11 @@ def test_every_member_is_read_in_the_package():
 
 
 def test_each_seminorm_level_is_defined_once():
-    """No kind restates its levels.  Vogt keeps its own values only for the float
-    summation order that documents pin, not for a second statement of the split,
-    which test_the_vogt_split_is_stated_once checks."""
+    """No kind restates its levels.  Every kind turns its raw read into scalars through
+    the base class's values; Vogt keeps its own raw_values only for the float summation
+    order that documents pin, not for a second statement of the split, which
+    test_the_vogt_split_is_stated_once checks, and sup-partial for its max over the
+    partial sums."""
     tree = ast.parse((PACKAGE / "seminorms.py").read_text(encoding="utf-8"))
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
     systems = {"SeminormSystem"} | {
@@ -274,7 +277,10 @@ def test_each_seminorm_level_is_defined_once():
 
     assert owners("combiner", {c.name for c in classes}) == set()
     assert owners("value", systems) == {"SeminormSystem"}
-    assert owners("values", systems) <= {"SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"}
+    assert owners("values", systems) == {"SeminormSystem"}
+    assert owners("raw_values", systems) == {
+        "SeminormSystem", "VogtSeminorms", "SupPartialSumSeminorms"
+    }
     assert {"KoetheSeminorms", "MaxPrefixSeminorms", "CustomSeminorms"} <= owners("level_groups", systems)
 
 
@@ -301,7 +307,7 @@ def test_the_vogt_split_is_stated_once():
     rules = [name for name, node in methods.items() if _compares_nu(node)]
     assert len(rules) == 1, f"VogtSeminorms compares nu in {rules}"
     rule = rules[0]
-    for reader in ("split_values", "split_groups"):
+    for reader in ("raw_splits", "split_groups"):
         assert rule in _attribute_reads(methods[reader]), f"{reader} does not read {rule}"
     vogt = ast.parse((PACKAGE / "vogt.py").read_text(encoding="utf-8"))
     certificate = _functions(vogt)["nuclearity_certificate"]

@@ -385,6 +385,13 @@ MALFORMED = [
      InputError),
     ("vogt-instance-rho-of-another-kind",
      _vogt_instance_data(rho={"kind": "single-box", "d": 2}), InputError),
+    # an instance builds its system when it is decoded, so the system's checks raise then
+    ("vogt-instance-unknown-mode", _vogt_instance_data(mode="complex"), ModeError),
+    ("vogt-instance-float-level-count", _vogt_instance_data(level_count=2.5), LevelError),
+    ("vogt-instance-rho-table-smaller-than-the-box",
+     _vogt_instance_data(rho={"kind": "rho", "table_kind": "table",
+                              "values": [[1, 1, {"num": 1, "den": 2}]],
+                              "mu_limit": 1, "nu_limit": 1}), InputError),
     ("family-vector-of-another-kind", {"kind": "cauchy-family", "level": 1,
                                        "vectors": [{"kind": "single-box", "d": 2}],
                                        "modulus": [], "modulus_form": None}, InputError),

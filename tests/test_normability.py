@@ -298,14 +298,14 @@ def test_injective_extension_level_ordering():
 def test_injective_extension_reads_each_member_once(monkeypatch):
     w = witness()
     system = w.instance.system()
-    split_values = VogtSeminorms.split_values
+    raw_splits = VogtSeminorms.raw_splits
     reads = []
 
     def counting(self, x, splits):
         reads.append((x, tuple(splits)))
-        return split_values(self, x, splits)
+        return raw_splits(self, x, splits)
 
-    monkeypatch.setattr(VogtSeminorms, "split_values", counting)
+    monkeypatch.setattr(VogtSeminorms, "raw_splits", counting)
     verdict = injective_extension_test(system, w.cauchy, w.vanishing_level, w.decay_form, w.floor)
     assert verdict.violated
     members = w.cauchy.vectors

@@ -43,6 +43,7 @@ from bapkit.jsonio import decode, encode
 from bapkit.linalg import column_space_basis, in_span, mat_mul, mat_vec, rank
 from bapkit.operators import ComplementDecomposition
 from bapkit.scalars import as_scalar, leq, random_scalar
+from bapkit.spaces import linear_combination
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -257,12 +258,26 @@ def test_column_operations_equal_the_dense_formulas(case):
         )
 
 
+def entry_bits(vector):
+    """A vector's entries with each float spelled out bit for bit."""
+    return [(idx, type(v), v.hex() if isinstance(v, float) else v) for idx, v in vector.entries]
+
+
 def column_bits(op):
     """Columns with each float spelled out bit for bit."""
-    return [
-        [(idx, type(v), v.hex() if isinstance(v, float) else v) for idx, v in col.entries]
-        for col in op.columns
-    ]
+    return [entry_bits(col) for col in op.columns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_cases())
+def test_apply_equals_the_combination_of_every_column_bit_for_bit(case):
+    # apply leaves the empty columns out of its terms; the combination over every entry
+    # of x, empty columns included, is the oracle, and a float sum keeps its term order
+    box, mode, rows_a, _, coords, _ = case
+    a = FiniteRankOperator.from_matrix(box, mode, rows_a)
+    x = vector_from_dense(box, mode, coords)
+    every = ((val, a.columns[box.position(idx)]) for idx, val in x.entries)
+    assert entry_bits(a.apply(x)) == entry_bits(linear_combination(box, mode, every))
 
 
 @settings(max_examples=200, deadline=None)
@@ -668,17 +683,18 @@ def dense_prefix_bound(block, system, rng, sample_count):
 
 
 def recorded_prefix_check(monkeypatch, check, block, system, sample_count):
-    """The graded reads check makes, as (vector, values) pairs, and its error message or None."""
-    values = type(system).values
+    """The graded reads check makes, as (vector, raw values) pairs, and its error message or
+    None; values reads through raw_values, so the oracle's reads are recorded there too."""
+    raw_values = type(system).raw_values
     reads = []
 
     def recording(self, levels, x):
-        got = values(self, levels, x)
+        got = raw_values(self, levels, x)
         reads.append((x, got))
         return got
 
     with monkeypatch.context() as patch:
-        patch.setattr(type(system), "values", recording)
+        patch.setattr(type(system), "raw_values", recording)
         try:
             check(block, system, random.Random(3), sample_count)
         except ConstructionSoundnessError as error:
@@ -720,9 +736,9 @@ def test_a_coordinate_projection_block_makes_one_read_and_one_scale_per_sample(m
     split = rank_one_split(op2([[1, 0], [0, 0]]), flat_system())
     system = flat_system()
     calls = []
-    values, scale = KoetheSeminorms.values, operators.TruncatedVector.scale
+    raw_values, scale = KoetheSeminorms.raw_values, operators.TruncatedVector.scale
     monkeypatch.setattr(
-        KoetheSeminorms, "values", lambda self, *a: calls.append("read") or values(self, *a)
+        KoetheSeminorms, "raw_values", lambda self, *a: calls.append("read") or raw_values(self, *a)
     )
     monkeypatch.setattr(
         operators.TruncatedVector, "scale", lambda self, c: calls.append("scale") or scale(self, c)
@@ -735,11 +751,13 @@ def test_a_coordinate_projection_block_makes_one_read_and_one_scale_per_sample(m
 
 
 def test_prefix_bound_message_states_the_compared_values(monkeypatch):
-    # seeded random level values: the message must report the values that were
+    # seeded random level values, read raw: the message must report the values that were
     # compared, not a second measurement, so the inequality it states holds
     rng = random.Random(0)
     monkeypatch.setattr(
-        KoetheSeminorms, "values", lambda self, levels, x: tuple(rng.randint(-9, 9) for _ in levels)
+        KoetheSeminorms,
+        "raw_values",
+        lambda self, levels, x: tuple((rng.randint(-9, 9), 1) for _ in levels),
     )
     box = SingleBox(4)
     system = KoetheSeminorms(tuple((k,) * 4 for k in range(1, 5)), box, "rational")

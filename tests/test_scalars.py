@@ -2,6 +2,7 @@
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,11 @@ from bapkit.scalars import (
     leq,
     one,
     rank_tol,
+    raw_leq,
+    raw_max,
+    raw_of,
+    raw_times,
+    scalars_of,
     sum_products,
     zero,
 )
@@ -223,3 +229,50 @@ def test_sum_products_of_ratio_pairs_with_a_zero_numerator():
     positive = [(a, Ratio(abs(b.numerator), b.denominator)) for a, b in pairs]
     assert sum_products(positive, "rational") == Fraction(3, 14) + 10
     assert sum_products([(5, Ratio(0, 9))], "rational") == 0
+
+
+# ---------------------------------------------------------------------------
+# raw values: the exact pair arithmetic against Fraction, the float one against the scalar one
+
+# unreduced pairs (n f, d f): numerators run through 0 and below it, as a patched read may
+raw_pairs = st.builds(
+    lambda n, d, f: (n * f, d * f), st.integers(-20, 20), st.integers(1, 12), st.integers(1, 6)
+)
+factors = st.one_of(term_ints, term_fractions)
+
+
+@given(st.lists(raw_pairs, max_size=6), raw_pairs, factors)
+def test_raw_rational_operations_agree_with_fraction_arithmetic(raws, b, factor):
+    fb = Fraction(*b)
+    for a in raws:
+        fa = Fraction(*a)
+        assert raw_leq(a, b, "rational") == (fa <= fb)
+        assert raw_leq(b, a, "rational") == (fb <= fa)
+        product = raw_times(factor, a, "rational")
+        assert product[1] > 0 and Fraction(*product) == factor * fa
+        # a read of exactly twice a, in other terms, sits at the bound 2 * a, on both sides
+        twice, bound = (2 * a[0] * 3, a[1] * 3), raw_times(2, a, "rational")
+        assert raw_leq(twice, bound, "rational") and raw_leq(bound, twice, "rational")
+        assert raw_of(fa, "rational") == (fa.numerator, fa.denominator)
+    assert scalars_of(raws, "rational") == tuple(Fraction(*a) for a in raws)
+    assert Fraction(*raw_max(raws, "rational")) == max([Fraction(0)] + [Fraction(*a) for a in raws])
+
+
+def test_raw_rational_operations_at_zero_and_below_it():
+    zero_pair, minus_half = (0, 7), (-3, 6)
+    assert raw_max([], "rational") == (0, 1) and raw_max([minus_half], "rational") == (0, 1)
+    assert Fraction(*raw_max([zero_pair, (1, 3), (2, 6)], "rational")) == Fraction(1, 3)
+    assert raw_leq(zero_pair, (0, 1), "rational") and raw_leq((0, 1), zero_pair, "rational")
+    assert raw_leq(minus_half, zero_pair, "rational") and not raw_leq(zero_pair, minus_half, "rational")
+    assert raw_times(Fraction(-2, 3), minus_half, "rational") == (6, 18)
+    assert scalars_of([zero_pair, minus_half], "rational") == (0, Fraction(-1, 2))
+
+
+@given(st.lists(term_floats, max_size=6), term_floats, st.one_of(term_floats, term_ints))
+def test_raw_float_operations_are_the_scalar_ones_bit_for_bit(raws, b, factor):
+    for a in raws:
+        assert raw_leq(a, b, "float") == leq(a, b, "float")
+        assert raw_times(factor, a, "float").hex() == float(factor * a).hex()
+        assert raw_of(a, "float") is a
+    assert raw_max(raws, "float").hex() == reduce(max, raws, 0.0).hex()
+    assert scalars_of(raws, "float") == tuple(raws)

@@ -38,7 +38,11 @@ from bapkit.scalars import (
     RANK,
     approx_equal,
     as_scalar,
+    raw_leq,
+    raw_max,
+    raw_times,
     scalar_coercer,
+    scalars_of,
     sum_products,
     zero,
 )
@@ -250,6 +254,10 @@ SYSTEM_CONSTRUCTOR_CHECKS = {
         lambda: MaxPrefixSeminorms(SingleBox(2), "rational", 0), LevelError
     ),
     "custom-without-levels": (lambda: CustomSeminorms((), SingleBox(2), "rational"), LevelError),
+    "custom-in-an-unknown-mode": (
+        lambda: CustomSeminorms((CustomLevel((((1, 1),),), "sum"),), SingleBox(2), "complex"),
+        ModeError,
+    ),
     "koethe-on-a-triple-box": (
         lambda: KoetheSeminorms(((1,) * 8,), TripleBox(2, 2, 2), "rational"), InputError
     ),
@@ -279,6 +287,13 @@ def test_system_constructor_checks(case):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+
+
+def test_a_custom_system_on_a_non_box_says_so_in_the_operator_form():
+    # the box is checked first, so no functional index meets a non-box
+    with pytest.raises(DomainError, match="^a custom system lives on a box, got str$") as info:
+        CustomSeminorms((CustomLevel((((1, 1),),), "sum"),), "x", "rational")
+    assert type(info.value) is DomainError
 
 
 def test_custom_level_validation():
@@ -1183,6 +1198,40 @@ def test_values_equal_the_per_level_walk(mode, seed):
             for k, value in zip(levels, got):
                 assert scalar_bits(value) == scalar_bits(walked_value(system, k, x))
                 assert scalar_bits(system.value(k, x)) == scalar_bits(value)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_raw_reads_agree_with_the_per_level_walk_and_fraction_arithmetic(mode, seed):
+    # every kind: the base plan with SUM, MAX and wide groups, Koethe, max-prefix, custom,
+    # Vogt and sup-partial.  A rational read is a pair of ints, as scalars the walked
+    # value, and its raw comparisons, maximum and multiples are Fraction arithmetic's; a
+    # float read is the value, bit for bit
+    rng = random.Random(seed)
+    systems = oracle_systems(mode) + sup_partial_systems(mode) + fraction_weight_systems(mode, rng)
+    for system in systems + read_plan_systems(mode):
+        x = random_vector(system.box, mode, rng)
+        levels = [rng.randint(1, system.level_count) for _ in range(rng.randint(0, 4))]
+        raw = system.raw_values(levels, x)
+        got = system.values(levels, x)
+        assert type(raw) is tuple and len(raw) == len(levels)
+        if mode == "float":
+            assert [scalar_bits(v) for v in raw] == [scalar_bits(v) for v in got]
+            continue
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in raw)
+        assert scalars_of(raw, mode) == got == tuple(walked_value(system, k, x) for k in levels)
+        fractions = [F(n, d) for n, d in raw]
+        for a, fa in zip(raw, fractions):
+            for b, fb in zip(raw, fractions):
+                assert raw_leq(a, b, mode) == (fa <= fb)
+            for factor in (2, F(5, 3), 0):
+                assert F(*raw_times(factor, a, mode)) == factor * fa
+        assert F(*raw_max(raw, mode)) == max(fractions, default=F(0))
+        # the read of 2x sits exactly at the bound 2 * value(k, x), on both sides
+        for twice, once in zip(system.raw_values(levels, x.scale(2)), raw):
+            bound = raw_times(2, once, mode)
+            assert raw_leq(twice, bound, mode) and raw_leq(bound, twice, mode)
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])

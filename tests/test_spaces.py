@@ -1,6 +1,7 @@
 """Truncation boxes and sparse vectors."""
 
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,23 @@ def test_the_constructor_rejects_entries_out_of_canonical_form(box, entries, err
     with pytest.raises(error) as info:
         TruncatedVector(box, "rational", entries)
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize(
+    "box, mode, error, message",
+    [
+        ("x", "rational", DomainError, "a vector lives on a box, got str"),
+        (None, "float", DomainError, "a vector lives on a box, got NoneType"),
+        (SingleBox(2), "complex", ModeError, "unknown scalar mode 'complex'"),
+        (TripleBox(1, 1, 1), None, ModeError, "unknown scalar mode None"),
+    ],
+)
+def test_the_constructor_rejects_a_non_box_and_an_unknown_mode(box, mode, error, message):
+    # with no entries, and with one that a non-box cannot hold: the box is checked first
+    for entries in ((), ((1, 1),)):
+        with pytest.raises(error, match=re.escape(message)) as info:
+            TruncatedVector(box, mode, entries)
+        assert type(info.value) is error
 
 
 def test_the_constructor_accepts_canonical_entries():

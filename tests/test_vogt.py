@@ -17,8 +17,10 @@ from bapkit import (
     InputError,
     InsufficientDataError,
     LevelError,
+    ModeError,
     NuclearityCertificate,
     RhoTable,
+    SingleBox,
     TripleBox,
     VogtInstance,
     VogtSeminorms,
@@ -260,6 +262,26 @@ def test_a_weight_base_other_than_the_level_fails_nuclearity(monkeypatch, mode):
     inst = VogtInstance(RhoTable.dyadic(), TripleBox(5, 3, 4), mode, 4)
     assert not nuclearity_certificate(inst, 1).passed
     assert not nuclearity_certificate(inst, 2).passed
+
+
+# each builds VogtSeminorms' check into the instance: it raises when the instance is built
+INSTANCE_CONSTRUCTOR_CHECKS = {
+    "unknown-mode": (dict(mode="complex"), ModeError),
+    "float-level-count": (dict(level_count=2.5), LevelError),
+    "boolean-level-count": (dict(level_count=True), LevelError),
+    "no-levels": (dict(level_count=0), LevelError),
+    "single-box": (dict(box=SingleBox(4)), InputError),
+    "table-smaller-than-the-box": (dict(rho=RhoTable.from_grid({(1, 1): F(1, 2)})), InputError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSTANCE_CONSTRUCTOR_CHECKS))
+def test_an_instance_checks_its_system_when_it_is_built(case):
+    fields, error = INSTANCE_CONSTRUCTOR_CHECKS[case]
+    arguments = dict(rho=RhoTable.dyadic(), box=TripleBox(2, 2, 2), mode="rational", level_count=2)
+    with pytest.raises(error) as info:
+        VogtInstance(**{**arguments, **fields})
+    assert type(info.value) is error
 
 
 def test_an_instance_builds_its_system_once():
