@@ -69,7 +69,6 @@ from .embedding import (
     ReconstructionReport,
     basis_criterion_check,
     certify_equicontinuity,
-    e0_value,
     element_from_components,
     embed,
     project,

@@ -2,10 +2,11 @@
 
 Elements of the target space assign one coefficient to each schedule slot;
 the graded values there take the max over partial sums of the coefficient
-components.  An element builds its partial sums once, on first use, in slot
-order; its total and its graded value at every position read them.  The
-embedding I sends x to (schedule operator applied to x) per slot, the
-projection L resums and re-embeds.  The certificate couples the two
+components.  An element builds its components and their partial sums once,
+on first use, in slot order; its total and its graded value at every
+position read them.  The embedding I sends x to the coefficients
+(functional_t . x)_t along the generator lines, the projection L resums and
+re-embeds.  The certificate couples the two
 gradings: value(k, x) <= |||I(x)|||_k <= EQUICONTINUITY_FACTOR * M_k *
 value(l(k), x) with M_k an exact graded operator norm over the family's
 partial sums.
@@ -20,11 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .errors import (
-    CertificateFailureError,
-    ConstructionSoundnessError,
-    InputError,
-)
+from .errors import CertificateFailureError, InputError
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
 from .scalars import (
@@ -77,11 +74,15 @@ class BasisSpaceElement:
         return self.schedule.generators[s].scale(self.coefficients[s])
 
     @cached_property
+    def components(self) -> tuple:
+        """Every slot's component, in slot order, built once."""
+        return tuple(map(self.component, range(len(self))))
+
+    @cached_property
     def _partials(self) -> tuple:
         """The zero vector, then the running sum after each slot, built once."""
-        components = (self.component(s) for s in range(len(self)))
         zero_total = zero_vector(self.schedule.box, self.schedule.mode)
-        return tuple(itertools.accumulate(components, operator.add, initial=zero_total))
+        return tuple(itertools.accumulate(self.components, operator.add, initial=zero_total))
 
     def partial_totals(self) -> tuple:
         """The running sums of the components, one per slot."""
@@ -116,29 +117,10 @@ def e0_values(system: SeminormSystem, element: BasisSpaceElement) -> tuple:
     return scalars_of(maxima, mode)
 
 
-def e0_value(system: SeminormSystem, element: BasisSpaceElement, position: int):
-    """Graded value at a working-level position: max over partial sums."""
-    element.schedule.original_level(position)  # LevelError outside the positions
-    return e0_values(system, element)[position - 1]
-
-
 def embed(schedule: ScheduledFamily, x: TruncatedVector) -> BasisSpaceElement:
-    """I(x): one coefficient per slot, read off the generator's lead entry.
-
-    Each slot's image must lie on its generator line.
-    """
+    """I(x): one coefficient per slot, the slot's functional at x."""
     check_part(schedule.box, schedule.mode, x, "vector")
-    coeffs = []
-    for op, gen in zip(schedule.operators, schedule.generators):
-        img = op.apply(x)
-        lead_index = gen.entries[0][0]
-        c = img.get(lead_index)
-        coeffs.append(c)
-        if not img.approx_equal(gen.scale(c)):
-            raise ConstructionSoundnessError(
-                f"image of {op.label} left the generator line"
-            )
-    return BasisSpaceElement(schedule, tuple(coeffs))
+    return BasisSpaceElement(schedule, tuple(phi.dot(x) for phi in schedule.functionals))
 
 
 def project(element: BasisSpaceElement) -> BasisSpaceElement:
@@ -251,9 +233,7 @@ def verify_reconstruction(
     finals = []
     passed = True
     for x in vectors:
-        pieces = (op.apply(x) for op in schedule.operators)
-        zero_total = zero_vector(schedule.box, schedule.mode)
-        partials = itertools.accumulate(pieces, operator.add, initial=zero_total)
+        partials = embed(schedule, x)._partials  # the zero vector, then each sum of c_t * g_t
         reads = [system.values(schedule.working_levels, x - p) for p in partials]
         per_position = tuple(zip(*reads))
         worst = reduce(max, (trace[-1] for trace in per_position), zero(schedule.mode))
@@ -294,9 +274,9 @@ def basis_criterion_check(
     rng = rng or random.Random(0)
     mode = schedule.mode
     for _ in range(sample_count):
-        coeffs = [random_scalar(rng, mode) for _ in schedule.operators]
+        coeffs = [random_scalar(rng, mode) for _ in schedule.functionals]
         y = element_from_components(schedule, coeffs)
-        reads = [system.raw_values(schedule.working_levels, y.component(t)) for t in range(len(y))]
+        reads = [system.raw_values(schedule.working_levels, c) for c in y.components]
         for i, e0 in enumerate(e0_values(system, y)):
             bound = raw_times(2, raw_of(e0, mode), mode)
             if not all(raw_leq(read[i], bound, mode) for read in reads):

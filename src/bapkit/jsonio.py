@@ -59,7 +59,8 @@ from .seminorms import (
     SupPartialSumSeminorms,
     VogtSeminorms,
 )
-from .spaces import SingleBox, TripleBox, TruncatedVector
+from .scalars import check_mode
+from .spaces import SingleBox, TripleBox, TruncatedVector, check_parts, vector_from_dense
 from .vogt import (
     BapFailureWitness,
     ComparisonReport,
@@ -106,6 +107,29 @@ def _operator(get) -> FiniteRankOperator:
     if basis != op.range_basis:
         raise InputError("range basis must be the pivot columns of the operator matrix")
     return op
+
+
+def _schedule(get) -> ScheduledFamily:
+    """A schedule record writes each slot as its operator g (x) phi.  The operators and
+    generators are checked first, as a schedule checks its parts; then phi(c) is column c's
+    entry at the lead index of g, and the operator must be g (x) phi under the slot's label."""
+    fields = {name: get(name) for name in KINDS["schedule"].fields}
+    box, mode, generators = fields["box"], fields["mode"], fields["generators"]
+    operators = fields.pop("operators")
+    check_mode(mode)
+    check_parts(box, mode, operators, "operator")
+    check_parts(box, mode, generators, "generator")
+    if len(generators) != len(operators) or not all(g.entries for g in generators):
+        raise InputError("a schedule record needs as many nonzero generators as operators")
+    functionals = tuple(
+        vector_from_dense(box, mode, [c.get(g.entries[0][0]) for c in op.columns])
+        for op, g in zip(operators, generators)
+    )
+    schedule = ScheduledFamily(functionals=functionals, **fields)
+    for op, factored in zip(operators, schedule.operators):
+        if op.label != factored.label or not op.approx_equal(factored):
+            raise InputError(f"operator {op.label!r} is not {factored.label} = g (x) phi")
+    return schedule
 
 
 def _rho(get) -> RhoTable:
@@ -163,6 +187,7 @@ KINDS = {
     ),
     "schedule": Record(
         ScheduledFamily,
+        build=_schedule,
         box=BOX, mode=RAW, operators=OPERATORS, block_structure=Seq(Seq(RAW)),
         replication_counts=Seq(Seq(RAW)), source_family=OPERATORS, splits=Seq(Obj(RankOneSplit)),
         working_levels=Seq(RAW), generators=VECTORS,

@@ -12,12 +12,13 @@ graded seminorm system:
      constant R_p;
   4. damp by N_p >= m_p * R_p and replicate N_p times: pieces C_i whose
      running prefixes stay within twice the seminorm of the input;
-  5. flatten every block, composing with its A_p, into one rank-one
-     schedule whose total equals the total of the original family.
+  5. flatten every block into one schedule of rank-one slots x -> phi_t(x) g_t
+     whose total equals the total of the original family.
 
 An operator stores its columns, the sparse images of the unit vectors, and
 works column by column; FiniteRankOperator.matrix is a derived dense view,
-and range_basis the pivot columns, derived on first read.
+and range_basis the pivot columns, derived on first read.  A schedule slot
+stores only its factors g_t and phi_t, which the N_p copies of a piece share.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .scalars import (
     all_approx_equal,
     as_scalar,
     check_mode,
+    one,
     random_scalar,
     raw_leq,
     raw_times,
@@ -159,10 +161,9 @@ class FiniteRankOperator:
     def __sub__(self, other: "FiniteRankOperator") -> "FiniteRankOperator":
         return self._columnwise(other, operator.sub)
 
-    def scale(self, factor, label: str = "") -> "FiniteRankOperator":
+    def scale(self, factor) -> "FiniteRankOperator":
         c = as_scalar(factor, self.mode)
-        columns = [col.scale(c) for col in self.columns]
-        return FiniteRankOperator(self.box, self.mode, columns, label)
+        return FiniteRankOperator(self.box, self.mode, [col.scale(c) for col in self.columns])
 
     def approx_equal(self, other: "FiniteRankOperator") -> bool:
         check_part(self.box, self.mode, other, "operator")
@@ -407,15 +408,10 @@ def rank_one_split(
 
 @dataclass(frozen=True)
 class ScheduleBlock:
-    """One damped, replicated split: operators C_i = B_j / N, i = r*m + j."""
+    """One damped, replicated split: N copies of its m pieces, each damped by 1/N."""
 
     split: RankOneSplit
-    operators: tuple
     replication: int
-
-    @property
-    def piece_count(self) -> int:
-        return self.split.piece_count
 
 
 def scale_and_replicate(
@@ -426,18 +422,11 @@ def scale_and_replicate(
 ) -> ScheduleBlock:
     """Damp by N = ceil(m * R) and lay out N copies of the m pieces.
 
-    Verifies the identity on the range exactly and the prefix bound
-    value(k, prefix) <= PREFIX_FACTOR * value(k, e) on sampled range elements
-    for every control level.
+    Verifies the prefix bound value(k, prefix) <= PREFIX_FACTOR * value(k, e)
+    on sampled range elements for every control level.
     """
-    m = split.piece_count
-    n_rep = max(1, math.ceil(m * split.control_constant))
-    scaled = tuple(
-        piece.scale(Fraction(1, n_rep), label=f"{piece.label}/N{n_rep}")
-        for piece in split.pieces
-    )
-    operators = tuple(scaled[j] for _ in range(n_rep) for j in range(m))
-    block = ScheduleBlock(split=split, operators=operators, replication=n_rep)
+    n_rep = max(1, math.ceil(split.piece_count * split.control_constant))
+    block = ScheduleBlock(split=split, replication=n_rep)
     _verify_prefix_bound(block, system, rng or random.Random(0), sample_count)
     return block
 
@@ -488,15 +477,15 @@ def _verify_prefix_bound(
 class ScheduledFamily:
     """Flattened rank-one schedule with its block bookkeeping.
 
-    operators[s] acts as C_i of block p composed with that block's source
-    operator; block_structure[s] = (p, i) with 1-based p and i.  generators
-    are the range lines normalized to leading coordinate 1.  Every operator,
+    Slot s is x -> functionals[s] . x times generators[s]: C_i of block p composed
+    with that block's source operator, with block_structure[s] = (p, i), 1-based.
+    A generator is its piece's range line with lead entry 1.  Every functional,
     generator, split source and source-family member lives on box, in mode.
     """
 
     box: Box
     mode: str
-    operators: tuple
+    functionals: tuple
     block_structure: tuple
     replication_counts: tuple  # (p, N_p) pairs
     source_family: tuple
@@ -506,13 +495,23 @@ class ScheduledFamily:
 
     def __post_init__(self) -> None:
         check_mode(self.mode)
-        check_parts(self.box, self.mode, self.operators, "operator")
+        if not len(self.functionals) == len(self.generators) == len(self.block_structure):
+            raise InputError("a schedule needs as many generators and block entries as functionals")
+        check_parts(self.box, self.mode, self.functionals, "functional")
         check_parts(self.box, self.mode, self.generators, "generator")
         check_parts(self.box, self.mode, (split.source for split in self.splits), "split source")
         check_parts(self.box, self.mode, self.source_family, "source family member")
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.functionals)
+
+    @property
+    def operators(self) -> tuple:
+        """Each slot in column form, generator (x) functional, built on every read."""
+        return tuple(
+            FiniteRankOperator.rank_one(g, phi.dense(), f"schedule:p{p}:i{i}")
+            for g, phi, (p, i) in zip(self.generators, self.functionals, self.block_structure)
+        )
 
     @property
     def grading_depth(self) -> int:
@@ -527,7 +526,9 @@ class ScheduledFamily:
 
 
 def flatten_schedule(blocks) -> ScheduledFamily:
-    """Concatenate blocks, composing each damped piece with its source.
+    """Concatenate blocks, N copies of each block's m slots.  Piece B_j = b_j (x) f_j gives
+    the generator b_j scaled to lead entry 1 and the functional row lead_j of B_j, damped by
+    1/N and composed with the block's source; the N copies share both.
 
     The schedule total must equal the family total.
     """
@@ -537,37 +538,32 @@ def flatten_schedule(blocks) -> ScheduledFamily:
     sources = tuple(block.split.source for block in blocks)
     box, mode = sources[0].box, sources[0].mode
     check_parts(box, mode, sources, "block source")
-    operators = []
-    structure = []
-    generators = []
+    slots = []
     for p, (block, source) in enumerate(zip(blocks, sources), start=1):
-        adapted = block.split.decomposition.adapted_basis
-        m = block.piece_count
-        for i, c_op in enumerate(block.operators, start=1):
-            b_vec = adapted[(i - 1) % m]
-            columns = tuple(c_op.apply(col) for col in source.columns)
-            composed = FiniteRankOperator(box, mode, columns, f"schedule:p{p}:i{i}")
-            operators.append(composed)
-            structure.append((p, i))
-            lead = b_vec.entries[0][1]
-            generators.append(b_vec.scale(1 / lead))
-    total = reduce(operator.add, operators)
-    family_total = reduce(operator.add, sources)
-    if not total.approx_equal(family_total):
-        raise ConstructionSoundnessError("schedule total differs from the family total")
-    return ScheduledFamily(
+        lines = []
+        for b, piece in zip(block.split.decomposition.adapted_basis, block.split.pieces):
+            lead_index, lead = b.entries[0]
+            row = vector_from_dense(box, mode, [c.get(lead_index) for c in piece.columns])
+            row = row.scale(Fraction(1, block.replication))
+            functional = vector_from_dense(box, mode, [row.dot(c) for c in source.columns])
+            generator = ((lead_index, one(mode)), *b.scale(1 / lead).entries[1:])
+            lines.append((functional, TruncatedVector(box, mode, generator)))
+        slots.extend((p, i, *line) for i, line in enumerate(lines * block.replication, start=1))
+    schedule = ScheduledFamily(
         box=box,
         mode=mode,
-        operators=tuple(operators),
-        block_structure=tuple(structure),
-        replication_counts=tuple(
-            (p, block.replication) for p, block in enumerate(blocks, start=1)
-        ),
+        functionals=tuple(functional for _, _, functional, _ in slots),
+        block_structure=tuple((p, i) for p, i, _, _ in slots),
+        replication_counts=tuple((p, block.replication) for p, block in enumerate(blocks, start=1)),
         source_family=sources,
         splits=tuple(block.split for block in blocks),
         working_levels=tuple(blocks[-1].split.norm_grading),
-        generators=tuple(generators),
+        generators=tuple(generator for *_, generator in slots),
     )
+    total = reduce(operator.add, schedule.operators)
+    if not total.approx_equal(reduce(operator.add, sources)):
+        raise ConstructionSoundnessError("schedule total differs from the family total")
+    return schedule
 
 
 def build_schedule(

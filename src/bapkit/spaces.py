@@ -233,12 +233,11 @@ class TruncatedVector:
         return self.scale(-1)
 
     def dot(self, other: "TruncatedVector") -> Scalar:
-        """Standard coordinate inner product; drives orthogonal complements."""
+        """Standard coordinate inner product, summed over the shared indices in index order."""
         check_part(self.box, self.mode, other, "vector")
         small, big = (self, other) if len(self.entries) <= len(other.entries) else (other, self)
-        z = zero(self.mode)
         lookup = big._lookup
-        return sum_products(((val, lookup.get(idx, z)) for idx, val in small.entries), self.mode)
+        return sum_products(((v, lookup[i]) for i, v in small.entries if i in lookup), self.mode)
 
     def dense(self) -> list:
         """Coordinates in box enumeration order; for matrix work only."""

@@ -24,7 +24,6 @@ from bapkit import (
     build_schedule,
     certify_equicontinuity,
     dv_condition_check,
-    e0_value,
     element_from_components,
     embed,
     nuclearity_certificate,
@@ -35,6 +34,7 @@ from bapkit import (
     zero_vector,
 )
 from bapkit import cli
+from bapkit.embedding import e0_values
 from bapkit.linalg import invert, mat_mul, rank
 from bapkit.normability import CauchyFamily, GeometricForm, VanishingEvidence
 from bapkit.operators import telescope
@@ -269,12 +269,12 @@ def test_criterion_6_prefix_values_grow_monotonically():
                 vals = [system.value(level, part) for part in partials]
                 running = list(itertools.accumulate(vals, max))
                 assert all(a <= b for a, b in zip(running, running[1:])), name
-                assert e0_value(system, y, pos) == running[-1]
+                assert e0_values(system, y)[pos - 1] == running[-1]
                 if i < 5:
-                    assert e0_value(system, y.prefix(0), pos) == 0
+                    assert e0_values(system, y.prefix(0))[pos - 1] == 0
                     for t in (1, len(running) // 2, len(running)):
                         if t >= 1:
-                            assert e0_value(system, y.prefix(t), pos) == running[t - 1]
+                            assert e0_values(system, y.prefix(t))[pos - 1] == running[t - 1]
 
 
 def test_criterion_7_dominated_vanishing_diagnostics():

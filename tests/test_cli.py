@@ -94,8 +94,9 @@ def test_a_rational_schedule_build_skips_the_arithmetic_whose_result_it_knows(mo
     # e, zero entries are not eliminated, sums start from their first term and a - a is not
     # computed.  The checks read the levels raw and compare them as integers, so only the
     # reconstruction traces, which the document holds, turn reads into Fractions: 8 samples
-    # of 11 partial sums each.  The run makes 9,682 Fractions and 928 order comparisons of
-    # them; a Fraction per level of every read made 16,397 and 6,103
+    # of 11 partial sums each.  The run makes 9,500 Fractions and 928 order comparisons of
+    # them; a Fraction per level of every read made 16,397 and 6,103, and slots stored as
+    # d columns, each applied to every embedded vector, 9,682
     counts = dict.fromkeys(
         ("division", "addition", "subtraction", "read", "scalars", "fraction", "order"), 0
     )
@@ -124,7 +125,7 @@ def test_a_rational_schedule_build_skips_the_arithmetic_whose_result_it_knows(mo
     assert counts["division"] <= 518 and counts["addition"] <= 100
     assert counts["subtraction"] == 0 and counts["read"] == 718
     assert counts["scalars"] == 8 * 11
-    assert counts["fraction"] <= 10_500 and counts["order"] <= 1_000
+    assert counts["fraction"] <= 10_000 and counts["order"] <= 1_000
 
 
 def traced_peak(run):

@@ -1,5 +1,6 @@
 """Round-trip serialization for every public object kind."""
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -134,10 +135,12 @@ def test_schedule_and_derived_objects():
     assert roundtrip(y) == y
 
 
-def _schedule_data():
+def _schedule_data(mode="rational"):
+    """The six-slot schedule of [[1, 1], [0, 2]]: two pieces, on the lines (1, 0) and (1, 2),
+    each replicated three times."""
     box = SingleBox(2)
-    system = KoetheSeminorms(((1, 1),), box, "rational")
-    a = FiniteRankOperator.from_matrix(box, "rational", [[1, 1], [0, 2]], "a")
+    system = KoetheSeminorms(((1, 1),), box, mode)
+    a = FiniteRankOperator.from_matrix(box, mode, [[1, 1], [0, 2]], "a")
     return jsonio.encode(build_schedule([a], system, rng=random.Random(0), prefix_samples=5))
 
 
@@ -169,6 +172,62 @@ def test_a_schedule_record_on_another_box_and_mode_than_its_parts_is_refused():
         jsonio.decode(data)
     with pytest.raises(ModeError):
         jsonio.decode({**_schedule_data(), "mode": "complex"})
+
+
+# a schedule record's fields with one entry per slot, each with the schedule field that it
+# decodes into: a record writes a slot's functional as its operator
+SLOT_FIELDS = {"operators": "functionals", "generators": "generators", "block_structure": "block_structure"}
+
+
+@pytest.mark.parametrize("field", sorted(SLOT_FIELDS))
+def test_a_schedule_with_one_slot_field_short_is_refused(field):
+    # a record short of its last generator decoded and then failed the basis criterion with a
+    # bare IndexError; one short of its last operator decoded as a five-slot schedule, and one
+    # short of its last block entry decoded silently
+    data = _schedule_data()
+    schedule = jsonio.decode(data)
+    assert len(schedule) == 6
+    attr = SLOT_FIELDS[field]
+    with pytest.raises(InputError, match="as many"):
+        dataclasses.replace(schedule, **{attr: getattr(schedule, attr)[:-1]})
+    with pytest.raises(InputError, match="as many"):
+        jsonio.decode({**data, field: data[field][:-1]})
+
+
+def test_a_schedule_record_with_swapped_generators_is_refused():
+    # each operator stays on its own line while its generator names the other piece's line
+    data = _schedule_data()
+    first, second = data["generators"][:2]
+    with pytest.raises(InputError, match="'schedule:p1:i1' is not schedule:p1:i1 = g"):
+        jsonio.decode({**data, "generators": [second, first] * 3})
+
+
+def test_a_float_schedule_record_with_a_generator_tilted_by_1e_9_is_refused():
+    data = _schedule_data("float")
+    assert jsonio.encode(jsonio.decode(data)) == data
+    # tilt the second slot's generator (1, 2) off its operator's line by 1e-9
+    (_, lead), (index, second) = data["generators"][1]["entries"]
+    tilted = {**data["generators"][1], "entries": [[1, lead], [index, second + 1e-9]]}
+    generators = [data["generators"][0], tilted, *data["generators"][2:]]
+    with pytest.raises(InputError, match="'schedule:p1:i2' is not schedule:p1:i2 = g"):
+        jsonio.decode({**data, "generators": generators})
+
+
+def test_a_schedule_record_with_a_slot_operator_under_another_label_is_refused():
+    # encoding labels every slot by its place, so a record under another label would not
+    # decode to itself
+    data = _schedule_data()
+    relabelled = {**data["operators"][0], "label": "a:piece1"}
+    with pytest.raises(InputError, match="'a:piece1' is not schedule:p1:i1 = g"):
+        jsonio.decode({**data, "operators": [relabelled, *data["operators"][1:]]})
+
+
+def test_a_schedule_record_with_a_zero_generator_is_refused():
+    # a zero generator has no lead index to read a functional at
+    data = _schedule_data()
+    zero = {**data["generators"][0], "entries": []}
+    with pytest.raises(InputError, match="as many nonzero generators"):
+        jsonio.decode({**data, "generators": [zero, *data["generators"][1:]]})
 
 
 def test_report_roundtrips():

@@ -27,6 +27,7 @@ from bapkit import (
     basis_criterion_check,
     build_schedule,
     certify_equicontinuity,
+    embed,
     flatten_schedule,
     kernel_filtration,
     rank_one_split,
@@ -38,12 +39,13 @@ from bapkit import (
     vector_from_dense,
     verify_reconstruction,
 )
-from bapkit import operators
+from bapkit import cli, operators
 from bapkit.jsonio import decode, encode
 from bapkit.linalg import column_space_basis, in_span, mat_mul, mat_vec, rank
 from bapkit.operators import ComplementDecomposition
-from bapkit.scalars import as_scalar, leq, random_scalar
+from bapkit.scalars import approx_equal, as_scalar, leq, random_scalar
 from bapkit.spaces import linear_combination
+from test_golden import SUITE_TWINS, _config
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -489,11 +491,17 @@ def test_scale_and_replicate_frozen_instance():
     a = op2([[1, 1], [0, 2]], label="a")
     split = rank_one_split(a, flat_system())
     block = scale_and_replicate(split, flat_system())
-    # N = ceil(2 * 3/2) = 3 copies of both pieces
+    # N = ceil(2 * 3/2) = 3 copies of both pieces; a block holds no scaled copies
     assert block.replication == 3
-    assert len(block.operators) == 6
-    assert block.operators[0].matrix == ((F(1, 3), F(-1, 6)), (F(0), F(0)))
-    assert block.operators[0].approx_equal(block.operators[2])
+    assert [field.name for field in dataclasses.fields(block)] == ["split", "replication"]
+    # the damped first piece C_1 = B_1 / 3 is ((1/3, -1/6), (0, 0)), so slot 1 is C_1 a =
+    # (1, 0) (x) (1/3, 0), and slot 3, the second copy of C_1, shares its functional
+    schedule = flatten_schedule([block])
+    assert split.pieces[0].scale(F(1, 3)).matrix == ((F(1, 3), F(-1, 6)), (F(0), F(0)))
+    assert schedule.generators[0].dense() == [F(1), F(0)]
+    assert schedule.functionals[0].dense() == [F(1, 3), F(0)]
+    assert schedule.functionals[2] is schedule.functionals[0]
+    assert schedule.operators[0].matrix == ((F(1, 3), F(0)), (F(0), F(0)))
 
 
 def test_flatten_schedule_structure():
@@ -540,9 +548,9 @@ def misplaced_parts(kind):
 
 
 # each field of a schedule that holds parts, with one part replaced by op or vec; the last
-# operator and generator are replaced, so every part is checked, not only the first
+# functional and generator are replaced, so every part is checked, not only the first
 MISPLACED_FIELDS = {
-    "operators": lambda s, op, vec: {"operators": s.operators[:-1] + (op,)},
+    "functionals": lambda s, op, vec: {"functionals": s.functionals[:-1] + (vec,)},
     "generators": lambda s, op, vec: {"generators": s.generators[:-1] + (vec,)},
     # a whole split on op's box and mode: a split refuses a source that its own parts miss
     "split-source": lambda s, op, vec: {
@@ -713,7 +721,7 @@ def test_prefix_bound_reads_the_prefixes_of_the_dense_oracle(monkeypatch, damped
     if not damped:
         split = dataclasses.replace(split, control_constant=0)
     block = scale_and_replicate(split, flat_system(), sample_count=0)
-    assert (block.piece_count, block.replication) == ((2, 12) if damped else (2, 1))
+    assert (block.split.piece_count, block.replication) == ((2, 12) if damped else (2, 1))
     system = flat_system()
     got, message = recorded_prefix_check(
         monkeypatch, operators._verify_prefix_bound, block, system, 40
@@ -721,7 +729,7 @@ def test_prefix_bound_reads_the_prefixes_of_the_dense_oracle(monkeypatch, damped
     want, want_message = recorded_prefix_check(monkeypatch, dense_prefix_bound, block, system, 40)
     assert message == want_message and (message is None) == damped
     # per sample the oracle reads its N*m prefixes, then e; the last prefix is e, read once
-    per_sample = block.replication * block.piece_count
+    per_sample = block.replication * block.split.piece_count
     samples = len(want) // (per_sample + 1)
     assert len(want) == samples * (per_sample + 1) and len(got) == samples * per_sample
     for s in range(samples):
@@ -744,7 +752,7 @@ def test_a_coordinate_projection_block_makes_one_read_and_one_scale_per_sample(m
         operators.TruncatedVector, "scale", lambda self, c: calls.append("scale") or scale(self, c)
     )
     block = scale_and_replicate(split, system, rng=random.Random(0), sample_count=0)
-    assert (block.piece_count, block.replication) == (1, 1)
+    assert (block.split.piece_count, block.replication) == (1, 1)
     calls.clear()
     operators._verify_prefix_bound(block, system, random.Random(0), 25)
     assert calls == ["scale", "read"] * 25
@@ -917,6 +925,92 @@ def test_the_conjugated_block_family_passes_the_embedding_checks(d, c, weights, 
     assert tuple(level for _, _, level, _ in certificate.entries) == top
     assert verify_reconstruction(system, schedule, rng=random.Random(2), sample_count=3).passed
     assert basis_criterion_check(system, schedule, rng=random.Random(3), sample_count=5).passed
+
+
+# ---------------------------------------------------------------------------
+# factored slots against the column form that they replace
+
+
+def column_form(schedule):
+    """Each slot as the schedule once stored it: the damped piece applied to each column of
+    its block's source, under the label that the codec writes."""
+    slots = []
+    for p, i in schedule.block_structure:
+        split, (_, n_rep) = schedule.splits[p - 1], schedule.replication_counts[p - 1]
+        damped = split.pieces[(i - 1) % split.piece_count].scale(F(1, n_rep))
+        columns = [damped.apply(c) for c in schedule.source_family[p - 1].columns]
+        slots.append(FiniteRankOperator(schedule.box, schedule.mode, columns, f"schedule:p{p}:i{i}"))
+    return tuple(slots)
+
+
+def suite_schedule(case, mode):
+    """The schedule that `bapkit run` reports for a SUITE_TWINS config, decoded."""
+    _, checks = cli.run_suite_pelczynski(_config({**SUITE_TWINS[case], "mode": mode}))
+    return decode(checks["schedule"]["report"])
+
+
+def block_schedule(d, c, weights, mode):
+    family, constant = conjugated_blocks(d, c, mode)
+    system = constant if weights == "constant" else staircase_system(d, mode)
+    return build_schedule(family, system, rng=random.Random(0), prefix_samples=5)
+
+
+# every config that runs the Pelczynski suite, in both modes, and every block row that
+# schedules: float refuses the constant-weight family at d = 8, c = 3 (FLOAT_BLOCK_REFUSAL)
+FACTORED_ROWS = [
+    *(
+        ("suite", case, mode)
+        for case, override in sorted(SUITE_TWINS.items())
+        if override["suite"] in ("all", "pelczynski")
+        for mode in ("rational", "float")
+    ),
+    *(
+        ("blocks", (d, c, weights), mode)
+        for weights, rows in (("constant", BLOCK_SCHEDULES), ("staircase", STAIRCASE_SCHEDULES))
+        for d, c in sorted(rows)
+        for mode in ("rational", "float")
+        if (d, c, weights, mode) != (8, 3, "constant", "float")
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family, case, mode",
+    FACTORED_ROWS,
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_factored_slots_reproduce_the_column_form_and_its_coefficients(family, case, mode):
+    # the derived column form and the coefficients: exact in rational mode; bit for bit on
+    # the float coordinate schedules, whose documents hold the column form; within EQ on the
+    # float block schedules, where g (x) phi rounds off the lead row in another order than
+    # the damped piece applied to the source's columns
+    schedule = suite_schedule(case, mode) if family == "suite" else block_schedule(*case, mode)
+    oracle = column_form(schedule)
+    rng = random.Random(5)
+    samples = [
+        vector_from_dense(schedule.box, mode, [random_scalar(rng, mode) for _ in range(schedule.box.d)])
+        for _ in range(3)
+    ]
+    coefficients = [embed(schedule, x).coefficients for x in samples]
+    leads = [g.entries[0][0] for g in schedule.generators]
+    # in both modes a functional is the column form's row at its generator's lead index
+    rows = [[c.get(lead) for c in op.columns] for op, lead in zip(oracle, leads)]
+    assert [entry_bits(vector_from_dense(schedule.box, mode, row)) for row in rows] == [
+        entry_bits(functional) for functional in schedule.functionals
+    ]
+    expected = [tuple(op.apply(x).get(lead) for op, lead in zip(oracle, leads)) for x in samples]
+    if mode == "rational":
+        assert schedule.operators == oracle
+        assert coefficients == expected
+    elif family == "suite":
+        assert [column_bits(op) for op in schedule.operators] == [column_bits(op) for op in oracle]
+        assert [[c.hex() for c in row] for row in coefficients] == [
+            [c.hex() for c in row] for row in expected
+        ]
+    else:
+        assert all(map(FiniteRankOperator.approx_equal, schedule.operators, oracle))
+        pairs = [pair for row in zip(coefficients, expected) for pair in zip(*row)]
+        assert all(approx_equal(a, b, mode) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
