@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
+from ._record import record
 from .errors import CertificateFailureError, InputError
 from .operators import FiniteRankOperator, ScheduledFamily, accumulate
 from .polyhedral import comparison_level
@@ -30,7 +30,6 @@ from .scalars import (
     random_scalar,
     raw_leq,
     raw_max,
-    raw_of,
     raw_times,
     scalar_coercer,
     scalars_of,
@@ -43,7 +42,7 @@ from .spaces import TruncatedVector, check_part, vector_from_dense, zero_vector
 EQUICONTINUITY_FACTOR = 5
 
 
-@dataclass(frozen=True)
+@record
 class BasisSpaceElement:
     """Coefficient sequence along the schedule's generator lines, one per slot.
 
@@ -106,15 +105,11 @@ def element_from_components(schedule: ScheduledFamily, coefficients) -> BasisSpa
     return BasisSpaceElement(schedule, tuple(coefficients))
 
 
-def e0_values(system: SeminormSystem, element: BasisSpaceElement) -> tuple:
-    """Graded value at every working-level position, in position order: per
-    level the max over partial sums, each partial sum read raw once for all
-    levels, and only the maxima turned into scalars."""
+def _e0_raw_values(system: SeminormSystem, element: BasisSpaceElement) -> list:
+    """The raw graded value at each working level: the max over partial sums, each read once."""
     levels = element.schedule.working_levels
-    mode = element.schedule.mode
     reads = [system.raw_values(levels, partial) for partial in element.partial_totals()]
-    maxima = [raw_max([read[i] for read in reads], mode) for i in range(len(levels))]
-    return scalars_of(maxima, mode)
+    return [raw_max([read[i] for read in reads], element.schedule.mode) for i in range(len(levels))]
 
 
 def embed(schedule: ScheduledFamily, x: TruncatedVector) -> BasisSpaceElement:
@@ -128,7 +123,7 @@ def project(element: BasisSpaceElement) -> BasisSpaceElement:
     return embed(element.schedule, element.total())
 
 
-@dataclass(frozen=True)
+@record
 class EquicontinuityCertificate:
     """Per-position comparison levels and exact partial-sum norms.
 
@@ -181,20 +176,19 @@ def certify_equicontinuity(
         bounds = zip(
             entries,
             factors,
-            e0_values(system, y),
+            _e0_raw_values(system, y),
             system.raw_values(schedule.working_levels, total_x),
             system.raw_values(comp_levels, x),
         )
         for (position, _, _, m_val), factor, e0, lower, comp_value in bounds:
-            e0_raw = raw_of(e0, mode)
-            if not raw_leq(lower, e0_raw, mode):
-                lower = scalars_of((lower,), mode)[0]
+            if not raw_leq(lower, e0, mode):
+                lower, e0 = scalars_of((lower, e0), mode)
                 raise CertificateFailureError(
                     f"lower bound failed at position {position}, sample {trial}: "
                     f"{lower} > {e0}"
                 )
-            if not raw_leq(e0_raw, raw_times(factor, comp_value, mode), mode):
-                comp_value = scalars_of((comp_value,), mode)[0]
+            if not raw_leq(e0, raw_times(factor, comp_value, mode), mode):
+                e0, comp_value = scalars_of((e0, comp_value), mode)
                 raise CertificateFailureError(
                     f"upper bound failed at position {position}, sample {trial}: "
                     f"{e0} > {EQUICONTINUITY_FACTOR} * {m_val} * {comp_value}"
@@ -202,7 +196,7 @@ def certify_equicontinuity(
     return cert
 
 
-@dataclass(frozen=True)
+@record
 class ReconstructionReport:
     """Residual traces value(k, x - partial sums) per sample and position."""
 
@@ -246,7 +240,7 @@ def verify_reconstruction(
     )
 
 
-@dataclass(frozen=True)
+@record
 class BasisCriterionReport:
     """Sampled coefficient bounds of the graded values along the schedule.
 
@@ -277,8 +271,8 @@ def basis_criterion_check(
         coeffs = [random_scalar(rng, mode) for _ in schedule.functionals]
         y = element_from_components(schedule, coeffs)
         reads = [system.raw_values(schedule.working_levels, c) for c in y.components]
-        for i, e0 in enumerate(e0_values(system, y)):
-            bound = raw_times(2, raw_of(e0, mode), mode)
+        for i, e0 in enumerate(_e0_raw_values(system, y)):
+            bound = raw_times(2, e0, mode)
             if not all(raw_leq(read[i], bound, mode) for read in reads):
                 return BasisCriterionReport(False, 1, sample_count)
     return BasisCriterionReport(True, 1, sample_count)

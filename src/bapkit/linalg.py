@@ -192,8 +192,8 @@ def echelon_inverse(rows, mode: str = RATIONAL):
     if not rows:
         return [], [], []
     n, ncols = len(rows), len(rows[0])
-    aug = [list(r) + [one(mode) if i == j else zero(mode) for j in range(n)]
-           for i, r in enumerate(rows)]
+    unit, nought = one(mode), zero(mode)  # built once: I's entries share the two scalars
+    aug = [list(r) + [unit if i == j else nought for j in range(n)] for i, r in enumerate(rows)]
     ech, pivots = row_echelon(aug, mode, ncols)
     inverse = [row[ncols:] for row in ech] if len(pivots) == n else None
     return [row[:ncols] for row in ech], pivots, inverse

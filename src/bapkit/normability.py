@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import (
     CertificateFailureError,
     InputError,
@@ -31,7 +31,7 @@ def measure_trace(system: SeminormSystem, level: int, vectors) -> tuple:
     return tuple(system.value(level, x) for x in vectors)
 
 
-@dataclass(frozen=True)
+@record
 class GeometricForm:
     """Closed-form trace shape: value(m) = scale * ratio**(m + shift)."""
 
@@ -50,7 +50,7 @@ class GeometricForm:
         return all(leq(t, self.value(m), mode) for m, t in zip(indices, trace))
 
 
-@dataclass(frozen=True)
+@record
 class FloorCertificate:
     """Claim: every value of the trace at this level stays >= bound > 0."""
 
@@ -75,7 +75,7 @@ def _pair_modulus(system: SeminormSystem, level: int, vectors) -> tuple:
     return tuple(modulus)
 
 
-@dataclass(frozen=True)
+@record
 class CauchyFamily:
     """Vector sequence with a tail modulus at one level.
 
@@ -128,7 +128,7 @@ class CauchyFamily:
         return last <= first * as_scalar(DECAY, system.mode)
 
 
-@dataclass(frozen=True)
+@record
 class DiagnosticVerdict:
     """Outcome of a diagnostic: 'violated' or 'consistent', with a reason."""
 
@@ -214,7 +214,7 @@ def injective_extension_test(
     )
 
 
-@dataclass(frozen=True)
+@record
 class VanishingEvidence:
     """One observed family for the dominated-vanishing diagnostic."""
 
@@ -282,7 +282,7 @@ def dv_condition_check(
     )
 
 
-@dataclass(frozen=True)
+@record
 class NormedBasisReport:
     """Sup-partial-sum norms built from a biorthogonal rank-one family."""
 

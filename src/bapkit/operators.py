@@ -27,10 +27,10 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
+from ._record import record
 from .errors import (
     ConstructionSoundnessError,
     ContinuousNormError,
@@ -67,7 +67,7 @@ from .spaces import (
 PREFIX_FACTOR = 2
 
 
-@dataclass(frozen=True)
+@record
 class FiniteRankOperator:
     """Sparse columns on a box (for g (x) f, the columns f_c * g).
 
@@ -235,7 +235,7 @@ def kernel_filtration(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ComplementDecomposition:
     """Ordered blocks (kernel_tag, basis) with head block tagged 0.
 
@@ -318,7 +318,7 @@ def select_complements(range_basis, filtration) -> ComplementDecomposition:
 # rank-one split
 
 
-@dataclass(frozen=True)
+@record
 class RankOneSplit:
     """Rank-one pieces summing to the identity on the source range.
 
@@ -406,7 +406,7 @@ def rank_one_split(
 # damping, replication, flattening
 
 
-@dataclass(frozen=True)
+@record
 class ScheduleBlock:
     """One damped, replicated split: N copies of its m pieces, each damped by 1/N."""
 
@@ -473,7 +473,7 @@ def _verify_prefix_bound(
                     )
 
 
-@dataclass(frozen=True)
+@record
 class ScheduledFamily:
     """Flattened rank-one schedule with its block bookkeeping.
 

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
+from ._record import record
 from .errors import DegenerateInputError, DomainError, InputError, LevelError
 from .linalg import dense_rows, independent, nullspace
 from .scalars import (
@@ -83,7 +83,7 @@ def _integer_entries(x: TruncatedVector):
 # rho tables
 
 
-@dataclass(frozen=True)
+@record
 class RhoTable:
     """Damping factors rho(mu, nu) in (0, 1], decaying in mu.
 
@@ -303,8 +303,10 @@ class SeminormSystem:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class VogtSeminorms(SeminormSystem):
+    """Vogt's decay-table system on a triple box; level k is the (k, k) split (see _split)."""
+
     rho: RhoTable
     box: TripleBox
     mode: str
@@ -462,7 +464,7 @@ class VogtSeminorms(SeminormSystem):
         return ((SUM, self.split_groups(k, k)),)
 
 
-@dataclass(frozen=True)
+@record
 class KoetheSeminorms(SeminormSystem):
     """Weighted absolute sums from a level-by-coordinate weight matrix."""
 
@@ -500,7 +502,7 @@ class KoetheSeminorms(SeminormSystem):
         return ((SUM, tuple(((j, w),) for j, w in enumerate(row, 1) if w != 0)),)
 
 
-@dataclass(frozen=True)
+@record
 class MaxPrefixSeminorms(SeminormSystem):
     """value(k, x) = max_{j <= k} |x_j|; the level is the prefix length."""
 
@@ -521,8 +523,10 @@ class MaxPrefixSeminorms(SeminormSystem):
         return ((MAX, tuple(((j, one),) for j in range(1, min(k, self.box.d) + 1))),)
 
 
-@dataclass(frozen=True)
+@record
 class CustomLevel:
+    """One level of a custom system: its functionals under one combiner, sum or max."""
+
     functionals: tuple  # tuple of functionals, each a tuple of (index, coeff)
     combiner: str
 
@@ -531,7 +535,7 @@ class CustomLevel:
             raise InputError(f"combiner must be {SUM!r} or {MAX!r}")
 
 
-@dataclass(frozen=True)
+@record
 class CustomSeminorms(SeminormSystem):
     """Explicit functional lists; monotonicity is the caller's claim."""
 
@@ -562,7 +566,7 @@ class CustomSeminorms(SeminormSystem):
         return ((lvl.combiner, tuple(lvl.functionals)),)
 
 
-@dataclass(frozen=True)
+@record
 class SupPartialSumSeminorms(SeminormSystem):
     """Derived grading |y|_k = max_n value(k, sum_{i<=n} ops[i] y).
 

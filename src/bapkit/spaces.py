@@ -13,10 +13,10 @@ lays a vector out densely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
 
+from ._record import record
 from .errors import DomainError, InputError, ModeError
 from .scalars import (
     Scalar,
@@ -30,7 +30,7 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class TripleBox:
     """Index window for triple-indexed spaces; all bounds inclusive, >= 1."""
 
@@ -64,7 +64,7 @@ class TripleBox:
         return ((n - 1) * self.mu_max + (mu - 1)) * self.nu_max + (nu - 1)
 
 
-@dataclass(frozen=True)
+@record
 class SingleBox:
     """Index window 1..d for singly-indexed spaces."""
 
@@ -125,8 +125,8 @@ def _trusted(box: Box, mode: str, entries: tuple) -> "TruncatedVector":
     """The vector with these entries, which the caller has built in canonical form:
     indices in the box and increasing, no zero value.  Unlike the public
     constructor it checks nothing, as the package's own builders keep that form.
-    It sets the fields one by one, as the dataclass constructor does, so that
-    vectors keep sharing one key table for their attributes."""
+    It sets the fields one by one in field order, as a record's constructor does,
+    so that vectors keep sharing one key table for their attributes."""
     vector = object.__new__(TruncatedVector)
     object.__setattr__(vector, "box", box)
     object.__setattr__(vector, "mode", mode)
@@ -134,7 +134,7 @@ def _trusted(box: Box, mode: str, entries: tuple) -> "TruncatedVector":
     return vector
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedVector:
     """Immutable sparse vector on a box; zero entries are never stored.
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .errors import (
     BoxTooSmallError,
     CertificateFailureError,
@@ -41,7 +41,7 @@ from .seminorms import RhoTable, VogtSeminorms, level_rows
 from .spaces import TripleBox, TruncatedVector
 
 
-@dataclass(frozen=True)
+@record
 class VogtInstance:
     """One truncated space: decay table, index box, mode, level budget.
 
@@ -82,7 +82,7 @@ def _random_sparse(instance: VogtInstance, rng: random.Random) -> TruncatedVecto
     return TruncatedVector(instance.box, instance.mode, tuple(entries))
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonReport:
     """Sampled confirmation of the level and primed-level inequalities."""
 
@@ -122,7 +122,7 @@ def comparison_inequality_check(
     return ComparisonReport(passed, sample_count, instance.level_count)
 
 
-@dataclass(frozen=True)
+@record
 class NuclearityCertificate:
     """Diagonal transfer sum from level p+1 to the primed level p, read off
     the system's functionals.
@@ -200,7 +200,7 @@ def nuclearity_certificate(instance: VogtInstance, level: int) -> NuclearityCert
     )
 
 
-@dataclass(frozen=True)
+@record
 class NormPositivityReport:
     """Rank of every level on the truncation plus per-column certificates.
 
@@ -241,7 +241,7 @@ def norm_positivity_check(instance: VogtInstance) -> NormPositivityReport:
     return NormPositivityReport(tuple(ranks), tuple(certs), passed)
 
 
-@dataclass(frozen=True)
+@record
 class BapFailureWitness:
     """Geometric column family: Cauchy high, vanishing low, floored between.
 

@@ -34,11 +34,11 @@ from bapkit import (
     zero_vector,
 )
 from bapkit import cli
-from bapkit.embedding import e0_values
 from bapkit.linalg import invert, mat_mul, rank
 from bapkit.normability import CauchyFamily, GeometricForm, VanishingEvidence
 from bapkit.operators import telescope
 from bapkit.seminorms import level_matrix, seminorm_kernel_basis
+from test_embedding import e0_values
 
 F = Fraction
 

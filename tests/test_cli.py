@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -36,6 +35,7 @@ from bapkit import cli
 from bapkit import embedding
 from bapkit import jsonio
 from bapkit.scalars import raw_of
+from test_jsonio import replace
 
 
 def namespace(**kw):
@@ -496,7 +496,7 @@ def doubled_floor(bap_failure_witness):
     def patched(*args, **kwargs):
         witness = bap_failure_witness(*args, **kwargs)
         floor = FloorCertificate(witness.floor.level, 2 * witness.floor.bound)
-        return dataclasses.replace(witness, floor=floor)
+        return replace(witness, floor=floor)
     return patched
 
 

@@ -1,6 +1,5 @@
 """Embedding, projection, and the certified two-sided comparison."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -26,13 +25,19 @@ from bapkit import (
     verify_reconstruction,
 )
 from bapkit import embedding, jsonio
-from bapkit.embedding import e0_values
-from bapkit.scalars import zero
+from bapkit.scalars import raw_of, scalars_of, zero
 from bapkit.seminorms import SupPartialSumSeminorms, apply_functional
 from bapkit.spaces import zero_vector
+from test_jsonio import replace
 
 F = Fraction
 BOX2 = SingleBox(2)
+
+
+def e0_values(system, element):
+    """The graded value at every working-level position, as scalars of the element's mode:
+    the raw maxima that the equicontinuity and basis checks compare, turned into scalars."""
+    return scalars_of(embedding._e0_raw_values(system, element), element.schedule.mode)
 
 
 def flat_system():
@@ -281,14 +286,16 @@ def test_certificate_failure_prints_the_factor_it_compared(monkeypatch):
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_certificate_lower_bound_fails_when_the_graded_value_reads_zero(monkeypatch, mode):
     # the graded value is the largest partial-sum value and the last partial sum is the
-    # total, so only a broken e0_values, or float rounding past EQ, falls below it
+    # total, so only a broken graded value, or float rounding past EQ, falls below it
     box = SingleBox(3)
     system = KoetheSeminorms(tuple(tuple(k for _ in range(3)) for k in (1, 2, 3)), box, mode)
     schedule = build_schedule(
         coordinate_family(box, mode), system, rng=random.Random(0), prefix_samples=10
     )
     monkeypatch.setattr(
-        embedding, "e0_values", lambda system, element: (zero(mode),) * element.schedule.grading_depth
+        embedding,
+        "_e0_raw_values",
+        lambda system, element: [raw_of(zero(mode), mode)] * element.schedule.grading_depth,
     )
     with pytest.raises(CertificateFailureError, match="lower bound failed at position 1"):
         certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
@@ -305,12 +312,14 @@ def test_certificate_lower_bound_fails_when_the_graded_value_reads_20_21_of_itse
     schedule = build_schedule(
         coordinate_family(box, mode), system, rng=random.Random(0), prefix_samples=10
     )
-    true_values = embedding.e0_values
+    true_values = embedding._e0_raw_values
     short = Fraction(20, 21) if mode == "rational" else 20 / 21
     monkeypatch.setattr(
         embedding,
-        "e0_values",
-        lambda system, element: tuple(short * v for v in true_values(system, element)),
+        "_e0_raw_values",
+        lambda system, element: [
+            raw_of(short * v, mode) for v in scalars_of(true_values(system, element), mode)
+        ],
     )
     with pytest.raises(CertificateFailureError, match="lower bound failed"):
         certify_equicontinuity(system, schedule, rng=random.Random(1), sample_count=5)
@@ -505,8 +514,8 @@ def test_running_sums_match_explicit_loops(mode, coeffs, t):
     derived = [
         y,
         y.prefix(t),
-        dataclasses.replace(y, coefficients=y.coefficients[::-1]),
-        dataclasses.replace(y, coefficients=(zero(mode),) * len(y)),
+        replace(y, coefficients=y.coefficients[::-1]),
+        replace(y, coefficients=(zero(mode),) * len(y)),
     ]
     for e in derived:
         assert e.partial_totals() == tuple(loop_partial_totals(e))

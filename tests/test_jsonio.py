@@ -2,9 +2,9 @@
 
 import dataclasses
 import functools
-import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bapkit import (
+    BapFailureWitness,
+    BasisCriterionReport,
     CustomLevel,
     CustomSeminorms,
     FiniteRankOperator,
     InputError,
     KoetheSeminorms,
     MaxPrefixSeminorms,
+    ReconstructionReport,
     RhoTable,
     SingleBox,
     SupPartialSumSeminorms,
@@ -40,8 +43,10 @@ from bapkit import (
     verify_reconstruction,
     witness_evidence,
 )
-from bapkit import jsonio
+from bapkit import cli, jsonio
 from bapkit.errors import BapkitError, DegenerateInputError, DomainError, LevelError, ModeError
+from test_golden import GOLDEN, THIRD_TABLE, _config
+from test_hygiene import is_record
 
 F = Fraction
 
@@ -53,6 +58,12 @@ def dumps(obj):
 
 def roundtrip(obj):
     return jsonio.decode(json.loads(dumps(obj)))
+
+
+def replace(record, **changes):
+    """record rebuilt through its constructor with changes, as dataclasses.replace rebuilt one."""
+    cls = type(record)
+    return cls(**{**{name: getattr(record, name) for name in cls.__match_args__}, **changes})
 
 
 def test_boxes_and_vectors():
@@ -189,7 +200,7 @@ def test_a_schedule_with_one_slot_field_short_is_refused(field):
     assert len(schedule) == 6
     attr = SLOT_FIELDS[field]
     with pytest.raises(InputError, match="as many"):
-        dataclasses.replace(schedule, **{attr: getattr(schedule, attr)[:-1]})
+        replace(schedule, **{attr: getattr(schedule, attr)[:-1]})
     with pytest.raises(InputError, match="as many"):
         jsonio.decode({**data, field: data[field][:-1]})
 
@@ -513,7 +524,7 @@ def test_encode_rejects_non_finite_floats(value):
         dumps(GeometricForm(scale=1.0, ratio=value))
 
 
-# public dataclasses that are configuration or intermediate state, never documents
+# public records that are configuration or intermediate state, never documents
 NOT_SERIALIZED = {"ScheduleBlock"}
 
 
@@ -539,21 +550,19 @@ def test_each_record_without_build_sets_exactly_the_init_fields():
         for kind in jsonio.KINDS.values()
         for rec in _records(kind)
         if rec.build is None
-        and set(inspect.signature(rec.cls).parameters) != {rec.attrs.get(n, n) for n in rec.fields}
+        and set(rec.cls.__match_args__) != {rec.attrs.get(n, n) for n in rec.fields}
     )
     assert mismatched == []
 
 
-def test_every_public_dataclass_has_an_encoding():
-    import dataclasses
-
+def test_every_public_record_has_an_encoding():
     import bapkit
 
     encoded = {rec.cls for kind in jsonio.KINDS.values() for rec in _records(kind)}
     public = {
         name: obj
         for name, obj in vars(bapkit).items()
-        if not name.startswith("_") and isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        if not name.startswith("_") and isinstance(obj, type) and is_record(obj)
     }
     assert NOT_SERIALIZED <= set(public)
     missing = sorted(
@@ -669,3 +678,146 @@ def test_every_kind_decodes_to_a_value_that_round_trips(kind, data):
         return
     text = json.dumps(jsonio.encode(x), sort_keys=True, indent=2, allow_nan=False)
     assert jsonio.decode(json.loads(text)) == x
+
+
+# ---------------------------------------------------------------------------
+# every codec kind against its dataclass twin: the class that dataclass(frozen=True) builds
+# from the same bases, annotations, defaults and methods, as the package built its records
+
+
+RECORD_METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+@functools.cache
+def twin(cls):
+    """cls rebuilt with dataclasses.dataclass(frozen=True) in place of _record.record."""
+    skip = {*RECORD_METHODS, "__match_args__", "__dict__", "__weakref__"}
+    namespace = {k: v for k, v in vars(cls).items() if k not in skip}
+    namespace["__qualname__"] = cls.__qualname__
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, cls.__bases__, namespace))
+
+
+def outcome(call):
+    """call's value, or the name of the exception it raises and whether that is an
+    AttributeError, so a FrozenInstanceError of either module matches the other's."""
+    try:
+        return "value", call()
+    except Exception as exc:  # the oracle compares what each side raises
+        return "raises", type(exc).__name__, isinstance(exc, AttributeError)
+
+
+def _records_in(value, found):
+    """found, by id, with every record in value: value itself, its fields and their items."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _records_in(item, found)
+    elif is_record(type(value)) and id(value) not in found:
+        found[id(value)] = value
+        for name in type(value).__match_args__:
+            _records_in(getattr(value, name), found)
+    return found
+
+
+@functools.cache
+def oracle_records() -> tuple:
+    """Every record in the decoded reports of the GOLDEN documents, then one of each codec kind
+    that those reports do not hold, built from them."""
+    found = {}
+    for rho, mode in sorted(GOLDEN):
+        override = {"mode": mode, "vogt": {"rho": rho if rho == "dyadic" else THIRD_TABLE}}
+        doc = cli.build_document(_config(override))
+        for suite in doc["suites"].values():
+            for result in suite["checks"].values():
+                if result.get("report") is not None:
+                    _records_in(jsonio.decode(result["report"]), found)
+    witness = next(x for x in found.values() if type(x) is BapFailureWitness)
+    schedule = jsonio.decode(_schedule_data())
+    extra = [
+        element_from_components(schedule, range(len(schedule))),
+        ReconstructionReport(True, ((F(1), F(0)),), (F(0),)),
+        BasisCriterionReport(False, 1, 2),
+        witness_evidence(witness),
+        witness.instance.system(),
+        jsonio.decode(MAX_PREFIX_DATA),
+        CustomSeminorms(
+            (CustomLevel((((1, F(1)), (2, F(-1))),), "sum"),), SingleBox(2), "rational"
+        ),
+    ]
+    return tuple(_records_in(extra, found).values())
+
+
+def _twin_mismatches(x) -> list:
+    """Where x's kind and its twin differ on x: repr, == and hash, each after positional and
+    after keyword construction."""
+    cls, other = type(x), twin(type(x))
+    values = [getattr(x, name) for name in cls.__match_args__]
+    keywords = dict(zip(cls.__match_args__, values))
+    found = []
+    for how, mine, theirs in (
+        ("positional", cls(*values), other(*values)),
+        ("keyword", cls(**keywords), other(**keywords)),
+    ):
+        checks = {
+            "repr": (repr(mine), repr(theirs)),
+            "==": (mine == x, theirs == other(*values)),
+            "!= another kind": (mine != theirs, theirs != mine),
+            "hash": (outcome(lambda: hash(mine)), outcome(lambda: hash(theirs))),
+        }
+        found += [f"{cls.__name__} {how} {name}" for name, (a, b) in checks.items() if a != b]
+    return found
+
+
+def test_every_codec_kind_matches_its_dataclass_twin():
+    records = oracle_records()
+    kinds = {rec.cls for kind in jsonio.KINDS.values() for rec in _records(kind)}
+    assert {type(x) for x in records} >= kinds
+    assert [m for x in records for m in _twin_mismatches(x)] == []
+    # == between two values of a kind, on the first few of each kind
+    by_kind = {}
+    for x in records:
+        by_kind.setdefault(type(x), []).append(x)
+    for cls, xs in by_kind.items():
+        pairs = [(a, b) for a in xs[:5] for b in xs[:5]]
+        twins = {id(x): twin(cls)(*map(x.__getattribute__, cls.__match_args__)) for x in xs[:5]}
+        assert [a == b for a, b in pairs] == [twins[id(a)] == twins[id(b)] for a, b in pairs], cls
+
+
+# one row per failure branch of a record; each call gets a kind, a value's fields and the value
+BAD_CALLS = {
+    "missing": lambda cls, values, x: cls(),
+    "surplus": lambda cls, values, x: cls(*values, values[0]),
+    "unexpected": lambda cls, values, x: cls(*values, no_such_field=1),
+    "repeated": lambda cls, values, x: cls(*values, **{cls.__match_args__[0]: values[0]}),
+    "assignment": lambda cls, values, x: setattr(x, cls.__match_args__[0], values[0]),
+    "deletion": lambda cls, values, x: delattr(x, cls.__match_args__[0]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_CALLS))
+def test_a_bad_call_raises_as_it_does_on_the_dataclass_twin(call):
+    differ = []
+    for cls in sorted({type(x) for x in oracle_records()}, key=lambda c: c.__name__):
+        x = next(x for x in oracle_records() if type(x) is cls)
+        other = twin(cls)
+        values = [getattr(x, name) for name in cls.__match_args__]
+        mine = outcome(lambda: BAD_CALLS[call](cls, values, x))
+        theirs = outcome(lambda: BAD_CALLS[call](other, values, other(*values)))
+        if mine != theirs or mine[0] != "raises":
+            differ.append((cls.__name__, mine, theirs))
+    assert differ == []
+
+
+def test_the_oracle_enters_every_method_that_a_record_gets():
+    # the reach gate counts RECORD_METHODS of tests/test_hygiene.py as reached on the strength
+    # of these rows, since no document hashes or prints a record or writes to one
+    entered = set()
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, _event, _arg: entered.add(frame.f_code))
+    try:
+        x = SingleBox(3)
+        _twin_mismatches(x)
+        for call in BAD_CALLS.values():
+            outcome(lambda: call(SingleBox, [3], x))
+    finally:
+        sys.settrace(previous)
+    assert {getattr(SingleBox, name).__code__ for name in RECORD_METHODS} <= entered

@@ -309,6 +309,25 @@ def test_echelon_inverse_of_no_rows():
     assert echelon_inverse([]) == ([], [], [])
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_echelon_inverse_builds_the_identity_block_from_two_fractions(monkeypatch, n):
+    # [G | I] costs the elimination's own Fractions plus one 1 and one 0, not n * n entries
+    rows = [[F(i + 1, j + 2) if i <= j else F(0) for j in range(n)] for i in range(n)]
+    prebuilt = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    ech, pivots = row_echelon(prebuilt, "rational", n)
+    elimination = len(built)
+    assert echelon_inverse(rows)[2] == [row[n:] for row in ech]
+    assert len(built) - 2 * elimination == 2
+
+
 @pytest.mark.parametrize("values, mode", [
     (sparse_fractions, "rational"), (near_tolerance_floats, "float")
 ])

@@ -1,6 +1,5 @@
 """Finite-rank operators and the schedule pipeline."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -46,6 +45,7 @@ from bapkit.operators import ComplementDecomposition
 from bapkit.scalars import approx_equal, as_scalar, leq, random_scalar
 from bapkit.spaces import linear_combination
 from test_golden import SUITE_TWINS, _config
+from test_jsonio import replace
 
 F = Fraction
 BOX2 = SingleBox(2)
@@ -493,7 +493,7 @@ def test_scale_and_replicate_frozen_instance():
     block = scale_and_replicate(split, flat_system())
     # N = ceil(2 * 3/2) = 3 copies of both pieces; a block holds no scaled copies
     assert block.replication == 3
-    assert [field.name for field in dataclasses.fields(block)] == ["split", "replication"]
+    assert type(block).__match_args__ == ("split", "replication")
     # the damped first piece C_1 = B_1 / 3 is ((1/3, -1/6), (0, 0)), so slot 1 is C_1 a =
     # (1, 0) (x) (1/3, 0), and slot 3, the second copy of C_1, shares its functional
     schedule = flatten_schedule([block])
@@ -564,10 +564,10 @@ MISPLACED_FIELDS = {
 @pytest.mark.parametrize("field", sorted(MISPLACED_FIELDS))
 def test_a_schedule_rejects_a_part_on_another_box_or_mode(field, kind, error):
     schedule = flat_schedule()
-    assert dataclasses.replace(schedule) == schedule
+    assert replace(schedule) == schedule
     changes = MISPLACED_FIELDS[field](schedule, *misplaced_parts(kind))
     with pytest.raises(error) as info:
-        dataclasses.replace(schedule, **changes)
+        replace(schedule, **changes)
     assert type(info.value) is error
 
 
@@ -588,7 +588,7 @@ def test_a_rank_one_split_rejects_a_part_on_another_box_or_mode(field, kind, err
     assert decode(encode(split)) == split
     changes = MISPLACED_SPLIT_FIELDS[field](split, *misplaced_parts(kind))
     with pytest.raises(error) as info:
-        dataclasses.replace(split, **changes)
+        replace(split, **changes)
     assert type(info.value) is error
     part = changes[field]
     encoded = encode(part) if field == "decomposition" else list(map(encode, part))
@@ -599,7 +599,7 @@ def test_a_rank_one_split_rejects_a_part_on_another_box_or_mode(field, kind, err
 
 def test_a_schedule_rejects_an_unknown_mode():
     with pytest.raises(ModeError):
-        dataclasses.replace(flat_schedule(), mode="complex")
+        replace(flat_schedule(), mode="complex")
 
 
 def test_schedule_level_bookkeeping():
@@ -653,7 +653,7 @@ def test_prefix_bound_check_rejects_an_undamped_block():
     # R = 6 calls for N = 12 copies; claiming R = 0 leaves one undamped copy
     split = rank_one_split(op2([[1, 5], [0, 1]]), flat_system())
     assert split.control_constant == 6
-    undamped = dataclasses.replace(split, control_constant=0)
+    undamped = replace(split, control_constant=0)
     with pytest.raises(ConstructionSoundnessError, match="level 1, copy 0, piece 1: 2 > 2 \\* 2/3"):
         scale_and_replicate(undamped, flat_system(), rng=random.Random(3), sample_count=40)
 
@@ -719,7 +719,7 @@ def test_prefix_bound_reads_the_prefixes_of_the_dense_oracle(monkeypatch, damped
     # N = 12 copies of m = 2 pieces when damped; one undamped copy fails at copy 0
     split = replicating_split()
     if not damped:
-        split = dataclasses.replace(split, control_constant=0)
+        split = replace(split, control_constant=0)
     block = scale_and_replicate(split, flat_system(), sample_count=0)
     assert (block.split.piece_count, block.replication) == ((2, 12) if damped else (2, 1))
     system = flat_system()
